@@ -18,45 +18,29 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
-from typing import Optional
 
 from . import analytics, bounds, simulator, tables
 from .distributions import QueueParameters, deterministic, from_spec
 from .errors import BusyCycleError, DomainError
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 HIGH_RHO_WARN = 5.0
 DEFAULT_CYCLES = 1_000_000
 HIGH_RHO_DEFAULT_CYCLES = 10_000
 
-TABLE_CSV_HEADER = ("distribution,lambda,alpha,rho,quantity,"
-                    "paper_value,computed,rel_delta,status")
+# Typed options by argparse dest, in the order their errors are reported;
+# config files may carry these numbers as JSON floats or strings.
+_OPTION_TYPES = {"lam": float, "rho": float, "tol_series": float,
+                 "tol_quad": float, "cycles": int, "seed": int, "reps": int,
+                 "which": int}
+_OPTION_DEFAULTS = {"tol_series": analytics.DEFAULT_SERIES_TOL,
+                    "tol_quad": analytics.DEFAULT_QUAD_TOL, "seed": 0, "reps": 1}
 
-
-@dataclass
-class RunConfig:
-    """One resolved invocation: the command plus every knob the modules need.
-
-    Table commands carry no distribution (they iterate the fixed published
-    grid); the idle-only escape sets ``rho = 0`` instead of a distribution.
-    """
-
-    command: str
-    arrival_rate: Optional[float] = None
-    distribution: Optional[dict] = None
-    rho: Optional[float] = None
-    tol_series: float = analytics.DEFAULT_SERIES_TOL
-    tol_quad: float = analytics.DEFAULT_QUAD_TOL
-    n_cycles: Optional[int] = None
-    seed: int = 0
-    replications: int = 1
-    which: Optional[int] = None
-    output_format: str = "plain"
-    strategy: str = "auto"
-    assume_tags: tuple = field(default_factory=tuple)
-    with_reference: bool = True
+_TABLE_FIELDS = ("distribution", "lambda", "alpha", "rho", "quantity",
+                 "paper_value", "computed", "rel_delta", "status")
+# plain rows leave out the quantity column, which the table title names
+_TABLE_ROW = "{0:<12} {1:>8} {2:>7} {3:>6} {5:>14} {6:>14} {7:>10} {8}"
 
 
 def fmt(x: float) -> str:
@@ -121,80 +105,62 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    """Fill unset options from the JSON config file; flags always win."""
-    if getattr(args, "config", None) is None:
-        return
-    try:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        parser.error(f"cannot read config {args.config}: {exc}")
-    if not isinstance(cfg, dict):
-        parser.error(f"config {args.config} must hold a JSON object")
-    aliases = {"lambda": "lam", "format": "output_format"}
-    for key, value in cfg.items():
-        dest = aliases.get(key, key)
-        if hasattr(args, dest) and getattr(args, dest) is None:
-            setattr(args, dest, value)
-
-
-def _to_config(args: argparse.Namespace, parser) -> RunConfig:
-    distribution = None
-    raw = getattr(args, "dist", None)
-    if raw is not None:
-        if isinstance(raw, dict):
-            distribution = raw
-        else:
-            try:
-                distribution = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                parser.error(f"--dist is not valid JSON: {exc}")
-    tags = tuple(
+def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser):
+    """Merge --config under the flags (flags win), parse --dist, then cast
+    and default every option the handlers read from ``args``."""
+    if args.config is not None:
+        try:
+            with open(args.config) as fh:
+                cfg = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            parser.error(f"cannot read config {args.config}: {exc}")
+        if not isinstance(cfg, dict):
+            parser.error(f"config {args.config} must hold a JSON object")
+        aliases = {"lambda": "lam", "format": "output_format"}
+        for key, value in cfg.items():
+            dest = aliases.get(key, key)
+            if hasattr(args, dest) and getattr(args, dest) is None:
+                setattr(args, dest, value)
+    dist = getattr(args, "dist", None)
+    if isinstance(dist, str):
+        try:
+            dist = args.dist = json.loads(dist)
+        except json.JSONDecodeError as exc:
+            parser.error(f"--dist is not valid JSON: {exc}")
+    if dist is not None and not isinstance(dist, dict):
+        parser.error("--dist must be a JSON object")
+    for dest, cast in _OPTION_TYPES.items():
+        value = getattr(args, dest, None)
+        try:
+            setattr(args, dest,
+                    _OPTION_DEFAULTS.get(dest) if value is None else cast(value))
+        except (TypeError, ValueError):
+            parser.error(f"option {dest!r} has invalid value {value!r}")
+    args.output_format = args.output_format or "plain"
+    args.strategy = getattr(args, "strategy", None) or "auto"
+    args.assume_tags = tuple(
         t.strip() for t in (getattr(args, "assume_tags", None) or "").split(",")
         if t.strip()
     )
 
-    def conv(name, cast, default=None):
-        # config files may carry numbers as JSON floats or strings
-        value = getattr(args, name, None)
-        if value is None:
-            return default
-        try:
-            return cast(value)
-        except (TypeError, ValueError):
-            parser.error(f"option {name!r} has invalid value {value!r}")
 
-    return RunConfig(
-        command=args.command,
-        arrival_rate=conv("lam", float),
-        distribution=distribution,
-        rho=conv("rho", float),
-        tol_series=conv("tol_series", float, analytics.DEFAULT_SERIES_TOL),
-        tol_quad=conv("tol_quad", float, analytics.DEFAULT_QUAD_TOL),
-        n_cycles=conv("cycles", int),
-        seed=conv("seed", int, 0),
-        replications=conv("reps", int, 1),
-        which=conv("which", int),
-        output_format=getattr(args, "output_format", None) or "plain",
-        strategy=getattr(args, "strategy", None) or "auto",
-        assume_tags=tags,
-        with_reference=not getattr(args, "no_reference", False),
-    )
-
-
-def _queue_from(cfg: RunConfig, parser) -> QueueParameters:
-    if cfg.arrival_rate is None:
+def _queue_from(args: argparse.Namespace, parser) -> QueueParameters:
+    """The queue of a command; ``metrics --rho 0`` is the idle-only limit."""
+    if args.rho is not None and args.rho != 0.0:
+        parser.error("--rho accepts only 0 (idle-only escape); "
+                     "use --dist for a real service law")
+    if args.lam is None:
         parser.error("--lambda is required")
-    if cfg.distribution is None:
+    if args.rho is not None:
+        return QueueParameters(args.lam, deterministic(0.0))
+    spec = args.dist
+    if spec is None:
         parser.error("--dist is required for this command")
-    spec = cfg.distribution
     if spec.get("type") == "deterministic" and float(spec.get("mean", -1)) == 0.0:
         parser.error("deterministic mean 0 is rejected; use `metrics --rho 0` "
                      "for the idle-only limit")
     try:
-        service = from_spec(spec, arrival_rate=cfg.arrival_rate)
-        return QueueParameters(cfg.arrival_rate, service)
+        return QueueParameters(args.lam, from_spec(spec, arrival_rate=args.lam))
     except (DomainError, ValueError) as exc:
         parser.error(str(exc))
 
@@ -213,21 +179,24 @@ def _emit_pairs(pairs, output_format: str) -> str:
     return "\n".join(f"{k:<{width}}  {v}" for k, v in pairs)
 
 
-def run_metrics(cfg: RunConfig, parser) -> int:
-    if cfg.rho is not None:
-        if cfg.rho != 0.0:
-            parser.error("--rho accepts only 0 (idle-only escape); "
-                         "use --dist for a real service law")
-        if cfg.arrival_rate is None:
-            parser.error("--lambda is required")
-        params = QueueParameters(cfg.arrival_rate, deterministic(0.0))
-    else:
-        params = _queue_from(cfg, parser)
-    m = analytics.beta_c(params, cfg.strategy,
-                         series_tol=cfg.tol_series, quad_tol=cfg.tol_quad)
-    pairs = [
-        ("lambda", fmt(params.arrival_rate)),
-        ("rho", fmt(params.traffic_intensity)),
+def _queue_pairs(params: QueueParameters) -> list:
+    return [("lambda", fmt(params.arrival_rate)),
+            ("rho", fmt(params.traffic_intensity))]
+
+
+def _bound_pairs(report) -> list:
+    """Every lower and upper bound of a report, then its tightest interval."""
+    lo, up = report.tightest
+    return ([(f"lower[{label}]", fmt(v)) for label, v in report.lower_bounds]
+            + [(f"upper[{label}]", fmt(v)) for label, v in report.upper_bounds]
+            + [("tightest", f"[{fmt(lo)}, {fmt(up)}]")])
+
+
+def run_metrics(args: argparse.Namespace, parser) -> int:
+    params = _queue_from(args, parser)
+    m = analytics.beta_c(params, args.strategy,
+                         series_tol=args.tol_series, quad_tol=args.tol_quad)
+    pairs = _queue_pairs(params) + [
         ("E[Z]", fmt(m.e_z)),
         ("E[B]", fmt(m.e_b)),
         ("beta", fmt(m.beta)),
@@ -236,35 +205,29 @@ def run_metrics(cfg: RunConfig, parser) -> int:
         ("method", m.method),
         ("error_estimate", fmt(m.error_estimate)),
     ]
-    print(_emit_pairs(pairs, cfg.output_format))
+    print(_emit_pairs(pairs, args.output_format))
     return 0
 
 
-def run_bounds(cfg: RunConfig, parser) -> int:
-    params = _queue_from(cfg, parser)
-    reference = analytics.beta_c(params).beta_c if cfg.with_reference else None
+def run_bounds(args: argparse.Namespace, parser) -> int:
+    params = _queue_from(args, parser)
+    reference = None if args.no_reference else analytics.beta_c(params).beta_c
     report = bounds.build_report(params, reference=reference,
-                                 assume_tags=cfg.assume_tags)
-    pairs = [("lambda", fmt(params.arrival_rate)),
-             ("rho", fmt(params.traffic_intensity))]
-    for label, value in report.lower_bounds:
-        pairs.append((f"lower[{label}]", fmt(value)))
-    for label, value in report.upper_bounds:
-        pairs.append((f"upper[{label}]", fmt(value)))
-    pairs.append(("tightest",
-                  f"[{fmt(report.tightest[0])}, {fmt(report.tightest[1])}]"))
+                                 assume_tags=args.assume_tags)
+    pairs = _queue_pairs(params) + _bound_pairs(report)
     if reference is not None:
         pairs.append(("reference_beta_c", fmt(reference)))
     if report.gap_ratio is not None:
         pairs.append(("gap_ratio", fmt(report.gap_ratio)))
     pairs.append(("consistent", "yes" if report.consistent else "NO"))
-    print(_emit_pairs(pairs, cfg.output_format))
+    print(_emit_pairs(pairs, args.output_format))
     return 0
 
 
-def _resolve_cycles(cfg: RunConfig, params: QueueParameters) -> int:
+def run_simulate(args: argparse.Namespace, parser) -> int:
+    params = _queue_from(args, parser)
     rho = params.traffic_intensity
-    cycles = cfg.n_cycles
+    cycles = args.cycles
     if rho >= HIGH_RHO_WARN:
         print(f"warning: rho = {fmt(rho)} >= {HIGH_RHO_WARN:g}; expected events "
               f"per cycle grow like e^rho, so runs are expensive"
@@ -273,13 +236,10 @@ def _resolve_cycles(cfg: RunConfig, params: QueueParameters) -> int:
               file=sys.stderr)
         if cycles is None:
             cycles = HIGH_RHO_DEFAULT_CYCLES
-    return cycles if cycles is not None else DEFAULT_CYCLES
-
-
-def _simulation_pairs(params, est) -> list:
-    return [
-        ("lambda", fmt(params.arrival_rate)),
-        ("rho", fmt(params.traffic_intensity)),
+    est = simulator.estimate_beta_c(
+        params, DEFAULT_CYCLES if cycles is None else cycles,
+        seed=args.seed, replications=args.reps)
+    pairs = _queue_pairs(params) + [
         ("cycles", str(est.n_cycles)),
         ("replications", str(est.replications)),
         ("seed", str(est.seed)),
@@ -290,78 +250,55 @@ def _simulation_pairs(params, est) -> list:
         ("E[Z^2]_hat", fmt(est.e_z2_hat)),
         ("per_replication", " ".join(fmt(v) for v in est.per_replication)),
     ]
-
-
-def run_simulate(cfg: RunConfig, parser) -> int:
-    params = _queue_from(cfg, parser)
-    cycles = _resolve_cycles(cfg, params)
-    est = simulator.estimate_beta_c(params, cycles, seed=cfg.seed,
-                                    replications=cfg.replications)
-    print(_emit_pairs(_simulation_pairs(params, est), cfg.output_format))
+    print(_emit_pairs(pairs, args.output_format))
     return 0
 
 
-def run_table(cfg: RunConfig, parser) -> int:
-    if cfg.which is None:
-        parser.error("--which 1|2|3 is required")
-    cells = tables.compute_table(cfg.which)
-    unexpected = [c for c in cells if c.status != c.expected_status]
+def _cell_record(c) -> dict:
+    record = dict(zip(_TABLE_FIELDS, (
+        c.distribution, c.arrival_rate, c.mean_service, c.rho, c.quantity,
+        c.paper_value, c.computed, c.rel_delta, c.status)))
+    if c.replacement is not None:
+        record["replacement"] = c.replacement
+    if c.note:
+        record["note"] = c.note
+    if c.ratio_with_paper_reference is not None:
+        record["paper_reference"] = c.paper_reference
+        record["ratio_with_paper_reference"] = c.ratio_with_paper_reference
+    return record
 
-    if cfg.output_format == "csv":
-        lines = [TABLE_CSV_HEADER]
-        for c in cells:
-            lines.append(",".join([
-                c.distribution, fmt(c.arrival_rate), fmt(c.mean_service),
-                fmt(c.rho), c.quantity, fmt(c.paper_value), fmt(c.computed),
-                f"{c.rel_delta:.3g}", c.status,
-            ]))
-            if c.ratio_with_paper_reference is not None:
-                ref_delta = (abs(c.paper_value - c.ratio_with_paper_reference)
-                             / abs(c.ratio_with_paper_reference))
-                lines.append(",".join([
-                    c.distribution, fmt(c.arrival_rate), fmt(c.mean_service),
-                    fmt(c.rho), "gap_ratio_vs_paper_reference",
-                    fmt(c.paper_value), fmt(c.ratio_with_paper_reference),
-                    f"{ref_delta:.3g}", c.status,
-                ]))
-        print("\n".join(lines))
-    elif cfg.output_format == "json":
-        out = []
-        for c in cells:
-            d = {
-                "distribution": c.distribution,
-                "lambda": c.arrival_rate,
-                "alpha": c.mean_service,
-                "rho": c.rho,
-                "quantity": c.quantity,
-                "paper_value": c.paper_value,
-                "computed": c.computed,
-                "rel_delta": c.rel_delta,
-                "status": c.status,
-            }
-            if c.replacement is not None:
-                d["replacement"] = c.replacement
-            if c.note:
-                d["note"] = c.note
-            if c.ratio_with_paper_reference is not None:
-                d["paper_reference"] = c.paper_reference
-                d["ratio_with_paper_reference"] = c.ratio_with_paper_reference
-            out.append(d)
-        print(json.dumps(out, indent=2))
+
+def _cell_text(c) -> list:
+    """The text fields of a cell's row, then of its published-reference row."""
+    key = [c.distribution, fmt(c.arrival_rate), fmt(c.mean_service), fmt(c.rho)]
+    rows = [key + [c.quantity, fmt(c.paper_value), fmt(c.computed),
+                   f"{c.rel_delta:.3g}", c.status]]
+    ref = c.ratio_with_paper_reference
+    if ref is not None:
+        rows.append(key + ["gap_ratio_vs_paper_reference", fmt(c.paper_value),
+                           fmt(ref), f"{abs(c.paper_value - ref) / abs(ref):.3g}",
+                           c.status])
+    return rows
+
+
+def run_table(args: argparse.Namespace, parser) -> int:
+    if args.which is None:
+        parser.error("--which 1|2|3 is required")
+    cells = tables.compute_table(args.which)
+    if args.output_format == "csv":
+        rows = [row for c in cells for row in _cell_text(c)]
+        print("\n".join(",".join(row) for row in [_TABLE_FIELDS] + rows))
+    elif args.output_format == "json":
+        print(json.dumps([_cell_record(c) for c in cells], indent=2))
     else:
-        print(f"table {cfg.which} "
-              f"({'beta_c values' if cells[0].quantity == 'beta_c' else 'bound gap ratios'})")
-        print(f"{'distribution':<12} {'lambda':>8} {'alpha':>7} {'rho':>6} "
-              f"{'paper_value':>14} {'computed':>14} {'rel_delta':>10} status")
+        kind = "beta_c values" if cells[0].quantity == "beta_c" else "bound gap ratios"
+        print(f"table {args.which} ({kind})")
+        print(_TABLE_ROW.format(*_TABLE_FIELDS))
         for c in cells:
-            print(f"{c.distribution:<12} {fmt(c.arrival_rate):>8} "
-                  f"{fmt(c.mean_service):>7} {fmt(c.rho):>6} "
-                  f"{fmt(c.paper_value):>14} {fmt(c.computed):>14} "
-                  f"{c.rel_delta:>10.3g} {c.status}")
-            if c.ratio_with_paper_reference is not None:
-                print(f"{'':<12} {'':>8} {'':>7} {'':>6} "
-                      f"{'with published reference':>29} "
-                      f"{fmt(c.ratio_with_paper_reference):>14}")
+            row, *ref = _cell_text(c)
+            print(_TABLE_ROW.format(*row))
+            if ref:
+                print(f"{'with published reference':>66} {ref[0][6]:>14}")
         errata = [c for c in cells if c.status == "ERRATUM"]
         if errata:
             print("errata (computed value is authoritative):")
@@ -371,29 +308,28 @@ def run_table(cfg: RunConfig, parser) -> int:
                       f"alpha={fmt(c.mean_service)}: published {fmt(c.paper_value)} "
                       f"-> {repl}  ({c.note})")
 
-    if unexpected:
-        for c in unexpected:
-            print(f"UNEXPECTED STATUS: {c.distribution} lambda={fmt(c.arrival_rate)} "
-                  f"alpha={fmt(c.mean_service)} expected {c.expected_status}, "
-                  f"got {c.status}", file=sys.stderr)
-        return 3
-    return 0
+    unexpected = [c for c in cells if c.status != c.expected_status]
+    for c in unexpected:
+        print(f"UNEXPECTED STATUS: {c.distribution} lambda={fmt(c.arrival_rate)} "
+              f"alpha={fmt(c.mean_service)} expected {c.expected_status}, "
+              f"got {c.status}", file=sys.stderr)
+    return 3 if unexpected else 0
 
 
-def run_compare(cfg: RunConfig, parser) -> int:
-    params = _queue_from(cfg, parser)
+def run_compare(args: argparse.Namespace, parser) -> int:
+    params = _queue_from(args, parser)
     m = analytics.beta_c(params)
-    cycles = cfg.n_cycles if cfg.n_cycles is not None else 100_000
+    cycles = args.cycles if args.cycles is not None else 100_000
     if params.traffic_intensity >= HIGH_RHO_WARN:
         print(f"warning: rho = {fmt(params.traffic_intensity)} is high; "
               f"simulation cost grows like e^rho", file=sys.stderr)
-    est = simulator.estimate_beta_c(params, cycles, seed=cfg.seed,
-                                    replications=cfg.replications)
+    est = simulator.estimate_beta_c(params, cycles, seed=args.seed,
+                                    replications=args.reps)
     report = bounds.build_report(params, reference=m.beta_c,
-                                 assume_tags=cfg.assume_tags)
+                                 assume_tags=args.assume_tags)
     try:
-        s = params.service.scv
-        verdict = bounds.proposition1(params.traffic_intensity, s).value
+        verdict = bounds.proposition1(params.traffic_intensity,
+                                      params.service.scv).value
     except BusyCycleError:
         verdict = "unavailable (no scv)"
 
@@ -401,34 +337,26 @@ def run_compare(cfg: RunConfig, parser) -> int:
     sandwich = lo - 1e-12 * abs(m.beta_c) <= m.beta_c <= up + 1e-12 * abs(m.beta_c)
     inside_ci = est.ci95[0] <= m.beta_c <= est.ci95[1]
 
-    pairs = [
-        ("lambda", fmt(params.arrival_rate)),
-        ("rho", fmt(params.traffic_intensity)),
+    pairs = _queue_pairs(params) + [
         ("beta_c_analytic", fmt(m.beta_c)),
         ("method", m.method),
         ("beta_c_simulated", fmt(est.beta_c_hat)),
         ("std_error", fmt(est.std_error)),
         ("ci95", f"[{fmt(est.ci95[0])}, {fmt(est.ci95[1])}]"),
         ("analytic_inside_ci", "yes" if inside_ci else "NO"),
-    ]
-    for label, value in report.lower_bounds:
-        pairs.append((f"lower[{label}]", fmt(value)))
-    for label, value in report.upper_bounds:
-        pairs.append((f"upper[{label}]", fmt(value)))
-    pairs.append(("tightest", f"[{fmt(lo)}, {fmt(up)}]"))
+    ] + _bound_pairs(report)
     if report.gap_ratio is not None:
         pairs.append(("gap_ratio", fmt(report.gap_ratio)))
     pairs.append(("position_vs_EZ", verdict))
     pairs.append(("sandwich", "PASS" if sandwich else "FAIL"))
-    print(_emit_pairs(pairs, cfg.output_format))
+    print(_emit_pairs(pairs, args.output_format))
     return 0
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    _apply_config_file(args, parser)
-    cfg = _to_config(args, parser)
+    _resolve(args, parser)
     handlers = {
         "metrics": run_metrics,
         "bounds": run_bounds,
@@ -437,7 +365,7 @@ def main(argv=None) -> int:
         "compare": run_compare,
     }
     try:
-        return handlers[cfg.command](cfg, parser)
+        return handlers[args.command](args, parser)
     except BusyCycleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,10 +1,11 @@
 """Service-time distribution catalog for the infinite-server queue model.
 
 Every member exposes the same analytic surface: CDF, mean, raw moments,
-integrated tail I(t) = int_0^t [1 - G(v)] dv, the residual tail
-alpha - I(t) = int_t^inf [1 - G(v)] dv in a cancellation-free form, and an
-inverse-transform quantile used for sampling.  Values are immutable after
-construction and safe for concurrent reads.
+one tail, the residual tail r(t) = int_t^inf [1 - G(v)] dv in a
+cancellation-free form, and an inverse-transform quantile used for
+sampling.  The integrated tail I(t) = int_0^t [1 - G(v)] dv is derived as
+alpha - r(t).  Values are immutable after construction and safe for
+concurrent reads.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ class ServiceDistribution:
     """A service-time law together with the analytic pieces the queue
     computations need.
 
-    ``integrated_tail_fn`` and ``residual_tail_fn`` accept scalars or numpy
-    arrays and satisfy I(t) + residual(t) = mean for all t >= 0.
+    ``residual_tail_fn`` accepts scalars or numpy arrays and is the one tail
+    a law defines; the integrated tail is derived as I(t) = mean - r(t).
     ``quantile_fn`` is the generalized inverse of the CDF, also vectorized.
     Atoms (point masses) are listed explicitly so quadrature and sampling
     can treat them exactly.
@@ -63,7 +64,6 @@ class ServiceDistribution:
     moment2: Optional[float]
     moment3: Optional[float]
     cdf: Callable
-    integrated_tail_fn: Callable
     residual_tail_fn: Callable
     quantile_fn: Callable
     class_tags: frozenset = frozenset()
@@ -127,9 +127,6 @@ def exponential(mean: float) -> ServiceDistribution:
         t = np.asarray(t, dtype=float)
         return np.where(t < 0.0, 0.0, -np.expm1(-np.maximum(t, 0.0) / a))
 
-    def itail(t):
-        return a * (-np.expm1(-np.asarray(t, dtype=float) / a))
-
     def rtail(t):
         return a * np.exp(-np.asarray(t, dtype=float) / a)
 
@@ -142,7 +139,6 @@ def exponential(mean: float) -> ServiceDistribution:
         moment2=2.0 * a * a,
         moment3=6.0 * a**3,
         cdf=cdf,
-        integrated_tail_fn=itail,
         residual_tail_fn=rtail,
         quantile_fn=quantile,
         class_tags=frozenset({NBUE, NWUE, DFR, IMRL}),
@@ -161,9 +157,6 @@ def deterministic(mean: float) -> ServiceDistribution:
         t = np.asarray(t, dtype=float)
         return np.where(t < a, 0.0, 1.0)
 
-    def itail(t):
-        return np.clip(np.asarray(t, dtype=float), 0.0, a)
-
     def rtail(t):
         return np.maximum(a - np.asarray(t, dtype=float), 0.0)
 
@@ -177,7 +170,6 @@ def deterministic(mean: float) -> ServiceDistribution:
         moment2=a * a,
         moment3=None,
         cdf=cdf,
-        integrated_tail_fn=itail,
         residual_tail_fn=rtail,
         quantile_fn=quantile,
         class_tags=frozenset({NBUE}) if a > 0.0 else frozenset(),
@@ -209,10 +201,6 @@ def special_a(arrival_rate: float, rho: float) -> ServiceDistribution:
         val = em / (em + (1.0 - em) * np.exp(-lam * tt))
         return np.where(t < 0.0, 0.0, val)
 
-    def itail(t):
-        t = np.asarray(t, dtype=float)
-        return -np.log1p((1.0 - em) * np.expm1(-lam * t)) / lam
-
     def rtail(t):
         t = np.asarray(t, dtype=float)
         return np.log1p(grow * np.exp(-lam * t)) / lam
@@ -231,7 +219,6 @@ def special_a(arrival_rate: float, rho: float) -> ServiceDistribution:
         moment2=mu2,
         moment3=None,
         cdf=cdf,
-        integrated_tail_fn=itail,
         residual_tail_fn=rtail,
         quantile_fn=quantile,
         atoms=((0.0, em),),
@@ -264,10 +251,6 @@ def special_b(arrival_rate: float, rho: float) -> ServiceDistribution:
         tail = np.exp(-k * tt) / (em + (1.0 - em) * np.exp(-k * tt))
         return np.where(t < 0.0, 0.0, 1.0 - tail)
 
-    def itail(t):
-        t = np.asarray(t, dtype=float)
-        return -np.log1p((1.0 - em) * np.expm1(-k * t)) / lam
-
     def rtail(t):
         t = np.asarray(t, dtype=float)
         return np.log1p(grow * np.exp(-k * t)) / lam
@@ -286,7 +269,6 @@ def special_b(arrival_rate: float, rho: float) -> ServiceDistribution:
         moment2=mu2,
         moment3=None,
         cdf=cdf,
-        integrated_tail_fn=itail,
         residual_tail_fn=rtail,
         quantile_fn=quantile,
         embedded_arrival_rate=lam,
@@ -304,11 +286,6 @@ def power_function(c: float) -> ServiceDistribution:
     def cdf(t):
         t = np.asarray(t, dtype=float)
         return np.where(t < 0.0, 0.0, np.clip(t, 0.0, 1.0) ** c)
-
-    def itail(t):
-        t = np.asarray(t, dtype=float)
-        tc = np.clip(t, 0.0, 1.0)
-        return np.where(t >= 1.0, a, tc - tc ** (c + 1.0) / (c + 1.0))
 
     def rtail(t):
         # alpha - I(t) = u + expm1((c+1) log1p(-u))/(c+1) with u = 1 - t,
@@ -331,7 +308,6 @@ def power_function(c: float) -> ServiceDistribution:
         moment2=c / (c + 2.0),
         moment3=None,
         cdf=cdf,
-        integrated_tail_fn=itail,
         residual_tail_fn=rtail,
         quantile_fn=quantile,
         support_end=1.0,
@@ -367,9 +343,6 @@ def scale(dist: ServiceDistribution, factor: float) -> ServiceDistribution:
     def cdf(t):
         return base.cdf(np.asarray(t, dtype=float) / k)
 
-    def itail(t):
-        return k * base.integrated_tail_fn(np.asarray(t, dtype=float) / k)
-
     def rtail(t):
         return k * base.residual_tail_fn(np.asarray(t, dtype=float) / k)
 
@@ -382,7 +355,6 @@ def scale(dist: ServiceDistribution, factor: float) -> ServiceDistribution:
         moment2=None if base.moment2 is None else k * k * base.moment2,
         moment3=None if base.moment3 is None else k**3 * base.moment3,
         cdf=cdf,
-        integrated_tail_fn=itail,
         residual_tail_fn=rtail,
         quantile_fn=quantile,
         class_tags=base.class_tags,
@@ -404,7 +376,7 @@ def make_distribution(
 ) -> ServiceDistribution:
     """Wrap a user-supplied CDF in the common contract.
 
-    The integrated tail falls back to numeric integration and the quantile
+    The residual tail falls back to numeric integration and the quantile
     to bisection, so this is slower than catalog members.  No reliability
     class is assumed; pass ``class_tags`` only for properties you can
     actually establish.
@@ -426,11 +398,8 @@ def make_distribution(
 
     itail_vec = np.vectorize(_itail_scalar, otypes=[float])
 
-    def itail(t):
-        return itail_vec(np.asarray(t, dtype=float))
-
     def rtail(t):
-        return np.maximum(mean - itail(t), 0.0)
+        return np.maximum(mean - itail_vec(np.asarray(t, dtype=float)), 0.0)
 
     def _quantile_scalar(u):
         if u <= 0.0:
@@ -448,7 +417,6 @@ def make_distribution(
         moment2=moment2,
         moment3=moment3,
         cdf=lambda t: np.asarray(cdf(np.asarray(t, dtype=float)), dtype=float),
-        integrated_tail_fn=itail,
         residual_tail_fn=rtail,
         quantile_fn=lambda u: qvec(np.asarray(u, dtype=float)),
         class_tags=tags,
@@ -494,7 +462,10 @@ def from_spec(spec: dict, arrival_rate: Optional[float] = None) -> ServiceDistri
 def _req(spec: dict, key: str) -> float:
     if key not in spec:
         raise DomainError(f"distribution spec {spec!r} is missing {key!r}")
-    return float(spec[key])
+    value = float(spec[key])
+    if not math.isfinite(value):
+        raise DomainError(f"distribution spec {spec!r} has a non-finite {key!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -502,11 +473,11 @@ def _req(spec: dict, key: str) -> float:
 # ---------------------------------------------------------------------------
 
 def integrated_tail(dist: ServiceDistribution, t):
-    """I(t) = int_0^t [1 - G(v)] dv for t >= 0."""
+    """I(t) = int_0^t [1 - G(v)] dv, derived as mean - r(t), for t >= 0."""
     arr = np.asarray(t, dtype=float)
     if np.any(arr < 0.0):
         raise DomainError(f"integrated tail needs t >= 0, got {t}")
-    out = dist.integrated_tail_fn(arr)
+    out = dist.mean - dist.residual_tail_fn(arr)
     return float(out) if arr.shape == () else out
 
 

@@ -76,6 +76,9 @@ def test_usage_errors_exit_2(capsys):
         ["metrics", "--lambda", "2"],              # missing dist and rho
         ["metrics", "--lambda", "2", "--dist", '{"type":"weibull"}'],
         ["table"],                                  # missing --which
+        ["metrics", "--lambda", "2", "--dist", "[1]"],
+        ["metrics", "--lambda", "2", "--dist",
+         '{"type":"exponential","mean":Infinity}'],
     ):
         with pytest.raises(SystemExit) as exc:
             run_cli(capsys, *argv)
@@ -228,3 +231,103 @@ def test_config_file_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(capsys, "metrics", "--config", str(tmp_path / "missing.json"))
     assert exc.value.code == 2
+
+
+def test_config_numbers_as_json_strings(tmp_path, capsys):
+    cfg = tmp_path / "strings.json"
+    cfg.write_text(json.dumps({
+        "lambda": "2",
+        "dist": {"type": "exponential", "mean": 0.5},
+        "cycles": "1000",
+        "seed": "4",
+    }))
+    code, out, _ = run_cli(capsys, "metrics", "--config", str(cfg))
+    assert code == 0
+    assert "beta_c          1.1589511" in out
+    code, out, _ = run_cli(capsys, "simulate", "--config", str(cfg),
+                           "--format", "csv")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:6] == ["key,value", "lambda,2", "rho,1", "cycles,1000",
+                         "replications,1", "seed,4"]
+
+
+POWER_BOUNDS = [
+    ("lambda", "1"),
+    ("rho", "0.71428571"),
+    ("lower[sathe]", "1.3511171"),
+    ("lower[universal]", "1.3511171"),
+    ("lower[power]", "1.3511171"),
+    ("upper[sathe]", "1.3576361"),
+    ("upper[power]", "1.3576361"),
+    ("tightest", "[1.3511171, 1.3576361]"),
+    ("reference_beta_c", "1.353772"),
+    ("gap_ratio", "0.0048154712"),
+    ("consistent", "yes"),
+]
+
+UNIFORM_SIMULATE = [
+    ("lambda", "3"),
+    ("rho", "1.5"),
+    ("cycles", "2000"),
+    ("replications", "1"),
+    ("seed", "7"),
+    ("beta_c_hat", "1.1784593"),
+    ("std_error", "0.02968804"),
+    ("ci95", "[1.1202718, 1.2366468]"),
+    ("E[Z]_hat", "1.4940576"),
+    ("E[Z^2]_hat", "3.5213724"),
+    ("per_replication", "1.1784593"),
+]
+
+EXPONENTIAL_COMPARE = [
+    ("lambda", "1"),
+    ("rho", "0.5"),
+    ("beta_c_analytic", "1.2850757"),
+    ("method", "series"),
+    ("beta_c_simulated", "1.3279741"),
+    ("std_error", "0.032219051"),
+    ("ci95", "[1.2648259, 1.3911223]"),
+    ("analytic_inside_ci", "yes"),
+    ("lower[sathe]", "1.2737213"),
+    ("lower[universal]", "1.2737213"),
+    ("lower[m-nwue]", "1.2841379"),
+    ("lower[dfr]", "1.2841379"),
+    ("lower[imrl]", "1.2841379"),
+    ("upper[sathe]", "1.2974425"),
+    ("upper[m-nbue]", "1.2871803"),
+    ("tightest", "[1.2841379, 1.2871803]"),
+    ("gap_ratio", "0.0023674716"),
+    ("position_vs_EZ", "below-EZ"),
+    ("sandwich", "PASS"),
+]
+
+
+@pytest.mark.parametrize("argv,pairs", [
+    (["bounds", "--lambda", "1", "--dist", '{"type":"power","c":2.5}'],
+     POWER_BOUNDS),
+    (["simulate", "--lambda", "3", "--dist", '{"type":"uniform01"}',
+      "--cycles", "2000", "--seed", "7"], UNIFORM_SIMULATE),
+    (["compare", "--lambda", "1", "--dist", '{"type":"exponential","mean":0.5}',
+      "--cycles", "2000", "--seed", "7"], EXPONENTIAL_COMPARE),
+])
+def test_record_commands_exact_csv_and_json(capsys, argv, pairs):
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert out == "key,value\n" + "".join(f"{k},{v}\n" for k, v in pairs)
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    body = ",\n".join(f'  "{k}": "{v}"' for k, v in pairs)
+    assert out == "{\n" + body + "\n}\n"
+
+
+def test_table_plain_header_and_reference_row(capsys):
+    code, out, _ = run_cli(capsys, "table", "--which", "3")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "table 3 (bound gap ratios)"
+    assert lines[1] == ("distribution   lambda   alpha    rho    paper_value"
+                        "       computed  rel_delta status")
+    assert lines[6] == ("exponential       100     0.5     50     0.87295261"
+                        "     0.97957366      0.109 ERRATUM")
+    assert lines[7] == (" " * 42 + "with published reference     0.87295261")

@@ -51,7 +51,7 @@ def test_cdf_is_a_distribution_function(label, factory):
 def test_integrated_tail_shape_and_limit(label, factory):
     dist = factory()
     t = _grid(dist)
-    i = np.asarray(dist.integrated_tail_fn(t), dtype=float)
+    i = np.asarray(bc.integrated_tail(dist, t), dtype=float)
     di = np.diff(i)
     assert np.all(di >= -1e-12), f"{label}: I must be nondecreasing"
     # concavity: the integrand 1 - G is nonincreasing
@@ -284,6 +284,9 @@ def test_from_spec_round_trip():
         bc.from_spec({"type": "special_a", "rho": 1.0})  # needs arrival rate
     with pytest.raises(DomainError):
         bc.from_spec({"type": "power"})  # missing c
+    for bad in (math.inf, math.nan, "inf"):
+        with pytest.raises(DomainError):
+            bc.from_spec({"type": "exponential", "mean": bad})
 
 
 def test_user_supplied_distribution_contract():
