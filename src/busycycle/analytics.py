@@ -37,7 +37,6 @@ __all__ = [
     "beta_quadrature",
     "beta_c",
     "z_second_moment",
-    "z_second_moment_alt",
 ]
 
 DEFAULT_SERIES_TOL = 1e-10
@@ -149,8 +148,8 @@ def _power_inner_integral(k: int, c: float) -> float:
 
 
 def power_double_series(arrival_rate: float, c: float,
-                        tol: float = DEFAULT_SERIES_TOL) -> float:
-    """Series value of beta_c for the power-function service law.
+                        tol: float = DEFAULT_SERIES_TOL):
+    """(beta_c, abs error estimate) for the power-function service law.
 
     The underlying expansion of the cycle integral over the [0, 1] support is
 
@@ -169,14 +168,14 @@ def power_double_series(arrival_rate: float, c: float,
         raise DomainError(f"arrival_rate must be positive, got {lam}")
     if not (c > 0.0):
         raise DomainError(f"c must be positive, got {c}")
-    if not (tol > 0.0):
-        raise DomainError(f"tol must be positive, got {tol}")
     beta, err = _power_beta_series(lam, c, tol)
-    return beta + 1.0 / lam
+    return beta + 1.0 / lam, err
 
 
 def _power_beta_series(lam: float, c: float, tol: float):
     """(beta, abs error estimate) for the power member via series."""
+    if not (tol > 0.0):
+        raise DomainError(f"tol must be positive, got {tol}")
     rho = lam * c / (c + 1.0)
     if c == 1.0:
         return _power_series_c1(rho, tol)
@@ -233,20 +232,16 @@ def _power_beta_series(lam: float, c: float, tol: float):
 # ---------------------------------------------------------------------------
 
 def beta_quadrature(params: QueueParameters, tol: float = DEFAULT_QUAD_TOL,
-                    max_panels: int = 4096) -> float:
-    """Numerical value of beta = int_0^inf (e^(lam r(t)) - 1) dt.
+                    max_panels: int = 4096):
+    """(beta, abs error estimate) for beta = int_0^inf (e^(lam r(t)) - 1) dt.
 
     The exponent lam * r(t) = rho - lam * I(t) is evaluated through the
     residual tail, so it is nonnegative, nonincreasing, and exactly zero
     past the service support; the integrand inherits those properties.
-    Atoms of G and the support edge seed panel breakpoints.
+    Atoms of G and the support edge seed panel breakpoints.  An unbounded
+    support is cut where lam * r(t) < 1e-16; AccuracyError is raised when
+    no such point is found.
     """
-    value, _err = _beta_quadrature_with_error(params, tol, max_panels)
-    return value
-
-
-def _beta_quadrature_with_error(params: QueueParameters, tol: float,
-                                max_panels: int = 4096):
     if not (tol > 0.0):
         raise DomainError(f"tol must be positive, got {tol}")
     lam = params.arrival_rate
@@ -264,6 +259,12 @@ def _beta_quadrature_with_error(params: QueueParameters, tol: float,
             if lam * float(dist.residual_tail_fn(end)) < 1e-16:
                 break
             end *= 2.0
+        else:
+            raise AccuracyError(
+                f"{dist.name}: residual tail stays above 1e-16/lambda up to "
+                f"t = {end:.3g}; the support cannot be truncated",
+                best_estimate=math.inf, error_estimate=math.inf,
+            )
     breaks = {0.0, end}
     for loc, _mass in dist.atoms:
         if 0.0 < loc < end:
@@ -339,14 +340,9 @@ def beta_c(params: QueueParameters, strategy: str = "auto",
 
     if rho == 0.0:
         # idle-only queue: Z is exponential(lam)
-        return BusyCycleMetrics(
-            e_z=1.0 / lam, e_b=0.0, beta=0.0, beta_c=1.0 / lam,
-            z_second_moment=2.0 / lam**2, method="closed-form",
-            error_estimate=0.0,
-        )
-
-    if strategy == "quadrature":
-        beta, err = _beta_quadrature_with_error(params, quad_tol)
+        beta, method, err = 0.0, "closed-form", 0.0
+    elif strategy == "quadrature":
+        beta, err = beta_quadrature(params, quad_tol)
         method = "quadrature"
     elif strategy == "closed-form":
         beta, method, err = beta_closed_form(params, series_tol)
@@ -355,19 +351,22 @@ def beta_c(params: QueueParameters, strategy: str = "auto",
             try:
                 beta, method, err = beta_closed_form(params, series_tol)
             except AccuracyError:
-                beta, err = _beta_quadrature_with_error(params, quad_tol)
+                beta, err = beta_quadrature(params, quad_tol)
                 method = "quadrature"
         else:
-            beta, err = _beta_quadrature_with_error(params, quad_tol)
+            beta, err = beta_quadrature(params, quad_tol)
             method = "quadrature"
 
     e_z = mean_cycle(params)
-    e_b = mean_busy_period(params)
     bc = beta + 1.0 / lam
+    z2 = 2.0 * e_z * bc
+    # every other field is finite whenever E[Z^2] is
+    if not (math.isfinite(z2) and math.isfinite(err)):
+        raise DomainError(f"rho = {rho:g}, lambda = {lam:g}: the busy-cycle "
+                          f"moments overflow the float range")
     return BusyCycleMetrics(
-        e_z=e_z, e_b=e_b, beta=beta, beta_c=bc,
-        z_second_moment=2.0 * e_z * bc,
-        method=method, error_estimate=err,
+        e_z=e_z, e_b=mean_busy_period(params), beta=beta, beta_c=bc,
+        z_second_moment=z2, method=method, error_estimate=err,
     )
 
 
@@ -376,7 +375,7 @@ def z_second_moment(params: QueueParameters, strategy: str = "auto") -> float:
     return beta_c(params, strategy).z_second_moment
 
 
-def z_second_moment_alt(params: QueueParameters, strategy: str = "auto") -> float:
+def _z_second_moment_alt(params: QueueParameters, strategy: str = "auto") -> float:
     """Alternative second-moment candidate that scales the cycle integral by
     e^rho once instead of twice.  Mutually exclusive with z_second_moment;
     retained only so the simulator can arbitrate between the two readings

@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 LOWER_CLASSES = ("m-nwue", "dfr", "imrl", "power", "uniform01")
-UPPER_CLASSES = ("m-nbue", "power", "uniform01")
+UPPER_CLASSES = ("power", "uniform01", "m-nbue")  # report print order
 
 
 class Comparison(enum.Enum):
@@ -126,16 +126,18 @@ def _check_tag(params: QueueParameters, tag: str, assume_tags) -> None:
         )
 
 
-def _power_c(params: QueueParameters) -> float:
-    kind = params.service.spec.get("type")
-    if kind == "uniform01":
-        return 1.0
-    if kind == "power":
-        return float(params.service.spec["c"])
-    raise ClassViolationError(
-        f"power-function bounds apply only to the power/uniform01 members, "
-        f"not {params.service.name}"
-    )
+def _power_c(params: QueueParameters, kind: str) -> float:
+    """c of a power/uniform01 member; the uniform01 bounds need c = 1."""
+    spec = params.service.spec
+    if spec.get("type") not in ("power", "uniform01"):
+        raise ClassViolationError(
+            f"power-function bounds apply only to the power/uniform01 members, "
+            f"not {params.service.name}"
+        )
+    c = float(spec.get("c", 1.0))
+    if kind == "uniform01" and c != 1.0:
+        raise ClassViolationError(f"the uniform01 bound needs c = 1, got c = {c:g}")
+    return c
 
 
 def class_lower_bound(kind: str, params: QueueParameters,
@@ -175,11 +177,7 @@ def class_lower_bound(kind: str, params: QueueParameters,
             + rho * (3.0 * mu2 * q * q - 4.0 * alpha * alpha) / 6.0
         )
     if kind in ("power", "uniform01"):
-        c = _power_c(params)
-        if kind == "uniform01" and c != 1.0:
-            raise ClassViolationError(
-                f"the uniform01 bound needs c = 1, got c = {c:g}"
-            )
+        c = _power_c(params, kind)
         return e_z + (rho - 2.0 * c * (c + 2.0)) / (2.0 * (c + 1.0) * (c + 2.0))
     raise DomainError(f"unknown lower-bound class {kind!r}")
 
@@ -203,11 +201,7 @@ def class_upper_bound(kind: str, params: QueueParameters,
             2.0 * (e_b - alpha), (rho / 2.0) * (e_b + alpha)
         )
     if kind in ("power", "uniform01"):
-        c = _power_c(params)
-        if kind == "uniform01" and c != 1.0:
-            raise ClassViolationError(
-                f"the uniform01 bound needs c = 1, got c = {c:g}"
-            )
+        c = _power_c(params, kind)
         return (
             1.0 / lam
             + (c + 1.0) ** 2 / (c * (c + 2.0)) * e_b
@@ -230,40 +224,25 @@ def build_report(params: QueueParameters, reference: Optional[float] = None,
     """Assemble every bound applicable to ``params`` into one report.
 
     ``reference`` (typically the computed beta_c) enables the gap ratio.
-    Bounds whose prerequisites (tags, moments) are missing are omitted.
+    Class bounds whose prerequisites (tags, moments, power type) are
+    missing are omitted.
     """
-    tags = params.service.class_tags | frozenset(assume_tags)
-    lam = params.arrival_rate
-    alpha = params.service.mean
-    is_power = params.service.spec.get("type") in ("power", "uniform01")
-
     lowers = []
     uppers = []
     try:
-        s = params.service.scv
-    except UnsupportedMomentError:
-        s = None
-    if s is not None:
-        lo, up = sathe_interval(lam, alpha, s)
-        lowers.append(("sathe", lo))
-        lowers.append(("universal", lo))  # same floor, universal validity
+        lo, up = sathe_interval(params.arrival_rate, params.service.mean,
+                                params.service.scv)
+        lowers += [("sathe", lo), ("universal", lo)]  # same floor, universal validity
         uppers.append(("sathe", up))
-    if NWUE in tags:
-        lowers.append(("m-nwue", class_lower_bound("m-nwue", params, tags)))
-    if DFR in tags and s is not None:
-        lowers.append(("dfr", class_lower_bound("dfr", params, tags)))
-    if IMRL in tags and params.service.moment2 is not None \
-            and params.service.moment3 is not None:
-        lowers.append(("imrl", class_lower_bound("imrl", params, tags)))
-    if is_power:
-        c = _power_c(params)
-        lowers.append(("power", class_lower_bound("power", params)))
-        uppers.append(("power", class_upper_bound("power", params)))
-        if c == 1.0:
-            lowers.append(("uniform01", class_lower_bound("uniform01", params)))
-            uppers.append(("uniform01", class_upper_bound("uniform01", params)))
-    if NBUE in tags:
-        uppers.append(("m-nbue", class_upper_bound("m-nbue", params, tags)))
+    except UnsupportedMomentError:
+        pass
+    for rows, bound, kinds in ((lowers, class_lower_bound, LOWER_CLASSES),
+                               (uppers, class_upper_bound, UPPER_CLASSES)):
+        for kind in kinds:
+            try:
+                rows.append((kind, bound(kind, params, assume_tags)))
+            except (ClassViolationError, UnsupportedMomentError):
+                pass
 
     max_lower = max((v for _, v in lowers), default=-math.inf)
     min_upper = min((v for _, v in uppers), default=math.inf)

@@ -156,11 +156,12 @@ def _queue_from(args: argparse.Namespace, parser) -> QueueParameters:
     spec = args.dist
     if spec is None:
         parser.error("--dist is required for this command")
-    if spec.get("type") == "deterministic" and float(spec.get("mean", -1)) == 0.0:
-        parser.error("deterministic mean 0 is rejected; use `metrics --rho 0` "
-                     "for the idle-only limit")
     try:
-        return QueueParameters(args.lam, from_spec(spec, arrival_rate=args.lam))
+        law = from_spec(spec, arrival_rate=args.lam)
+        if law.mean == 0.0:
+            parser.error("deterministic mean 0 is rejected; use `metrics --rho 0` "
+                         "for the idle-only limit")
+        return QueueParameters(args.lam, law)
     except (DomainError, ValueError) as exc:
         parser.error(str(exc))
 

@@ -11,6 +11,7 @@ concurrent reads.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -45,6 +46,15 @@ NWUE = "NWUE"
 DFR = "DFR"
 IMRL = "IMRL"
 KNOWN_TAGS = frozenset({NBUE, NWUE, DFR, IMRL})
+
+# Largest traffic intensity whose e^rho is a finite float.
+RHO_MAX = math.log(sys.float_info.max)
+
+
+def _check_rho(rho: float) -> None:
+    if not rho <= RHO_MAX:
+        raise DomainError(f"rho = {rho:g} exceeds log(DBL_MAX) = {RHO_MAX:.6g}; "
+                          f"e^rho overflows the float range")
 
 
 @dataclass(frozen=True)
@@ -83,10 +93,6 @@ class ServiceDistribution:
             raise UnsupportedMomentError("SCV undefined for a zero-mean service")
         return (self.moment2 - self.mean**2) / self.mean**2
 
-    def sample(self, rng: np.random.Generator) -> float:
-        """Draw one service duration by inverse transform."""
-        return float(self.quantile_fn(rng.random()))
-
     def __repr__(self) -> str:  # keep reprs short and informative
         return f"ServiceDistribution({self.name})"
 
@@ -107,6 +113,7 @@ class QueueParameters:
                 f"service law was built for arrival rate {lam}, "
                 f"queue uses {self.arrival_rate}"
             )
+        _check_rho(self.traffic_intensity)
 
     @property
     def traffic_intensity(self) -> float:
@@ -192,6 +199,7 @@ def special_a(arrival_rate: float, rho: float) -> ServiceDistribution:
         raise DomainError(f"arrival_rate must be positive, got {lam}")
     if not (rho > 0.0):
         raise DomainError(f"rho must be positive, got {rho}")
+    _check_rho(rho)
     em = math.exp(-rho)          # atom mass at zero
     grow = math.expm1(rho)       # e^rho - 1
 
@@ -241,6 +249,7 @@ def special_b(arrival_rate: float, rho: float) -> ServiceDistribution:
         raise DomainError(f"arrival_rate must be positive, got {lam}")
     if not (rho > 0.0):
         raise DomainError(f"rho must be positive, got {rho}")
+    _check_rho(rho)
     em = math.exp(-rho)
     grow = math.expm1(rho)
     k = lam / (1.0 - em)
@@ -376,8 +385,9 @@ def make_distribution(
 ) -> ServiceDistribution:
     """Wrap a user-supplied CDF in the common contract.
 
-    The residual tail falls back to numeric integration and the quantile
-    to bisection, so this is slower than catalog members.  No reliability
+    The residual tail r(t) = int_t^end [1 - G(v)] dv falls back to numeric
+    integration (r(t <= 0) is the declared mean) and the quantile to
+    bisection, so this is slower than catalog members.  No reliability
     class is assumed; pass ``class_tags`` only for properties you can
     actually establish.
     """
@@ -387,19 +397,20 @@ def make_distribution(
     if not tags <= KNOWN_TAGS:
         raise DomainError(f"unknown class tags: {sorted(tags - KNOWN_TAGS)}")
 
-    def _itail_scalar(t):
+    def _rtail_scalar(t):
         if t <= 0.0:
+            return float(mean)
+        if t >= support_end:
             return 0.0
-        hi = min(t, support_end)
         val, _ = _integrate.quad(
-            lambda v: 1.0 - float(cdf(v)), 0.0, hi, limit=200
+            lambda v: 1.0 - float(cdf(v)), t, support_end, limit=200
         )
-        return val
+        return max(val, 0.0)
 
-    itail_vec = np.vectorize(_itail_scalar, otypes=[float])
+    rtail_vec = np.vectorize(_rtail_scalar, otypes=[float])
 
     def rtail(t):
-        return np.maximum(mean - itail_vec(np.asarray(t, dtype=float)), 0.0)
+        return rtail_vec(np.asarray(t, dtype=float))
 
     def _quantile_scalar(u):
         if u <= 0.0:
@@ -462,7 +473,11 @@ def from_spec(spec: dict, arrival_rate: Optional[float] = None) -> ServiceDistri
 def _req(spec: dict, key: str) -> float:
     if key not in spec:
         raise DomainError(f"distribution spec {spec!r} is missing {key!r}")
-    value = float(spec[key])
+    try:
+        value = float(spec[key])
+    except TypeError:
+        raise DomainError(
+            f"distribution spec {spec!r} has a non-numeric {key!r}") from None
     if not math.isfinite(value):
         raise DomainError(f"distribution spec {spec!r} has a non-finite {key!r}")
     return value
@@ -474,11 +489,7 @@ def _req(spec: dict, key: str) -> float:
 
 def integrated_tail(dist: ServiceDistribution, t):
     """I(t) = int_0^t [1 - G(v)] dv, derived as mean - r(t), for t >= 0."""
-    arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0.0):
-        raise DomainError(f"integrated tail needs t >= 0, got {t}")
-    out = dist.mean - dist.residual_tail_fn(arr)
-    return float(out) if arr.shape == () else out
+    return dist.mean - residual_tail(dist, t)
 
 
 def residual_tail(dist: ServiceDistribution, t):
@@ -492,7 +503,7 @@ def residual_tail(dist: ServiceDistribution, t):
 
 def sample(dist: ServiceDistribution, rng: np.random.Generator) -> float:
     """One service duration with law G, by inverse transform."""
-    return dist.sample(rng)
+    return float(dist.quantile_fn(rng.random()))
 
 
 def scv(dist: ServiceDistribution) -> float:

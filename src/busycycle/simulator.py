@@ -115,9 +115,9 @@ def _simulate_batch(params: QueueParameters, n: int, rng: Generator):
 
 def _accumulate(params: QueueParameters, n_cycles: int, seed: int,
                 replication: int):
-    """Pooled power sums of Z (and busy/idle checks) for one replication."""
+    """Pooled power sums Z, Z^2, Z^3, Z^4 for one replication."""
     rng = _rng_for(seed, replication)
-    sums = np.zeros(8)  # Z, Z^2, Z^3, Z^4, busy, busy^2, idle, idle^2
+    sums = np.zeros(4)
     remaining = n_cycles
     while remaining > 0:
         m = min(BATCH, remaining)
@@ -128,10 +128,6 @@ def _accumulate(params: QueueParameters, n_cycles: int, seed: int,
         sums[1] += z2.sum()
         sums[2] += (z2 * z).sum()
         sums[3] += (z2 * z2).sum()
-        sums[4] += busy.sum()
-        sums[5] += (busy * busy).sum()
-        sums[6] += idle.sum()
-        sums[7] += (idle * idle).sum()
         remaining -= m
     return sums
 
@@ -149,7 +145,7 @@ def estimate_beta_c(params: QueueParameters, n_cycles: int, seed: int,
     if replications < 1:
         raise DomainError(f"replications must be >= 1, got {replications}")
 
-    total = np.zeros(8)
+    total = np.zeros(4)
     per_rep = []
     for r in range(replications):
         s = _accumulate(params, n_cycles, seed, r)

@@ -5,6 +5,7 @@ defining integrals/series; runtime oracles use scipy (exponential integral,
 QUADPACK) which are implementations independent of the package engines.
 """
 
+import dataclasses
 import math
 import time
 
@@ -13,7 +14,7 @@ import pytest
 from scipy import integrate, special
 
 import busycycle as bc
-from busycycle.analytics import z_second_moment_alt
+from busycycle.analytics import _z_second_moment_alt
 from busycycle.errors import (
     AccuracyError,
     DomainError,
@@ -84,17 +85,17 @@ def test_power_series_c1_frozen_grid():
     }
     for rho, beta in expected.items():
         lam = 2.0 * rho
-        assert bc.power_double_series(lam, 1.0, tol=1e-12) == pytest.approx(
+        assert bc.power_double_series(lam, 1.0, tol=1e-12)[0] == pytest.approx(
             beta + 1.0 / lam, rel=1e-10
         )
 
 
 def test_power_series_c1_large_rho_stable():
     # all-positive regrouping keeps c=1 usable at high intensity
-    assert bc.power_double_series(20.0, 1.0, tol=1e-12) == pytest.approx(
+    assert bc.power_double_series(20.0, 1.0, tol=1e-12)[0] == pytest.approx(
         1167.28046358, rel=1e-9
     )
-    assert bc.power_double_series(100.0, 1.0, tol=1e-12) == pytest.approx(
+    assert bc.power_double_series(100.0, 1.0, tol=1e-12)[0] == pytest.approx(
         5.23819176218e19, rel=1e-9
     )
 
@@ -103,8 +104,8 @@ def test_power_series_c1_large_rho_stable():
                                    (2.0, 2.0), (1e-3, 2.0)])
 def test_power_series_general_c_matches_quadrature(lam, c):
     params = bc.QueueParameters(lam, bc.power_function(c))
-    series = bc.power_double_series(lam, c, tol=1e-12)
-    quad = bc.beta_quadrature(params, tol=1e-11) + 1.0 / lam
+    series = bc.power_double_series(lam, c, tol=1e-12)[0]
+    quad = bc.beta_quadrature(params, tol=1e-11)[0] + 1.0 / lam
     assert series == pytest.approx(quad, rel=1e-8)
 
 
@@ -154,11 +155,11 @@ def test_mean_busy_period_values():
 
 def test_beta_quadrature_examples():
     det = bc.QueueParameters(1.0, bc.deterministic(0.5))
-    assert bc.beta_quadrature(det) == pytest.approx(0.14872127070012819, rel=1e-9)
+    assert bc.beta_quadrature(det)[0] == pytest.approx(0.14872127070012819, rel=1e-9)
     sa = bc.QueueParameters(1.0, bc.special_a(1.0, 0.5))
-    assert bc.beta_quadrature(sa) == pytest.approx(0.6487212707001282, rel=1e-9)
+    assert bc.beta_quadrature(sa)[0] == pytest.approx(0.6487212707001282, rel=1e-9)
     idle = bc.QueueParameters(2.0, bc.deterministic(0.0))
-    assert bc.beta_quadrature(idle) == 0.0
+    assert bc.beta_quadrature(idle)[0] == 0.0
 
 
 def test_beta_quadrature_matches_quadpack():
@@ -168,14 +169,13 @@ def test_beta_quadrature_matches_quadpack():
         lambda t: math.expm1(2.0 * float(params.service.residual_tail_fn(t))),
         0.0, 1.0,
     )
-    assert bc.beta_quadrature(params, tol=1e-11) == pytest.approx(ref, rel=1e-9)
+    assert bc.beta_quadrature(params, tol=1e-11)[0] == pytest.approx(ref, rel=1e-9)
 
 
 def test_beta_quadrature_budget_error_carries_best_estimate():
-    from busycycle.analytics import _beta_quadrature_with_error
     params = bc.QueueParameters(1.0, bc.exponential(1.0))
     with pytest.raises(AccuracyError) as exc:
-        _beta_quadrature_with_error(params, 1e-13, max_panels=3)
+        bc.beta_quadrature(params, 1e-13, max_panels=3)
     assert exc.value.best_estimate == pytest.approx(1.3179021514544039, rel=1e-3)
     assert exc.value.error_estimate > 0
 
@@ -239,6 +239,61 @@ def test_beta_c_closed_form_unsupported_for_user_laws():
     m = bc.beta_c(params)  # auto falls back to quadrature
     assert m.method == "quadrature"
     assert m.beta_c > 1.0 / 0.5 / 1.0  # beta > 0
+
+
+def _weibull_half_beta_c(scale, lam):
+    """beta_c for Weibull(1/2) service by QUADPACK on its closed-form
+    residual tail r(t) = 2 s (1 + x) e^-x, x = sqrt(t/s)."""
+    def r(t):
+        x = math.sqrt(t / scale)
+        return 2.0 * scale * (1.0 + x) * math.exp(-x)
+    beta, _ = integrate.quad(lambda t: math.expm1(lam * r(t)), 0.0, math.inf,
+                             epsabs=0.0, epsrel=1e-13, limit=500)
+    return beta + 1.0 / lam
+
+
+@pytest.mark.parametrize("label,cdf,mean,lam,reference", [
+    ("weibull_half", lambda t: -np.expm1(-np.sqrt(np.maximum(t, 0.0) / 0.25)),
+     0.5, 1.0, lambda: _weibull_half_beta_c(0.25, 1.0)),
+    ("exp_twin", lambda t: -np.expm1(-np.maximum(t, 0.0) / 0.556223),
+     0.556223, 1.91036,
+     lambda: bc.beta_c(bc.QueueParameters(1.91036, bc.exponential(0.556223))).beta_c),
+])
+def test_user_cdf_beta_c_matches_independent_reference(label, cdf, mean, lam,
+                                                       reference):
+    # the numeric residual tail must decay to zero, or the search for
+    # where to cut the unbounded support never stops
+    params = bc.QueueParameters(lam, bc.make_distribution(cdf, mean=mean))
+    assert float(params.service.residual_tail_fn(0.0)) == mean
+    m = bc.beta_c(params)
+    assert m.method == "quadrature"
+    assert m.beta_c == pytest.approx(reference(), rel=1e-9), label
+
+
+def test_support_search_that_never_ends_raises():
+    flat = dataclasses.replace(
+        bc.exponential(1.0),
+        residual_tail_fn=lambda t: np.ones_like(np.asarray(t, dtype=float)),
+    )
+    with pytest.raises(AccuracyError):
+        bc.beta_quadrature(bc.QueueParameters(1.0, flat))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_series_tolerance_must_be_positive(tol):
+    # a series stopped by "term < tol * total" never ends without tol > 0
+    for dist in (bc.uniform01(), bc.power_function(2.0), bc.power_function(0.5),
+                 bc.exponential(0.5)):
+        with pytest.raises(DomainError):
+            bc.beta_c(bc.QueueParameters(1.0, dist), series_tol=tol)
+    with pytest.raises(DomainError):
+        bc.power_double_series(1.0, 2.0, tol=tol)
+
+
+def test_beta_c_rejects_moments_past_the_float_range():
+    # rho = 700 is a valid queue, but E[Z^2] ~ 1e608 is not a float
+    with pytest.raises(DomainError):
+        bc.beta_c(bc.QueueParameters(1.0, bc.exponential(700.0)))
 
 
 def test_beta_c_degenerate_rho_zero():
@@ -309,7 +364,7 @@ def test_z_second_moment_values():
 def test_z_second_moment_alt_is_distinct():
     params = bc.QueueParameters(2.0, bc.exponential(0.5))
     normative = bc.z_second_moment(params)
-    alt = z_second_moment_alt(params)
+    alt = _z_second_moment_alt(params)
     assert normative == pytest.approx(3.15035564922232, rel=1e-10)
     assert alt == pytest.approx(2.01809198995672, rel=1e-10)
     assert alt < normative
@@ -335,7 +390,7 @@ def test_auto_strategy_falls_back_for_general_c_at_high_intensity():
     m = bc.beta_c(params)
     assert m.method == "quadrature"
     assert m.beta_c == pytest.approx(
-        bc.beta_quadrature(params, tol=1e-10) + 1.0 / 40.0, rel=1e-9
+        bc.beta_quadrature(params, tol=1e-10)[0] + 1.0 / 40.0, rel=1e-9
     )
 
 

@@ -248,6 +248,21 @@ def test_build_report_power_has_dual_labels():
     assert rep.gap_ratio is None
 
 
+@pytest.mark.parametrize("dist,lower,upper", [
+    (bc.uniform01(),
+     ["sathe", "universal", "m-nwue", "dfr", "power", "uniform01"],
+     ["sathe", "power", "uniform01", "m-nbue"]),
+    (bc.exponential(1.0),
+     ["sathe", "universal", "m-nwue", "dfr", "imrl"],
+     ["sathe", "m-nbue"]),
+])
+def test_build_report_label_order_with_every_tag_asserted(dist, lower, upper):
+    p = bc.QueueParameters(2.0, dist)
+    rep = bc.build_report(p, assume_tags={"NBUE", "NWUE", "DFR", "IMRL"})
+    assert [l for l, _ in rep.lower_bounds] == lower
+    assert [l for l, _ in rep.upper_bounds] == upper
+
+
 def test_build_report_untagged_member_gets_only_distribution_free_rows():
     p = bc.QueueParameters(1.0, bc.special_b(1.0, 1.0))
     rep = bc.build_report(p)

@@ -79,10 +79,30 @@ def test_usage_errors_exit_2(capsys):
         ["metrics", "--lambda", "2", "--dist", "[1]"],
         ["metrics", "--lambda", "2", "--dist",
          '{"type":"exponential","mean":Infinity}'],
+        ["metrics", "--lambda", "2", "--dist", '{"type":"exponential","mean":null}'],
+        ["metrics", "--lambda", "2", "--dist", '{"type":"power","c":[2]}'],
+        ["metrics", "--lambda", "2", "--dist", '{"type":"deterministic","mean":null}'],
+        ["metrics", "--lambda", "2", "--dist", '{"type":"deterministic","mean":"abc"}'],
+        ["metrics", "--lambda", "1", "--dist", '{"type":"exponential","mean":800}'],
+        ["bounds", "--lambda", "1", "--dist", '{"type":"deterministic","mean":710}'],
+        ["metrics", "--lambda", "1", "--dist", '{"type":"special_a","rho":800}'],
     ):
         with pytest.raises(SystemExit) as exc:
             run_cli(capsys, *argv)
         assert exc.value.code == 2, argv
+    capsys.readouterr()
+    # typed engine errors: one "error:" line on stderr, nothing on stdout
+    for argv in (
+        ["metrics", "--lambda", "1", "--dist", '{"type":"exponential","mean":700}'],
+        ["metrics", "--lambda", "1", "--dist", '{"type":"uniform01"}',
+         "--tol-series", "0"],
+        ["metrics", "--lambda", "1", "--dist", '{"type":"power","c":2}',
+         "--tol-series", "nan"],
+        ["metrics", "--lambda", "1e-200", "--rho", "0"],  # E[Z^2] = 2e400
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
 def test_metrics_json_format(capsys):

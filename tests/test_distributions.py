@@ -239,6 +239,17 @@ def test_constructor_domain_errors():
         bc.special_b(0.0, 1.0)
 
 
+def test_traffic_intensity_past_the_float_range_is_rejected():
+    # e^rho overflows past rho = log(DBL_MAX) ~ 709.78
+    for dist in (bc.exponential(800.0), bc.deterministic(710.0)):
+        with pytest.raises(DomainError):
+            bc.QueueParameters(1.0, dist)
+    for make in (bc.special_a, bc.special_b):
+        with pytest.raises(DomainError):
+            make(1.0, 800.0)
+    assert bc.QueueParameters(1.0, bc.exponential(709.0)).traffic_intensity == 709.0
+
+
 def test_zero_mean_service_is_the_idle_only_limit():
     zero = bc.deterministic(0.0)
     assert zero.mean == 0.0
@@ -287,6 +298,13 @@ def test_from_spec_round_trip():
     for bad in (math.inf, math.nan, "inf"):
         with pytest.raises(DomainError):
             bc.from_spec({"type": "exponential", "mean": bad})
+    for spec in ({"type": "exponential", "mean": None}, {"type": "power", "c": [2]},
+                 {"type": "deterministic", "mean": None},
+                 {"type": "special_a", "rho": {}}):
+        with pytest.raises(DomainError):
+            bc.from_spec(spec, arrival_rate=1.0)
+    with pytest.raises(ValueError):
+        bc.from_spec({"type": "deterministic", "mean": "abc"})
 
 
 def test_user_supplied_distribution_contract():

@@ -89,13 +89,13 @@ def test_oracle_agreement_spot():
 
 def test_busy_and_idle_means_match_theory():
     params = bc.QueueParameters(1.0, bc.exponential(1.0))
-    from busycycle.simulator import _accumulate
-    sums = _accumulate(params, 200_000, seed=31, replication=0)
+    from busycycle.simulator import _rng_for, _simulate_batch
+    idle, busy = _simulate_batch(params, 200_000, _rng_for(31, 0))
     n = 200_000
-    busy_mean = sums[4] / n
-    busy_se = math.sqrt(max(sums[5] / n - busy_mean**2, 0.0) / n)
-    idle_mean = sums[6] / n
-    idle_se = math.sqrt(max(sums[7] / n - idle_mean**2, 0.0) / n)
+    busy_mean = busy.sum() / n
+    busy_se = math.sqrt(max((busy * busy).sum() / n - busy_mean**2, 0.0) / n)
+    idle_mean = idle.sum() / n
+    idle_se = math.sqrt(max((idle * idle).sum() / n - idle_mean**2, 0.0) / n)
     assert abs(busy_mean - bc.mean_busy_period(params)) <= 3.0 * busy_se
     assert abs(idle_mean - 1.0) <= 3.0 * idle_se
 
