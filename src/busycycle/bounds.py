@@ -85,7 +85,7 @@ def sathe_interval(arrival_rate: float, mean_service: float, scv: float):
     e_z = math.exp(rho) / lam
     lower = e_z - alpha + rho * rho * scv / (2.0 * lam)
     upper = e_z - alpha + (scv / lam) * (math.expm1(rho) - rho)
-    return lower, upper
+    return _finite(lower, rho, lam), _finite(upper, rho, lam)
 
 
 def proposition1(rho: float, scv: float) -> Comparison:
@@ -104,6 +104,14 @@ def proposition1(rho: float, scv: float) -> Comparison:
     if scv >= 2.0 / rho:
         return Comparison.ABOVE_EZ
     return Comparison.INDETERMINATE
+
+
+def _finite(bound: float, rho: float, lam: float) -> float:
+    """``bound``, or DomainError when e^rho / lam overflowed it."""
+    if not math.isfinite(bound):
+        raise DomainError(f"rho = {rho:g}, lambda = {lam:g}: the bound "
+                          f"overflows the float range")
+    return bound
 
 
 def _two_term_floor(e_z: float, alpha: float, rho: float, q: float) -> float:
@@ -147,7 +155,11 @@ def class_lower_bound(kind: str, params: QueueParameters,
     ``kind`` is one of m-nwue (valid for exponential and NWUE laws), dfr,
     imrl, power, uniform01.
     """
-    kind = _normalize(kind)
+    return _finite(_class_lower(_normalize(kind), params, assume_tags),
+                   params.traffic_intensity, params.arrival_rate)
+
+
+def _class_lower(kind: str, params: QueueParameters, assume_tags) -> float:
     lam = params.arrival_rate
     alpha = params.service.mean
     rho = params.traffic_intensity
@@ -189,7 +201,11 @@ def class_upper_bound(kind: str, params: QueueParameters,
     ``kind`` is one of m-nbue (valid for exponential and NBUE laws), power,
     uniform01.
     """
-    kind = _normalize(kind)
+    return _finite(_class_upper(_normalize(kind), params, assume_tags),
+                   params.traffic_intensity, params.arrival_rate)
+
+
+def _class_upper(kind: str, params: QueueParameters, assume_tags) -> float:
     lam = params.arrival_rate
     alpha = params.service.mean
     rho = params.traffic_intensity

@@ -4,8 +4,10 @@ Every member exposes the same analytic surface: CDF, mean, raw moments,
 one tail, the residual tail r(t) = int_t^inf [1 - G(v)] dv in a
 cancellation-free form, and an inverse-transform quantile used for
 sampling.  The integrated tail I(t) = int_0^t [1 - G(v)] dv is derived as
-alpha - r(t).  Values are immutable after construction and safe for
-concurrent reads.
+alpha - r(t).  A law given only by its CDF (``make_distribution``) takes
+both r(t) and the quantile from one table of 1 - G built at construction,
+with no quadrature call per node and no root finder per draw.  Values are
+immutable after construction and safe for concurrent reads.
 """
 
 from __future__ import annotations
@@ -16,11 +18,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate as _integrate
-from scipy import optimize as _optimize
 from scipy import special as _special
 
-from .errors import ArrivalRateMismatchError, DomainError, UnsupportedMomentError
+from .errors import (
+    AccuracyError,
+    ArrivalRateMismatchError,
+    DomainError,
+    UnsupportedMomentError,
+)
+from .quadrature import _kronrod, _refine
 
 __all__ = [
     "ServiceDistribution",
@@ -49,6 +55,21 @@ KNOWN_TAGS = frozenset({NBUE, NWUE, DFR, IMRL})
 
 # Largest traffic intensity whose e^rho is a finite float.
 RHO_MAX = math.log(sys.float_info.max)
+
+# User-CDF tail table: relative tolerance and panel budget of its
+# quadrature, doublings of mean allowed when searching for the end of an
+# unbounded support, the largest relative gap between the tabulated mean
+# and the declared one, and the rounding a cdf value may show outside [0, 1]
+# or as a decrease.
+_TABLE_TOL = 1e-13
+_TABLE_PANELS = 4096
+_END_DOUBLINGS = 200
+_MEAN_TOL = 1e-8
+_G_SLACK = 4.0 * sys.float_info.epsilon
+# Quantile bisection stops once a bracket is under _XTOL + _RTOL * t, the
+# absolute and relative tolerances brentq used here before.
+_XTOL = 1e-14
+_RTOL = 4.0 * sys.float_info.epsilon
 
 
 def _check_rho(rho: float) -> None:
@@ -385,55 +406,140 @@ def make_distribution(
 ) -> ServiceDistribution:
     """Wrap a user-supplied CDF in the common contract.
 
-    The residual tail r(t) = int_t^end [1 - G(v)] dv falls back to numeric
-    integration (r(t <= 0) is the declared mean) and the quantile to
-    bisection, so this is slower than catalog members.  No reliability
-    class is assumed; pass ``class_tags`` only for properties you can
-    actually establish.
+    ``cdf`` must map a numpy array of times to an array of probabilities of
+    the same shape.  Construction tabulates the survival 1 - G once: the
+    adaptive Gauss-Kronrod engine splits [0, end] into panels, where end is
+    ``support_end`` or, for an unbounded support, the first mean * 2^k at
+    which G reaches 1.  The table keeps G at every node it evaluated and
+    the reverse cumulative sums of the panel integrals.  From it
+
+    * r(t) = int_t^end [1 - G(v)] dv is the sum of the panels past t plus
+      one 15-point Kronrod rule on the rest of t's panel, one array call
+      of ``cdf`` for all t (r(t <= 0) is the declared mean);
+    * the quantile brackets each u between two tabulated nodes and bisects
+      G(t) >= u, the generalized inverse, to 1e-14 absolute plus a few ulp.
+
+    Raises DomainError when the tabulated G leaves [0, 1] or decreases, or
+    when the table's integral of 1 - G differs from ``mean`` by more than
+    1e-8 relative; AccuracyError when an unbounded support finds no end.
+    No reliability class is assumed; pass ``class_tags`` only for
+    properties you can actually establish.
     """
-    if not (mean > 0.0):
-        raise DomainError(f"mean must be positive, got {mean}")
+    if not (0.0 < mean < math.inf):
+        raise DomainError(f"mean must be positive and finite, got {mean}")
     tags = frozenset(class_tags)
     if not tags <= KNOWN_TAGS:
         raise DomainError(f"unknown class tags: {sorted(tags - KNOWN_TAGS)}")
+    if not (support_end > 0.0):
+        raise DomainError(f"support_end must be positive, got {support_end}")
+    mean = float(mean)
 
-    def _rtail_scalar(t):
-        if t <= 0.0:
-            return float(mean)
-        if t >= support_end:
-            return 0.0
-        val, _ = _integrate.quad(
-            lambda v: 1.0 - float(cdf(v)), t, support_end, limit=200
-        )
-        return max(val, 0.0)
+    def G(t):
+        return np.asarray(cdf(t), dtype=float)
 
-    rtail_vec = np.vectorize(_rtail_scalar, otypes=[float])
+    edges, tail_after, t_tab, g_tab = _tail_table(G, mean, float(support_end), name)
+    last = len(edges) - 2  # index of the last panel
 
     def rtail(t):
-        return rtail_vec(np.asarray(t, dtype=float))
+        t = np.asarray(t, dtype=float)
+        i = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, last)
+        b = edges[i + 1]
+        part = _kronrod(lambda v: 1.0 - G(v), np.clip(t, 0.0, b), b)
+        return np.where(t <= 0.0, mean, np.maximum(tail_after[i] + part, 0.0))
 
-    def _quantile_scalar(u):
-        if u <= 0.0:
-            return 0.0
-        hi = 2.0 * mean if math.isinf(support_end) else support_end
-        while float(cdf(hi)) < u and hi < 1e308:
-            hi *= 2.0
-        return _optimize.brentq(lambda t: float(cdf(t)) - u, 0.0, hi, xtol=1e-14)
-
-    qvec = np.vectorize(_quantile_scalar, otypes=[float])
+    def quantile(u):
+        u = np.asarray(u, dtype=float)
+        # first node with G >= u; u <= G(0) gets the empty bracket [0, 0],
+        # and u past the last G converges to end
+        i = np.searchsorted(g_tab, u)
+        hi = t_tab[np.minimum(i, len(t_tab) - 1)]
+        lo = t_tab[np.maximum(i - 1, 0)]
+        # each step halves every bracket, so the step count is known up front
+        ratio = np.max((hi - lo) / (_XTOL + _RTOL * lo), initial=0.0)
+        for _ in range(math.ceil(math.log2(ratio)) if ratio > 1.0 else 0):
+            mid = 0.5 * (lo + hi)
+            ge = G(mid) >= u
+            hi = np.where(ge, mid, hi)
+            lo = np.where(ge, lo, mid)
+        return hi
 
     return ServiceDistribution(
         name=name,
-        mean=float(mean),
+        mean=mean,
         moment2=moment2,
         moment3=moment3,
-        cdf=lambda t: np.asarray(cdf(np.asarray(t, dtype=float)), dtype=float),
+        cdf=lambda t: G(np.asarray(t, dtype=float)),
         residual_tail_fn=rtail,
-        quantile_fn=lambda u: qvec(np.asarray(u, dtype=float)),
+        quantile_fn=quantile,
         class_tags=tags,
         support_end=support_end,
         spec={"type": "user", "name": name},
     )
+
+
+def _tail_table(G, mean: float, support_end: float, name: str):
+    """(panel edges, integral of 1 - G past each panel, node times, G at the
+    nodes) for ``make_distribution``, validated against the declared mean."""
+    times, probs = [], []
+
+    def survival(t):
+        g = G(t)
+        if g.shape != t.shape:
+            raise DomainError(f"{name}: cdf must map an array of times to an "
+                              f"array of the same shape")
+        times.append(t)
+        probs.append(g)
+        return 1.0 - g
+
+    breaks = [0.0]
+    if math.isfinite(support_end):
+        breaks += [mean, support_end] if mean < support_end else [support_end]
+    else:
+        t = mean
+        for _ in range(_END_DOUBLINGS):
+            breaks.append(t)
+            if not survival(np.array([t]))[0] > 0.0:  # G(t) >= 1, or nan
+                break
+            t *= 2.0
+        else:
+            raise AccuracyError(
+                f"{name}: G stays below 1 up to t = {t:.3g}; the support "
+                f"cannot be truncated",
+                best_estimate=math.inf, error_estimate=math.inf,
+            )
+
+    def nodes():
+        """Every time G was evaluated at, sorted, and G there, validated."""
+        t_all = np.concatenate(times)
+        order = np.argsort(t_all, kind="stable")
+        t_tab, g_tab = t_all[order], np.concatenate(probs)[order]
+        inside_01 = (g_tab >= -_G_SLACK) & (g_tab <= 1.0 + _G_SLACK)
+        if not inside_01.all():
+            raise DomainError(f"{name}: cdf returned {float(g_tab[~inside_01][0])!r}, "
+                              f"outside [0, 1]")
+        falls = np.diff(g_tab) < -_G_SLACK
+        if falls.any():
+            k = int(np.argmax(falls))
+            raise DomainError(f"{name}: cdf decreases from {float(g_tab[k])!r} at "
+                              f"t = {float(t_tab[k])!r} to {float(g_tab[k + 1])!r} at "
+                              f"t = {float(t_tab[k + 1])!r}")
+        return t_tab, g_tab
+
+    try:
+        _total, _err, _n, heap = _refine(survival, breaks, _TABLE_TOL,
+                                         _TABLE_PANELS)
+    except AccuracyError:
+        nodes()  # an invalid cdf is the likelier cause
+        raise
+    panels = sorted((a, b, val) for _, a, b, val, _ in heap)
+    edges = np.array([a for a, _, _ in panels] + [panels[-1][1]])
+    survival(edges)  # G at the edges joins the nodes
+    t_tab, g_tab = nodes()
+    inside = np.cumsum([val for _, _, val in reversed(panels)])[::-1]
+    if not abs(inside[0] - mean) <= _MEAN_TOL * mean:
+        raise DomainError(f"{name}: the cdf integrates to a mean of "
+                          f"{float(inside[0])!r}, but mean = {mean!r} was declared")
+    return edges, np.append(inside[1:], 0.0), t_tab, np.maximum.accumulate(g_tab)
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +579,8 @@ def from_spec(spec: dict, arrival_rate: Optional[float] = None) -> ServiceDistri
 def _req(spec: dict, key: str) -> float:
     if key not in spec:
         raise DomainError(f"distribution spec {spec!r} is missing {key!r}")
+    if isinstance(spec[key], bool):  # float(True) would read as 1.0
+        raise DomainError(f"distribution spec {spec!r} has a non-numeric {key!r}")
     try:
         value = float(spec[key])
     except TypeError:

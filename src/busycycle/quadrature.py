@@ -54,12 +54,30 @@ def _gk_panel(f, a: float, b: float):
     return k15, err
 
 
+def _kronrod(f, a, b):
+    """15-point Kronrod value of ``f`` on each [a, b] of two equal-shape
+    arrays of end points, from one call of ``f`` on all the nodes."""
+    half = 0.5 * (b - a)
+    x = (0.5 * (a + b))[..., None] + half[..., None] * _GK_NODES
+    return half * (np.asarray(f(x), dtype=float) @ _K_WEIGHTS)
+
+
 def integrate_adaptive(f, breakpoints, rel_tol: float = 1e-9,
                        max_panels: int = 4096):
     """Integrate ``f`` over the union of [b0,b1],[b1,b2],... adaptively.
 
     Returns (value, error_estimate, panels_used).  Raises AccuracyError,
     carrying the best estimate, if the panel budget is exhausted first.
+    """
+    total, total_err, count, _heap = _refine(f, breakpoints, rel_tol, max_panels)
+    return total, total_err, count
+
+
+def _refine(f, breakpoints, rel_tol: float, max_panels: int):
+    """The refinement loop of ``integrate_adaptive``.
+
+    Returns (value, error_estimate, panels_used, heap); the heap holds the
+    converged panels as (-err, a, b, value, err) entries in heap order.
     """
     pts = sorted(set(float(b) for b in breakpoints))
     if len(pts) < 2:
@@ -100,4 +118,4 @@ def integrate_adaptive(f, breakpoints, rel_tol: float = 1e-9,
         heapq.heappush(heap, (-re, mid, b, rv, re))
         count += 1
 
-    return total, total_err, count
+    return total, total_err, count, heap

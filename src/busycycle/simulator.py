@@ -38,7 +38,9 @@ __all__ = [
 
 # cycles processed per vectorized batch; part of the fixed draw order
 BATCH = 1 << 19
-EVENT_CAP = 10**9  # hard per-cycle arrival cap; termination is a.s. anyway
+# hard cap on the arrivals of one busy period and on the expected arrivals
+# of one estimate; termination is a.s. anyway
+EVENT_CAP = 10**9
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
@@ -138,12 +140,19 @@ def estimate_beta_c(params: QueueParameters, n_cycles: int, seed: int,
 
     ``n_cycles`` cycles are generated per replication; replications use
     independently keyed streams and their sums are pooled in replication
-    order before the single ratio is formed.
+    order before the single ratio is formed.  DomainError is raised before
+    any draw when the expected number of arrivals exceeds ``EVENT_CAP``.
     """
     if n_cycles < 1000:
         raise DomainError(f"n_cycles must be >= 1000, got {n_cycles}")
     if replications < 1:
         raise DomainError(f"replications must be >= 1, got {replications}")
+    # a busy period serves e^rho customers on average
+    events = n_cycles * replications * math.exp(params.traffic_intensity)
+    if events > EVENT_CAP:
+        raise DomainError(f"about {events:.3g} arrivals expected "
+                          f"(n_cycles * replications * e^rho) exceed the cap "
+                          f"of {EVENT_CAP:.0e}")
 
     total = np.zeros(4)
     per_rep = []

@@ -1,4 +1,13 @@
+import os
 import sys
+from pathlib import Path
+
+# Subprocesses started by the tests (``python -m busycycle.cli``) import the
+# package from the source tree too, as the pytest ``pythonpath`` setting
+# does for this process.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -270,6 +270,33 @@ def test_user_cdf_beta_c_matches_independent_reference(label, cdf, mean, lam,
     assert m.beta_c == pytest.approx(reference(), rel=1e-9), label
 
 
+# catalog members rewritten as bare CDFs: (catalog law, cdf, support end)
+USER_TWINS = {
+    "exponential": (bc.exponential(0.5),
+                    lambda t: -np.expm1(-np.maximum(t, 0.0) / 0.5), math.inf),
+    "uniform01": (bc.uniform01(), lambda t: np.clip(t, 0.0, 1.0), 1.0),
+    "power_c05": (bc.power_function(0.5),
+                  lambda t: np.clip(t, 0.0, 1.0) ** 0.5, 1.0),
+    "power_c25": (bc.power_function(2.5),
+                  lambda t: np.clip(t, 0.0, 1.0) ** 2.5, 1.0),
+    # support_end at the atom
+    "deterministic": (bc.deterministic(0.7),
+                      lambda t: np.where(t < 0.7, 0.0, 1.0), 0.7),
+}
+
+
+@pytest.mark.parametrize("label", sorted(USER_TWINS))
+@pytest.mark.parametrize("rho", [0.5, 3.0])
+def test_user_cdf_twin_matches_catalog_beta_c(label, rho):
+    law, cdf, end = USER_TWINS[label]
+    lam = rho / law.mean
+    user = bc.make_distribution(cdf, mean=law.mean, support_end=end)
+    m = bc.beta_c(bc.QueueParameters(lam, user))
+    assert m.method == "quadrature"
+    assert m.beta_c == pytest.approx(
+        bc.beta_c(bc.QueueParameters(lam, law)).beta_c, rel=1e-9), label
+
+
 def test_support_search_that_never_ends_raises():
     flat = dataclasses.replace(
         bc.exponential(1.0),

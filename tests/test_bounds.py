@@ -47,6 +47,23 @@ def test_sathe_domain_errors():
         bc.sathe_interval(1.0, 1.0, -0.5)
 
 
+def test_bounds_past_the_float_range_raise():
+    # rho = 709.5 <= log(DBL_MAX), but e^rho / lam = 3e308 overflows
+    with pytest.raises(DomainError):
+        bc.sathe_interval(0.5, 1419.0, 1.0)
+    params = bc.QueueParameters(0.5, bc.exponential(1419.0))
+    for kind in ("m-nwue", "dfr", "imrl"):
+        with pytest.raises(DomainError):
+            bc.class_lower_bound(kind, params)
+    with pytest.raises(DomainError):
+        bc.class_upper_bound("m-nbue", params)
+    with pytest.raises(DomainError):
+        bc.build_report(params)
+    # just inside the range the bounds stay finite
+    lo, up = bc.sathe_interval(1.0, 709.0, 1.0)
+    assert math.isfinite(lo) and math.isfinite(up)
+
+
 def test_proposition1_examples():
     assert bc.proposition1(0.5, 0.0) is Comparison.BELOW_EZ
     assert bc.proposition1(1.0, 2.0) is Comparison.ABOVE_EZ  # boundary attained

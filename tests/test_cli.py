@@ -86,6 +86,7 @@ def test_usage_errors_exit_2(capsys):
         ["metrics", "--lambda", "1", "--dist", '{"type":"exponential","mean":800}'],
         ["bounds", "--lambda", "1", "--dist", '{"type":"deterministic","mean":710}'],
         ["metrics", "--lambda", "1", "--dist", '{"type":"special_a","rho":800}'],
+        ["metrics", "--lambda", "1", "--dist", '{"type":"exponential","mean":true}'],
     ):
         with pytest.raises(SystemExit) as exc:
             run_cli(capsys, *argv)
@@ -99,6 +100,9 @@ def test_usage_errors_exit_2(capsys):
         ["metrics", "--lambda", "1", "--dist", '{"type":"power","c":2}',
          "--tol-series", "nan"],
         ["metrics", "--lambda", "1e-200", "--rho", "0"],  # E[Z^2] = 2e400
+        # rho = 709.5 is in range, but e^rho / lambda overflows every bound
+        ["bounds", "--lambda", "0.5", "--dist", '{"type":"exponential","mean":1419}',
+         "--no-reference"],
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
@@ -186,6 +190,15 @@ def test_simulate_high_rho_warns_and_caps(capsys):
     assert "warning" in err
     cycles_line = [ln for ln in out.splitlines() if ln.startswith("cycles")][0]
     assert cycles_line.split()[-1] == "10000"
+
+
+def test_simulate_refuses_runaway_work(capsys):
+    # 1000 cycles at rho = 30 expect about 1e16 arrivals: refused before
+    # any draw, after the high-rho warning
+    code, out, err = run_cli(capsys, "simulate", "--lambda", "1", "--dist",
+                             '{"type":"exponential","mean":30}', "--cycles", "1000")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].startswith("error: ")
 
 
 def test_compare_exponential(capsys):

@@ -1,15 +1,18 @@
 """Distribution catalog: analytic invariants against numeric oracles."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, stats
 
 import busycycle as bc
 from busycycle.errors import (
+    AccuracyError,
     ArrivalRateMismatchError,
     DomainError,
     UnsupportedMomentError,
@@ -298,9 +301,13 @@ def test_from_spec_round_trip():
     for bad in (math.inf, math.nan, "inf"):
         with pytest.raises(DomainError):
             bc.from_spec({"type": "exponential", "mean": bad})
+    # float(True) is 1.0, so a JSON boolean must not pass as a number
     for spec in ({"type": "exponential", "mean": None}, {"type": "power", "c": [2]},
                  {"type": "deterministic", "mean": None},
-                 {"type": "special_a", "rho": {}}):
+                 {"type": "special_a", "rho": {}},
+                 {"type": "exponential", "mean": True}, {"type": "power", "c": True},
+                 {"type": "deterministic", "mean": False},
+                 {"type": "special_b", "rho": True}):
         with pytest.raises(DomainError):
             bc.from_spec(spec, arrival_rate=1.0)
     with pytest.raises(ValueError):
@@ -323,3 +330,108 @@ def test_user_supplied_distribution_contract():
         bc.scv(dist)
     with pytest.raises(DomainError):
         bc.make_distribution(cdf=lambda t: t, mean=1.0, class_tags={"SHINY"})
+
+
+def _exp_cdf(t):
+    return -np.expm1(-np.maximum(t, 0.0) / 0.5)
+
+
+def _weibull_half_cdf(t):
+    # Weibull shape 1/2, scale 1/4: mean 1/2
+    return -np.expm1(-np.sqrt(np.maximum(t, 0.0) / 0.25))
+
+
+# (label, cdf, mean, support end, G' bounded) for the user-CDF path
+USER_LAWS = [
+    ("exponential", _exp_cdf, 0.5, math.inf, True),
+    ("uniform01", lambda t: np.clip(t, 0.0, 1.0), 0.5, 1.0, True),
+    ("power_c25", lambda t: np.clip(t, 0.0, 1.0) ** 2.5, 2.5 / 3.5, 1.0, True),
+    ("power_c05", lambda t: np.clip(t, 0.0, 1.0) ** 0.5, 1.0 / 3.0, 1.0, False),
+    ("weibull_half", _weibull_half_cdf, 0.5, math.inf, False),
+]
+# 0, interior values, values within 1e-12 of 1, and 1 itself
+U_GRID = np.array([0.0, 1e-300, 1e-12, 1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-6,
+                   1.0 - 1e-12, 1.0 - 1e-13, np.nextafter(1.0, 0.0), 1.0])
+
+
+@pytest.mark.parametrize("label,cdf,mean,end,bounded_density", USER_LAWS)
+def test_user_quantile_is_the_generalized_inverse(label, cdf, mean, end,
+                                                  bounded_density):
+    dist = bc.make_distribution(cdf, mean=mean, support_end=end)
+    q = np.asarray(dist.quantile_fn(U_GRID))
+    g = dist.cdf(q)
+    assert np.all(np.diff(q) >= 0.0), label
+    # G(q(u)) >= u, and G stays below u a bisection tolerance further left
+    assert np.all(g >= U_GRID), label
+    left = np.maximum(q - 1.01 * (1e-14 + 4.0 * np.finfo(float).eps * q), 0.0)
+    below = dist.cdf(left) < U_GRID
+    assert np.all(below | (q == 0.0)), label
+    if bounded_density:
+        np.testing.assert_allclose(g, U_GRID, rtol=0.0, atol=1e-13)
+
+
+def test_user_quantile_past_the_last_tabulated_g_is_the_support_end():
+    # a left-continuous cdf never reaches 1 on [0, 0.7]: the whole mass
+    # sits at the support end, so every u past G's last value maps there
+    dist = bc.make_distribution(lambda t: np.where(t <= 0.7, 0.0, 1.0),
+                                mean=0.7, support_end=0.7)
+    u = np.array([1e-12, 0.5, 1.0 - 1e-12, 1.0])
+    assert np.all(dist.quantile_fn(u) == 0.7)
+    assert float(dist.quantile_fn(0.0)) == 0.0
+
+
+@pytest.mark.parametrize("label,cdf,mean,end,bounded_density", USER_LAWS)
+def test_user_quantile_draws_pass_a_kolmogorov_test(label, cdf, mean, end,
+                                                    bounded_density):
+    dist = bc.make_distribution(cdf, mean=mean, support_end=end)
+    x = dist.quantile_fn(np.random.default_rng(20261018).random(20_000))
+    assert stats.kstest(x, cdf).pvalue > 1e-3, label
+
+
+def test_user_residual_tail_matches_closed_form():
+    dist = bc.make_distribution(_weibull_half_cdf, mean=0.5)
+    t = np.array([0.0, 1e-9, 0.01, 0.3, 2.0, 40.0, 400.0])
+    x = np.sqrt(t / 0.25)
+    exact = 0.5 * (1.0 + x) * np.exp(-x)
+    np.testing.assert_allclose(dist.residual_tail_fn(t), exact,
+                               rtol=1e-11, atol=1e-14 * 0.5)
+    assert float(dist.residual_tail_fn(-1.0)) == 0.5
+
+
+def test_user_cdf_validation():
+    # the unknown-tag check comes first, even for an invalid cdf
+    with pytest.raises(DomainError, match="unknown class tags"):
+        bc.make_distribution(lambda t: 2.0 * t, mean=1.0, class_tags={"SHINY"})
+    for cdf in (lambda t: 2.0 * np.clip(t, 0.0, 1.0),
+                lambda t: np.clip(t, 0.0, 1.0) - 0.1,
+                lambda t: np.full_like(t, np.nan)):
+        with pytest.raises(DomainError, match=r"outside \[0, 1\]"):
+            bc.make_distribution(cdf, mean=0.5, support_end=1.0)
+    with pytest.raises(DomainError, match="decreases"):
+        bc.make_distribution(lambda t: np.where(t < 0.5, t, t - 0.2),
+                             mean=0.6, support_end=1.0)
+    with pytest.raises(DomainError, match="same shape"):
+        bc.make_distribution(lambda t: 0.5, mean=0.5, support_end=1.0)
+    # the cdf's own mean against the declared one, at 1e-8 relative
+    with pytest.raises(DomainError) as exc:
+        bc.make_distribution(_exp_cdf, mean=0.6)
+    assert "mean = 0.6 was declared" in str(exc.value)
+    table_mean = float(str(exc.value).split("mean of ")[1].split(",")[0])
+    assert table_mean == pytest.approx(0.5, rel=1e-12)
+    with pytest.raises(DomainError, match="declared"):
+        bc.make_distribution(_exp_cdf, mean=0.5 * (1.0 + 2e-8))
+    bc.make_distribution(_exp_cdf, mean=0.5 * (1.0 + 5e-9))
+    for mean in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            bc.make_distribution(_exp_cdf, mean=mean)
+    # a defective law never reaches 1: a typed error, not a hang
+    with pytest.raises(AccuracyError):
+        bc.make_distribution(lambda t: 0.5 * _exp_cdf(t), mean=0.5)
+
+
+def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded():
+    code = ("import sys, busycycle.cli; print(sorted(m for m in "
+            "('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -73,6 +73,19 @@ def test_estimate_rejects_tiny_runs():
         bc.estimate_beta_c(_params_exp(), 2000, seed=2**64)
 
 
+def test_estimate_refuses_work_past_the_event_cap():
+    # 1000 cycles at rho = 30 expect 1000 e^30 ~ 1e16 arrivals; the check
+    # runs before any draw, so this returns at once
+    params = bc.QueueParameters(1.0, bc.exponential(30.0))
+    with pytest.raises(DomainError, match="arrivals expected"):
+        bc.estimate_beta_c(params, 1000, seed=1)
+    with pytest.raises(DomainError):
+        bc.estimate_beta_c(_params_exp(), 10**9, seed=1)
+    with pytest.raises(DomainError):
+        bc.estimate_beta_c(bc.QueueParameters(1.0, bc.exponential(15.0)), 1000,
+                           seed=1, replications=4)
+
+
 def test_zero_service_estimate_hits_idle_mean():
     # Z is exponential(lam): the age/excess mean is exactly 1/lam
     params = bc.QueueParameters(2.0, bc.deterministic(0.0))
