@@ -513,16 +513,16 @@ def _tail_table(G, mean: float, support_end: float, name: str):
         t_all = np.concatenate(times)
         order = np.argsort(t_all, kind="stable")
         t_tab, g_tab = t_all[order], np.concatenate(probs)[order]
-        inside_01 = (g_tab >= -_G_SLACK) & (g_tab <= 1.0 + _G_SLACK)
-        if not inside_01.all():
-            raise DomainError(f"{name}: cdf returned {float(g_tab[~inside_01][0])!r}, "
-                              f"outside [0, 1]")
+        outside = ~((g_tab >= -_G_SLACK) & (g_tab <= 1.0 + _G_SLACK))
+        if outside.any():
+            bad = float(g_tab[outside][0])
+            raise DomainError(f"{name}: cdf returned {bad!r}, outside [0, 1]")
         falls = np.diff(g_tab) < -_G_SLACK
         if falls.any():
             k = int(np.argmax(falls))
-            raise DomainError(f"{name}: cdf decreases from {float(g_tab[k])!r} at "
-                              f"t = {float(t_tab[k])!r} to {float(g_tab[k + 1])!r} at "
-                              f"t = {float(t_tab[k + 1])!r}")
+            (t0, t1), (g0, g1) = t_tab[k:k + 2].tolist(), g_tab[k:k + 2].tolist()
+            raise DomainError(f"{name}: cdf decreases from {g0!r} at t = {t0!r} "
+                              f"to {g1!r} at t = {t1!r}")
         return t_tab, g_tab
 
     try:
@@ -536,9 +536,10 @@ def _tail_table(G, mean: float, support_end: float, name: str):
     survival(edges)  # G at the edges joins the nodes
     t_tab, g_tab = nodes()
     inside = np.cumsum([val for _, _, val in reversed(panels)])[::-1]
-    if not abs(inside[0] - mean) <= _MEAN_TOL * mean:
+    table_mean = float(inside[0])
+    if not abs(table_mean - mean) <= _MEAN_TOL * mean:
         raise DomainError(f"{name}: the cdf integrates to a mean of "
-                          f"{float(inside[0])!r}, but mean = {mean!r} was declared")
+                          f"{table_mean!r}, but mean = {mean!r} was declared")
     return edges, np.append(inside[1:], 0.0), t_tab, np.maximum.accumulate(g_tab)
 
 
