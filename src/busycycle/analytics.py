@@ -21,11 +21,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _special
 
 from .distributions import QueueParameters
 from .errors import AccuracyError, DomainError, UnsupportedClosedFormError
-from .quadrature import integrate_adaptive
+from .quadrature import _GK_NODES, _K_WEIGHTS, _refine, integrate_adaptive
 
 __all__ = [
     "BusyCycleMetrics",
@@ -133,20 +132,6 @@ def _power_series_c1(rho: float, tol: float):
     return total, err
 
 
-def _power_inner_integral(k: int, c: float) -> float:
-    """M_k = int_0^1 t^k (1 - t^c / (c+1))^k dt via the incomplete beta
-    function (substituting y = t^c/(c+1) turns it into one)."""
-    if k == 0:
-        return 1.0
-    a = (k + 1) / c
-    b = k + 1.0
-    return (
-        (c + 1.0) ** ((k + 1) / c) / c
-        * math.exp(_special.betaln(a, b))
-        * float(_special.betainc(a, b, 1.0 / (c + 1.0)))
-    )
-
-
 def power_double_series(arrival_rate: float, c: float,
                         tol: float = DEFAULT_SERIES_TOL):
     """(beta_c, abs error estimate) for the power-function service law.
@@ -158,9 +143,10 @@ def power_double_series(arrival_rate: float, c: float,
 
     For c = 1 the inner integrals collapse and the expansion regroups into
     the all-positive series sum_k rho^k/(k! (2k+1)), stable for any rho.
-    For other c the k-sum alternates, so float64 supports it only up to
-    moderate traffic intensity; past that an AccuracyError is raised and
-    callers should fall back to quadrature.
+    For other c every M_k comes from one Gauss-Kronrod node table on [0, 1]
+    (see ``_power_beta_series``).  The k-sum alternates, so float64
+    supports it only up to moderate traffic intensity; past that an
+    AccuracyError is raised and callers should fall back to quadrature.
     """
     lam = float(arrival_rate)
     c = float(c)
@@ -173,12 +159,32 @@ def power_double_series(arrival_rate: float, c: float,
 
 
 def _power_beta_series(lam: float, c: float, tol: float):
-    """(beta, abs error estimate) for the power member via series."""
+    """(beta, abs error estimate) for the power member via series.
+
+    For c != 1 the inner integrals M_k = int_0^1 h(t)^k dt, with
+    h(t) = t - t^(c+1)/(c+1), all come from one table of nodes and weights:
+    panels are refined once on the envelope expm1(lam h) = sum_k (lam h)^k/k!,
+    which weights each k by its share of the series' absolute sum, after
+    t = s^2 softens the t^(c+1) kink at 0.  M_k is then w . h^k, a running
+    product.  Rounding is charged per term summed.
+    """
     if not (tol > 0.0):
         raise DomainError(f"tol must be positive, got {tol}")
     rho = lam * c / (c + 1.0)
     if c == 1.0:
         return _power_series_c1(rho, tol)
+
+    def h(s):  # t (c - expm1(c ln t)) / (c+1) at t = s^2, free of cancellation
+        return s * s * (c - np.expm1(2.0 * c * np.log(s))) / (c + 1.0)
+
+    # at 1e-15 the table's M_k errors stay inside the rounding charge below
+    _total, _err, _n, heap = _refine(
+        lambda s: np.expm1(lam * h(s)) * (2.0 * s), (0.0, 1.0), 1e-15, 4096)
+    a, b = np.array([p[1:3] for p in heap]).T
+    half = 0.5 * (b - a)
+    nodes = (0.5 * (a + b))[:, None] + half[:, None] * _GK_NODES
+    hs = h(nodes).ravel()
+    wk = (half[:, None] * _K_WEIGHTS * (2.0 * nodes)).ravel()  # w h^k, k = 0
 
     # beta = e^rho (1 + s) - 1 = expm1(rho) + e^rho s with s the k >= 1 part
     # of sum (-lam)^k M_k / k!; the regrouping avoids subtracting near-1
@@ -193,7 +199,8 @@ def _power_beta_series(lam: float, c: float, tol: float):
     while True:
         k += 1
         coeff *= -lam / k
-        term = coeff * _power_inner_integral(k, c)
+        wk = wk * hs
+        term = coeff * float(wk.sum())
         abs_sum += abs(term)
         y = term - comp
         t = total + y
@@ -214,7 +221,7 @@ def _power_beta_series(lam: float, c: float, tol: float):
             )
     beta = math.expm1(rho) + exp_rho * total
     scale = abs(math.expm1(rho)) + exp_rho * abs_sum
-    float_err = 4e-16 * scale
+    float_err = 4e-16 * k * scale
     trunc_err = abs(term) * 8.0 * exp_rho
     err = float_err + trunc_err
     if beta > 0.0 and err > max(tol, 1e-9) * beta:

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import special as _special
 
 from .errors import (
     AccuracyError,
@@ -76,6 +75,22 @@ def _check_rho(rho: float) -> None:
     if not rho <= RHO_MAX:
         raise DomainError(f"rho = {rho:g} exceeds log(DBL_MAX) = {RHO_MAX:.6g}; "
                           f"e^rho overflows the float range")
+
+
+def _li2_one_minus_exp(rho: float) -> float:
+    """Li2(1 - e^rho) for rho > 0: by Landen's identity -rho^2/2 - Li2(y)
+    with y = 1 - e^-rho, and for y > 1/2 the reflection
+    Li2(y) = pi^2/6 + rho ln y - Li2(e^-rho), so the power series
+    Li2(x) = sum x^n/n^2 runs at x <= 1/2, where 60 terms exhaust float64."""
+    y = -math.expm1(-rho)
+    x = y if y <= 0.5 else math.exp(-rho)
+    series = 0.0
+    for n in range(60, 0, -1):
+        series = series * x + 1.0 / (n * n)
+    li2 = series * x
+    if y > 0.5:
+        li2 = math.pi ** 2 / 6.0 + rho * math.log1p(-x) - li2
+    return -0.5 * rho * rho - li2
 
 
 @dataclass(frozen=True)
@@ -240,7 +255,8 @@ def special_a(arrival_rate: float, rho: float) -> ServiceDistribution:
             t = np.log((1.0 - em) * u / (em * (1.0 - u))) / lam
         return np.where(u <= em, 0.0, t)
 
-    mu2 = -2.0 * _special.spence(math.exp(rho)) / lam**2
+    # E[S^2] = -2 Li2(1 - e^rho) / lam^2, the dilogarithm by its power series
+    mu2 = -2.0 * _li2_one_minus_exp(rho) / lam**2
 
     return ServiceDistribution(
         name=f"special_a(lam={lam:g}, rho={rho:g})",
@@ -291,7 +307,8 @@ def special_b(arrival_rate: float, rho: float) -> ServiceDistribution:
             t = np.log1p(math.exp(rho) * u / (1.0 - u)) / k
         return np.where(u <= 0.0, 0.0, t)
 
-    mu2 = -2.0 * (1.0 - em) * _special.spence(math.exp(rho)) / lam**2
+    # E[S^2] = -2 (1 - e^-rho) Li2(1 - e^rho) / lam^2, as for special_a
+    mu2 = 2.0 * math.expm1(-rho) * _li2_one_minus_exp(rho) / lam**2
 
     return ServiceDistribution(
         name=f"special_b(lam={lam:g}, rho={rho:g})",

@@ -9,12 +9,13 @@ import dataclasses
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special
 
 import busycycle as bc
-from busycycle.analytics import _z_second_moment_alt
+from busycycle.analytics import _power_beta_series, _z_second_moment_alt
 from busycycle.errors import (
     AccuracyError,
     DomainError,
@@ -107,6 +108,22 @@ def test_power_series_general_c_matches_quadrature(lam, c):
     series = bc.power_double_series(lam, c, tol=1e-12)[0]
     quad = bc.beta_quadrature(params, tol=1e-11)[0] + 1.0 / lam
     assert series == pytest.approx(quad, rel=1e-8)
+
+
+def test_power_series_error_estimate_covers_mpmath_on_grid():
+    # beta = int_0^1 expm1(lam r(t)) dt with r(t) = 1 - t - (1 - t^(c+1))/(c+1)
+    misses = []
+    with mpmath.workdps(30):
+        for c in map(float, np.geomspace(0.2, 5.0, 20)):
+            for rho in map(float, np.geomspace(0.01, 6.0, 20)):
+                lam = rho * (c + 1.0) / c
+                cm, lm = mpmath.mpf(c), mpmath.mpf(lam)
+                ref = mpmath.quad(lambda t: mpmath.expm1(
+                    lm * (1 - t - (1 - t ** (cm + 1)) / (cm + 1))), [0, 1])
+                beta, err = _power_beta_series(lam, c, 1e-10)
+                if abs(beta - ref) > err:
+                    misses.append((c, rho, float(abs(beta - ref)) / err))
+    assert not misses
 
 
 def test_power_series_general_c_cancellation_raises():

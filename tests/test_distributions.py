@@ -1,9 +1,11 @@
 """Distribution catalog: analytic invariants against numeric oracles."""
 
+import json
 import math
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 import busycycle as bc
+from busycycle.distributions import _li2_one_minus_exp
 from busycycle.errors import (
     AccuracyError,
     ArrivalRateMismatchError,
@@ -132,20 +135,35 @@ def test_scv_consistency_invariant():
         )
 
 
+def _mp_li2_one_minus_exp(rho):
+    """Li2(1 - e^rho) from mpmath at 40 digits."""
+    with mpmath.workdps(40):
+        return float(mpmath.polylog(2, 1 - mpmath.exp(mpmath.mpf(rho))))
+
+
 @pytest.mark.parametrize("rho,li2", [
     (0.25, -0.266058756798404),
     (0.5, -0.565963578395303),
     (1.0, -1.27750463411225),
     (2.0, -3.21389456921962),
     (5.0, -14.1043809885007),
+    # 1 - e^rho cancels at small rho; e^rho nears the float range at 700
+    *((rho, _mp_li2_one_minus_exp(rho)) for rho in (1e-12, 1e-10, 1e-6, 50.0, 700.0)),
 ])
 def test_special_second_moments_against_dilogarithm(rho, li2):
     # mu2 closed forms: A: -2 Li2(1-e^rho)/lam^2, B: -2(1-e^-rho) Li2(1-e^rho)/lam^2
     lam = 2.0
     a = bc.special_a(lam, rho)
     b = bc.special_b(lam, rho)
-    assert a.moment2 == pytest.approx(-2.0 * li2 / lam**2, rel=1e-12)
-    assert b.moment2 == pytest.approx(-2.0 * (1 - math.exp(-rho)) * li2 / lam**2, rel=1e-12)
+    assert a.moment2 == pytest.approx(-2.0 * li2 / lam**2, rel=1e-12, abs=0.0)
+    assert b.moment2 == pytest.approx(-2.0 * -math.expm1(-rho) * li2 / lam**2,
+                                      rel=1e-12, abs=0.0)
+
+
+def test_dilogarithm_of_one_minus_exp_on_a_log_grid():
+    for rho in np.geomspace(1e-12, 700.0, 241):
+        ref = _mp_li2_one_minus_exp(float(rho))
+        assert _li2_one_minus_exp(float(rho)) == pytest.approx(ref, rel=1e-15, abs=0.0), rho
 
 
 @pytest.mark.parametrize("make", [
@@ -430,8 +448,62 @@ def test_user_cdf_validation():
 
 
 def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded():
-    code = ("import sys, busycycle.cli; print(sorted(m for m in "
-            "('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+    code = ("import sys, busycycle.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+# Runs cli.main on each argv of argv[2] (JSON) and prints [[code, stdout]];
+# with argv[1] == "block" a meta-path finder refuses every scipy import.
+_CLI_RUNNER = """
+import contextlib, io, json, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+if sys.argv[1] == "block":
+    sys.meta_path.insert(0, NoScipy())
+from busycycle import cli
+runs = []
+for argv in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    runs.append([code, out.getvalue()])
+try:
+    import scipy
+    runs.append("scipy importable")
+except ImportError:
+    runs.append("scipy blocked")
+print(json.dumps(runs))
+"""
+
+
+def test_cli_runs_with_scipy_blocked():
+    lam = ["--lambda", "2"]
+    argvs = [
+        ["metrics", *lam, "--dist", '{"type":"power","c":2.5}'],
+        ["metrics", *lam, "--dist", '{"type":"special_a","rho":1}'],
+        ["metrics", *lam, "--dist", '{"type":"exponential","mean":0.5}'],
+        ["bounds", *lam, "--dist", '{"type":"special_b","rho":1}'],
+        ["bounds", *lam, "--dist", '{"type":"uniform01"}'],
+        ["simulate", *lam, "--dist", '{"type":"exponential","mean":0.5}',
+         "--cycles", "2000", "--seed", "7"],
+        *(["table", "--which", w] for w in ("1", "2", "3")),
+    ]
+
+    def run(mode):
+        proc = subprocess.run(
+            [sys.executable, "-c", _CLI_RUNNER, mode, json.dumps(argvs)],
+            capture_output=True, text=True, check=True)
+        return json.loads(proc.stdout)
+
+    blocked, free = run("block"), run("free")
+    assert blocked[-1] == "scipy blocked" and free[-1] == "scipy importable"
+    assert "method          series" in free[0][1]
+    for argv, b, f in zip(argvs, blocked, free):
+        assert b == f, argv
