@@ -24,7 +24,8 @@ import numpy as np
 
 from .distributions import QueueParameters
 from .errors import AccuracyError, DomainError, UnsupportedClosedFormError
-from .quadrature import _GK_NODES, _K_WEIGHTS, _refine, integrate_adaptive
+from .quadrature import (_kronrod_nodes, _refine, _support_breaks,
+                         integrate_adaptive)
 
 __all__ = [
     "BusyCycleMetrics",
@@ -178,22 +179,22 @@ def _power_beta_series(lam: float, c: float, tol: float):
         return s * s * (c - np.expm1(2.0 * c * np.log(s))) / (c + 1.0)
 
     # at 1e-15 the table's M_k errors stay inside the rounding charge below
-    _total, _err, _n, heap = _refine(
+    _total, _err, a, b, _values = _refine(
         lambda s: np.expm1(lam * h(s)) * (2.0 * s), (0.0, 1.0), 1e-15, 4096)
-    a, b = np.array([p[1:3] for p in heap]).T
-    half = 0.5 * (b - a)
-    nodes = (0.5 * (a + b))[:, None] + half[:, None] * _GK_NODES
+    nodes, weights = _kronrod_nodes(a, b)
     hs = h(nodes).ravel()
-    wk = (half[:, None] * _K_WEIGHTS * (2.0 * nodes)).ravel()  # w h^k, k = 0
+    wk = (weights * (2.0 * nodes)).ravel()  # w h^k, k = 0
 
     # beta = e^rho (1 + s) - 1 = expm1(rho) + e^rho s with s the k >= 1 part
     # of sum (-lam)^k M_k / k!; the regrouping avoids subtracting near-1
     # quantities and keeps small traffic intensities fully accurate.
     exp_rho = math.exp(rho)
+    floor = lam * c / (2.0 * (c + 2.0))  # beta >= lam E[S^2] / 2
     total = 0.0
     comp = 0.0
     abs_sum = 0.0
     coeff = 1.0          # (-lam)^k / k!
+    bound = rho          # rho^(k+1) / (k+1)!
     k = 0
     small_streak = 0
     while True:
@@ -206,7 +207,9 @@ def _power_beta_series(lam: float, c: float, tol: float):
         t = total + y
         comp = (t - total) - y
         total = t
-        bound = rho ** (k + 1) / math.factorial(min(k + 1, 170))
+        if not math.isfinite(total):  # (-lam)^k / k! overflowed
+            break
+        bound *= rho / (k + 1)
         if k > lam and abs(term) < 0.25 * tol * max(abs(total), 1e-300) \
                 and bound < tol:
             small_streak += 1
@@ -217,18 +220,18 @@ def _power_beta_series(lam: float, c: float, tol: float):
         if k > 5000:
             raise AccuracyError(
                 "power series did not converge",
-                math.expm1(rho) + exp_rho * total, math.inf,
+                max(floor, math.expm1(rho) + exp_rho * total), math.inf,
             )
     beta = math.expm1(rho) + exp_rho * total
     scale = abs(math.expm1(rho)) + exp_rho * abs_sum
     float_err = 4e-16 * k * scale
     trunc_err = abs(term) * 8.0 * exp_rho
     err = float_err + trunc_err
-    if beta > 0.0 and err > max(tol, 1e-9) * beta:
+    if not (beta > 0.0 and err <= max(tol, 1e-9) * beta):
         raise AccuracyError(
             f"power series for c={c}, lam={lam} is cancellation-limited "
             f"(estimated error {err:.2e} on {beta:.6e})",
-            best_estimate=beta,
+            best_estimate=max(floor, beta),
             error_estimate=err,
         )
     return beta, err
@@ -245,9 +248,11 @@ def beta_quadrature(params: QueueParameters, tol: float = DEFAULT_QUAD_TOL,
     The exponent lam * r(t) = rho - lam * I(t) is evaluated through the
     residual tail, so it is nonnegative, nonincreasing, and exactly zero
     past the service support; the integrand inherits those properties.
-    Atoms of G and the support edge seed panel breakpoints.  An unbounded
-    support is cut where lam * r(t) < 1e-16; AccuracyError is raised when
-    no such point is found.
+    Panel breakpoints sit at 0, at mean * 2^k below the support end, at
+    the end, and at every atom of G.  An unbounded support ends at the
+    first mean * 2^k where r(t) < 1e-16 * mean, a test relative to the
+    mean, so a short mean (rho << 1) is resolved as finely as a long one;
+    AccuracyError is raised when no such point is found.
     """
     if not (tol > 0.0):
         raise DomainError(f"tol must be positive, got {tol}")
@@ -259,27 +264,13 @@ def beta_quadrature(params: QueueParameters, tol: float = DEFAULT_QUAD_TOL,
     def integrand(t):
         return np.expm1(lam * dist.residual_tail_fn(t))
 
-    end = dist.support_end
-    if math.isinf(end):
-        end = max(dist.mean, 1.0 / lam)
-        for _ in range(200):
-            if lam * float(dist.residual_tail_fn(end)) < 1e-16:
-                break
-            end *= 2.0
-        else:
-            raise AccuracyError(
-                f"{dist.name}: residual tail stays above 1e-16/lambda up to "
-                f"t = {end:.3g}; the support cannot be truncated",
-                best_estimate=math.inf, error_estimate=math.inf,
-            )
-    breaks = {0.0, end}
-    for loc, _mass in dist.atoms:
-        if 0.0 < loc < end:
-            breaks.add(loc)
-    # a couple of interior seeds so the first refinement pass sees the decay
-    breaks.update(b for b in (end / 16.0, end / 4.0, dist.mean) if 0.0 < b < end)
+    breaks = _support_breaks(
+        dist.mean, dist.support_end,
+        lambda t: float(dist.residual_tail_fn(t)) < 1e-16 * dist.mean,
+        f"{dist.name}: residual tail stays above 1e-16 * mean")
+    breaks += [loc for loc, _mass in dist.atoms if 0.0 < loc < breaks[-1]]
     value, err, _n = integrate_adaptive(
-        integrand, sorted(breaks), rel_tol=tol, max_panels=max_panels
+        integrand, breaks, rel_tol=tol, max_panels=max_panels
     )
     return value, err
 
@@ -304,7 +295,13 @@ def beta_closed_form(params: QueueParameters,
         beta = params.service.mean * s
         return beta, "series", beta * max(tol, 4e-16)
     if kind == "deterministic":
-        beta = (math.expm1(rho) - rho) / lam
+        if rho < 1.0:  # (rho^2/2)(1 + rho/3 (1 + rho/4 (...))), no cancellation
+            s = 1.0
+            for n in range(20, 2, -1):
+                s = 1.0 + rho * s / n
+            beta = 0.5 * rho * rho * s / lam
+        else:
+            beta = (math.expm1(rho) - rho) / lam
         return beta, "closed-form", 4e-16 * beta
     if kind == "special_a":
         beta = math.expm1(rho) / lam

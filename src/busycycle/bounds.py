@@ -99,7 +99,7 @@ def proposition1(rho: float, scv: float) -> Comparison:
         raise DomainError(f"rho must be positive, got {rho}")
     if scv < 0.0:
         raise DomainError(f"scv must be >= 0, got {scv}")
-    if scv <= rho / (math.expm1(rho) - rho):
+    if scv * (math.expm1(rho) - rho) <= rho:  # exact as e^rho - 1 - rho -> 0
         return Comparison.BELOW_EZ
     if scv >= 2.0 / rho:
         return Comparison.ABOVE_EZ
@@ -180,6 +180,10 @@ def _class_lower(kind: str, params: QueueParameters, assume_tags) -> float:
         if mu2 is None or mu3 is None:
             raise UnsupportedMomentError(
                 f"{params.service.name}: the IMRL bound needs mu2 and mu3"
+            )
+        if not 0.0 < mu2 * mu2 < math.inf:
+            raise UnsupportedMomentError(
+                f"{params.service.name}: mu2^2 leaves the float range"
             )
         q = math.exp(1.0 - 2.0 * alpha * mu3 / (3.0 * mu2 * mu2))
         # same two-term construction with decay rate 2 alpha / mu2:

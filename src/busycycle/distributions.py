@@ -25,7 +25,7 @@ from .errors import (
     DomainError,
     UnsupportedMomentError,
 )
-from .quadrature import _kronrod, _refine
+from .quadrature import _gauss_kronrod, _refine, _support_breaks
 
 __all__ = [
     "ServiceDistribution",
@@ -56,13 +56,11 @@ KNOWN_TAGS = frozenset({NBUE, NWUE, DFR, IMRL})
 RHO_MAX = math.log(sys.float_info.max)
 
 # User-CDF tail table: relative tolerance and panel budget of its
-# quadrature, doublings of mean allowed when searching for the end of an
-# unbounded support, the largest relative gap between the tabulated mean
-# and the declared one, and the rounding a cdf value may show outside [0, 1]
-# or as a decrease.
+# quadrature, the largest relative gap between the tabulated mean and the
+# declared one, and the rounding a cdf value may show outside [0, 1] or as
+# a decrease.
 _TABLE_TOL = 1e-13
 _TABLE_PANELS = 4096
-_END_DOUBLINGS = 200
 _MEAN_TOL = 1e-8
 _G_SLACK = 4.0 * sys.float_info.epsilon
 # Quantile bisection stops once a bracket is under _XTOL + _RTOL * t, the
@@ -75,6 +73,17 @@ def _check_rho(rho: float) -> None:
     if not rho <= RHO_MAX:
         raise DomainError(f"rho = {rho:g} exceeds log(DBL_MAX) = {RHO_MAX:.6g}; "
                           f"e^rho overflows the float range")
+
+
+def _power(x: float, n: int, what: str) -> float:
+    """x ** n for x > 0, or DomainError when it overflows or underflows to 0."""
+    try:
+        value = x ** n
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{what} = {x:g}: its power {n} is outside the float range")
+    return value
 
 
 def _li2_one_minus_exp(rho: float) -> float:
@@ -127,7 +136,8 @@ class ServiceDistribution:
             )
         if self.mean == 0.0:
             raise UnsupportedMomentError("SCV undefined for a zero-mean service")
-        return (self.moment2 - self.mean**2) / self.mean**2
+        mean2 = _power(self.mean, 2, f"{self.name}: mean")
+        return (self.moment2 - mean2) / mean2
 
     def __repr__(self) -> str:  # keep reprs short and informative
         return f"ServiceDistribution({self.name})"
@@ -180,7 +190,7 @@ def exponential(mean: float) -> ServiceDistribution:
         name=f"exponential(mean={a:g})",
         mean=a,
         moment2=2.0 * a * a,
-        moment3=6.0 * a**3,
+        moment3=6.0 * _power(a, 3, "exponential mean"),
         cdf=cdf,
         residual_tail_fn=rtail,
         quantile_fn=quantile,
@@ -256,7 +266,7 @@ def special_a(arrival_rate: float, rho: float) -> ServiceDistribution:
         return np.where(u <= em, 0.0, t)
 
     # E[S^2] = -2 Li2(1 - e^rho) / lam^2, the dilogarithm by its power series
-    mu2 = -2.0 * _li2_one_minus_exp(rho) / lam**2
+    mu2 = -2.0 * _li2_one_minus_exp(rho) / _power(lam, 2, "arrival_rate")
 
     return ServiceDistribution(
         name=f"special_a(lam={lam:g}, rho={rho:g})",
@@ -289,7 +299,7 @@ def special_b(arrival_rate: float, rho: float) -> ServiceDistribution:
     _check_rho(rho)
     em = math.exp(-rho)
     grow = math.expm1(rho)
-    k = lam / (1.0 - em)
+    k = lam / -math.expm1(-rho)
 
     def cdf(t):
         t = np.asarray(t, dtype=float)
@@ -308,7 +318,8 @@ def special_b(arrival_rate: float, rho: float) -> ServiceDistribution:
         return np.where(u <= 0.0, 0.0, t)
 
     # E[S^2] = -2 (1 - e^-rho) Li2(1 - e^rho) / lam^2, as for special_a
-    mu2 = 2.0 * math.expm1(-rho) * _li2_one_minus_exp(rho) / lam**2
+    mu2 = (2.0 * math.expm1(-rho) * _li2_one_minus_exp(rho)
+           / _power(lam, 2, "arrival_rate"))
 
     return ServiceDistribution(
         name=f"special_b(lam={lam:g}, rho={rho:g})",
@@ -425,10 +436,11 @@ def make_distribution(
 
     ``cdf`` must map a numpy array of times to an array of probabilities of
     the same shape.  Construction tabulates the survival 1 - G once: the
-    adaptive Gauss-Kronrod engine splits [0, end] into panels, where end is
-    ``support_end`` or, for an unbounded support, the first mean * 2^k at
-    which G reaches 1.  The table keeps G at every node it evaluated and
-    the reverse cumulative sums of the panel integrals.  From it
+    adaptive Gauss-Kronrod engine refines panels seeded at 0, at mean * 2^k
+    below the end and at the end, where end is ``support_end`` or, for an
+    unbounded support, the first mean * 2^k at which G reaches 1.  The
+    table keeps G at every node it evaluated and the reverse cumulative
+    sums of the panel integrals.  From it
 
     * r(t) = int_t^end [1 - G(v)] dv is the sum of the panels past t plus
       one 15-point Kronrod rule on the rest of t's panel, one array call
@@ -461,7 +473,7 @@ def make_distribution(
         t = np.asarray(t, dtype=float)
         i = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, last)
         b = edges[i + 1]
-        part = _kronrod(lambda v: 1.0 - G(v), np.clip(t, 0.0, b), b)
+        part, _err = _gauss_kronrod(lambda v: 1.0 - G(v), np.clip(t, 0.0, b), b)
         return np.where(t <= 0.0, mean, np.maximum(tail_after[i] + part, 0.0))
 
     def quantile(u):
@@ -508,22 +520,9 @@ def _tail_table(G, mean: float, support_end: float, name: str):
         probs.append(g)
         return 1.0 - g
 
-    breaks = [0.0]
-    if math.isfinite(support_end):
-        breaks += [mean, support_end] if mean < support_end else [support_end]
-    else:
-        t = mean
-        for _ in range(_END_DOUBLINGS):
-            breaks.append(t)
-            if not survival(np.array([t]))[0] > 0.0:  # G(t) >= 1, or nan
-                break
-            t *= 2.0
-        else:
-            raise AccuracyError(
-                f"{name}: G stays below 1 up to t = {t:.3g}; the support "
-                f"cannot be truncated",
-                best_estimate=math.inf, error_estimate=math.inf,
-            )
+    breaks = _support_breaks(
+        mean, support_end, lambda t: not survival(np.array([t]))[0] > 0.0,
+        f"{name}: G stays below 1")  # G(t) >= 1, or nan, ends the support
 
     def nodes():
         """Every time G was evaluated at, sorted, and G there, validated."""
@@ -543,16 +542,15 @@ def _tail_table(G, mean: float, support_end: float, name: str):
         return t_tab, g_tab
 
     try:
-        _total, _err, _n, heap = _refine(survival, breaks, _TABLE_TOL,
-                                         _TABLE_PANELS)
+        _total, _err, a, b, values = _refine(survival, breaks, _TABLE_TOL,
+                                             _TABLE_PANELS)
     except AccuracyError:
         nodes()  # an invalid cdf is the likelier cause
         raise
-    panels = sorted((a, b, val) for _, a, b, val, _ in heap)
-    edges = np.array([a for a, _, _ in panels] + [panels[-1][1]])
+    edges = np.append(a, b[-1])
     survival(edges)  # G at the edges joins the nodes
     t_tab, g_tab = nodes()
-    inside = np.cumsum([val for _, _, val in reversed(panels)])[::-1]
+    inside = np.cumsum(values[::-1])[::-1]
     table_mean = float(inside[0])
     if not abs(table_mean - mean) <= _MEAN_TOL * mean:
         raise DomainError(f"{name}: the cdf integrates to a mean of "

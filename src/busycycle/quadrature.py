@@ -1,65 +1,85 @@
-"""Adaptive Gauss-Kronrod quadrature used by the analytic engines.
+"""Adaptive Gauss-Kronrod quadrature, the one integration layer of the package.
 
-A 7-point Gauss / 15-point Kronrod pair is applied per panel; the panel with
-the largest error estimate is bisected until the summed estimate meets the
-requested relative tolerance.  Integrand kinks (distribution atoms, support
-edges) are handled by seeding panel breakpoints there.
+A 7-point Gauss / 15-point Kronrod pair (QUADPACK qk15) is applied per
+panel; the panel with the largest error estimate is bisected until the
+summed estimate meets the requested relative tolerance.  Callers share
+three pieces: ``_gauss_kronrod`` evaluates an array of panels from one call
+of the integrand, ``_refine`` returns the converged panels as a table
+sorted by position (``_kronrod_nodes`` turns it into nodes and weights),
+and ``_support_breaks`` seeds breakpoints at 0, mean * 2^k and the support
+end, so rescaling time rescales the panels with it.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 
 import numpy as np
 
 from .errors import AccuracyError, DomainError
 
-# Gauss-Kronrod 7/15 nodes on [-1, 1] and the matching weights.
-_GK_NODES = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0,
-    0.207784955007898, 0.405845151377397, 0.586087235467691,
-    0.741531185599394, 0.864864423359769, 0.949107912342759,
-    0.991455371120813,
-])
-_K_WEIGHTS = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-    0.204432940075298, 0.190350578064785, 0.169004726639267,
-    0.140653259715525, 0.104790010322250, 0.063092092629979,
-    0.022935322010529,
-])
-_G_WEIGHTS = np.array([
-    0.0, 0.129484966168870, 0.0, 0.279705391489277, 0.0,
-    0.381830050505119, 0.0, 0.417959183673469, 0.0,
-    0.381830050505119, 0.0, 0.279705391489277, 0.0,
-    0.129484966168870, 0.0,
-])
+# QUADPACK qk15 on [-1, 1]: the Kronrod nodes from the right end inwards,
+# their weights, and the Gauss weights of every second node.
+_X = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+      0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+      0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+      0.207784955007898467600689403773245, 0.0)
+_WK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+       0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+       0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+       0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+_GK_NODES = np.array([-x for x in _X[:-1]] + list(_X[::-1]))
+_K_WEIGHTS = np.array(_WK + _WK[-2::-1])
+_G_WEIGHTS = np.zeros(15)
+_G_WEIGHTS[1::2] = _WG + _WG[-2::-1]
+# (Kronrod weight) f summed against these columns gives K15 and K15 - G7
+_SUM_AND_DEFECT = np.stack([np.ones(15), 1.0 - _G_WEIGHTS / _K_WEIGHTS], axis=1)
 
 
-def _gk_panel(f, a: float, b: float):
-    """Kronrod value and error estimate for one panel."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    x = mid + half * _GK_NODES
-    y = np.asarray(f(x), dtype=float)
-    k15 = half * float(np.dot(_K_WEIGHTS, y))
-    g7 = half * float(np.dot(_G_WEIGHTS, y))
-    diff = abs(k15 - g7)
-    # QUADPACK-style sharpening of the raw difference, floored at roundoff.
-    err = min(diff, (200.0 * diff) ** 1.5 if diff > 0 else 0.0)
-    err = max(err, abs(k15) * 1e-16)
-    return k15, err
-
-
-def _kronrod(f, a, b):
-    """15-point Kronrod value of ``f`` on each [a, b] of two equal-shape
-    arrays of end points, from one call of ``f`` on all the nodes."""
+def _kronrod_nodes(a, b):
+    """(nodes, weights): the 15 Kronrod nodes of each panel [a, b] of two
+    equal-shape arrays, along a new last axis, and their weights."""
     half = 0.5 * (b - a)
     x = (0.5 * (a + b))[..., None] + half[..., None] * _GK_NODES
-    return half * (np.asarray(f(x), dtype=float) @ _K_WEIGHTS)
+    return x, half[..., None] * _K_WEIGHTS
+
+
+def _gauss_kronrod(f, a, b):
+    """(Kronrod value, error estimate) of ``f`` on each panel [a, b] of two
+    equal-shape arrays, from one call of ``f`` on the flat array of all
+    nodes."""
+    x, w = _kronrod_nodes(a, b)
+    fw = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape) * w
+    sums = fw @ _SUM_AND_DEFECT
+    value = sums[..., 0]
+    # QUADPACK-style sharpening of |K15 - G7|, (200 diff)^1.5 while that is
+    # the smaller, floored at roundoff
+    diff = np.abs(sums[..., 1])
+    err = diff * np.minimum(1.0, 200.0 ** 1.5 * np.sqrt(diff))
+    return value, np.maximum(err, 1e-16 * np.abs(value))
+
+
+def _support_breaks(mean: float, end: float, negligible, what: str) -> list:
+    """Panel breakpoints over [0, end]: 0, then mean * 2^k below ``end``
+    (k < 200), then ``end``.  An unbounded support ends at the first
+    mean * 2^k where ``negligible(t)`` holds; AccuracyError, saying
+    ``what`` stays true, when there is none."""
+    breaks = [0.0]
+    t = mean
+    while t < end and len(breaks) <= 200:
+        breaks.append(t)
+        if math.isinf(end) and negligible(t):
+            return breaks
+        t *= 2.0
+    if math.isinf(end):
+        raise AccuracyError(
+            f"{what} up to t = {breaks[-1]:.3g}; the support cannot be truncated",
+            best_estimate=math.inf, error_estimate=math.inf,
+        )
+    return breaks + [end]
 
 
 def integrate_adaptive(f, breakpoints, rel_tol: float = 1e-9,
@@ -69,35 +89,29 @@ def integrate_adaptive(f, breakpoints, rel_tol: float = 1e-9,
     Returns (value, error_estimate, panels_used).  Raises AccuracyError,
     carrying the best estimate, if the panel budget is exhausted first.
     """
-    total, total_err, count, _heap = _refine(f, breakpoints, rel_tol, max_panels)
-    return total, total_err, count
+    total, total_err, a = _refine(f, breakpoints, rel_tol, max_panels)[:3]
+    return total, total_err, len(a)
 
 
 def _refine(f, breakpoints, rel_tol: float, max_panels: int):
-    """The refinement loop of ``integrate_adaptive``.
-
-    Returns (value, error_estimate, panels_used, heap); the heap holds the
-    converged panels as (-err, a, b, value, err) entries in heap order.
-    """
-    pts = sorted(set(float(b) for b in breakpoints))
+    """The refinement loop of ``integrate_adaptive``: (value,
+    error_estimate, a, b, values), the converged panels [a, b] and their
+    Kronrod values as arrays sorted by ``a``.  One call of ``f`` evaluates
+    the seed panels, and one the two halves of each split."""
+    pts = np.array(sorted(set(float(b) for b in breakpoints)))
     if len(pts) < 2:
         raise DomainError("need at least two distinct breakpoints")
     if not (rel_tol > 0.0):
         raise DomainError(f"rel_tol must be positive, got {rel_tol}")
 
-    heap = []  # (-err, a, b, value, err)
-    total = 0.0
-    total_err = 0.0
-    count = 0
-    for a, b in zip(pts[:-1], pts[1:]):
-        val, err = _gk_panel(f, a, b)
-        heapq.heappush(heap, (-err, a, b, val, err))
-        total += val
-        total_err += err
-        count += 1
+    vals, errs = _gauss_kronrod(f, pts[:-1], pts[1:])
+    heap = list(zip((-errs).tolist(), pts[:-1].tolist(), pts[1:].tolist(),
+                    vals.tolist(), errs.tolist()))
+    heapq.heapify(heap)
+    total, total_err = float(vals.sum()), float(errs.sum())
 
     while total_err > rel_tol * max(abs(total), 1e-300) and total_err > 1e-300:
-        if count >= max_panels:
+        if len(heap) >= max_panels:
             raise AccuracyError(
                 f"quadrature did not converge within {max_panels} panels "
                 f"(achieved {total_err:.3e}, value {total:.6e})",
@@ -110,12 +124,13 @@ def _refine(f, breakpoints, rel_tol: float, max_panels: int):
             heapq.heappush(heap, (-0.0, a, b, val, 0.0))
             total_err -= err
             continue
-        lv, le = _gk_panel(f, a, mid)
-        rv, re = _gk_panel(f, mid, b)
+        ends = np.array([a, mid, b])
+        (lv, rv), (le, re) = (v.tolist() for v in _gauss_kronrod(
+            f, ends[:-1], ends[1:]))
         total += lv + rv - val
         total_err += le + re - err
         heapq.heappush(heap, (-le, a, mid, lv, le))
         heapq.heappush(heap, (-re, mid, b, rv, re))
-        count += 1
 
-    return total, total_err, count, heap
+    _, a, b, values, _ = np.array(sorted(heap, key=lambda p: p[1])).T
+    return total, total_err, a, b, values

@@ -21,6 +21,7 @@ depend on execution parallelism.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,11 +126,12 @@ def _accumulate(params: QueueParameters, n_cycles: int, seed: int,
         m = min(BATCH, remaining)
         idle, busy = _simulate_batch(params, m, rng)
         z = idle + busy
-        z2 = z * z
-        sums[0] += z.sum()
-        sums[1] += z2.sum()
-        sums[2] += (z2 * z).sum()
-        sums[3] += (z2 * z2).sum()
+        with np.errstate(over="ignore"):  # estimate_beta_c checks the range
+            z2 = z * z
+            sums[0] += z.sum()
+            sums[1] += z2.sum()
+            sums[2] += (z2 * z).sum()
+            sums[3] += (z2 * z2).sum()
         remaining -= m
     return sums
 
@@ -166,6 +168,9 @@ def estimate_beta_c(params: QueueParameters, n_cycles: int, seed: int,
     m2 = float(total[1]) / n
     m3 = float(total[2]) / n
     m4 = float(total[3]) / n
+    if not all(sys.float_info.min <= m < math.inf for m in (m1, m2, m3, m4)):
+        raise DomainError(f"lambda = {params.arrival_rate:g}: the simulated "
+                          f"cycle moments E[Z^k], k <= 4, leave the float range")
     ratio = m2 / (2.0 * m1)
 
     # delta method on R = m2 / (2 m1):

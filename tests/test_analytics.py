@@ -21,6 +21,7 @@ from busycycle.errors import (
     DomainError,
     UnsupportedClosedFormError,
 )
+from busycycle.quadrature import _G_WEIGHTS, _GK_NODES, _K_WEIGHTS
 
 # S(rho) = sum rho^n/(n n!), frozen from high-precision evaluation
 S_TABLE = {
@@ -132,6 +133,24 @@ def test_power_series_general_c_cancellation_raises():
     assert exc.value.best_estimate > 0
 
 
+def test_power_series_past_rho_six_answers_or_refuses_cleanly():
+    # an answer inside its tolerance, or the cancellation error carrying an
+    # estimate of at least lam E[S^2] / 2, a lower bound on beta.  At
+    # (71.08, 3.16) the sum once returned beta = -1.5e29; at (242, 0.1) its
+    # truncation bound rho^(k+1) / (k+1)! overflowed.
+    points = [(rho * (c + 1.0) / c, c)
+              for c in map(float, np.geomspace(0.05, 20.0, 12))
+              for rho in map(float, np.geomspace(6.0, 60.0, 12))]
+    for lam, c in points + [(71.07629936490926, 3.1622776601683795), (242.0, 0.1)]:
+        try:
+            beta, err = _power_beta_series(lam, c, 1e-10)
+        except AccuracyError as exc:
+            assert "cancellation-limited" in str(exc), (lam, c)
+            assert exc.best_estimate >= lam * c / (2.0 * (c + 2.0)), (lam, c)
+        else:
+            assert 0.0 < err <= 1e-9 * beta, (lam, c)
+
+
 def test_power_series_domain_errors():
     with pytest.raises(DomainError):
         bc.power_double_series(0.0, 1.0)
@@ -195,6 +214,80 @@ def test_beta_quadrature_budget_error_carries_best_estimate():
         bc.beta_quadrature(params, 1e-13, max_panels=3)
     assert exc.value.best_estimate == pytest.approx(1.3179021514544039, rel=1e-3)
     assert exc.value.error_estimate > 0
+
+
+def test_gauss_kronrod_constants_integrate_polynomials_exactly():
+    # on [-1, 1] the 15-point Kronrod rule is exact for t^k, k <= 22, and the
+    # 7-point Gauss rule for k <= 13; the float constants, summed exactly
+    nodes = [mpmath.mpf(x) for x in _GK_NODES.tolist()]
+    for weights, degree in ((_K_WEIGHTS, 22), (_G_WEIGHTS, 13)):
+        for k in range(degree + 1):
+            exact = mpmath.mpf(2) / (k + 1) if k % 2 == 0 else 0
+            rule = mpmath.fsum(mpmath.mpf(w) * x ** k
+                               for w, x in zip(weights.tolist(), nodes))
+            assert abs(rule - exact) <= 4e-16, (degree, k)
+
+
+def _mp_beta(kind, lam, rho):
+    """beta at 40 digits from each law's closed form; uniform on [0, 2 alpha]
+    by quadrature of expm1(lam r(t)), r(t) = (2 alpha - t)^2 / (4 alpha)."""
+    lm, r = mpmath.mpf(lam), mpmath.mpf(rho)
+    if kind == "exponential":
+        return (r / lm) * (mpmath.ei(r) - mpmath.euler - mpmath.log(r))
+    if kind == "deterministic":
+        return (mpmath.expm1(r) - r) / lm
+    if kind == "special_a":
+        return mpmath.expm1(r) / lm
+    if kind == "special_b":
+        return 4 * mpmath.sinh(r / 2) ** 2 / lm
+    end = 2 * r / lm
+    return mpmath.quad(lambda t: mpmath.expm1(lm * (end - t) ** 2 / (2 * end)),
+                       [0, end / 2, end])
+
+
+def _law(kind, lam, rho):
+    if kind == "uniform":
+        return bc.scale(bc.uniform01(), 2.0 * rho / lam)
+    if kind in ("special_a", "special_b"):
+        return getattr(bc, kind)(lam, rho)
+    return getattr(bc, kind)(rho / lam)
+
+
+def test_beta_quadrature_against_mpmath_from_tiny_to_large_rho():
+    # the support cut is relative to the mean: at rho = 1e-6 a cut at
+    # lam * r(t) < 1e-16 from t = 1/lam once lost 37% of beta
+    worst = 0.0
+    with mpmath.workdps(40):
+        for kind in ("exponential", "deterministic", "special_a", "special_b",
+                     "uniform"):
+            for lam in (0.1, 1.0, 20.0):
+                for rho in map(float, np.geomspace(1e-6, 50.0, 12)):
+                    params = bc.QueueParameters(lam, _law(kind, lam, rho))
+                    beta = bc.beta_quadrature(params)[0]
+                    ref = _mp_beta(kind, lam, params.traffic_intensity)
+                    worst = max(worst, float(abs(beta - ref) / ref))
+    assert worst <= 1e-13
+
+
+def test_quadrature_of_a_short_mean_agrees_with_the_series():
+    for dist in (bc.exponential(1e-6), bc.special_b(1.0, 1e-6)):
+        params = bc.QueueParameters(1.0, dist)
+        quad = bc.beta_c(params, "quadrature").beta
+        assert quad == pytest.approx(bc.beta_c(params).beta, rel=1e-9, abs=0.0)
+
+
+def test_deterministic_closed_form_against_mpmath():
+    # e^rho - 1 - rho cancels at small rho; each value must sit inside its
+    # own error estimate
+    misses = []
+    with mpmath.workdps(40):
+        for rho in map(float, np.geomspace(1e-12, 300.0, 400)):
+            params = bc.QueueParameters(1.0, bc.deterministic(rho))
+            m = bc.beta_c(params, "closed-form")
+            ref = mpmath.expm1(mpmath.mpf(rho)) - rho
+            if abs(m.beta - ref) > m.error_estimate:
+                misses.append(rho)
+    assert not misses
 
 
 def test_beta_quadrature_rejects_bad_tolerance():

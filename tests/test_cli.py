@@ -1,8 +1,13 @@
 """CLI surface: golden output, exit codes, config files, determinism."""
 
+import contextlib
+import io
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from busycycle.cli import main
 
@@ -85,6 +90,11 @@ def test_usage_errors_exit_2(capsys):
         ["metrics", "--lambda", "2", "--dist", '{"type":"deterministic","mean":"abc"}'],
         ["metrics", "--lambda", "1", "--dist", '{"type":"exponential","mean":800}'],
         ["bounds", "--lambda", "1", "--dist", '{"type":"deterministic","mean":710}'],
+        # moments outside the float range
+        ["metrics", "--lambda", "1e300", "--dist", '{"type":"special_a","rho":1}'],
+        ["metrics", "--lambda", "1e-300", "--dist", '{"type":"special_b","rho":1}'],
+        ["metrics", "--lambda", "1e-300", "--dist",
+         '{"type":"exponential","mean":1e300}'],
         ["metrics", "--lambda", "1", "--dist", '{"type":"special_a","rho":800}'],
         ["metrics", "--lambda", "1", "--dist", '{"type":"exponential","mean":true}'],
     ):
@@ -103,10 +113,32 @@ def test_usage_errors_exit_2(capsys):
         # rho = 709.5 is in range, but e^rho / lambda overflows every bound
         ["bounds", "--lambda", "0.5", "--dist", '{"type":"exponential","mean":1419}',
          "--no-reference"],
+        # the power series past rho = 6: once beta = -1.5e29, then an
+        # OverflowError in its truncation bound
+        ["metrics", "--lambda", "71.07629936490926", "--dist",
+         '{"type":"power","c":3.1622776601683795}', "--strategy", "closed-form"],
+        ["metrics", "--lambda", "242", "--dist", '{"type":"power","c":0.1}',
+         "--strategy", "closed-form"],
+        ["bounds", "--lambda", "1", "--dist", '{"type":"power","c":1e-300}'],
+        ["metrics", "--lambda", "50", "--dist", '{"type":"special_b","rho":709.7}',
+         "--strategy", "quadrature"],
+        # cycle lengths whose powers leave the float range
+        ["simulate", "--lambda", "1e-300", "--dist", '{"type":"uniform01"}',
+         "--cycles", "1000"],
+        ["simulate", "--lambda", "1e200", "--dist",
+         '{"type":"deterministic","mean":1e-200}', "--cycles", "1000"],
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+def test_compare_where_e_rho_minus_1_minus_rho_underflows(capsys):
+    # proposition1 divided by e^rho - 1 - rho = 0 at rho = 1e-20
+    code, out, _ = run_cli(capsys, "compare", "--lambda", "1e-8", "--dist",
+                           '{"type":"power","c":1e-12}', "--cycles", "1000")
+    assert code == 0
+    assert "position_vs_EZ      below-EZ" in out
 
 
 def test_metrics_json_format(capsys):
@@ -364,3 +396,60 @@ def test_table_plain_header_and_reference_row(capsys):
     assert lines[6] == ("exponential       100     0.5     50     0.87295261"
                         "     0.97957366      0.109 ERRATUM")
     assert lines[7] == (" " * 42 + "with published reference     0.87295261")
+
+
+# ---------------------------------------------------------------------------
+# fuzz: any argv ends in a finite answer, a typed error or a drifted table
+# ---------------------------------------------------------------------------
+
+FUZZ_VALUES = [0, -1, 1e-300, 1e-12, 1e-6, 0.3, 1, 2.5, 7, 30, 120, 700, 709.7,
+               710, 1e6, 1e300, "1", "x", None, True, [1], {}]
+FUZZ_LAMBDAS = ["1e-300", "1e-8", "0.5", "1", "3", "50", "1e6", "1e300", "0", "-2"]
+# the parameter each type reads; uniform01 reads none, weibull is unknown
+FUZZ_TYPES = {"exponential": "mean", "deterministic": "mean", "special_a": "rho",
+              "special_b": "rho", "power": "c", "uniform01": "c",
+              "weibull": "shape"}
+NOT_FINITE = re.compile(r"(?i)\b(nan|inf|infinity)\b")
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(["metrics", "bounds", "simulate", "table",
+                                    "compare"]))
+    argv = [command, "--format", draw(st.sampled_from(["plain", "csv", "json"]))]
+    if command == "table":
+        return argv + ["--which", draw(st.sampled_from(["1", "2", "3"]))]
+    kind = draw(st.sampled_from(sorted(FUZZ_TYPES)))
+    spec = {"type": kind, FUZZ_TYPES[kind]: draw(st.sampled_from(FUZZ_VALUES))}
+    argv += ["--lambda", draw(st.sampled_from(FUZZ_LAMBDAS)),
+             "--dist", json.dumps(spec)]
+    if command == "metrics":
+        argv += ["--strategy", draw(st.sampled_from(
+            ["auto", "closed-form", "quadrature"]))]
+        for flag in ("--tol-series", "--tol-quad"):
+            argv += [flag, draw(st.sampled_from(["1e-12", "1e-9", "1e-3", "0",
+                                                 "nan"]))]
+    elif command == "bounds":
+        argv += ["--assume-tags", draw(st.sampled_from(
+            ["", "NBUE", "NWUE,DFR", "IMRL", "SHINY"]))]
+        if draw(st.booleans()):
+            argv.append("--no-reference")
+    else:
+        argv += ["--cycles", draw(st.sampled_from(["1000", "2000"])),
+                 "--seed", draw(st.sampled_from(["0", "7"])),
+                 "--reps", draw(st.sampled_from(["1", "2"]))]
+    return argv
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(argv=fuzz_argv())
+def test_fuzzed_argv_exit_0_2_or_3_with_finite_stdout(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 2, 3), argv
+    assert "Traceback" not in out.getvalue() + err.getvalue(), argv
+    assert not NOT_FINITE.search(out.getvalue()), (argv, out.getvalue())

@@ -166,6 +166,34 @@ def test_dilogarithm_of_one_minus_exp_on_a_log_grid():
         assert _li2_one_minus_exp(float(rho)) == pytest.approx(ref, rel=1e-15, abs=0.0), rho
 
 
+def test_special_b_rate_against_mpmath_at_small_rho():
+    # k = lam / (1 - e^-rho) cancels at small rho; its residual tail and
+    # quantile carry k
+    with mpmath.workdps(40):
+        for rho in map(float, np.geomspace(1e-12, 2.0, 60)):
+            dist = bc.special_b(1.0, rho)
+            r = mpmath.mpf(rho)
+            k = -1 / mpmath.expm1(-r)
+            for t in (0.5 * dist.mean, dist.mean, 2.0 * dist.mean):
+                ref = mpmath.log1p(mpmath.expm1(r) * mpmath.exp(-k * t))
+                assert float(dist.residual_tail_fn(t)) == pytest.approx(
+                    float(ref), rel=2e-15, abs=0.0), (rho, t)
+            ref = mpmath.log1p(mpmath.exp(r)) / k  # the median
+            assert float(dist.quantile_fn(0.5)) == pytest.approx(
+                float(ref), rel=2e-15, abs=0.0), rho
+
+
+def test_moments_outside_the_float_range_are_domain_errors():
+    # lam^2 and mean^3 once overflowed or divided by zero past the range
+    for make, args in ((bc.special_a, (1e300, 1.0)), (bc.special_a, (1e-300, 1.0)),
+                       (bc.special_b, (1e300, 1.0)), (bc.special_b, (1e-300, 1.0)),
+                       (bc.exponential, (1e300,))):
+        with pytest.raises(DomainError):
+            make(*args)
+    with pytest.raises(DomainError):
+        bc.scv(bc.power_function(1e-300))  # mean^2 underflows
+
+
 @pytest.mark.parametrize("make", [
     lambda: bc.special_a(1.0, 1.0),
     lambda: bc.special_b(1.0, 1.0),
