@@ -6,8 +6,12 @@
     busycycle table    --which 1|2|3 --format plain|csv|json
     busycycle compare  --lambda 2 --dist ... --cycles 200000 --seed 7
 
-A JSON config file (--config) may supply any long option (keys use
-underscores, e.g. {"lambda": 2, "dist": {...}}); explicit flags win.
+A JSON config file (--config) is a set of flags: its keys are the command's
+long option names with underscores (e.g. {"lambda": 2, "tol_series": 1e-12,
+"no_reference": true, "dist": {...}}).  Switches take true or false; any
+other value is read as its string or JSON text, and is checked exactly as
+that flag's text is (so "cycles": 1000.0 is a usage error, like --cycles
+1000.0).  Keys the command lacks are ignored, and explicit flags win.
 Exit status: 0 on success (known table errata are listed, not fatal),
 2 on usage errors, 3 when a table cell's status deviates from the shipped
 registry (i.e. a cell expected to PASS stopped matching).
@@ -20,7 +24,7 @@ import json
 import sys
 
 from . import analytics, bounds, simulator, tables
-from .distributions import QueueParameters, deterministic, from_spec
+from .distributions import KNOWN_TAGS, QueueParameters, deterministic, from_spec
 from .errors import BusyCycleError, DomainError
 
 __all__ = ["main"]
@@ -28,14 +32,6 @@ __all__ = ["main"]
 HIGH_RHO_WARN = 5.0
 DEFAULT_CYCLES = 1_000_000
 HIGH_RHO_DEFAULT_CYCLES = 10_000
-
-# Typed options by argparse dest, in the order their errors are reported;
-# config files may carry these numbers as JSON floats or strings.
-_OPTION_TYPES = {"lam": float, "rho": float, "tol_series": float,
-                 "tol_quad": float, "cycles": int, "seed": int, "reps": int,
-                 "which": int}
-_OPTION_DEFAULTS = {"tol_series": analytics.DEFAULT_SERIES_TOL,
-                    "tol_quad": analytics.DEFAULT_QUAD_TOL, "seed": 0, "reps": 1}
 
 _TABLE_FIELDS = ("distribution", "lambda", "alpha", "rho", "quantity",
                  "paper_value", "computed", "rel_delta", "status")
@@ -52,6 +48,50 @@ def fmt(x: float) -> str:
 # argument handling
 # ---------------------------------------------------------------------------
 
+def _json_object(text: str) -> dict:
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise argparse.ArgumentTypeError(f"not valid JSON: {exc}") from None
+    if not isinstance(value, dict):
+        raise argparse.ArgumentTypeError("must be a JSON object")
+    return value
+
+
+def _class_tags(text: str) -> frozenset:
+    tags = frozenset(t.strip() for t in text.split(",") if t.strip())
+    if not tags <= KNOWN_TAGS:
+        raise argparse.ArgumentTypeError(
+            f"unknown class tags: {sorted(tags - KNOWN_TAGS)}")
+    return tags
+
+
+class _ConfigFlags(argparse.Action):
+    """``--config FILE``: the flags its keys stand for, in the command's parser."""
+
+    def __call__(self, parser, namespace, path, option_string=None):
+        try:
+            with open(path) as fh:
+                cfg = json.load(fh)
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
+            parser.error(f"cannot read config {path}: {exc}")
+        if not isinstance(cfg, dict):
+            parser.error(f"config {path} must hold a JSON object")
+        namespace.config = flags = []
+        for key, value in cfg.items():
+            flag = "--" + key.replace("_", "-")
+            action = parser._option_string_actions.get(flag)
+            if action is None or action.dest in ("help", "config"):
+                continue  # a key the command lacks
+            if action.nargs != 0:
+                text = value if isinstance(value, str) else json.dumps(value)
+                flags.append(f"{flag}={text}")
+            elif not isinstance(value, bool):
+                parser.error(f"config key {key!r} is a switch: use true or false")
+            elif value:
+                flags.append(flag)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="busycycle",
@@ -59,105 +99,66 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, dist=True):
-        sp.add_argument("--config", help="JSON file with option defaults")
-        sp.add_argument("--lambda", dest="lam", type=float,
-                        help="Poisson arrival rate")
-        if dist:
-            sp.add_argument("--dist", help="service distribution JSON")
+    def command(name, handler, summary, queue=True):
+        sp = sub.add_parser(name, help=summary)
+        sp.set_defaults(handler=handler)
+        sp.add_argument("--config", action=_ConfigFlags,
+                        help="JSON file with option defaults")
+        if queue:
+            sp.add_argument("--lambda", dest="lam", type=float,
+                            help="Poisson arrival rate")
+            sp.add_argument("--dist", type=_json_object,
+                            help="service distribution JSON")
+        else:
+            sp.add_argument("--which", type=int, choices=[1, 2, 3])
         sp.add_argument("--format", dest="output_format",
-                        choices=["plain", "csv", "json"], default=None)
+                        choices=["plain", "csv", "json"], default="plain")
+        return sp
 
-    sp = sub.add_parser("metrics", help="analytic busy-cycle mean values")
-    common(sp)
-    sp.add_argument("--rho", type=float, default=None,
+    def runs(sp, cycles):
+        sp.add_argument("--cycles", type=int, default=cycles)
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--reps", type=int, default=1)
+
+    sp = command("metrics", run_metrics, "analytic busy-cycle mean values")
+    sp.add_argument("--rho", type=float,
                     help="only --rho 0 is accepted: the idle-only limit")
     sp.add_argument("--strategy", choices=["auto", "closed-form", "quadrature"],
-                    default=None)
-    sp.add_argument("--tol-series", dest="tol_series", type=float, default=None)
-    sp.add_argument("--tol-quad", dest="tol_quad", type=float, default=None)
+                    default="auto")
+    sp.add_argument("--tol-series", dest="tol_series", type=float,
+                    default=analytics.DEFAULT_SERIES_TOL)
+    sp.add_argument("--tol-quad", dest="tol_quad", type=float,
+                    default=analytics.DEFAULT_QUAD_TOL)
 
-    sp = sub.add_parser("bounds", help="distribution-free and class bounds")
-    common(sp)
-    sp.add_argument("--assume-tags", default=None,
+    sp = command("bounds", run_bounds, "distribution-free and class bounds")
+    sp.add_argument("--assume-tags", type=_class_tags, default=frozenset(),
                     help="comma-separated class tags to assert (e.g. NBUE,DFR)")
     sp.add_argument("--no-reference", action="store_true",
                     help="skip the analytic beta_c reference / gap ratio")
 
-    sp = sub.add_parser("simulate", help="Monte Carlo busy-cycle estimate")
-    common(sp)
-    sp.add_argument("--cycles", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--reps", type=int, default=None)
-
-    sp = sub.add_parser("table", help="recompute a published reference table")
-    sp.add_argument("--config", help="JSON file with option defaults")
-    sp.add_argument("--which", type=int, choices=[1, 2, 3], default=None)
-    sp.add_argument("--format", dest="output_format",
-                    choices=["plain", "csv", "json"], default=None)
-
-    sp = sub.add_parser("compare", help="analytics vs simulation vs bounds")
-    common(sp)
-    sp.add_argument("--cycles", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--reps", type=int, default=None)
-
+    runs(command("simulate", run_simulate, "Monte Carlo busy-cycle estimate"),
+         None)
+    command("table", run_table, "recompute a published reference table",
+            queue=False)
+    runs(command("compare", run_compare, "analytics vs simulation vs bounds"),
+         100_000)
     return p
-
-
-def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    """Merge --config under the flags (flags win), parse --dist, then cast
-    and default every option the handlers read from ``args``."""
-    if args.config is not None:
-        try:
-            with open(args.config) as fh:
-                cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            parser.error(f"cannot read config {args.config}: {exc}")
-        if not isinstance(cfg, dict):
-            parser.error(f"config {args.config} must hold a JSON object")
-        aliases = {"lambda": "lam", "format": "output_format"}
-        for key, value in cfg.items():
-            dest = aliases.get(key, key)
-            if hasattr(args, dest) and getattr(args, dest) is None:
-                setattr(args, dest, value)
-    dist = getattr(args, "dist", None)
-    if isinstance(dist, str):
-        try:
-            dist = args.dist = json.loads(dist)
-        except json.JSONDecodeError as exc:
-            parser.error(f"--dist is not valid JSON: {exc}")
-    if dist is not None and not isinstance(dist, dict):
-        parser.error("--dist must be a JSON object")
-    for dest, cast in _OPTION_TYPES.items():
-        value = getattr(args, dest, None)
-        try:
-            setattr(args, dest,
-                    _OPTION_DEFAULTS.get(dest) if value is None else cast(value))
-        except (TypeError, ValueError):
-            parser.error(f"option {dest!r} has invalid value {value!r}")
-    args.output_format = args.output_format or "plain"
-    args.strategy = getattr(args, "strategy", None) or "auto"
-    args.assume_tags = tuple(
-        t.strip() for t in (getattr(args, "assume_tags", None) or "").split(",")
-        if t.strip()
-    )
 
 
 def _queue_from(args: argparse.Namespace, parser) -> QueueParameters:
     """The queue of a command; ``metrics --rho 0`` is the idle-only limit."""
-    if args.rho is not None and args.rho != 0.0:
+    rho = getattr(args, "rho", None)  # a metrics option
+    if rho is not None and rho != 0.0:
         parser.error("--rho accepts only 0 (idle-only escape); "
                      "use --dist for a real service law")
     if args.lam is None:
         parser.error("--lambda is required")
-    if args.rho is not None:
+    if rho is not None:
         return QueueParameters(args.lam, deterministic(0.0))
-    spec = args.dist
-    if spec is None:
+    if args.dist is None:
         parser.error("--dist is required for this command")
     try:
-        law = from_spec(spec, arrival_rate=args.lam)
+        law = from_spec(args.dist, arrival_rate=args.lam)
         if law.mean == 0.0:
             parser.error("deterministic mean 0 is rejected; use `metrics --rho 0` "
                          "for the idle-only limit")
@@ -320,14 +321,12 @@ def run_table(args: argparse.Namespace, parser) -> int:
 def run_compare(args: argparse.Namespace, parser) -> int:
     params = _queue_from(args, parser)
     m = analytics.beta_c(params)
-    cycles = args.cycles if args.cycles is not None else 100_000
     if params.traffic_intensity >= HIGH_RHO_WARN:
         print(f"warning: rho = {fmt(params.traffic_intensity)} is high; "
               f"simulation cost grows like e^rho", file=sys.stderr)
-    est = simulator.estimate_beta_c(params, cycles, seed=args.seed,
+    est = simulator.estimate_beta_c(params, args.cycles, seed=args.seed,
                                     replications=args.reps)
-    report = bounds.build_report(params, reference=m.beta_c,
-                                 assume_tags=args.assume_tags)
+    report = bounds.build_report(params, reference=m.beta_c)
     try:
         verdict = bounds.proposition1(params.traffic_intensity,
                                       params.service.scv).value
@@ -355,18 +354,16 @@ def run_compare(args: argparse.Namespace, parser) -> int:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
-    _resolve(args, parser)
-    handlers = {
-        "metrics": run_metrics,
-        "bounds": run_bounds,
-        "simulate": run_simulate,
-        "table": run_table,
-        "compare": run_compare,
-    }
+    if args.config:
+        # the config's flags go right after the command name, ahead of the
+        # explicit flags, so the explicit ones win
+        at = argv.index(args.command) + 1
+        args = parser.parse_args(argv[:at] + args.config + argv[at:])
     try:
-        return handlers[args.command](args, parser)
+        return args.handler(args, parser)
     except BusyCycleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -86,14 +86,8 @@ def _service_for(row: str, lam: float, alpha: float):
     raise DomainError(f"unknown table row {row!r}")
 
 
-def _beta_c_value(row: str, lam: float, alpha: float) -> float:
-    params = QueueParameters(lam, _service_for(row, lam, alpha))
-    return analytics.beta_c(params, "auto").beta_c
-
-
-def _ratio_bounds(row: str, lam: float, alpha: float):
+def _ratio_bounds(row: str, params: QueueParameters):
     """The class-bound pair each ratio row is built from."""
-    params = QueueParameters(lam, _service_for(row, lam, alpha))
     if row == "exponential":
         lo = bounds.class_lower_bound("m-nwue", params)
         up = bounds.class_upper_bound("m-nbue", params)
@@ -119,12 +113,11 @@ def compute_table(which: int) -> list:
             paper = float(data["paper"][i])
             ratio_ref = None
             paper_ref = None
-            if quantity == "beta_c":
-                computed = _beta_c_value(row, lam, alpha)
-            else:
-                lo, up = _ratio_bounds(row, lam, alpha)
-                real = _beta_c_value(row, lam, alpha)
-                computed = bounds.gap_ratio(lo, up, real)
+            params = QueueParameters(lam, _service_for(row, lam, alpha))
+            computed = analytics.beta_c(params, "auto").beta_c
+            if quantity != "beta_c":
+                lo, up = _ratio_bounds(row, params)
+                computed = bounds.gap_ratio(lo, up, computed)
                 ref = data.get("paper_reference", [None] * len(reg["columns"]))[i]
                 if ref is not None:
                     paper_ref = float(ref)

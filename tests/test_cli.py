@@ -4,9 +4,11 @@ import contextlib
 import io
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from busycycle.cli import main
@@ -18,6 +20,17 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_captured(argv):
+    """(exit code, stdout, stderr) of one call; usage errors included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_metrics_golden_exponential(capsys):
@@ -168,6 +181,15 @@ def test_bounds_assume_tags(capsys):
     assert "upper[m-nbue]" in out
 
 
+def test_bounds_rejects_unknown_assume_tags(capsys):
+    # a misspelt tag used to be dropped, and with it the m-nbue bound
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "bounds", "--lambda", "2", "--dist", '{"type":"uniform01"}',
+                "--assume-tags", "NBEU")
+    assert exc.value.code == 2
+    assert "unknown class tags: ['NBEU']" in capsys.readouterr().err
+
+
 def test_table_commands_exit_zero_with_errata(capsys):
     for which in ("1", "2", "3"):
         code, out, _ = run_cli(capsys, "table", "--which", which)
@@ -296,6 +318,11 @@ def test_config_file_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(capsys, "metrics", "--config", str(tmp_path / "missing.json"))
     assert exc.value.code == 2
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"lambda": "\xff"}')
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "metrics", "--config", str(not_utf8))
+    assert exc.value.code == 2
 
 
 def test_config_numbers_as_json_strings(tmp_path, capsys):
@@ -315,6 +342,51 @@ def test_config_numbers_as_json_strings(tmp_path, capsys):
     lines = out.splitlines()
     assert lines[:6] == ["key,value", "lambda,2", "rho,1", "cycles,1000",
                          "replications,1", "seed,4"]
+
+
+UNIFORM = {"type": "uniform01"}
+EXP_HALF_SPEC = {"type": "exponential", "mean": 0.5}
+
+
+@pytest.mark.parametrize("command,cfg,flags", [
+    ("bounds", {"lambda": 2, "dist": UNIFORM, "assume_tags": ["NBUE"]},
+     ["--assume-tags", '["NBUE"]']),
+    ("bounds", {"lambda": 2, "dist": UNIFORM, "assume_tags": "NBUE"},
+     ["--assume-tags", "NBUE"]),
+    ("bounds", {"lambda": 2, "dist": EXP_HALF_SPEC, "no_reference": True},
+     ["--no-reference"]),
+    ("bounds", {"lambda": 2, "dist": EXP_HALF_SPEC, "no_reference": False}, []),
+    ("bounds", {"lambda": 2, "dist": EXP_HALF_SPEC, "no_reference": "false"}, None),
+    ("metrics", {"lambda": True, "dist": EXP_HALF_SPEC}, ["--lambda", "true"]),
+    ("metrics", {"lambda": 2, "dist": EXP_HALF_SPEC, "format": "xml"},
+     ["--format", "xml"]),
+    ("metrics", {"lambda": 2, "dist": EXP_HALF_SPEC, "tol_series": 1e-12},
+     ["--tol-series", "1e-12"]),
+    ("simulate", {"lambda": 2, "dist": EXP_HALF_SPEC, "cycles": 1000.5},
+     ["--cycles", "1000.5"]),
+    ("simulate", {"lambda": 2, "dist": EXP_HALF_SPEC, "cycles": 1000.0},
+     ["--cycles", "1000.0"]),
+])
+def test_config_keys_read_as_their_flags(tmp_path, command, cfg, flags):
+    # the same checks as the flags: an answer or exit 2, never a traceback
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    code, out, _ = run_captured([command, "--config", str(path)])
+    assert code in (0, 2)
+    if flags is not None:
+        queue = ["--lambda", "2", "--dist", json.dumps(cfg["dist"])]
+        assert run_captured([command, *queue, *flags])[:2] == (code, out)
+
+
+def test_config_values_do_not_outlive_their_call(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"lambda": 1, "format": "json"}))
+    code, out, _ = run_cli(capsys, "metrics", "--config", str(cfg),
+                           "--dist", EXP_HALF)
+    assert code == 0 and json.loads(out)["beta_c"] == "1.2850757"
+    code, out, _ = run_cli(capsys, "metrics", "--lambda", "2", "--dist", EXP_HALF)
+    assert code == 0
+    assert "beta_c          1.1589511" in out
 
 
 POWER_BOUNDS = [
@@ -444,12 +516,38 @@ def fuzz_argv(draw):
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(argv=fuzz_argv())
 def test_fuzzed_argv_exit_0_2_or_3_with_finite_stdout(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse usage errors
-            code = exc.code
+    code, out, err = run_captured(argv)
     assert code in (0, 2, 3), argv
-    assert "Traceback" not in out.getvalue() + err.getvalue(), argv
-    assert not NOT_FINITE.search(out.getvalue()), (argv, out.getvalue())
+    assert "Traceback" not in out + err, argv
+    assert not NOT_FINITE.search(out), (argv, out)
+
+
+def _config_value(text):
+    """A flag's text as a config value: its JSON reading where it has one."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(argv=fuzz_argv(), move=st.lists(st.booleans(), min_size=6, max_size=6))
+@example(argv=["bounds", "--format", "plain", "--lambda", "2", "--dist", EXP_HALF,
+               "--assume-tags", "", "--no-reference"],
+         move=[False, False, False, False, True, False])
+def test_fuzzed_options_moved_to_a_config_file_print_the_same(argv, move):
+    command, options, i = argv[0], [], 1
+    while i < len(argv):  # (flag, text), or (switch, None)
+        switch = argv[i] == "--no-reference"
+        options.append((argv[i], None if switch else argv[i + 1]))
+        i += 1 if switch else 2
+    moved = [opt for opt, m in zip(options, move) if m]
+    cfg = {flag[2:].replace("-", "_"):
+           True if text is None else _config_value(text) for flag, text in moved}
+    kept = [tok for opt in options if opt not in moved
+            for tok in opt if tok is not None]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "run.json")
+        path.write_text(json.dumps(cfg))
+        via_config = run_captured([command, "--config", str(path), *kept])
+    assert via_config[:2] == run_captured(argv)[:2], (argv, cfg)
