@@ -13,7 +13,6 @@ from .analytics import (
     mean_busy_period,
     mean_cycle,
     power_double_series,
-    z_second_moment,
 )
 from .bounds import (
     BoundsReport,
@@ -35,9 +34,7 @@ from .distributions import (
     make_distribution,
     power_function,
     residual_tail,
-    sample,
     scale,
-    scv,
     special_a,
     special_b,
     uniform01,
@@ -55,7 +52,6 @@ from .errors import (
 from .simulator import (
     SimulationEstimate,
     estimate_beta_c,
-    simulate_one_cycle,
     time_average_age,
 )
 
@@ -63,17 +59,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BusyCycleMetrics", "beta_c", "beta_quadrature", "exp_series",
-    "mean_busy_period", "mean_cycle", "power_double_series", "z_second_moment",
+    "mean_busy_period", "mean_cycle", "power_double_series",
     "BoundsReport", "Comparison", "build_report", "class_lower_bound",
     "class_upper_bound", "gap_ratio", "proposition1", "sathe_interval",
     "QueueParameters", "ServiceDistribution", "deterministic", "exponential",
     "from_spec", "integrated_tail", "make_distribution", "power_function",
-    "residual_tail", "sample", "scale", "scv", "special_a", "special_b",
-    "uniform01",
+    "residual_tail", "scale", "special_a", "special_b", "uniform01",
     "AccuracyError", "ArrivalRateMismatchError", "BusyCycleError",
     "ClassViolationError", "DomainError", "RunawayCycleError",
     "UnsupportedClosedFormError", "UnsupportedMomentError",
-    "SimulationEstimate", "estimate_beta_c", "simulate_one_cycle",
-    "time_average_age",
+    "SimulationEstimate", "estimate_beta_c", "time_average_age",
     "__version__",
 ]

@@ -36,7 +36,6 @@ __all__ = [
     "beta_closed_form",
     "beta_quadrature",
     "beta_c",
-    "z_second_moment",
 ]
 
 DEFAULT_SERIES_TOL = 1e-10
@@ -91,9 +90,20 @@ def exp_series(rho: float, tol: float = DEFAULT_SERIES_TOL) -> float:
         raise DomainError(f"tol must be positive, got {tol}")
     if rho == 0.0:
         return 0.0
+    return _positive_series(rho, rho, tol, 1, -1, 1, 0)[0]
+
+
+def _positive_series(rho: float, first: float, tol: float,
+                     a: int, b: int, c: int, d: int):
+    """(sum, first omitted term) of the all-positive series t_1 + t_2 + ...
+    with t_1 = ``first`` and t_n = t_(n-1) rho (a n + b) / (n (c n + d)),
+    by compensated summation.  The ratio comes as four integers, not a
+    callback, so a term costs no call and its integer factors are exact.
+    The sum stops past n > rho once a term falls under tol/4 of the total.
+    """
     total = 0.0
     comp = 0.0
-    term = rho
+    term = first
     n = 1
     while True:
         y = term - comp
@@ -101,36 +111,13 @@ def exp_series(rho: float, tol: float = DEFAULT_SERIES_TOL) -> float:
         comp = (t - total) - y
         total = t
         n += 1
-        term *= rho * (n - 1) / (n * n)
+        term *= rho * (a * n + b) / (n * (c * n + d))
         if n > rho and term < 0.25 * tol * total:
-            break
+            return total, term
         if n > 200000:  # cannot happen for sane rho; guards the loop
             raise AccuracyError(
-                f"series for S({rho}) did not converge", total, term
+                f"positive series at rho = {rho} did not converge", total, term
             )
-    return total
-
-
-def _power_series_c1(rho: float, tol: float):
-    """beta for the uniform-on-[0,1] member: sum_{k>=1} rho^k / (k! (2k+1)).
-
-    All terms are positive, so this is stable for any traffic intensity.
-    """
-    total = 0.0
-    comp = 0.0
-    term = rho / 3.0
-    k = 1
-    while True:
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        k += 1
-        term *= rho * (2 * k - 1) / (k * (2 * k + 1))
-        if k > rho and term < 0.25 * tol * total:
-            break
-    err = term * 4.0 + 4e-16 * total
-    return total, err
 
 
 def power_double_series(arrival_rate: float, c: float,
@@ -172,8 +159,9 @@ def _power_beta_series(lam: float, c: float, tol: float):
     if not (tol > 0.0):
         raise DomainError(f"tol must be positive, got {tol}")
     rho = lam * c / (c + 1.0)
-    if c == 1.0:
-        return _power_series_c1(rho, tol)
+    if c == 1.0:  # sum_{k>=1} rho^k / (k! (2k+1)): all terms positive
+        total, term = _positive_series(rho, rho / 3.0, tol, 2, -1, 2, 1)
+        return total, term * 4.0 + 4e-16 * total
 
     def h(s):  # t (c - expm1(c ln t)) / (c+1) at t = s^2, free of cancellation
         return s * s * (c - np.expm1(2.0 * c * np.log(s))) / (c + 1.0)
@@ -248,11 +236,11 @@ def beta_quadrature(params: QueueParameters, tol: float = DEFAULT_QUAD_TOL,
     The exponent lam * r(t) = rho - lam * I(t) is evaluated through the
     residual tail, so it is nonnegative, nonincreasing, and exactly zero
     past the service support; the integrand inherits those properties.
-    Panel breakpoints sit at 0, at mean * 2^k below the support end, at
-    the end, and at every atom of G.  An unbounded support ends at the
-    first mean * 2^k where r(t) < 1e-16 * mean, a test relative to the
-    mean, so a short mean (rho << 1) is resolved as finely as a long one;
-    AccuracyError is raised when no such point is found.
+    Panel breakpoints sit at 0, at mean * 2^k below the support end and at
+    the end.  An unbounded support ends at the first mean * 2^k where
+    r(t) < 1e-16 * mean, a test relative to the mean, so a short mean
+    (rho << 1) is resolved as finely as a long one; AccuracyError is raised
+    when no such point is found.
     """
     if not (tol > 0.0):
         raise DomainError(f"tol must be positive, got {tol}")
@@ -268,7 +256,6 @@ def beta_quadrature(params: QueueParameters, tol: float = DEFAULT_QUAD_TOL,
         dist.mean, dist.support_end,
         lambda t: float(dist.residual_tail_fn(t)) < 1e-16 * dist.mean,
         f"{dist.name}: residual tail stays above 1e-16 * mean")
-    breaks += [loc for loc, _mass in dist.atoms if 0.0 < loc < breaks[-1]]
     value, err, _n = integrate_adaptive(
         integrand, breaks, rel_tol=tol, max_panels=max_panels
     )
@@ -374,16 +361,12 @@ def beta_c(params: QueueParameters, strategy: str = "auto",
     )
 
 
-def z_second_moment(params: QueueParameters, strategy: str = "auto") -> float:
-    """E[Z^2] = 2 E[Z] beta_c (the self-consistent second-moment reading)."""
-    return beta_c(params, strategy).z_second_moment
-
-
 def _z_second_moment_alt(params: QueueParameters, strategy: str = "auto") -> float:
     """Alternative second-moment candidate that scales the cycle integral by
-    e^rho once instead of twice.  Mutually exclusive with z_second_moment;
-    retained only so the simulator can arbitrate between the two readings
-    (the simulation decisively matches ``z_second_moment``).
+    e^rho once instead of twice.  Mutually exclusive with
+    ``beta_c(params).z_second_moment``; retained only so the simulator can
+    arbitrate between the two readings (the simulation decisively matches
+    ``z_second_moment``).
     """
     m = beta_c(params, strategy)
     lam = params.arrival_rate

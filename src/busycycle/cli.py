@@ -233,7 +233,7 @@ def run_simulate(args: argparse.Namespace, parser) -> int:
     if rho >= HIGH_RHO_WARN:
         print(f"warning: rho = {fmt(rho)} >= {HIGH_RHO_WARN:g}; expected events "
               f"per cycle grow like e^rho, so runs are expensive"
-              + ("" if cycles else
+              + ("" if cycles is not None else
                  f"; defaulting to {HIGH_RHO_DEFAULT_CYCLES} cycles"),
               file=sys.stderr)
         if cycles is None:

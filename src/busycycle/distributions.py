@@ -41,8 +41,6 @@ __all__ = [
     "make_distribution",
     "integrated_tail",
     "residual_tail",
-    "sample",
-    "scv",
 ]
 
 # Tags a distribution may carry; bounds are keyed on these.
@@ -110,8 +108,6 @@ class ServiceDistribution:
     ``residual_tail_fn`` accepts scalars or numpy arrays and is the one tail
     a law defines; the integrated tail is derived as I(t) = mean - r(t).
     ``quantile_fn`` is the generalized inverse of the CDF, also vectorized.
-    Atoms (point masses) are listed explicitly so quadrature and sampling
-    can treat them exactly.
     """
 
     name: str
@@ -122,7 +118,6 @@ class ServiceDistribution:
     residual_tail_fn: Callable
     quantile_fn: Callable
     class_tags: frozenset = frozenset()
-    atoms: tuple = ()
     support_end: float = math.inf
     embedded_arrival_rate: Optional[float] = None
     spec: dict = field(default_factory=dict)
@@ -226,7 +221,6 @@ def deterministic(mean: float) -> ServiceDistribution:
         residual_tail_fn=rtail,
         quantile_fn=quantile,
         class_tags=frozenset({NBUE}) if a > 0.0 else frozenset(),
-        atoms=((a, 1.0),),
         support_end=a,
         spec={"type": "deterministic", "mean": a},
     )
@@ -276,7 +270,6 @@ def special_a(arrival_rate: float, rho: float) -> ServiceDistribution:
         cdf=cdf,
         residual_tail_fn=rtail,
         quantile_fn=quantile,
-        atoms=((0.0, em),),
         embedded_arrival_rate=lam,
         spec={"type": "special_a", "rho": rho},
     )
@@ -387,14 +380,11 @@ def scale(dist: ServiceDistribution, factor: float) -> ServiceDistribution:
     if not (factor > 0.0):
         raise DomainError(f"scale factor must be positive, got {factor}")
     k = float(factor)
-    if dist.spec.get("type") == "exponential":
-        return exponential(dist.mean * k)
-    if dist.spec.get("type") == "deterministic":
-        return deterministic(dist.mean * k)
-    if dist.spec.get("type") == "special_a":
-        return special_a(dist.embedded_arrival_rate / k, dist.spec["rho"])
-    if dist.spec.get("type") == "special_b":
-        return special_b(dist.embedded_arrival_rate / k, dist.spec["rho"])
+    kind = dist.spec.get("type")
+    if kind in ("exponential", "deterministic"):
+        return from_spec({**dist.spec, "mean": dist.mean * k})
+    if kind in ("special_a", "special_b"):
+        return from_spec(dist.spec, dist.embedded_arrival_rate / k)
 
     base = dist
 
@@ -416,7 +406,6 @@ def scale(dist: ServiceDistribution, factor: float) -> ServiceDistribution:
         residual_tail_fn=rtail,
         quantile_fn=quantile,
         class_tags=base.class_tags,
-        atoms=tuple((k * loc, mass) for loc, mass in base.atoms),
         support_end=k * base.support_end,
         embedded_arrival_rate=None,
         spec={"type": "scaled", "base": dict(base.spec), "factor": k},
@@ -562,34 +551,43 @@ def _tail_table(G, mean: float, support_end: float, name: str):
 # textual distribution format (shared with the CLI / config files)
 # ---------------------------------------------------------------------------
 
+# the keys each catalog type reads besides "type"
+_SPEC_KEYS = {"exponential": ("mean",), "deterministic": ("mean",),
+              "special_a": ("rho",), "special_b": ("rho",), "power": ("c",),
+              "uniform01": ()}
+
+
 def from_spec(spec: dict, arrival_rate: Optional[float] = None) -> ServiceDistribution:
     """Build a catalog member from its key-value form.
 
     Supported forms: {"type":"exponential","mean":m}, {"type":"deterministic",
     "mean":m}, {"type":"special_a","rho":r}, {"type":"special_b","rho":r},
     {"type":"power","c":c}, {"type":"uniform01"}.  The two special forms
-    inherit the queue-level arrival rate.
+    inherit the queue-level arrival rate.  A key the type does not read is
+    a DomainError.
     """
     if not isinstance(spec, dict) or "type" not in spec:
         raise DomainError(f"distribution spec must be a dict with a 'type': {spec!r}")
     kind = spec["type"]
-    if kind == "exponential":
-        return exponential(_req(spec, "mean"))
-    if kind == "deterministic":
-        return deterministic(_req(spec, "mean"))
-    if kind == "special_a":
-        if arrival_rate is None:
-            raise DomainError("special_a needs the queue arrival rate")
-        return special_a(arrival_rate, _req(spec, "rho"))
-    if kind == "special_b":
-        if arrival_rate is None:
-            raise DomainError("special_b needs the queue arrival rate")
-        return special_b(arrival_rate, _req(spec, "rho"))
-    if kind == "power":
-        return power_function(_req(spec, "c"))
+    reads = _SPEC_KEYS.get(kind) if isinstance(kind, str) else None
+    if reads is None:
+        raise DomainError(f"unknown distribution type {kind!r}")
+    for key in spec:
+        if key != "type" and key not in reads:
+            raise DomainError(f"distribution spec {spec!r}: type {kind!r} "
+                              f"does not read {key!r}")
     if kind == "uniform01":
         return uniform01()
-    raise DomainError(f"unknown distribution type {kind!r}")
+    value = _req(spec, reads[0])
+    if kind == "exponential":
+        return exponential(value)
+    if kind == "deterministic":
+        return deterministic(value)
+    if kind == "power":
+        return power_function(value)
+    if arrival_rate is None:
+        raise DomainError(f"{kind} needs the queue arrival rate")
+    return (special_a if kind == "special_a" else special_b)(arrival_rate, value)
 
 
 def _req(spec: dict, key: str) -> float:
@@ -623,13 +621,3 @@ def residual_tail(dist: ServiceDistribution, t):
         raise DomainError(f"residual tail needs t >= 0, got {t}")
     out = dist.residual_tail_fn(arr)
     return float(out) if arr.shape == () else out
-
-
-def sample(dist: ServiceDistribution, rng: np.random.Generator) -> float:
-    """One service duration with law G, by inverse transform."""
-    return float(dist.quantile_fn(rng.random()))
-
-
-def scv(dist: ServiceDistribution) -> float:
-    """Squared coefficient of variation of the service time."""
-    return dist.scv

@@ -32,7 +32,6 @@ from .errors import DomainError, RunawayCycleError
 
 __all__ = [
     "SimulationEstimate",
-    "simulate_one_cycle",
     "estimate_beta_c",
     "time_average_age",
 ]
@@ -71,21 +70,6 @@ def _rng_for(seed: int, replication: int) -> Generator:
         raise DomainError(f"seed must be an unsigned 64-bit integer, got {seed}")
     key = np.array([seed, replication], dtype=np.uint64)
     return Generator(Philox(key=key))
-
-
-def simulate_one_cycle(params: QueueParameters, rng: Generator):
-    """One (idle, busy) pair drawn sequentially from ``rng``."""
-    lam = params.arrival_rate
-    q = params.service.quantile_fn
-    idle = -math.log1p(-rng.random()) / lam
-    end = float(q(rng.random()))
-    arrival = 0.0
-    for _ in range(EVENT_CAP):
-        arrival += -math.log1p(-rng.random()) / lam
-        if arrival >= end:
-            return idle, end
-        end = max(end, arrival + float(q(rng.random())))
-    raise RunawayCycleError("busy period exceeded the event cap")
 
 
 def _simulate_batch(params: QueueParameters, n: int, rng: Generator):

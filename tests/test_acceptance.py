@@ -521,7 +521,7 @@ def test_criterion_8_byte_identical_simulation():
 
 def test_criterion_9_second_moment_arbitration():
     params = bc.QueueParameters(2.0, bc.exponential(0.5))
-    candidate_consistent = bc.z_second_moment(params)       # 2 E[Z] beta_c
+    candidate_consistent = bc.beta_c(params).z_second_moment  # 2 E[Z] beta_c
     candidate_alt = _z_second_moment_alt(params)            # single busy scale
     assert candidate_consistent == pytest.approx(3.15035564922232, rel=1e-10)
     assert candidate_alt == pytest.approx(2.01809198995672, rel=1e-10)

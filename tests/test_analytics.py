@@ -488,19 +488,22 @@ def test_constant_service_collapse():
 
 
 def test_z_second_moment_values():
-    assert bc.z_second_moment(bc.QueueParameters(2.0, bc.deterministic(0.0))) == \
+    def z2(params):
+        return bc.beta_c(params).z_second_moment
+
+    assert z2(bc.QueueParameters(2.0, bc.deterministic(0.0))) == \
         pytest.approx(2.0 / 4.0, rel=1e-15)
     # first logistic member: beta_c = E[Z], so E[Z^2] = 2 E[Z]^2 = 2 e^(2 rho)/lam^2
     for lam, rho in ((1.0, 0.5), (2.0, 1.0)):
-        got = bc.z_second_moment(bc.QueueParameters(lam, bc.special_a(lam, rho)))
+        got = z2(bc.QueueParameters(lam, bc.special_a(lam, rho)))
         assert got == pytest.approx(2.0 * math.exp(2 * rho) / lam**2, rel=1e-12)
-    got = bc.z_second_moment(bc.QueueParameters(1.0, bc.deterministic(0.5)))
+    got = z2(bc.QueueParameters(1.0, bc.deterministic(0.5)))
     assert got == pytest.approx(3.78784238621796, rel=1e-10)
 
 
 def test_z_second_moment_alt_is_distinct():
     params = bc.QueueParameters(2.0, bc.exponential(0.5))
-    normative = bc.z_second_moment(params)
+    normative = bc.beta_c(params).z_second_moment
     alt = _z_second_moment_alt(params)
     assert normative == pytest.approx(3.15035564922232, rel=1e-10)
     assert alt == pytest.approx(2.01809198995672, rel=1e-10)

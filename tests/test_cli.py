@@ -1,6 +1,7 @@
 """CLI surface: golden output, exit codes, config files, determinism."""
 
 import contextlib
+import importlib
 import io
 import json
 import re
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import busycycle.cli
 from busycycle.cli import main
 
 EXP_HALF = '{"type":"exponential","mean":0.5}'
@@ -110,6 +112,8 @@ def test_usage_errors_exit_2(capsys):
          '{"type":"exponential","mean":1e300}'],
         ["metrics", "--lambda", "1", "--dist", '{"type":"special_a","rho":800}'],
         ["metrics", "--lambda", "1", "--dist", '{"type":"exponential","mean":true}'],
+        # a key the type does not read
+        ["metrics", "--lambda", "2", "--dist", '{"type":"power","c":2,"mean":5}'],
     ):
         with pytest.raises(SystemExit) as exc:
             run_cli(capsys, *argv)
@@ -242,8 +246,19 @@ def test_simulate_high_rho_warns_and_caps(capsys):
     )
     assert code == 0
     assert "warning" in err
+    assert "defaulting to 10000 cycles" in err
     cycles_line = [ln for ln in out.splitlines() if ln.startswith("cycles")][0]
     assert cycles_line.split()[-1] == "10000"
+
+
+def test_simulate_cycles_zero_is_refused_without_claiming_the_default(capsys):
+    # an explicit --cycles is never replaced by the high-rho default
+    code, out, err = run_cli(capsys, "simulate", "--lambda", "1", "--dist",
+                             '{"type":"exponential","mean":5}', "--cycles", "0")
+    assert (code, out) == (2, "")
+    assert "warning" in err
+    assert "defaulting" not in err
+    assert err.splitlines()[-1].startswith("error: ")
 
 
 def test_simulate_refuses_runaway_work(capsys):
@@ -551,3 +566,23 @@ def test_fuzzed_options_moved_to_a_config_file_print_the_same(argv, move):
         path.write_text(json.dumps(cfg))
         via_config = run_captured([command, "--config", str(path), *kept])
     assert via_config[:2] == run_captured(argv)[:2], (argv, cfg)
+
+
+def test_benchmark_traced_entry_points_exist(monkeypatch, capsys):
+    # the benchmark's tracer wraps these names from outside the package, so
+    # a deleted or renamed one must fail here rather than in a benchmark run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    spans = importlib.import_module("spans")
+    tracer = spans.Tracer()
+    for mod, attr, _make in spans._wrappers(tracer):
+        assert callable(getattr(mod, attr, None)), f"{mod.__name__}.{attr}"
+    tracer.install()
+    try:
+        code = busycycle.cli.main(["metrics", "--lambda", "2", "--dist", EXP_HALF])
+    finally:
+        tracer.restore()
+    assert code == 0
+    assert tracer.verify_restored() == []
+    assert {"cli", "analytics.beta_c", "analytics.series"} <= {
+        span[1] for span in tracer.spans}
+    assert busycycle.cli.main is main

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -71,11 +72,9 @@ def test_integrated_tail_shape_and_limit(label, factory):
 def test_integrated_tail_matches_numeric_integration(label, factory):
     dist = factory()
     end = dist.support_end if math.isfinite(dist.support_end) else 10.0 * max(dist.mean, 1.0)
-    kink = [loc for loc, _ in dist.atoms]
     for t in np.linspace(0.05 * end, end, 7):
         ref, _ = integrate.quad(
-            lambda v: 1.0 - float(dist.cdf(v)), 0.0, t,
-            points=[p for p in kink if p < t] or None, limit=200,
+            lambda v: 1.0 - float(dist.cdf(v)), 0.0, t, limit=200,
         )
         assert bc.integrated_tail(dist, float(t)) == pytest.approx(ref, abs=1e-9)
 
@@ -120,11 +119,11 @@ def test_special_members_mean_is_rho_over_lambda():
 
 
 def test_scv_examples():
-    assert bc.scv(bc.exponential(0.7)) == pytest.approx(1.0, rel=1e-12)
-    assert bc.scv(bc.deterministic(3.0)) == pytest.approx(0.0, abs=1e-15)
-    assert bc.scv(bc.power_function(1.0)) == pytest.approx(1.0 / 3.0, rel=1e-12)
+    assert bc.exponential(0.7).scv == pytest.approx(1.0, rel=1e-12)
+    assert bc.deterministic(3.0).scv == pytest.approx(0.0, abs=1e-15)
+    assert bc.power_function(1.0).scv == pytest.approx(1.0 / 3.0, rel=1e-12)
     # general power: 1/(c(c+2))
-    assert bc.scv(bc.power_function(2.0)) == pytest.approx(1.0 / 8.0, rel=1e-12)
+    assert bc.power_function(2.0).scv == pytest.approx(1.0 / 8.0, rel=1e-12)
 
 
 def test_scv_consistency_invariant():
@@ -191,7 +190,7 @@ def test_moments_outside_the_float_range_are_domain_errors():
         with pytest.raises(DomainError):
             make(*args)
     with pytest.raises(DomainError):
-        bc.scv(bc.power_function(1e-300))  # mean^2 underflows
+        bc.power_function(1e-300).scv  # mean^2 underflows
 
 
 @pytest.mark.parametrize("make", [
@@ -208,7 +207,7 @@ def test_special_second_moments_against_numeric(make):
 
 def test_sampling_examples():
     rng = np.random.default_rng(1)
-    assert bc.sample(bc.deterministic(2.0), rng) == 2.0
+    assert bc.deterministic(2.0).quantile_fn(rng.random()) == 2.0
     assert float(bc.exponential(1.0).quantile_fn(0.5)) == pytest.approx(
         0.6931471805599453, rel=1e-15
     )
@@ -305,7 +304,7 @@ def test_zero_mean_service_is_the_idle_only_limit():
     assert float(zero.cdf(0.0)) == 1.0
     assert bc.integrated_tail(zero, 5.0) == 0.0
     with pytest.raises(UnsupportedMomentError):
-        bc.scv(zero)
+        zero.scv
 
 
 def test_scale_properties():
@@ -324,6 +323,16 @@ def test_scale_properties():
     assert a.mean == pytest.approx(1.0, rel=1e-15)
     assert bc.scale(bc.exponential(1.0), 2.0).spec == {"type": "exponential", "mean": 2.0}
     assert bc.exponential(1.0).class_tags == bc.scale(bc.exponential(1.0), 5.0).class_tags
+    # the other two catalog laws stay catalog laws, with their closed forms
+    for dist, k, spec, lam, mean in (
+        (bc.deterministic(0.5), 4.0, {"type": "deterministic", "mean": 2.0}, None, 2.0),
+        (bc.special_b(2.0, 1.0), 2.0, {"type": "special_b", "rho": 1.0}, 1.0, 1.0),
+    ):
+        s = bc.scale(dist, k)
+        assert s.spec == spec
+        assert s.embedded_arrival_rate == lam
+        assert s.mean == pytest.approx(mean, rel=1e-15)
+        assert bc.beta_c(bc.QueueParameters(lam or 1.0, s)).method != "quadrature"
 
 
 def test_from_spec_round_trip():
@@ -358,6 +367,16 @@ def test_from_spec_round_trip():
             bc.from_spec(spec, arrival_rate=1.0)
     with pytest.raises(ValueError):
         bc.from_spec({"type": "deterministic", "mean": "abc"})
+    # a key the type does not read is refused, and named
+    for spec, key in (({"type": "power", "c": 2, "mean": 5}, "mean"),
+                      ({"type": "uniform01", "c": 1.0}, "c"),
+                      ({"type": "exponential", "mean": 1.0, "rho": 2.0}, "rho"),
+                      ({"type": "special_b", "rho": 0.5, "lam": 2.0}, "lam"),
+                      ({"type": "deterministic", "mean": 1.0, 3: 4}, 3)):
+        with pytest.raises(DomainError, match=re.escape(f"does not read {key!r}")):
+            bc.from_spec(spec, arrival_rate=1.0)
+    with pytest.raises(DomainError):
+        bc.from_spec({"type": ["power"], "c": 2.0})  # an unhashable type
 
 
 def test_user_supplied_distribution_contract():
@@ -373,7 +392,7 @@ def test_user_supplied_distribution_contract():
     u = 0.7
     assert float(dist.cdf(float(dist.quantile_fn(u)))) == pytest.approx(u, rel=1e-9)
     with pytest.raises(UnsupportedMomentError):
-        bc.scv(dist)
+        dist.scv
     with pytest.raises(DomainError):
         bc.make_distribution(cdf=lambda t: t, mean=1.0, class_tags={"SHINY"})
 

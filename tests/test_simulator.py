@@ -8,7 +8,7 @@ from numpy.random import Generator, Philox
 
 import busycycle as bc
 from busycycle.errors import DomainError
-from busycycle.simulator import _rng_for
+from busycycle.simulator import _rng_for, _simulate_batch
 
 
 def _params_exp():
@@ -16,19 +16,22 @@ def _params_exp():
 
 
 def test_single_cycle_is_reproducible_and_pinned():
-    # value pinned after the first implementation run; Philox key (42, 0)
+    # value pinned after the first implementation run; Philox key (42, 0).
+    # A batch of one draws idle, first service, then gap and service
+    # uniforms in turn, the order a single cycle is drawn in.
     rng = Generator(Philox(key=np.array([42, 0], dtype=np.uint64)))
-    idle, busy = bc.simulate_one_cycle(_params_exp(), rng)
+    (idle,), (busy,) = _simulate_batch(_params_exp(), 1, rng)
     assert idle == pytest.approx(1.715899855890263, rel=1e-15)
     assert busy == pytest.approx(0.20979013644443417, rel=1e-15)
     rng2 = Generator(Philox(key=np.array([42, 0], dtype=np.uint64)))
-    assert bc.simulate_one_cycle(_params_exp(), rng2) == (idle, busy)
+    (idle2,), (busy2,) = _simulate_batch(_params_exp(), 1, rng2)
+    assert (idle2, busy2) == (idle, busy)
 
 
 def test_single_cycle_zero_service():
     params = bc.QueueParameters(2.0, bc.deterministic(0.0))
     rng = _rng_for(5, 0)
-    idle, busy = bc.simulate_one_cycle(params, rng)
+    (idle,), (busy,) = _simulate_batch(params, 1, rng)
     assert busy == 0.0
     assert idle > 0.0
 
@@ -38,7 +41,7 @@ def test_single_customer_busy_period_equals_service():
     # almost surely, so the busy period is exactly one service long
     params = bc.QueueParameters(0.001, bc.deterministic(2.0))
     for rep in range(5):
-        idle, busy = bc.simulate_one_cycle(params, _rng_for(100 + rep, 0))
+        (idle,), (busy,) = _simulate_batch(params, 1, _rng_for(100 + rep, 0))
         assert busy == 2.0
 
 
@@ -102,7 +105,6 @@ def test_oracle_agreement_spot():
 
 def test_busy_and_idle_means_match_theory():
     params = bc.QueueParameters(1.0, bc.exponential(1.0))
-    from busycycle.simulator import _rng_for, _simulate_batch
     idle, busy = _simulate_batch(params, 200_000, _rng_for(31, 0))
     n = 200_000
     busy_mean = busy.sum() / n
@@ -161,7 +163,7 @@ def test_replications_pool_by_ratio_of_sums():
 def test_simulated_second_moment_matches_product_form():
     # E[Z^2] = 2 E[Z] beta_c for the constant-service member (frozen 3.7878424)
     params = bc.QueueParameters(1.0, bc.deterministic(0.5))
-    analytic = bc.z_second_moment(params)
+    analytic = bc.beta_c(params).z_second_moment
     assert analytic == pytest.approx(3.78784238621796, rel=1e-10)
     from busycycle.simulator import _accumulate
     n = 400_000
