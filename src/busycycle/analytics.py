@@ -59,7 +59,7 @@ class BusyCycleMetrics:
     beta: float
     beta_c: float
     z_second_moment: float
-    method: str            # closed-form | series | quadrature | simulation
+    method: str            # closed-form | series | quadrature
     error_estimate: float
 
 
@@ -281,6 +281,10 @@ def beta_closed_form(params: QueueParameters,
         s = exp_series(rho, tol)
         beta = params.service.mean * s
         return beta, "series", beta * max(tol, 4e-16)
+    if kind in ("power", "uniform01"):
+        c = params.service.spec.get("c", 1.0)
+        beta, err = _power_beta_series(lam, c, tol)
+        return beta, "series", err
     if kind == "deterministic":
         if rho < 1.0:  # (rho^2/2)(1 + rho/3 (1 + rho/4 (...))), no cancellation
             s = 1.0
@@ -289,31 +293,16 @@ def beta_closed_form(params: QueueParameters,
             beta = 0.5 * rho * rho * s / lam
         else:
             beta = (math.expm1(rho) - rho) / lam
-        return beta, "closed-form", 4e-16 * beta
-    if kind == "special_a":
+    elif kind == "special_a":
         beta = math.expm1(rho) / lam
-        return beta, "closed-form", 4e-16 * beta
-    if kind == "special_b":
+    elif kind == "special_b":
         # e^rho + e^-rho - 2 = 4 sinh^2(rho/2), exact at small rho
         beta = 4.0 * math.sinh(0.5 * rho) ** 2 / lam
-        return beta, "closed-form", 4e-16 * beta
-    if kind in ("power", "uniform01"):
-        c = params.service.spec.get("c", 1.0)
-        beta, err = _power_beta_series(lam, c, tol)
-        return beta, "series", err
-    raise UnsupportedClosedFormError(
-        f"no closed form for {params.service.name}"
-    )
-
-
-def _has_closed_form(params: QueueParameters) -> bool:
-    kind = params.service.spec.get("type")
-    if kind in ("exponential", "deterministic", "special_a", "special_b"):
-        return True
-    if kind in ("power", "uniform01"):
-        c = params.service.spec.get("c", 1.0)
-        return c == 1.0 or params.traffic_intensity <= _POWER_SERIES_RHO_LIMIT
-    return False
+    else:
+        raise UnsupportedClosedFormError(
+            f"no closed form for {params.service.name}"
+        )
+    return beta, "closed-form", 4e-16 * beta
 
 
 def beta_c(params: QueueParameters, strategy: str = "auto",
@@ -332,21 +321,20 @@ def beta_c(params: QueueParameters, strategy: str = "auto",
     if rho == 0.0:
         # idle-only queue: Z is exponential(lam)
         beta, method, err = 0.0, "closed-form", 0.0
-    elif strategy == "quadrature":
-        beta, err = beta_quadrature(params, quad_tol)
-        method = "quadrature"
     elif strategy == "closed-form":
         beta, method, err = beta_closed_form(params, series_tol)
     else:
-        if _has_closed_form(params):
+        method = "quadrature"
+        # auto sends the general-c power law past the rho its alternating
+        # series supports straight to quadrature
+        if strategy == "auto" and not (params.service.spec.get("type") == "power"
+                                       and rho > _POWER_SERIES_RHO_LIMIT):
             try:
                 beta, method, err = beta_closed_form(params, series_tol)
-            except AccuracyError:
-                beta, err = beta_quadrature(params, quad_tol)
-                method = "quadrature"
-        else:
+            except (AccuracyError, UnsupportedClosedFormError):
+                pass
+        if method == "quadrature":
             beta, err = beta_quadrature(params, quad_tol)
-            method = "quadrature"
 
     e_z = mean_cycle(params)
     bc = beta + 1.0 / lam

@@ -16,15 +16,16 @@ attained by constant service.
 
 Class bounds sharpen the floor when the service law is known to satisfy a
 reliability property.  They share one construction: if the residual tail
-dominates q * alpha * e^(-theta t), then
+dominates q * alpha * e^(-theta t), then beta_c is at least E[Z] - alpha
+plus the first two defect terms of the dominating law,
 
-    beta_c >= E[Z] - alpha + (first two defect terms of the dominating law),
+    E[Z] - alpha + (rho/2)(2 q s - alpha) + (rho^2/12)(3 q^2 s - 2 alpha),
 
-which evaluates to E[Z] - alpha + (alpha rho / 2)(2q - 1 + rho(3q^2 - 2)/6)
-for theta = 1/alpha.  The M/NWUE case has q = 1; the DFR case has
-q = e^((1 - scv)/2); the IMRL case uses theta = 2 alpha / mu2 and
-q = e^(1 - 2 alpha mu3 / (3 mu2^2)).  Exponential moments collapse DFR and
-IMRL back onto the M/NWUE formula, which fixes the coefficient readings.
+with s = 1/theta (``_two_term_floor``).  The M/NWUE case has q = 1 and
+theta = 1/alpha; the DFR case has q = e^((1 - scv)/2) and theta = 1/alpha;
+the IMRL case uses theta = 2 alpha / mu2 and q = e^(1 - 2 alpha mu3 /
+(3 mu2^2)).  Exponential moments collapse DFR and IMRL back onto the M/NWUE
+formula, which fixes the coefficient readings.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def sathe_interval(arrival_rate: float, mean_service: float, scv: float):
     alpha = float(mean_service)
     if not (lam > 0.0) or not (alpha > 0.0):
         raise DomainError("arrival_rate and mean_service must be positive")
-    if scv < 0.0:
+    if not (scv >= 0.0):  # nan fails too
         raise DomainError(f"scv must be >= 0, got {scv}")
     rho = lam * alpha
     e_z = math.exp(rho) / lam
@@ -97,7 +98,7 @@ def proposition1(rho: float, scv: float) -> Comparison:
     """
     if not (rho > 0.0):
         raise DomainError(f"rho must be positive, got {rho}")
-    if scv < 0.0:
+    if not (scv >= 0.0):  # nan fails too
         raise DomainError(f"scv must be >= 0, got {scv}")
     if scv * (math.expm1(rho) - rho) <= rho:  # exact as e^rho - 1 - rho -> 0
         return Comparison.BELOW_EZ
@@ -114,14 +115,17 @@ def _finite(bound: float, rho: float, lam: float) -> float:
     return bound
 
 
-def _two_term_floor(e_z: float, alpha: float, rho: float, q: float) -> float:
-    """E[Z] - alpha + (alpha rho/2)(2q - 1 + rho (3q^2 - 2)/6)."""
-    return e_z - alpha + (alpha * rho / 2.0) * (
-        2.0 * q - 1.0 + rho * (3.0 * q * q - 2.0) / 6.0
-    )
+def _two_term_floor(e_z: float, alpha: float, rho: float, q: float,
+                    s: float) -> float:
+    """E[Z] - alpha + (rho/2)(2 q s - alpha) + (rho^2/12)(3 q^2 s - 2 alpha),
+    the floor when r(t) dominates q alpha e^(-t/s)."""
+    return (e_z - alpha + (rho / 2.0) * (2.0 * q * s - alpha)
+            + (rho * rho / 12.0) * (3.0 * q * q * s - 2.0 * alpha))
 
 
 def _normalize(kind: str) -> str:
+    if not isinstance(kind, str):
+        raise DomainError(f"bound class must be a name, got {kind!r}")
     return kind.strip().lower().replace("/", "-").replace("(c)", "").rstrip("()")
 
 
@@ -167,12 +171,12 @@ def _class_lower(kind: str, params: QueueParameters, assume_tags) -> float:
 
     if kind == "m-nwue":
         _check_tag(params, NWUE, assume_tags)
-        return _two_term_floor(e_z, alpha, rho, 1.0)
+        return _two_term_floor(e_z, alpha, rho, 1.0, alpha)
     if kind == "dfr":
         _check_tag(params, DFR, assume_tags)
         s = params.service.scv  # raises UnsupportedMomentError when absent
         q = math.exp((1.0 - s) / 2.0)
-        return _two_term_floor(e_z, alpha, rho, q)
+        return _two_term_floor(e_z, alpha, rho, q, alpha)
     if kind == "imrl":
         _check_tag(params, IMRL, assume_tags)
         mu2 = params.service.moment2
@@ -186,12 +190,7 @@ def _class_lower(kind: str, params: QueueParameters, assume_tags) -> float:
                 f"{params.service.name}: mu2^2 leaves the float range"
             )
         q = math.exp(1.0 - 2.0 * alpha * mu3 / (3.0 * mu2 * mu2))
-        # same two-term construction with decay rate 2 alpha / mu2:
-        # E[Z] - alpha + (lam/4)(2 mu2 q - 2 alpha^2 + rho (3 mu2 q^2 - 4 alpha^2)/6)
-        return e_z - alpha + (lam / 4.0) * (
-            2.0 * mu2 * q - 2.0 * alpha * alpha
-            + rho * (3.0 * mu2 * q * q - 4.0 * alpha * alpha) / 6.0
-        )
+        return _two_term_floor(e_z, alpha, rho, q, mu2 / (2.0 * alpha))
     if kind in ("power", "uniform01"):
         c = _power_c(params, kind)
         return e_z + (rho - 2.0 * c * (c + 2.0)) / (2.0 * (c + 1.0) * (c + 2.0))

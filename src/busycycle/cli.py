@@ -163,7 +163,7 @@ def _queue_from(args: argparse.Namespace, parser) -> QueueParameters:
             parser.error("deterministic mean 0 is rejected; use `metrics --rho 0` "
                          "for the idle-only limit")
         return QueueParameters(args.lam, law)
-    except (DomainError, ValueError) as exc:
+    except DomainError as exc:
         parser.error(str(exc))
 
 

@@ -197,8 +197,8 @@ def exponential(mean: float) -> ServiceDistribution:
 def deterministic(mean: float) -> ServiceDistribution:
     """Unit mass at ``mean``.  mean == 0 gives the idle-only limit in which
     every service takes no time (rho = 0)."""
-    if mean < 0.0:
-        raise DomainError(f"deterministic mean must be >= 0, got {mean}")
+    if not (0.0 <= mean < math.inf):
+        raise DomainError(f"deterministic mean must be >= 0 and finite, got {mean}")
     a = float(mean)
 
     def cdf(t):
@@ -233,46 +233,7 @@ def special_a(arrival_rate: float, rho: float) -> ServiceDistribution:
     cycle is exponentially distributed, which makes the cycle age/excess
     mean equal to the mean cycle length.
     """
-    lam = float(arrival_rate)
-    rho = float(rho)
-    if not (lam > 0.0):
-        raise DomainError(f"arrival_rate must be positive, got {lam}")
-    if not (rho > 0.0):
-        raise DomainError(f"rho must be positive, got {rho}")
-    _check_rho(rho)
-    em = math.exp(-rho)          # atom mass at zero
-    grow = math.expm1(rho)       # e^rho - 1
-
-    def cdf(t):
-        t = np.asarray(t, dtype=float)
-        tt = np.maximum(t, 0.0)
-        val = em / (em + (1.0 - em) * np.exp(-lam * tt))
-        return np.where(t < 0.0, 0.0, val)
-
-    def rtail(t):
-        t = np.asarray(t, dtype=float)
-        return np.log1p(grow * np.exp(-lam * t)) / lam
-
-    def quantile(u):
-        u = np.asarray(u, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.log((1.0 - em) * u / (em * (1.0 - u))) / lam
-        return np.where(u <= em, 0.0, t)
-
-    # E[S^2] = -2 Li2(1 - e^rho) / lam^2, the dilogarithm by its power series
-    mu2 = -2.0 * _li2_one_minus_exp(rho) / _power(lam, 2, "arrival_rate")
-
-    return ServiceDistribution(
-        name=f"special_a(lam={lam:g}, rho={rho:g})",
-        mean=rho / lam,
-        moment2=mu2,
-        moment3=None,
-        cdf=cdf,
-        residual_tail_fn=rtail,
-        quantile_fn=quantile,
-        embedded_arrival_rate=lam,
-        spec={"type": "special_a", "rho": rho},
-    )
+    return _logistic("special_a", arrival_rate, rho)
 
 
 def special_b(arrival_rate: float, rho: float) -> ServiceDistribution:
@@ -283,6 +244,14 @@ def special_b(arrival_rate: float, rho: float) -> ServiceDistribution:
     with mean (e^rho - 1)/lam, which pins the cycle age/excess mean at
     (e^rho + e^-rho - 1)/lam.
     """
+    return _logistic("special_b", arrival_rate, rho)
+
+
+def _logistic(kind: str, arrival_rate: float, rho: float) -> ServiceDistribution:
+    """The two logistic-form members.  Both have mean rho/lam and the
+    residual tail r(t) = log1p((e^rho - 1) e^(-k t)) / lam, with k = lam
+    for special_a and k = lam / (1 - e^-rho) for special_b; only the cdf,
+    the quantile and the E[S^2] factor differ."""
     lam = float(arrival_rate)
     rho = float(rho)
     if not (lam > 0.0):
@@ -290,15 +259,16 @@ def special_b(arrival_rate: float, rho: float) -> ServiceDistribution:
     if not (rho > 0.0):
         raise DomainError(f"rho must be positive, got {rho}")
     _check_rho(rho)
+    atom = kind == "special_a"   # special_a has mass em at zero
     em = math.exp(-rho)
-    grow = math.expm1(rho)
-    k = lam / -math.expm1(-rho)
+    grow = math.expm1(rho)       # e^rho - 1
+    k = lam if atom else lam / -math.expm1(-rho)
 
     def cdf(t):
         t = np.asarray(t, dtype=float)
-        tt = np.maximum(t, 0.0)
-        tail = np.exp(-k * tt) / (em + (1.0 - em) * np.exp(-k * tt))
-        return np.where(t < 0.0, 0.0, 1.0 - tail)
+        decay = np.exp(-k * np.maximum(t, 0.0))
+        d = em + (1.0 - em) * decay
+        return np.where(t < 0.0, 0.0, em / d if atom else 1.0 - decay / d)
 
     def rtail(t):
         t = np.asarray(t, dtype=float)
@@ -307,15 +277,20 @@ def special_b(arrival_rate: float, rho: float) -> ServiceDistribution:
     def quantile(u):
         u = np.asarray(u, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            t = np.log1p(math.exp(rho) * u / (1.0 - u)) / k
-        return np.where(u <= 0.0, 0.0, t)
+            if atom:
+                t = np.log((1.0 - em) * u / (em * (1.0 - u))) / lam
+            else:
+                t = np.log1p(math.exp(rho) * u / (1.0 - u)) / k
+        return np.where(u <= (em if atom else 0.0), 0.0, t)
 
-    # E[S^2] = -2 (1 - e^-rho) Li2(1 - e^rho) / lam^2, as for special_a
-    mu2 = (2.0 * math.expm1(-rho) * _li2_one_minus_exp(rho)
-           / _power(lam, 2, "arrival_rate"))
+    # E[S^2] = -2 Li2(1 - e^rho) / lam^2 for special_a, times (1 - e^-rho)
+    # for special_b; the dilogarithm by its power series
+    li2 = _li2_one_minus_exp(rho)
+    lam2 = _power(lam, 2, "arrival_rate")
+    mu2 = -2.0 * li2 / lam2 if atom else 2.0 * math.expm1(-rho) * li2 / lam2
 
     return ServiceDistribution(
-        name=f"special_b(lam={lam:g}, rho={rho:g})",
+        name=f"{kind}(lam={lam:g}, rho={rho:g})",
         mean=rho / lam,
         moment2=mu2,
         moment3=None,
@@ -323,15 +298,15 @@ def special_b(arrival_rate: float, rho: float) -> ServiceDistribution:
         residual_tail_fn=rtail,
         quantile_fn=quantile,
         embedded_arrival_rate=lam,
-        spec={"type": "special_b", "rho": rho},
+        spec={"type": kind, "rho": rho},
     )
 
 
 def power_function(c: float) -> ServiceDistribution:
     """Power-function service on [0, 1]: G(t) = t^c, mean c/(c+1)."""
     c = float(c)
-    if not (c > 0.0):
-        raise DomainError(f"power parameter c must be positive, got {c}")
+    if not (0.0 < c < math.inf):
+        raise DomainError(f"power parameter c must be positive and finite, got {c}")
     a = c / (c + 1.0)
 
     def cdf(t):
@@ -380,10 +355,10 @@ def scale(dist: ServiceDistribution, factor: float) -> ServiceDistribution:
     if not (factor > 0.0):
         raise DomainError(f"scale factor must be positive, got {factor}")
     k = float(factor)
-    kind = dist.spec.get("type")
-    if kind in ("exponential", "deterministic"):
+    key = _CATALOG.get(dist.spec.get("type"), (None, None))[1]
+    if key == "mean":
         return from_spec({**dist.spec, "mean": dist.mean * k})
-    if kind in ("special_a", "special_b"):
+    if key == "rho":
         return from_spec(dist.spec, dist.embedded_arrival_rate / k)
 
     base = dist
@@ -551,10 +526,12 @@ def _tail_table(G, mean: float, support_end: float, name: str):
 # textual distribution format (shared with the CLI / config files)
 # ---------------------------------------------------------------------------
 
-# the keys each catalog type reads besides "type"
-_SPEC_KEYS = {"exponential": ("mean",), "deterministic": ("mean",),
-              "special_a": ("rho",), "special_b": ("rho",), "power": ("c",),
-              "uniform01": ()}
+# each catalog type: its constructor and the one key it reads besides
+# "type", or None; a "rho" member also takes the queue's arrival rate
+_CATALOG = {"exponential": (exponential, "mean"),
+            "deterministic": (deterministic, "mean"),
+            "special_a": (special_a, "rho"), "special_b": (special_b, "rho"),
+            "power": (power_function, "c"), "uniform01": (uniform01, None)}
 
 
 def from_spec(spec: dict, arrival_rate: Optional[float] = None) -> ServiceDistribution:
@@ -569,25 +546,22 @@ def from_spec(spec: dict, arrival_rate: Optional[float] = None) -> ServiceDistri
     if not isinstance(spec, dict) or "type" not in spec:
         raise DomainError(f"distribution spec must be a dict with a 'type': {spec!r}")
     kind = spec["type"]
-    reads = _SPEC_KEYS.get(kind) if isinstance(kind, str) else None
-    if reads is None:
+    entry = _CATALOG.get(kind) if isinstance(kind, str) else None
+    if entry is None:
         raise DomainError(f"unknown distribution type {kind!r}")
-    for key in spec:
-        if key != "type" and key not in reads:
+    build, key = entry
+    for other in spec:
+        if other != "type" and (other != key or key is None):
             raise DomainError(f"distribution spec {spec!r}: type {kind!r} "
-                              f"does not read {key!r}")
-    if kind == "uniform01":
-        return uniform01()
-    value = _req(spec, reads[0])
-    if kind == "exponential":
-        return exponential(value)
-    if kind == "deterministic":
-        return deterministic(value)
-    if kind == "power":
-        return power_function(value)
+                              f"does not read {other!r}")
+    if key is None:
+        return build()
+    value = _req(spec, key)
+    if key != "rho":
+        return build(value)
     if arrival_rate is None:
         raise DomainError(f"{kind} needs the queue arrival rate")
-    return (special_a if kind == "special_a" else special_b)(arrival_rate, value)
+    return build(arrival_rate, value)
 
 
 def _req(spec: dict, key: str) -> float:
@@ -597,9 +571,11 @@ def _req(spec: dict, key: str) -> float:
         raise DomainError(f"distribution spec {spec!r} has a non-numeric {key!r}")
     try:
         value = float(spec[key])
-    except TypeError:
+    except (TypeError, ValueError):
         raise DomainError(
             f"distribution spec {spec!r} has a non-numeric {key!r}") from None
+    except OverflowError:  # an int too large for a float
+        value = math.inf
     if not math.isfinite(value):
         raise DomainError(f"distribution spec {spec!r} has a non-finite {key!r}")
     return value
@@ -617,7 +593,7 @@ def integrated_tail(dist: ServiceDistribution, t):
 def residual_tail(dist: ServiceDistribution, t):
     """mean - I(t) = int_t^inf [1 - G(v)] dv, computed without cancellation."""
     arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0.0):
+    if not np.all(arr >= 0.0):  # nan fails too
         raise DomainError(f"residual tail needs t >= 0, got {t}")
     out = dist.residual_tail_fn(arr)
     return float(out) if arr.shape == () else out

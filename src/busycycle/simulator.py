@@ -64,6 +64,13 @@ class SimulationEstimate:
     per_replication: tuple  # per-replication beta_c_hat values
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int, or DomainError for a bool or a non-integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _rng_for(seed: int, replication: int) -> Generator:
     """Counter-based stream: replication r of seed s uses Philox key (s, r)."""
     if not (0 <= seed < 2**64):
@@ -126,15 +133,24 @@ def estimate_beta_c(params: QueueParameters, n_cycles: int, seed: int,
 
     ``n_cycles`` cycles are generated per replication; replications use
     independently keyed streams and their sums are pooled in replication
-    order before the single ratio is formed.  DomainError is raised before
-    any draw when the expected number of arrivals exceeds ``EVENT_CAP``.
+    order before the single ratio is formed.  ``n_cycles``, ``seed`` and
+    ``replications`` must be integers.  DomainError is raised before any
+    draw when the expected number of arrivals exceeds ``EVENT_CAP``.
     """
+    n_cycles = _integer(n_cycles, "n_cycles")
+    seed = _integer(seed, "seed")
+    replications = _integer(replications, "replications")
     if n_cycles < 1000:
         raise DomainError(f"n_cycles must be >= 1000, got {n_cycles}")
     if replications < 1:
         raise DomainError(f"replications must be >= 1, got {replications}")
-    # a busy period serves e^rho customers on average
-    events = n_cycles * replications * math.exp(params.traffic_intensity)
+    # a busy period serves e^rho customers on average; the integer count of
+    # cycles is capped first, as it may be too large for a float
+    n = n_cycles * replications
+    if n > EVENT_CAP:
+        raise DomainError(f"n_cycles * replications exceeds the cap of "
+                          f"{EVENT_CAP:.0e} arrivals")
+    events = n * math.exp(params.traffic_intensity)
     if events > EVENT_CAP:
         raise DomainError(f"about {events:.3g} arrivals expected "
                           f"(n_cycles * replications * e^rho) exceed the cap "
@@ -147,7 +163,6 @@ def estimate_beta_c(params: QueueParameters, n_cycles: int, seed: int,
         per_rep.append(float(s[1] / (2.0 * s[0])))
         total += s
 
-    n = n_cycles * replications
     m1 = float(total[0]) / n
     m2 = float(total[1]) / n
     m3 = float(total[2]) / n
@@ -190,6 +205,11 @@ def time_average_age(cycles) -> float:
     z = np.asarray(cycles, dtype=float)
     if z.size == 0:
         raise DomainError("need at least one cycle length")
-    if np.any(z < 0.0):
+    if not np.all(z >= 0.0):  # nan fails too
         raise DomainError("cycle lengths must be nonnegative")
-    return float((z * z).sum() / (2.0 * z.sum()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float((z * z).sum() / (2.0 * z.sum()))
+    if not math.isfinite(value):  # all zero, infinite, or Z^2 overflows
+        raise DomainError("cycle lengths must be finite and not all zero, "
+                          "and their squares must sum to a float")
+    return value

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 import busycycle as bc
@@ -171,6 +172,30 @@ def test_imrl_reduction_to_exponential():
         imrl = bc.class_lower_bound("IMRL", p)
         nwue = bc.class_lower_bound("M/NWUE", p)
         assert imrl == pytest.approx(nwue, rel=1e-12)
+
+
+@pytest.mark.parametrize("lam,floor,beta_c", [
+    (0.5, 2.19905198, 2.393), (1.0, 1.41266301, 1.828),
+    (2.0, 1.39478219, 2.347), (4.0, 2.44957776, 5.023),
+])
+def test_imrl_floor_with_q_below_one(lam, floor, beta_c):
+    # Weibull(1/2), scale 1/4: mean 1/2, mu2 = 1.5, mu3 = 11.25, and
+    # q = e^(1 - 2 alpha mu3 / (3 mu2^2)) = e^(-2/3), unlike the exponential
+    alpha, mu2, mu3 = 0.5, 1.5, 11.25
+    weibull = bc.make_distribution(
+        lambda t: -np.expm1(-np.sqrt(np.maximum(t, 0.0) / 0.25)), mean=alpha,
+        moment2=mu2, moment3=mu3, class_tags={"DFR", "IMRL", "NWUE"})
+    p = bc.QueueParameters(lam, weibull)
+    rho = lam * alpha
+    q = math.exp(1.0 - 2.0 * alpha * mu3 / (3.0 * mu2 * mu2))
+    expected = math.exp(rho) / lam - alpha + (lam / 4.0) * (
+        2.0 * mu2 * q - 2.0 * alpha**2 + rho * (3.0 * mu2 * q * q - 4.0 * alpha**2) / 6.0)
+    value = bc.class_lower_bound("imrl", p)
+    assert value == pytest.approx(expected, rel=1e-14)
+    assert value == pytest.approx(floor, rel=1e-8)
+    computed = bc.beta_c(p).beta_c
+    assert computed == pytest.approx(beta_c, rel=1e-3)
+    assert value < computed
 
 
 def test_power_bounds_equal_sathe_at_power_scv():

@@ -114,6 +114,9 @@ def test_usage_errors_exit_2(capsys):
         ["metrics", "--lambda", "1", "--dist", '{"type":"exponential","mean":true}'],
         # a key the type does not read
         ["metrics", "--lambda", "2", "--dist", '{"type":"power","c":2,"mean":5}'],
+        # an integer too large for a float
+        ["metrics", "--lambda", "1", "--dist",
+         '{"type":"exponential","mean":1%s}' % ("0" * 400)],
     ):
         with pytest.raises(SystemExit) as exc:
             run_cli(capsys, *argv)
@@ -144,6 +147,10 @@ def test_usage_errors_exit_2(capsys):
          "--cycles", "1000"],
         ["simulate", "--lambda", "1e200", "--dist",
          '{"type":"deterministic","mean":1e-200}', "--cycles", "1000"],
+        # cycle counts too large for a float
+        *([command, "--lambda", "1", "--dist", '{"type":"exponential","mean":0.5}',
+           flag, "1" + "0" * 400]
+          for command in ("simulate", "compare") for flag in ("--cycles", "--reps")),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv

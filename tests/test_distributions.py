@@ -5,6 +5,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -159,6 +160,24 @@ def test_special_second_moments_against_dilogarithm(rho, li2):
                                       rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("lam", [0.3, 1.0, 7.0])
+@pytest.mark.parametrize("rho", [1e-6, 0.01, 0.5, 3.0, 40.0])
+def test_special_a_is_special_b_with_an_atom_at_zero(lam, rho):
+    # special_a(lam, rho) is special_b(lam (1 - e^-rho), rho) given mass
+    # 1 - e^-rho, plus an atom e^-rho at 0: r and E[S^2] scale by 1 - e^-rho
+    # and q_a(u) = q_b((u - e^-rho) / (1 - e^-rho)) for u > e^-rho
+    em, f = math.exp(-rho), -math.expm1(-rho)
+    a, b = bc.special_a(lam, rho), bc.special_b(lam * f, rho)
+    t = a.mean * np.array([0.0, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0])
+    assert a.residual_tail_fn(t) == pytest.approx(f * b.residual_tail_fn(t),
+                                                  rel=1e-12, abs=0.0)
+    assert a.moment2 == pytest.approx(f * b.moment2, rel=1e-12, abs=0.0)
+    if rho >= 0.01:  # below, rounding e^-rho moves u - e^-rho by ~1e-11 relative
+        u = em + f * np.array([0.001, 0.1, 0.5, 0.9])
+        assert a.quantile_fn(u) == pytest.approx(b.quantile_fn((u - em) / f),
+                                                 rel=1e-12, abs=0.0)
+
+
 def test_dilogarithm_of_one_minus_exp_on_a_log_grid():
     for rho in np.geomspace(1e-12, 700.0, 241):
         ref = _mp_li2_one_minus_exp(float(rho))
@@ -298,6 +317,28 @@ def test_traffic_intensity_past_the_float_range_is_rejected():
     assert bc.QueueParameters(1.0, bc.exponential(709.0)).traffic_intensity == 709.0
 
 
+@pytest.mark.parametrize("call", [
+    lambda: bc.deterministic(math.nan),
+    lambda: bc.deterministic(math.inf),
+    lambda: bc.power_function(math.inf),
+    lambda: bc.proposition1(1.0, math.nan),
+    lambda: bc.residual_tail(bc.exponential(1.0), math.nan),
+    lambda: bc.integrated_tail(bc.exponential(1.0), math.nan),
+    lambda: bc.time_average_age([math.nan]),
+    lambda: bc.time_average_age([0.0, 0.0]),
+    lambda: bc.class_lower_bound(5, bc.QueueParameters(2.0, bc.exponential(0.5))),
+], ids=["deterministic-nan", "deterministic-inf", "power-inf", "proposition1-nan",
+        "residual-tail-nan", "integrated-tail-nan", "age-nan", "age-all-zero",
+        "class-not-a-name"])
+def test_api_values_without_a_finite_answer_are_domain_errors(call):
+    # each once returned nan, built a law with a nan mean or raised an
+    # untyped error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            call()
+
+
 def test_zero_mean_service_is_the_idle_only_limit():
     zero = bc.deterministic(0.0)
     assert zero.mean == 0.0
@@ -365,8 +406,10 @@ def test_from_spec_round_trip():
                  {"type": "special_b", "rho": True}):
         with pytest.raises(DomainError):
             bc.from_spec(spec, arrival_rate=1.0)
-    with pytest.raises(ValueError):
-        bc.from_spec({"type": "deterministic", "mean": "abc"})
+    # float() refuses the string and overflows on the integer: both typed
+    for bad in ("abc", 10**400):
+        with pytest.raises(DomainError):
+            bc.from_spec({"type": "deterministic", "mean": bad})
     # a key the type does not read is refused, and named
     for spec, key in (({"type": "power", "c": 2, "mean": 5}, "mean"),
                       ({"type": "uniform01", "c": 1.0}, "c"),

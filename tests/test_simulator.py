@@ -76,6 +76,23 @@ def test_estimate_rejects_tiny_runs():
         bc.estimate_beta_c(_params_exp(), 2000, seed=2**64)
 
 
+def test_estimate_refuses_non_integer_counts_and_seeds():
+    # seed=1.5 once ran seed 1's stream but reported 1.5, and seed=True ran
+    # seed 1; fractional counts raised a bare TypeError
+    for kwargs in ({"seed": 1.5}, {"seed": True}, {"seed": "1"},
+                   {"replications": 1.5}, {"replications": True},
+                   {"n_cycles": 2000.5}, {"n_cycles": True},
+                   {"n_cycles": 2000.0}):
+        args = {"n_cycles": 2000, "seed": 1, **kwargs}
+        with pytest.raises(DomainError, match="must be an integer"):
+            bc.estimate_beta_c(_params_exp(), **args)
+    # numpy integers are integers
+    est = bc.estimate_beta_c(_params_exp(), np.int64(1000), seed=np.uint64(3),
+                             replications=np.int32(1))
+    assert est.seed == 3
+    assert est.beta_c_hat == bc.estimate_beta_c(_params_exp(), 1000, seed=3).beta_c_hat
+
+
 def test_estimate_refuses_work_past_the_event_cap():
     # 1000 cycles at rho = 30 expect 1000 e^30 ~ 1e16 arrivals; the check
     # runs before any draw, so this returns at once
@@ -87,6 +104,12 @@ def test_estimate_refuses_work_past_the_event_cap():
     with pytest.raises(DomainError):
         bc.estimate_beta_c(bc.QueueParameters(1.0, bc.exponential(15.0)), 1000,
                            seed=1, replications=4)
+    # counts whose product is too large for a float are refused, not an
+    # OverflowError
+    for n_cycles, replications in ((10**400, 1), (1000, 10**400)):
+        with pytest.raises(DomainError):
+            bc.estimate_beta_c(_params_exp(), n_cycles, seed=1,
+                               replications=replications)
 
 
 def test_zero_service_estimate_hits_idle_mean():
