@@ -261,8 +261,9 @@ def _logistic(kind: str, arrival_rate: float, rho: float) -> ServiceDistribution
     _check_rho(rho)
     atom = kind == "special_a"   # special_a has mass em at zero
     em = math.exp(-rho)
+    em1 = -math.expm1(-rho)      # 1 - e^-rho, without cancellation
     grow = math.expm1(rho)       # e^rho - 1
-    k = lam if atom else lam / -math.expm1(-rho)
+    k = lam if atom else lam / em1
 
     def cdf(t):
         t = np.asarray(t, dtype=float)
@@ -278,7 +279,7 @@ def _logistic(kind: str, arrival_rate: float, rho: float) -> ServiceDistribution
         u = np.asarray(u, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if atom:
-                t = np.log((1.0 - em) * u / (em * (1.0 - u))) / lam
+                t = np.log(em1 * u / (em * (1.0 - u))) / lam
             else:
                 t = np.log1p(math.exp(rho) * u / (1.0 - u)) / k
         return np.where(u <= (em if atom else 0.0), 0.0, t)
@@ -411,6 +412,9 @@ def make_distribution(
       of ``cdf`` for all t (r(t <= 0) is the declared mean);
     * the quantile brackets each u between two tabulated nodes and bisects
       G(t) >= u, the generalized inverse, to 1e-14 absolute plus a few ulp.
+      The law has one bisection count, set by its widest bracket, so the
+      quantile is elementwise: ``quantile_fn(u)[i]`` is ``quantile_fn(u[i])``
+      bit for bit, whatever else ``u`` holds.
 
     Raises DomainError when the tabulated G leaves [0, 1] or decreases, or
     when the table's integral of 1 - G differs from ``mean`` by more than
@@ -432,6 +436,10 @@ def make_distribution(
 
     edges, tail_after, t_tab, g_tab = _tail_table(G, mean, float(support_end), name)
     last = len(edges) - 2  # index of the last panel
+    # each step halves every bracket; one count for the law, from its widest
+    # bracket between adjacent nodes, keeps the quantile elementwise
+    ratio = np.max(np.diff(t_tab) / (_XTOL + _RTOL * t_tab[:-1]), initial=0.0)
+    steps = math.ceil(math.log2(ratio)) if ratio > 1.0 else 0
 
     def rtail(t):
         t = np.asarray(t, dtype=float)
@@ -447,9 +455,7 @@ def make_distribution(
         i = np.searchsorted(g_tab, u)
         hi = t_tab[np.minimum(i, len(t_tab) - 1)]
         lo = t_tab[np.maximum(i - 1, 0)]
-        # each step halves every bracket, so the step count is known up front
-        ratio = np.max((hi - lo) / (_XTOL + _RTOL * lo), initial=0.0)
-        for _ in range(math.ceil(math.log2(ratio)) if ratio > 1.0 else 0):
+        for _ in range(steps):
             mid = 0.5 * (lo + hi)
             ge = G(mid) >= u
             hi = np.where(ge, mid, hi)

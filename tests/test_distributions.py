@@ -165,17 +165,20 @@ def test_special_second_moments_against_dilogarithm(rho, li2):
 def test_special_a_is_special_b_with_an_atom_at_zero(lam, rho):
     # special_a(lam, rho) is special_b(lam (1 - e^-rho), rho) given mass
     # 1 - e^-rho, plus an atom e^-rho at 0: r and E[S^2] scale by 1 - e^-rho
-    # and q_a(u) = q_b((u - e^-rho) / (1 - e^-rho)) for u > e^-rho
+    # and q_a(u) = q_b((u - e^-rho) / (1 - e^-rho)) for u > e^-rho, whose
+    # argument is formed at 40 digits: in floats the rounding of e^-rho
+    # moves it by 5e-12 relative at rho = 0.01 and by 1e-7 at rho = 1e-6
     em, f = math.exp(-rho), -math.expm1(-rho)
     a, b = bc.special_a(lam, rho), bc.special_b(lam * f, rho)
     t = a.mean * np.array([0.0, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0])
     assert a.residual_tail_fn(t) == pytest.approx(f * b.residual_tail_fn(t),
                                                   rel=1e-12, abs=0.0)
     assert a.moment2 == pytest.approx(f * b.moment2, rel=1e-12, abs=0.0)
-    if rho >= 0.01:  # below, rounding e^-rho moves u - e^-rho by ~1e-11 relative
-        u = em + f * np.array([0.001, 0.1, 0.5, 0.9])
-        assert a.quantile_fn(u) == pytest.approx(b.quantile_fn((u - em) / f),
-                                                 rel=1e-12, abs=0.0)
+    u = em + f * np.array([0.001, 0.1, 0.5, 0.9])
+    with mpmath.workdps(40):
+        e = mpmath.exp(-mpmath.mpf(rho))
+        v = np.array([float((mpmath.mpf(x) - e) / (1 - e)) for x in u])
+    assert a.quantile_fn(u) == pytest.approx(b.quantile_fn(v), rel=1e-12, abs=0.0)
 
 
 def test_dilogarithm_of_one_minus_exp_on_a_log_grid():
@@ -199,6 +202,24 @@ def test_special_b_rate_against_mpmath_at_small_rho():
             ref = mpmath.log1p(mpmath.exp(r)) / k  # the median
             assert float(dist.quantile_fn(0.5)) == pytest.approx(
                 float(ref), rel=2e-15, abs=0.0), rho
+
+
+def test_special_a_quantile_against_mpmath_near_the_atom():
+    # t = log((1 - e^-rho) u / (e^-rho (1 - u))) / lam at the same float u.
+    # Its relative condition number is 1/|log x|, at most about 600 on
+    # this grid, and x carries a few ulp, so 1e-12 holds with room; 1 - em
+    # in place of -expm1(-rho) missed by 1.6e-8 at rho = 1e-6.
+    with mpmath.workdps(40):
+        for rho in (1e-6, 1e-3, 0.5):
+            dist = bc.special_a(1.0, rho)
+            em = math.exp(-rho)
+            e = mpmath.exp(-mpmath.mpf(rho))
+            for share in (0.001, 0.1):
+                u = em + share * (1.0 - em)
+                m = mpmath.mpf(u)
+                ref = float(mpmath.log((1 - e) * m / (e * (1 - m))))
+                assert float(dist.quantile_fn(u)) == pytest.approx(
+                    ref, rel=1e-12, abs=0.0), (rho, share)
 
 
 def test_moments_outside_the_float_range_are_domain_errors():
@@ -476,6 +497,19 @@ def test_user_quantile_is_the_generalized_inverse(label, cdf, mean, end,
     assert np.all(below | (q == 0.0)), label
     if bounded_density:
         np.testing.assert_allclose(g, U_GRID, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("label,cdf,mean,end,bounded_density", USER_LAWS)
+def test_user_quantile_is_elementwise(label, cdf, mean, end, bounded_density):
+    # one bisection count per law: an array call gives each element the
+    # bits a call on that element alone gives, which the simulator's
+    # quantile windows rely on
+    dist = bc.make_distribution(cdf, mean=mean, support_end=end)
+    u = np.concatenate((U_GRID, np.random.default_rng(11).random(300)))
+    together = np.asarray(dist.quantile_fn(u))
+    alone = np.array([float(dist.quantile_fn(x)) for x in u])
+    assert np.array_equal(together, alone), label
+    assert np.array_equal(np.asarray(dist.quantile_fn(u[:3])), alone[:3]), label
 
 
 def test_user_quantile_past_the_last_tabulated_g_is_the_support_end():

@@ -1,5 +1,6 @@
 """Monte Carlo engine: determinism, trivial laws, and oracle agreement."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 from numpy.random import Generator, Philox
 
 import busycycle as bc
-from busycycle.errors import DomainError
-from busycycle.simulator import _rng_for, _simulate_batch
+from busycycle import simulator
+from busycycle.errors import DomainError, RunawayCycleError
+from busycycle.simulator import _batches, _rng_for, _simulate_batch
 
 
 def _params_exp():
@@ -214,3 +216,124 @@ def test_delta_method_error_tracks_observed_spread():
     typical_se = float(np.mean([e.std_error for e in ests]))
     observed = float(values.std(ddof=1))
     assert 0.4 * typical_se <= observed <= 2.5 * typical_se
+
+
+def _reference_batch(params, n, rng):
+    """The round loop before uniforms were drawn ahead: every uniform
+    straight from the generator, one quantile call per round."""
+    lam = params.arrival_rate
+    q = params.service.quantile_fn
+    idle = -np.log1p(-rng.random(n)) / lam
+    end = np.asarray(q(rng.random(n)), dtype=float).copy()
+    arrival = np.zeros(n)
+    active = np.arange(n)
+    while active.size:
+        arrival[active] += -np.log1p(-rng.random(active.size)) / lam
+        active = active[arrival[active] < end[active]]
+        if active.size:
+            svc = np.asarray(q(rng.random(active.size)), dtype=float)
+            end[active] = np.maximum(end[active], arrival[active] + svc)
+    return idle, end
+
+
+def _reference_batches(params, n_cycles, seed, replication):
+    rng = _rng_for(seed, replication)
+    out = []
+    for first in range(0, n_cycles, simulator.BATCH):
+        out.append(_reference_batch(
+            params, min(simulator.BATCH, n_cycles - first), rng))
+    return out
+
+
+def _counted(params):
+    """params with a quantile that counts its calls, and the count."""
+    calls = [0]
+    q = params.service.quantile_fn
+
+    def quantile(u):
+        calls[0] += 1
+        return q(u)
+
+    service = dataclasses.replace(params.service, quantile_fn=quantile)
+    return bc.QueueParameters(params.arrival_rate, service), calls
+
+
+def test_uniform_stream_serves_the_generator_sequence(monkeypatch):
+    # requests under, at and over the block size, some after a refill left
+    # a remainder larger than the next request, with peeks in between
+    for block in (8, simulator._BLOCK):
+        monkeypatch.setattr(simulator, "_BLOCK", block)
+        draws = simulator._Uniforms(_rng_for(9, 1))
+        taken = []
+        for n in (3, block, block - 1, 2, block + 5, 1, 2 * block + 3, 0,
+                  block // 2, block + 1, block, 7):
+            ahead = draws.peek(min(n, block)).copy()
+            taken.append(draws.take(n))
+            assert np.array_equal(taken[-1][:ahead.size], ahead), (block, n)
+        got = np.concatenate(taken)
+        assert draws.count == got.size
+        assert np.array_equal(got, _rng_for(9, 1).random(got.size)), block
+
+
+def _weibull_half_cdf(t):
+    return -np.expm1(-np.sqrt(np.maximum(t, 0.0) / 0.25))
+
+
+WINDOW_LAWS = [
+    ("exponential", lambda: bc.QueueParameters(1.0, bc.exponential(1.0))),
+    ("deterministic0", lambda: bc.QueueParameters(2.0, bc.deterministic(0.0))),
+    ("deterministic2", lambda: bc.QueueParameters(0.5, bc.deterministic(2.0))),
+    ("special_a", lambda: bc.QueueParameters(1.0, bc.special_a(1.0, 1.5))),
+    ("power_c25", lambda: bc.QueueParameters(1.4, bc.power_function(2.5))),
+    ("user_power_c05", lambda: bc.QueueParameters(3.0, bc.make_distribution(
+        lambda t: np.clip(t, 0.0, 1.0) ** 0.5, mean=1.0 / 3.0,
+        support_end=1.0))),
+    ("user_weibull_half", lambda: bc.QueueParameters(1.0, bc.make_distribution(
+        _weibull_half_cdf, mean=0.5))),
+]
+
+
+@pytest.mark.parametrize("label,make", WINDOW_LAWS)
+def test_quantile_windows_draw_what_the_round_loop_draws(label, make,
+                                                         monkeypatch):
+    # 700-cycle batches: 1000 and 3000 cycles span 2 and 5 batches, and the
+    # uniforms drawn ahead carry from each batch into the next
+    monkeypatch.setattr(simulator, "BATCH", 700)
+    params, calls = _counted(make())
+    ref_params, ref_calls = _counted(make())
+    for n in (1, 1000, 3000):
+        for replication in range(2):
+            got = list(_batches(params, n, 2024 + n, replication))
+            want = _reference_batches(ref_params, n, 2024 + n, replication)
+            assert len(got) == len(want) == -(-n // 700), (label, n)
+            for (idle, busy), (ref_idle, ref_busy) in zip(got, want):
+                assert np.array_equal(idle, ref_idle), (label, n, replication)
+                assert np.array_equal(busy, ref_busy), (label, n, replication)
+    assert calls[0] <= ref_calls[0], label
+    if label != "deterministic0":  # zero services end every cycle at once
+        assert calls[0] < ref_calls[0] / 2, (label, calls[0], ref_calls[0])
+
+
+def test_estimate_pools_the_batches_of_one_stream(monkeypatch):
+    monkeypatch.setattr(simulator, "BATCH", 700)
+    params = bc.QueueParameters(1.0, bc.exponential(1.0))
+    est = bc.estimate_beta_c(params, 3000, seed=5, replications=2)
+    want = []
+    for r in range(2):
+        s1 = s2 = 0.0
+        for idle, busy in _reference_batches(params, 3000, 5, r):
+            z = idle + busy
+            s1 += z.sum()
+            s2 += (z * z).sum()
+        want.append(float(s2 / (2.0 * s1)))
+    assert est.per_replication == tuple(want)
+
+
+def test_runaway_rounds_raise_inside_a_quantile_window(monkeypatch):
+    # a single cycle at rho = 3 runs about e^3 rounds, each of one service,
+    # all inside windows; a cap of 3 rounds stops it without a huge run
+    monkeypatch.setattr(simulator, "EVENT_CAP", 3)
+    params = bc.QueueParameters(1.0, bc.exponential(3.0))
+    with pytest.raises(RunawayCycleError):
+        for seed in range(20):
+            _simulate_batch(params, 1, _rng_for(seed, 0))
