@@ -51,7 +51,8 @@ class BusyCycleMetrics:
     """Mean-value bundle for one queue configuration.
 
     ``error_estimate`` is an absolute bound on the numerical error of
-    ``beta`` (and hence ``beta_c``); closed forms carry a few-ulp bound.
+    ``beta``; closed forms carry a few-ulp bound.  ``beta_c`` = beta + 1/lam
+    adds the rounding of that sum, half an ulp of ``beta_c``.
     """
 
     e_z: float
@@ -135,6 +136,7 @@ def power_double_series(arrival_rate: float, c: float,
     (see ``_power_beta_series``).  The k-sum alternates, so float64
     supports it only up to moderate traffic intensity; past that an
     AccuracyError is raised and callers should fall back to quadrature.
+    The estimate adds one ulp of beta_c for the sum beta + 1/lam.
     """
     lam = float(arrival_rate)
     c = float(c)
@@ -143,7 +145,8 @@ def power_double_series(arrival_rate: float, c: float,
     if not (c > 0.0):
         raise DomainError(f"c must be positive, got {c}")
     beta, err = _power_beta_series(lam, c, tol)
-    return beta + 1.0 / lam, err
+    bc = beta + 1.0 / lam
+    return bc, err + math.ulp(bc)
 
 
 def _power_beta_series(lam: float, c: float, tol: float):
@@ -168,7 +171,7 @@ def _power_beta_series(lam: float, c: float, tol: float):
 
     # at 1e-15 the table's M_k errors stay inside the rounding charge below
     _total, _err, a, b, _values = _refine(
-        lambda s: np.expm1(lam * h(s)) * (2.0 * s), (0.0, 1.0), 1e-15, 4096)
+        lambda s: np.expm1(lam * h(s)) * (2.0 * s), (0.0, 1.0), 1e-15)
     nodes, weights = _kronrod_nodes(a, b)
     hs = h(nodes).ravel()
     wk = (weights * (2.0 * nodes)).ravel()  # w h^k, k = 0
@@ -229,8 +232,7 @@ def _power_beta_series(lam: float, c: float, tol: float):
 # quadrature engine for the cycle integral
 # ---------------------------------------------------------------------------
 
-def beta_quadrature(params: QueueParameters, tol: float = DEFAULT_QUAD_TOL,
-                    max_panels: int = 4096):
+def beta_quadrature(params: QueueParameters, tol: float = DEFAULT_QUAD_TOL):
     """(beta, abs error estimate) for beta = int_0^inf (e^(lam r(t)) - 1) dt.
 
     The exponent lam * r(t) = rho - lam * I(t) is evaluated through the
@@ -239,8 +241,8 @@ def beta_quadrature(params: QueueParameters, tol: float = DEFAULT_QUAD_TOL,
     Panel breakpoints sit at 0, at mean * 2^k below the support end and at
     the end.  An unbounded support ends at the first mean * 2^k where
     r(t) < 1e-16 * mean, a test relative to the mean, so a short mean
-    (rho << 1) is resolved as finely as a long one; AccuracyError is raised
-    when no such point is found.
+    (rho << 1) is resolved as finely as a long one.  AccuracyError is
+    raised when no such point is found or the refinement fails.
     """
     if not (tol > 0.0):
         raise DomainError(f"tol must be positive, got {tol}")
@@ -256,9 +258,7 @@ def beta_quadrature(params: QueueParameters, tol: float = DEFAULT_QUAD_TOL,
         dist.mean, dist.support_end,
         lambda t: float(dist.residual_tail_fn(t)) < 1e-16 * dist.mean,
         f"{dist.name}: residual tail stays above 1e-16 * mean")
-    value, err, _n = integrate_adaptive(
-        integrand, breaks, rel_tol=tol, max_panels=max_panels
-    )
+    value, err, _n = integrate_adaptive(integrand, breaks, tol)
     return value, err
 
 
@@ -348,15 +348,3 @@ def beta_c(params: QueueParameters, strategy: str = "auto",
         z_second_moment=z2, method=method, error_estimate=err,
     )
 
-
-def _z_second_moment_alt(params: QueueParameters, strategy: str = "auto") -> float:
-    """Alternative second-moment candidate that scales the cycle integral by
-    e^rho once instead of twice.  Mutually exclusive with
-    ``beta_c(params).z_second_moment``; retained only so the simulator can
-    arbitrate between the two readings (the simulation decisively matches
-    ``z_second_moment``).
-    """
-    m = beta_c(params, strategy)
-    lam = params.arrival_rate
-    rho = params.traffic_intensity
-    return 2.0 * m.e_z * (m.beta * math.exp(-rho) + 1.0 / lam)

@@ -25,7 +25,7 @@ from .errors import (
     DomainError,
     UnsupportedMomentError,
 )
-from .quadrature import _gauss_kronrod, _refine, _support_breaks
+from .quadrature import _gauss_kronrod, _kronrod_nodes, _refine, _support_breaks
 
 __all__ = [
     "ServiceDistribution",
@@ -53,12 +53,10 @@ KNOWN_TAGS = frozenset({NBUE, NWUE, DFR, IMRL})
 # Largest traffic intensity whose e^rho is a finite float.
 RHO_MAX = math.log(sys.float_info.max)
 
-# User-CDF tail table: relative tolerance and panel budget of its
-# quadrature, the largest relative gap between the tabulated mean and the
-# declared one, and the rounding a cdf value may show outside [0, 1] or as
-# a decrease.
+# User-CDF tail table: relative tolerance of its quadrature, the largest
+# relative gap between a tabulated moment and the declared one, and the
+# rounding a cdf value may show outside [0, 1] or as a decrease.
 _TABLE_TOL = 1e-13
-_TABLE_PANELS = 4096
 _MEAN_TOL = 1e-8
 _G_SLACK = 4.0 * sys.float_info.epsilon
 # Quantile bisection stops once a bracket is under _XTOL + _RTOL * t, the
@@ -417,8 +415,10 @@ def make_distribution(
       bit for bit, whatever else ``u`` holds.
 
     Raises DomainError when the tabulated G leaves [0, 1] or decreases, or
-    when the table's integral of 1 - G differs from ``mean`` by more than
-    1e-8 relative; AccuracyError when an unbounded support finds no end.
+    when the table's integral of 1 - G differs from ``mean``, or its
+    integral of k t^(k-1) (1 - G) from a given ``moment2`` (k = 2) or
+    ``moment3`` (k = 3), by more than 1e-8 relative; AccuracyError when an
+    unbounded support finds no end.
     No reliability class is assumed; pass ``class_tags`` only for
     properties you can actually establish.
     """
@@ -434,7 +434,8 @@ def make_distribution(
     def G(t):
         return np.asarray(cdf(t), dtype=float)
 
-    edges, tail_after, t_tab, g_tab = _tail_table(G, mean, float(support_end), name)
+    edges, tail_after, t_tab, g_tab = _tail_table(
+        G, name, float(support_end), (mean, moment2, moment3))
     last = len(edges) - 2  # index of the last panel
     # each step halves every bracket; one count for the law, from its widest
     # bracket between adjacent nodes, keeps the quantile elementwise
@@ -476,9 +477,10 @@ def make_distribution(
     )
 
 
-def _tail_table(G, mean: float, support_end: float, name: str):
+def _tail_table(G, name: str, support_end: float, moments: tuple):
     """(panel edges, integral of 1 - G past each panel, node times, G at the
-    nodes) for ``make_distribution``, validated against the declared mean."""
+    nodes) for ``make_distribution``, validated against the declared
+    moments E[S^k] = int k t^(k-1) (1 - G) dt, k = 1, 2, 3, that are given."""
     times, probs = [], []
 
     def survival(t):
@@ -491,7 +493,7 @@ def _tail_table(G, mean: float, support_end: float, name: str):
         return 1.0 - g
 
     breaks = _support_breaks(
-        mean, support_end, lambda t: not survival(np.array([t]))[0] > 0.0,
+        moments[0], support_end, lambda t: not survival(np.array([t]))[0] > 0.0,
         f"{name}: G stays below 1")  # G(t) >= 1, or nan, ends the support
 
     def nodes():
@@ -512,19 +514,25 @@ def _tail_table(G, mean: float, support_end: float, name: str):
         return t_tab, g_tab
 
     try:
-        _total, _err, a, b, values = _refine(survival, breaks, _TABLE_TOL,
-                                             _TABLE_PANELS)
+        _total, _err, a, b, values = _refine(survival, breaks, _TABLE_TOL)
     except AccuracyError:
         nodes()  # an invalid cdf is the likelier cause
         raise
     edges = np.append(a, b[-1])
     survival(edges)  # G at the edges joins the nodes
     t_tab, g_tab = nodes()
+    # refinement evaluated G at every Kronrod node of the converged panels
+    x, w = _kronrod_nodes(a, b)
+    tail_w = w * (1.0 - g_tab[np.searchsorted(t_tab, x)])
+    for k, declared in enumerate(moments, 1):
+        if declared is None:
+            continue
+        what = "mean" if k == 1 else f"moment{k}"
+        table = float(np.sum(k * x ** (k - 1) * tail_w))
+        if not abs(table - declared) <= _MEAN_TOL * table:
+            raise DomainError(f"{name}: the cdf integrates to a {what} of "
+                              f"{table!r}, but {what} = {declared!r} was declared")
     inside = np.cumsum(values[::-1])[::-1]
-    table_mean = float(inside[0])
-    if not abs(table_mean - mean) <= _MEAN_TOL * mean:
-        raise DomainError(f"{name}: the cdf integrates to a mean of "
-                          f"{table_mean!r}, but mean = {mean!r} was declared")
     return edges, np.append(inside[1:], 0.0), t_tab, np.maximum.accumulate(g_tab)
 
 

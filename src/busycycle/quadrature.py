@@ -2,12 +2,15 @@
 
 A 7-point Gauss / 15-point Kronrod pair (QUADPACK qk15) is applied per
 panel; the panel with the largest error estimate is bisected until the
-summed estimate meets the requested relative tolerance.  Callers share
-three pieces: ``_gauss_kronrod`` evaluates an array of panels from one call
-of the integrand, ``_refine`` returns the converged panels as a table
-sorted by position (``_kronrod_nodes`` turns it into nodes and weights),
-and ``_support_breaks`` seeds breakpoints at 0, mean * 2^k and the support
-end, so rescaling time rescales the panels with it.
+summed estimate meets the requested relative tolerance.  It fails one
+way: when ``_MAX_PANELS`` panels are spent or the worst panel is too narrow
+to split, AccuracyError carries the value and every panel's error reached.
+Callers share three pieces: ``_gauss_kronrod`` evaluates an array of
+panels from one call of the integrand, ``_refine`` returns the converged
+panels as a table sorted by position (``_kronrod_nodes`` turns it into
+nodes and weights), and ``_support_breaks`` seeds breakpoints at 0,
+mean * 2^k and the support end, so rescaling time rescales the panels
+with it.
 """
 
 from __future__ import annotations
@@ -18,6 +21,9 @@ import math
 import numpy as np
 
 from .errors import AccuracyError, DomainError
+
+# the panel budget of every integral in the package
+_MAX_PANELS = 4096
 
 # QUADPACK qk15 on [-1, 1]: the Kronrod nodes from the right end inwards,
 # their weights, and the Gauss weights of every second node.
@@ -82,22 +88,22 @@ def _support_breaks(mean: float, end: float, negligible, what: str) -> list:
     return breaks + [end]
 
 
-def integrate_adaptive(f, breakpoints, rel_tol: float = 1e-9,
-                       max_panels: int = 4096):
+def integrate_adaptive(f, breakpoints, rel_tol: float):
     """Integrate ``f`` over the union of [b0,b1],[b1,b2],... adaptively.
 
     Returns (value, error_estimate, panels_used).  Raises AccuracyError,
-    carrying the best estimate, if the panel budget is exhausted first.
+    carrying the best estimate, when ``_refine`` does.
     """
-    total, total_err, a = _refine(f, breakpoints, rel_tol, max_panels)[:3]
+    total, total_err, a = _refine(f, breakpoints, rel_tol)[:3]
     return total, total_err, len(a)
 
 
-def _refine(f, breakpoints, rel_tol: float, max_panels: int):
+def _refine(f, breakpoints, rel_tol: float):
     """The refinement loop of ``integrate_adaptive``: (value,
     error_estimate, a, b, values), the converged panels [a, b] and their
     Kronrod values as arrays sorted by ``a``.  One call of ``f`` evaluates
-    the seed panels, and one the two halves of each split."""
+    the seed panels, and one the two halves of each split; AccuracyError
+    by the module's failure rule."""
     pts = np.array(sorted(set(float(b) for b in breakpoints)))
     if len(pts) < 2:
         raise DomainError("need at least two distinct breakpoints")
@@ -111,19 +117,15 @@ def _refine(f, breakpoints, rel_tol: float, max_panels: int):
     total, total_err = float(vals.sum()), float(errs.sum())
 
     while total_err > rel_tol * max(abs(total), 1e-300) and total_err > 1e-300:
-        if len(heap) >= max_panels:
-            raise AccuracyError(
-                f"quadrature did not converge within {max_panels} panels "
-                f"(achieved {total_err:.3e}, value {total:.6e})",
-                best_estimate=total,
-                error_estimate=total_err,
-            )
-        _, a, b, val, err = heapq.heappop(heap)
+        _, a, b, val, err = heap[0]
         mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:  # panel width at floating-point resolution
-            heapq.heappush(heap, (-0.0, a, b, val, 0.0))
-            total_err -= err
-            continue
+        if len(heap) >= _MAX_PANELS or not a < mid < b:
+            where = (f"within {_MAX_PANELS} panels" if len(heap) >= _MAX_PANELS
+                     else f"before [{a!r}, {b!r}] became too narrow to split")
+            raise AccuracyError(f"quadrature did not converge {where} (achieved "
+                                f"{total_err:.3e}, value {total:.6e})",
+                                total, total_err)
+        heapq.heappop(heap)
         ends = np.array([a, mid, b])
         (lv, rv), (le, re) = (v.tolist() for v in _gauss_kronrod(
             f, ends[:-1], ends[1:]))

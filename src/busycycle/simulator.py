@@ -131,7 +131,7 @@ class _Uniforms:
         return u
 
 
-def _simulate_batch(params: QueueParameters, n: int, draws):
+def _simulate_batch(params: QueueParameters, n: int, draws: _Uniforms):
     """(idle, busy) arrays for n cycles, batched across cycles.
 
     Fixed draw order per batch: n idle uniforms, n first-service uniforms,
@@ -139,16 +139,13 @@ def _simulate_batch(params: QueueParameters, n: int, draws):
     one gap uniform each, followed by one service uniform for each cycle
     whose arrival landed inside its current busy period.
 
-    ``draws`` is a ``_Uniforms`` stream, or a ``Generator``, which is
-    wrapped in one; the uniforms it drew ahead are lost with the wrapper.
-    A round with m services, (2 _AHEAD + 1) m <= _BLOCK, evaluates the
-    quantile on the next max(_WINDOW, (2 _AHEAD + 1) m) uniforms.  The
-    active set never grows, so each later round takes at most m gap and m
-    service uniforms, and the next _AHEAD rounds' services lie inside the
-    window; every later round whose services do takes them from it.
+    ``draws`` is the replication's ``_Uniforms`` stream.  A round with m
+    services, (2 _AHEAD + 1) m <= _BLOCK, evaluates the quantile on the
+    next max(_WINDOW, (2 _AHEAD + 1) m) uniforms.  The active set never
+    grows, so each later round takes at most m gap and m service uniforms,
+    and the next _AHEAD rounds' services lie inside the window; every later
+    round whose services do takes them from it.
     """
-    if not isinstance(draws, _Uniforms):
-        draws = _Uniforms(draws)
     lam = params.arrival_rate
     q = params.service.quantile_fn
     idle = -np.log1p(-draws.take(n)) / lam

@@ -15,13 +15,23 @@ import pytest
 from scipy import integrate, special
 
 import busycycle as bc
-from busycycle.analytics import _power_beta_series, _z_second_moment_alt
+from busycycle.analytics import _power_beta_series
 from busycycle.errors import (
     AccuracyError,
     DomainError,
     UnsupportedClosedFormError,
 )
-from busycycle.quadrature import _G_WEIGHTS, _GK_NODES, _K_WEIGHTS
+from busycycle import quadrature
+from busycycle.quadrature import _G_WEIGHTS, _GK_NODES, _K_WEIGHTS, _refine
+
+
+def _z_second_moment_alt(params):
+    """The rejected reading of E[Z^2]: the cycle integral scaled by e^rho
+    once instead of twice, 2 E[Z] (beta e^-rho + 1/lam)."""
+    m = bc.beta_c(params)
+    return 2.0 * m.e_z * (m.beta * math.exp(-params.traffic_intensity)
+                          + 1.0 / params.arrival_rate)
+
 
 # S(rho) = sum rho^n/(n n!), frozen from high-precision evaluation
 S_TABLE = {
@@ -127,6 +137,23 @@ def test_power_series_error_estimate_covers_mpmath_on_grid():
     assert not misses
 
 
+def test_power_double_series_estimate_covers_the_returned_beta_c():
+    # beta_c = beta + 1/lam carries the rounding of that sum; at c = 5,
+    # rho = 0.01 it is 180 times beta's own estimate
+    misses = []
+    with mpmath.workdps(40):
+        for c in (0.5, 2.0, 5.0):
+            for rho in (0.01, 0.3, 2.0):
+                lam = rho * (c + 1.0) / c
+                cm, lm = mpmath.mpf(c), mpmath.mpf(lam)
+                ref = 1 / lm + mpmath.quad(lambda t: mpmath.expm1(
+                    lm * (1 - t - (1 - t ** (cm + 1)) / (cm + 1))), [0, 1])
+                value, err = bc.power_double_series(lam, c)
+                if abs(value - ref) > err:
+                    misses.append((c, rho, float(abs(value - ref)) / err))
+    assert not misses
+
+
 def test_power_series_general_c_cancellation_raises():
     with pytest.raises(AccuracyError) as exc:
         bc.power_double_series(60.0, 2.0)
@@ -208,12 +235,23 @@ def test_beta_quadrature_matches_quadpack():
     assert bc.beta_quadrature(params, tol=1e-11)[0] == pytest.approx(ref, rel=1e-9)
 
 
-def test_beta_quadrature_budget_error_carries_best_estimate():
+def test_beta_quadrature_budget_error_carries_best_estimate(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 3)
     params = bc.QueueParameters(1.0, bc.exponential(1.0))
     with pytest.raises(AccuracyError) as exc:
-        bc.beta_quadrature(params, 1e-13, max_panels=3)
+        bc.beta_quadrature(params, 1e-13)
     assert exc.value.best_estimate == pytest.approx(1.3179021514544039, rel=1e-3)
     assert exc.value.error_estimate > 0
+
+
+def test_refine_keeps_the_error_of_a_panel_too_narrow_to_split():
+    # one panel one ulp wide: its error cannot shrink, so it stays in the
+    # estimate the AccuracyError carries instead of being dropped
+    with pytest.raises(AccuracyError, match="too narrow to split") as exc:
+        _refine(lambda x: np.ones_like(x), [1.0, math.nextafter(1.0, 2.0)], 1e-17)
+    width = math.ulp(1.0)
+    assert exc.value.best_estimate == pytest.approx(width, rel=1e-15)
+    assert exc.value.error_estimate == pytest.approx(1e-16 * width, rel=1e-12)
 
 
 def test_gauss_kronrod_constants_integrate_polynomials_exactly():

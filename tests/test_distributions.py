@@ -397,6 +397,29 @@ def test_scale_properties():
         assert bc.beta_c(bc.QueueParameters(lam or 1.0, s)).method != "quadrature"
 
 
+def test_scale_generic_wrappers_are_the_base_law_rescaled():
+    # power and user laws have no scale key: scale wraps their cdf and
+    # quantile, which must stay the base law's rescaled bit for bit
+    u = np.concatenate((U_GRID, np.random.default_rng(5).random(200)))
+    t = np.concatenate(([-1.0, 0.0, 1e-300, 2.999, 3.0, 3.0001, 50.0],
+                        np.random.default_rng(6).random(200) * 4.0))
+    for base in (bc.power_function(2.5),
+                 bc.make_distribution(_weibull_half_cdf, mean=0.5)):
+        s = bc.scale(base, 3)
+        assert s.spec["type"] == "scaled"
+        assert np.array_equal(s.cdf(t), base.cdf(t / 3)), base.name
+        q = np.asarray(s.quantile_fn(u))
+        assert np.array_equal(q, 3 * np.asarray(base.quantile_fn(u))), base.name
+        # G(q(u)) >= u up to rounding: u^(1/c) carries the rounding of 1/c
+        # times |ln u| (3.8e-14 relative at u = 1e-300), and (3 q) / 3 can
+        # round one ulp below the bisected q (1.5e-16 relative)
+        assert np.all(s.cdf(q) >= u * (1.0 - 1e-13)), base.name
+    # on the grid reaching within 1e-12 of 1, the bisected user quantile
+    # keeps the generalized inverse exactly
+    q = np.asarray(s.quantile_fn(U_GRID))
+    assert np.all(s.cdf(q) >= U_GRID)
+
+
 def test_from_spec_round_trip():
     cases = [
         ({"type": "exponential", "mean": 0.5}, None),
@@ -569,6 +592,31 @@ def test_user_cdf_validation():
     # a defective law never reaches 1: a typed error, not a hang
     with pytest.raises(AccuracyError):
         bc.make_distribution(lambda t: 0.5 * _exp_cdf(t), mean=0.5)
+
+
+def test_declared_moments_are_checked_against_the_table():
+    # E[S^k] = int k t^(k-1) (1 - G) dt on the table, at 1e-8 relative
+    with pytest.raises(DomainError) as exc:
+        bc.make_distribution(_exp_cdf, mean=0.5, moment2=10.0)
+    assert "moment2 = 10.0 was declared" in str(exc.value)
+    table_m2 = float(str(exc.value).split("moment2 of ")[1].split(",")[0])
+    assert table_m2 == pytest.approx(0.5, rel=1e-12)
+    with pytest.raises(DomainError, match="moment3 = 11.25000225 was declared"):
+        bc.make_distribution(_weibull_half_cdf, mean=0.5, moment2=1.5,
+                             moment3=11.25 * (1.0 + 2e-7))
+    for bad in (math.inf, math.nan, -1.5):
+        with pytest.raises(DomainError, match="moment2"):
+            bc.make_distribution(_weibull_half_cdf, mean=0.5, moment2=bad)
+    # each law's true moments pass
+    true_moments = {"exponential": (0.5, 0.75), "uniform01": (1 / 3, 0.25),
+                    "power_c25": (2.5 / 4.5, 2.5 / 5.5),
+                    "power_c05": (0.5 / 2.5, 0.5 / 3.5),
+                    "weibull_half": (1.5, 11.25)}
+    for label, cdf, mean, end, _bounded in USER_LAWS:
+        m2, m3 = true_moments[label]
+        dist = bc.make_distribution(cdf, mean=mean, moment2=m2, moment3=m3,
+                                    support_end=end)
+        assert (dist.moment2, dist.moment3) == (m2, m3), label
 
 
 def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded():

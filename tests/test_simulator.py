@@ -10,7 +10,7 @@ from numpy.random import Generator, Philox
 import busycycle as bc
 from busycycle import simulator
 from busycycle.errors import DomainError, RunawayCycleError
-from busycycle.simulator import _batches, _rng_for, _simulate_batch
+from busycycle.simulator import _Uniforms, _batches, _rng_for, _simulate_batch
 
 
 def _params_exp():
@@ -22,18 +22,18 @@ def test_single_cycle_is_reproducible_and_pinned():
     # A batch of one draws idle, first service, then gap and service
     # uniforms in turn, the order a single cycle is drawn in.
     rng = Generator(Philox(key=np.array([42, 0], dtype=np.uint64)))
-    (idle,), (busy,) = _simulate_batch(_params_exp(), 1, rng)
+    (idle,), (busy,) = _simulate_batch(_params_exp(), 1, _Uniforms(rng))
     assert idle == pytest.approx(1.715899855890263, rel=1e-15)
     assert busy == pytest.approx(0.20979013644443417, rel=1e-15)
     rng2 = Generator(Philox(key=np.array([42, 0], dtype=np.uint64)))
-    (idle2,), (busy2,) = _simulate_batch(_params_exp(), 1, rng2)
+    (idle2,), (busy2,) = _simulate_batch(_params_exp(), 1, _Uniforms(rng2))
     assert (idle2, busy2) == (idle, busy)
 
 
 def test_single_cycle_zero_service():
     params = bc.QueueParameters(2.0, bc.deterministic(0.0))
     rng = _rng_for(5, 0)
-    (idle,), (busy,) = _simulate_batch(params, 1, rng)
+    (idle,), (busy,) = _simulate_batch(params, 1, _Uniforms(rng))
     assert busy == 0.0
     assert idle > 0.0
 
@@ -43,7 +43,8 @@ def test_single_customer_busy_period_equals_service():
     # almost surely, so the busy period is exactly one service long
     params = bc.QueueParameters(0.001, bc.deterministic(2.0))
     for rep in range(5):
-        (idle,), (busy,) = _simulate_batch(params, 1, _rng_for(100 + rep, 0))
+        draws = _Uniforms(_rng_for(100 + rep, 0))
+        (idle,), (busy,) = _simulate_batch(params, 1, draws)
         assert busy == 2.0
 
 
@@ -130,7 +131,7 @@ def test_oracle_agreement_spot():
 
 def test_busy_and_idle_means_match_theory():
     params = bc.QueueParameters(1.0, bc.exponential(1.0))
-    idle, busy = _simulate_batch(params, 200_000, _rng_for(31, 0))
+    idle, busy = _simulate_batch(params, 200_000, _Uniforms(_rng_for(31, 0)))
     n = 200_000
     busy_mean = busy.sum() / n
     busy_se = math.sqrt(max((busy * busy).sum() / n - busy_mean**2, 0.0) / n)
@@ -336,4 +337,4 @@ def test_runaway_rounds_raise_inside_a_quantile_window(monkeypatch):
     params = bc.QueueParameters(1.0, bc.exponential(3.0))
     with pytest.raises(RunawayCycleError):
         for seed in range(20):
-            _simulate_batch(params, 1, _rng_for(seed, 0))
+            _simulate_batch(params, 1, _Uniforms(_rng_for(seed, 0)))
