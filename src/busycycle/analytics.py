@@ -242,7 +242,8 @@ def beta_quadrature(params: QueueParameters, tol: float = DEFAULT_QUAD_TOL):
     the end.  An unbounded support ends at the first mean * 2^k where
     r(t) < 1e-16 * mean, a test relative to the mean, so a short mean
     (rho << 1) is resolved as finely as a long one.  AccuracyError is
-    raised when no such point is found or the refinement fails.
+    raised when no such point is found or the refinement fails, and
+    DomainError when beta or its error estimate leaves the float range.
     """
     if not (tol > 0.0):
         raise DomainError(f"tol must be positive, got {tol}")
@@ -258,7 +259,13 @@ def beta_quadrature(params: QueueParameters, tol: float = DEFAULT_QUAD_TOL):
         dist.mean, dist.support_end,
         lambda t: float(dist.residual_tail_fn(t)) < 1e-16 * dist.mean,
         f"{dist.name}: residual tail stays above 1e-16 * mean")
-    value, err, _n = integrate_adaptive(integrand, breaks, tol)
+    # a beta past the float range overflows inside the panel sums; the one
+    # check is on the result, so those sums run without float warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, err, _n = integrate_adaptive(integrand, breaks, tol)
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise DomainError(f"rho = {params.traffic_intensity:g}, lambda = {lam:g}: "
+                          f"beta overflows the float range")
     return value, err
 
 

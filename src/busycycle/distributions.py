@@ -6,7 +6,7 @@ cancellation-free form, and an inverse-transform quantile used for
 sampling.  The integrated tail I(t) = int_0^t [1 - G(v)] dv is derived as
 alpha - r(t).  A law given only by its CDF (``make_distribution``) takes
 both r(t) and the quantile from one table of 1 - G built at construction,
-with no quadrature call per node and no root finder per draw.  Values are
+with no quadrature call per node and a few cdf calls per draw.  Values are
 immutable after construction and safe for concurrent reads.
 """
 
@@ -59,10 +59,15 @@ RHO_MAX = math.log(sys.float_info.max)
 _TABLE_TOL = 1e-13
 _MEAN_TOL = 1e-8
 _G_SLACK = 4.0 * sys.float_info.epsilon
-# Quantile bisection stops once a bracket is under _XTOL + _RTOL * t, the
-# absolute and relative tolerances brentq used here before.
+# User-CDF quantile: a draw q passes once G(q - tol) < u <= G(q), with
+# tol = _XTOL + _RTOL * q the absolute and relative tolerances brentq used
+# here before.  Each draw takes _SECANT steps from the table's guess; one
+# that fails the check has G evaluated at _PROBES times tol on either side
+# of its last step, and is then bisected to a bracket under tol / 2.
 _XTOL = 1e-14
 _RTOL = 4.0 * sys.float_info.epsilon
+_SECANT = 3
+_PROBES = np.outer((-1.0, 1.0), 2.0 ** np.arange(-1.0, 24.0)).ravel()
 
 
 def _check_rho(rho: float) -> None:
@@ -408,9 +413,15 @@ def make_distribution(
     * r(t) = int_t^end [1 - G(v)] dv is the sum of the panels past t plus
       one 15-point Kronrod rule on the rest of t's panel, one array call
       of ``cdf`` for all t (r(t <= 0) is the declared mean);
-    * the quantile brackets each u between two tabulated nodes and bisects
-      G(t) >= u, the generalized inverse, to 1e-14 absolute plus a few ulp.
-      The law has one bisection count, set by its widest bracket, so the
+    * the quantile is the generalized inverse, the smallest t with
+      G(t) >= u, to 1e-14 absolute plus a few ulp.  One ``searchsorted``
+      into the distinct tabulated G values brackets u between two nodes
+      and picks a monotone (Fritsch-Carlson) cubic of the inverse built
+      from the table, whose value is the first guess.  A Newton step on
+      the cubic's slope and two secant steps refine it, and two cdf values
+      check the result q: G(q - tol) < u <= G(q), tol = 1e-14 + 8.9e-16 q.
+      Only the draws that fail (G flat at float resolution, kinks, atoms)
+      are bisected, each with a step count from its own bracket.  So the
       quantile is elementwise: ``quantile_fn(u)[i]`` is ``quantile_fn(u[i])``
       bit for bit, whatever else ``u`` holds.
 
@@ -437,10 +448,7 @@ def make_distribution(
     edges, tail_after, t_tab, g_tab = _tail_table(
         G, name, float(support_end), (mean, moment2, moment3))
     last = len(edges) - 2  # index of the last panel
-    # each step halves every bracket; one count for the law, from its widest
-    # bracket between adjacent nodes, keeps the quantile elementwise
-    ratio = np.max(np.diff(t_tab) / (_XTOL + _RTOL * t_tab[:-1]), initial=0.0)
-    steps = math.ceil(math.log2(ratio)) if ratio > 1.0 else 0
+    g_knot, hi_tab, cubic = _inverse_table(t_tab, g_tab)
 
     def rtail(t):
         t = np.asarray(t, dtype=float)
@@ -451,17 +459,15 @@ def make_distribution(
 
     def quantile(u):
         u = np.asarray(u, dtype=float)
-        # first node with G >= u; u <= G(0) gets the empty bracket [0, 0],
-        # and u past the last G converges to end
-        i = np.searchsorted(g_tab, u)
-        hi = t_tab[np.minimum(i, len(t_tab) - 1)]
-        lo = t_tab[np.maximum(i - 1, 0)]
-        for _ in range(steps):
-            mid = 0.5 * (lo + hi)
-            ge = G(mid) >= u
-            hi = np.where(ge, mid, hi)
-            lo = np.where(ge, lo, mid)
-        return hi
+        # first tabulated G >= u; u <= G(0) gets the empty bracket [0, 0],
+        # and u past the last G the empty bracket [end, end]
+        flat = u.ravel()
+        i = np.searchsorted(g_knot, flat)
+        x = hi_tab[i]
+        k = np.flatnonzero((i > 0) & (i < g_knot.size))
+        if k.size:
+            x[k] = _invert(G, flat[k], *np.take(cubic, i[k] - 1, axis=0).T)
+        return x.reshape(u.shape)
 
     return ServiceDistribution(
         name=name,
@@ -534,6 +540,100 @@ def _tail_table(G, name: str, support_end: float, moments: tuple):
                               f"{table!r}, but {what} = {declared!r} was declared")
     inside = np.cumsum(values[::-1])[::-1]
     return edges, np.append(inside[1:], 0.0), t_tab, np.maximum.accumulate(g_tab)
+
+
+def _inverse_table(t_tab, g_tab):
+    """(knots g, bracket right ends, cubic rows) of the generalized inverse
+    t(u) of a tabulated nondecreasing G, for ``make_distribution``.
+
+    Each distinct G value g[j] is kept at its leftmost node, hi[j]; the
+    last node (the support end) is a sentinel past the last g.  So u in
+    (g[j-1], g[j]] has the bracket [lo, hi[j]], with lo the node before
+    hi[j], where G is still g[j-1]; u <= g[0] or u > g[-1] has an empty
+    one.  Row j - 1 of the cubic rows holds lo, hi[j], g[j-1],
+    g[j] - g[j-1] and the coefficients of the Hermite cubic
+    lo + c1 s + c2 s^2 + c3 s^3, s = (u - g[j-1]) / (g[j] - g[j-1]),
+    through the bracket ends.  Its end slopes are Fritsch-Carlson weighted
+    harmonic means of the neighbouring secants (secants at the two outer
+    ends), each within 3 times its own secant, so the cubic is monotone.
+    """
+    rise = np.flatnonzero(g_tab[1:] > g_tab[:-1]) + 1
+    first = np.append(0, rise)  # the leftmost node of each distinct G
+    g = g_tab[first]
+    hi = t_tab[np.append(first, t_tab.size - 1)]
+    lo = t_tab[rise - 1]
+    du, dt = np.diff(g), hi[1:-1] - lo
+    # end slopes relative to the bracket's secant, a at lo and b at hi
+    a, b = np.ones(du.size), np.ones(du.size)
+    w1, w2 = 2.0 * du[1:] + du[:-1], du[1:] + 2.0 * du[:-1]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore",
+                     under="ignore"):
+        r = (dt[:-1] * du[1:]) / (du[:-1] * dt[1:])  # left over right secant
+        b[:-1] = (w1 + w2) / (w1 + w2 * r)
+        a[1:] = (w1 + w2) / (w1 / r + w2)
+    a, b = np.fmax(a, 0.0), np.fmax(b, 0.0)  # 0/0 and inf/inf give 0
+    rows = np.column_stack((lo, hi[1:-1], g[:-1], du, dt * a,
+                            dt * (3.0 - 2.0 * a - b), dt * (a + b - 2.0)))
+    return g, hi, rows
+
+
+def _invert(G, u, lo, hi, g0, du, c1, c2, c3):
+    """The smallest t with G(t) >= u, for g0 < u <= g0 + du in the bracket
+    [lo, hi] with G(lo) = g0 and G(hi) = g0 + du.
+
+    The cubic lo + c1 s + c2 s^2 + c3 s^3, s = (u - g0) / du, gives the
+    first guess x.  A Newton step on the cubic's slope and secant steps
+    follow, _SECANT in all, each kept inside the bracket as it shrinks.
+    Then q = x + tol/2, tol = _XTOL + _RTOL x, is returned when it passes
+    the check G(q - (_XTOL + _RTOL q)) < u <= G(q).  Where it fails (G
+    moves only at float resolution, or has a kink or an atom), G at
+    _PROBES tol from x narrows the bracket, and bisection ends it.  Every
+    step acts on each element alone, so element i of the result depends
+    on u[i] only.
+    """
+    s = (u - g0) / du
+    x = np.fmin(np.fmax(lo + s * (c1 + s * (c2 + s * c3)), lo), hi)
+    f = G(x) - u
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        dx = np.where(f != 0.0, f * (c1 + s * (2.0 * c2 + 3.0 * s * c3)) / du, 0.0)
+    for step in range(_SECANT):
+        up = f >= 0.0
+        lo, hi = np.where(up, lo, x), np.where(up, x, hi)
+        x, xp, fp = np.fmin(np.fmax(x - dx, lo), hi), x, f
+        if step + 1 < _SECANT:
+            f = G(x) - u
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                dx = np.where(f != fp, f * (x - xp) / (f - fp), 0.0)
+    tol = _XTOL + _RTOL * x
+    q = x + 0.5 * tol
+    n = q.size
+    ge = G(np.concatenate((q - (_XTOL + _RTOL * q), q))) >= np.concatenate((u, u))
+    k = np.flatnonzero(ge[:n] | ~ge[n:])
+    if k.size:
+        lo, hi = lo[k], hi[k]
+        pts = np.fmin(np.fmax(x[k, None] + tol[k, None] * _PROBES,
+                              lo[:, None]), hi[:, None])
+        ge = G(pts.ravel()).reshape(pts.shape) >= u[k, None]
+        lo = np.maximum(lo, np.max(np.where(ge, -np.inf, pts), axis=1))
+        hi = np.minimum(hi, np.min(np.where(ge, pts, np.inf), axis=1))
+        q[k] = _bisect(G, u[k], lo, hi)
+    return q
+
+
+def _bisect(G, u, lo, hi):
+    """hi after halving each bracket [lo, hi], G(lo) < u <= G(hi), until it
+    is under half of _XTOL + _RTOL lo, which leaves G(hi - tol) < u room for
+    rounding.  The step count of each element comes from its own bracket
+    alone."""
+    ratio = 2.0 * (hi - lo) / (_XTOL + _RTOL * lo)
+    steps = np.ceil(np.log2(np.fmax(ratio, 1.0)))
+    for step in range(int(np.max(steps, initial=0.0))):
+        k = np.flatnonzero(steps > step)
+        mid = 0.5 * (lo[k] + hi[k])
+        ge = G(mid) >= u[k]
+        hi[k] = np.where(ge, mid, hi[k])
+        lo[k] = np.where(ge, lo[k], mid)
+    return hi
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ QUADPACK) which are implementations independent of the package engines.
 import dataclasses
 import math
 import time
+import warnings
 
 import mpmath
 import numpy as np
@@ -332,6 +333,16 @@ def test_beta_quadrature_rejects_bad_tolerance():
     params = bc.QueueParameters(1.0, bc.exponential(1.0))
     with pytest.raises(DomainError):
         bc.beta_quadrature(params, tol=-1e-9)
+
+
+def test_beta_quadrature_refuses_a_beta_past_the_float_range():
+    # e^rho is still finite at rho = 709.7, but beta's panel sums overflow:
+    # a typed error, with no float warning on the way
+    params = bc.QueueParameters(0.5, bc.special_a(0.5, 709.7))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="beta overflows the float range"):
+            bc.beta_quadrature(params)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import importlib
 import io
 import json
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -163,6 +165,18 @@ def test_compare_where_e_rho_minus_1_minus_rho_underflows(capsys):
                            '{"type":"power","c":1e-12}', "--cycles", "1000")
     assert code == 0
     assert "position_vs_EZ      below-EZ" in out
+
+
+def test_quadrature_overflow_exits_2_without_float_warnings():
+    # a fresh interpreter, so numpy's once-per-site warnings would show
+    argv = ["metrics", "--lambda", "0.5", "--dist",
+            '{"type":"special_a","rho":709.7}', "--strategy", "quadrature"]
+    proc = subprocess.run([sys.executable, "-m", "busycycle.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "beta overflows the float range" in proc.stderr
+    assert "Warning" not in proc.stderr
 
 
 def test_metrics_json_format(capsys):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 import busycycle as bc
+from busycycle import distributions
 from busycycle.distributions import _li2_one_minus_exp
 from busycycle.errors import (
     AccuracyError,
@@ -551,6 +552,61 @@ def test_user_quantile_draws_pass_a_kolmogorov_test(label, cdf, mean, end,
     dist = bc.make_distribution(cdf, mean=mean, support_end=end)
     x = dist.quantile_fn(np.random.default_rng(20261018).random(20_000))
     assert stats.kstest(x, cdf).pvalue > 1e-3, label
+
+
+def _flat_kink_cdf(t):
+    # G(t) = t up to 1/2, flat at 1/2 up to 1, then t - 1/2 up to 3/2
+    return np.clip(t, 0.0, 0.5) + np.clip(t - 1.0, 0.0, 0.5)
+
+
+@pytest.mark.parametrize("label,cdf,mean,end,bounded_density",
+                         USER_LAWS + [("flat_kink", _flat_kink_cdf, 0.75, 1.5, True)])
+def test_user_quantile_contract_on_random_draws(label, cdf, mean, end,
+                                                bounded_density, monkeypatch):
+    dist = bc.make_distribution(cdf, mean=mean, support_end=end)
+    bisected = []
+    bisect = distributions._bisect
+
+    def spy(G, u, lo, hi):
+        bisected.extend(u.tolist())
+        return bisect(G, u, lo, hi)
+
+    monkeypatch.setattr(distributions, "_bisect", spy)
+    u = np.concatenate((U_GRID, np.random.default_rng(13).random(10_000)))
+    q = np.asarray(dist.quantile_fn(u))
+    # the generalized inverse: G(q) >= u exactly, and G below u a bisection
+    # tolerance further left
+    assert np.all(dist.cdf(q) >= u), label
+    left = np.maximum(q - 1.01 * (1e-14 + 4.0 * np.finfo(float).eps * q), 0.0)
+    assert np.all((dist.cdf(left) < u) | (q == 0.0)), label
+    # elementwise: each draw alone, the draws reversed and in uneven chunks
+    # give the same bits
+    alone = np.array([float(dist.quantile_fn(x)) for x in u[:400]])
+    assert np.array_equal(q[:400], alone), label
+    assert np.array_equal(np.asarray(dist.quantile_fn(u[::-1]))[::-1], q), label
+    cuts = np.cumsum(np.random.default_rng(14).integers(1, 600, 30))
+    chunks = [np.asarray(dist.quantile_fn(part)) for part in np.split(u, cuts)]
+    assert np.array_equal(np.concatenate(chunks), q), label
+    if label == "flat_kink":
+        # u = 1/2 ends at the kink left of the flat stretch: the interpolated
+        # guess fails its check there and is bisected
+        assert 0.5 in bisected
+        assert 0.5 <= float(dist.quantile_fn(0.5)) <= 0.5 + 1e-14
+
+
+@pytest.mark.parametrize("label,cdf,mean,end,bounded_density", USER_LAWS)
+def test_user_quantile_evaluates_few_cdf_points_per_draw(label, cdf, mean, end,
+                                                         bounded_density):
+    evaluated = [0]
+
+    def counted(t):
+        evaluated[0] += np.size(t)
+        return cdf(t)
+
+    dist = bc.make_distribution(counted, mean=mean, support_end=end)
+    evaluated[0] = 0  # construction's table is not counted
+    dist.quantile_fn(np.random.default_rng(17).random(4096))
+    assert evaluated[0] / 4096 <= 8.0, (label, evaluated[0] / 4096)
 
 
 def test_user_residual_tail_matches_closed_form():
