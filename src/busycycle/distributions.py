@@ -566,8 +566,7 @@ def _inverse_table(t_tab, g_tab):
     # end slopes relative to the bracket's secant, a at lo and b at hi
     a, b = np.ones(du.size), np.ones(du.size)
     w1, w2 = 2.0 * du[1:] + du[:-1], du[1:] + 2.0 * du[:-1]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore",
-                     under="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         r = (dt[:-1] * du[1:]) / (du[:-1] * dt[1:])  # left over right secant
         b[:-1] = (w1 + w2) / (w1 + w2 * r)
         a[1:] = (w1 + w2) / (w1 / r + w2)
