@@ -182,7 +182,13 @@ def exponential(mean: float) -> ServiceDistribution:
         return a * np.exp(-np.asarray(t, dtype=float) / a)
 
     def quantile(u):
-        return -a * np.log1p(-np.asarray(u, dtype=float))
+        # -a log1p(-u) in one new array, for the simulator's memory
+        x = np.negative(u, dtype=float)
+        if not isinstance(x, np.ndarray):  # a scalar u
+            return -a * np.log1p(x)
+        np.log1p(x, out=x)
+        x *= -a
+        return x
 
     return ServiceDistribution(
         name=f"exponential(mean={a:g})",
@@ -374,7 +380,11 @@ def scale(dist: ServiceDistribution, factor: float) -> ServiceDistribution:
         return k * base.residual_tail_fn(np.asarray(t, dtype=float) / k)
 
     def quantile(u):
-        return k * base.quantile_fn(u)
+        # k q_b can round down so far that cdf's (k q_b) / k falls below q_b;
+        # one ulp up then restores G(q(u)) >= u
+        qb = base.quantile_fn(u)
+        q = k * qb
+        return np.where(q / k < qb, np.nextafter(q, math.inf), q)
 
     return ServiceDistribution(
         name=f"scaled({base.name}, k={k:g})",

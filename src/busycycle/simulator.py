@@ -25,12 +25,26 @@ uniforms ahead, and the next rounds take their services from that window:
 one quantile call then serves many small rounds.  Every quantile the
 package builds is elementwise, so the draw order and the bytes do not
 change.
+
+A batch keeps only its active cycles' index, arrival and end, and adds
+each busy period to its cycle's idle time when it ends, so one replication
+needs about 3.2 arrays of 8-byte floats per cycle of a batch at rho = 1.
+Replications run concurrently, one thread per usable CPU, once a batch is
+large enough for its array work to outweigh the interpreter's share (see
+``_THREADED_CYCLES``).  Each replication owns its stream and its sums are
+pooled in replication order, so a concurrent run gives the same bits as a
+run one at a time.  A service law's quantile, and so a user's cdf, may
+then be called from two threads at once.
 """
 
 from __future__ import annotations
 
+import contextvars
+import itertools
 import math
+import os
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +77,18 @@ Z95 = 1.959963984540054  # two-sided 95% normal quantile
 _BLOCK = 4096
 _WINDOW = 512
 _AHEAD = 3
+# Fewest cycles per batch for which replications run on threads.  Smaller
+# batches spend their time in short rounds that hold the GIL.  On a 2-core
+# Xeon, two threads ran 2 replications of 4 043 cycles 10-27% slower than
+# one at a time (rho 1 and 5), of 8 000-11 000 cycles 2-10% faster (rho 1
+# to 4.5), and of 16 000-220 728 cycles 13-48% faster (rho 1 to 4).
+_THREADED_CYCLES = 1 << 14
+# Cycles whose first gaps, or whose services in a round too large for a
+# quantile window, are drawn at a time.  Drawn whole, they raised a batch's
+# peak from 3.2 to 3.6 arrays of n floats (2^17 cycles, exponential at
+# rho = 1); drawn this many at a time, they ran the oracle benchmark's
+# configurations within 3% of the time drawn whole.
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -118,6 +144,16 @@ class _Uniforms:
             self._pos = 0
         return self._block[self._pos:self._pos + n]
 
+    def fresh(self, n: int) -> np.ndarray:
+        """The next n uniforms in an array the caller may overwrite."""
+        u = self.take(n)
+        return u if u.base is None else u.copy()
+
+    def skip(self, n: int) -> None:
+        """Pass over the next n uniforms, all inside the last peek."""
+        self._pos += n
+        self.count += n
+
     def take(self, n: int) -> np.ndarray:
         """The next n uniforms."""
         if n <= _BLOCK or self._pos + n <= self._block.size:
@@ -133,8 +169,40 @@ class _Uniforms:
         return u
 
 
+def _exponential_gaps(u: np.ndarray, lam: float) -> np.ndarray:
+    """-log1p(-u) / lam, computed in place in ``u``."""
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    u /= -lam  # log1p(-u) / -lam is -log1p(-u) / lam bit for bit
+    return u
+
+
+def _first_arrivals(draws: _Uniforms, end: np.ndarray, lam: float):
+    """Round 1: the mask of the cycles whose first gap ends before their
+    first service, and those gaps.  The gaps are drawn _CHUNK at a time,
+    so only the ones kept take memory."""
+    still = np.empty(end.size, dtype=bool)
+    kept = []
+    for first in range(0, end.size, _CHUNK):
+        gap = _exponential_gaps(draws.fresh(min(_CHUNK, end.size - first)),
+                                lam)
+        busy = still[first:first + _CHUNK]
+        np.less(gap, end[first:first + _CHUNK], out=busy)
+        kept.append(gap[busy])
+    return still, np.concatenate(kept)
+
+
+def _serve(q, draws: _Uniforms, arrival: np.ndarray, end: np.ndarray):
+    """end = max(end, arrival + service), with the services drawn _CHUNK
+    at a time."""
+    for first in range(0, end.size, _CHUNK):
+        part = end[first:first + _CHUNK]
+        svc = np.asarray(q(draws.take(part.size)), dtype=float)
+        np.maximum(part, arrival[first:first + _CHUNK] + svc, out=part)
+
+
 def _simulate_batch(params: QueueParameters, n: int, draws: _Uniforms):
-    """(idle, busy) arrays for n cycles, batched across cycles.
+    """Cycle lengths Z = idle + busy for n cycles, batched across cycles.
 
     Fixed draw order per batch: n idle uniforms, n first-service uniforms,
     then per round over the still-active cycles (in ascending cycle index):
@@ -147,43 +215,66 @@ def _simulate_batch(params: QueueParameters, n: int, draws: _Uniforms):
     grows, so each later round takes at most m gap and m service uniforms,
     and the next _AHEAD rounds' services lie inside the window; every later
     round whose services do takes them from it.
+
+    Only the active cycles' index, arrival and end are kept, compacted
+    each round, and a busy period is added to its cycle's idle time when
+    it ends.  The exponential transforms work in place, and a window's
+    gaps are transformed with its services.  The peak grows with the share
+    p of cycles still busy at the first arrival (p = rho / (1 + rho) for
+    exponential service): about 3.2 arrays of n floats at rho = 1 and 5.2
+    at rho = 5, where a loop over full-length arrays keeps about 7.
     """
     lam = params.arrival_rate
     q = params.service.quantile_fn
-    idle = -np.log1p(-draws.take(n)) / lam
-    end = np.asarray(q(draws.take(n)), dtype=float).copy()
-    arrival = np.zeros(n)
-    active = np.arange(n)
-    window = np.empty(0)  # quantiles of the uniforms from `start` on
+    z = _exponential_gaps(draws.fresh(n), lam)
+    end = np.asarray(q(draws.take(n)), dtype=float)
+    # round 1: every cycle is active and its arrival is its first gap
+    still, arrival = _first_arrivals(draws, end, lam)
+    np.add(z, end, out=z, where=~still)
+    end = end[still]
+    index = still.nonzero()[0]
+    # service quantiles and gaps of the uniforms from `start` on
+    window = gaps = np.empty(0)
     start = 0
-    rounds = 0
-    while active.size:
-        rounds += 1
-        if rounds > EVENT_CAP:
-            raise RunawayCycleError("busy period exceeded the event cap")
-        arrival[active] += -np.log1p(-draws.take(active.size)) / lam
-        still = arrival[active] < end[active]
-        active = active[still]
-        m = active.size
-        if not m:
-            break
+    rounds = 1
+    while index.size:
+        m = index.size
         at = draws.count - start
         span = (2 * _AHEAD + 1) * m
         if at + m > window.size and span <= _BLOCK:
             start, at = draws.count, 0
-            window = np.asarray(q(draws.peek(max(_WINDOW, span))), dtype=float)
+            u = draws.peek(max(_WINDOW, span))
+            window = np.asarray(q(u), dtype=float)
+            gaps = _exponential_gaps(u.copy(), lam)
         if at + m <= window.size:
-            draws.take(m)
-            svc = window[at:at + m]
+            draws.skip(m)
+            np.maximum(end, arrival + window[at:at + m], out=end)
         else:
-            svc = np.asarray(q(draws.take(m)), dtype=float)
-        end[active] = np.maximum(end[active], arrival[active] + svc)
-    return idle, end
+            _serve(q, draws, arrival, end)
+        rounds += 1
+        if rounds > EVENT_CAP:
+            raise RunawayCycleError("busy period exceeded the event cap")
+        at = draws.count - start
+        if at + m <= gaps.size:
+            draws.skip(m)
+            arrival += gaps[at:at + m]
+        else:
+            arrival += _exponential_gaps(draws.fresh(m), lam)
+        still = arrival < end
+        ended = z[index]  # the busy periods that end here join their idle
+        np.add(ended, end, out=ended, where=~still)
+        z[index] = ended
+        del ended
+        keep = still.nonzero()[0]
+        index = index[keep]
+        arrival = arrival[keep]
+        end = end[keep]
+    return z
 
 
 def _batches(params: QueueParameters, n_cycles: int, seed: int,
              replication: int):
-    """(idle, busy) arrays of one replication, BATCH cycles at a time, all
+    """Cycle-length arrays of one replication, BATCH cycles at a time, all
     drawn from one stream of its generator."""
     draws = _Uniforms(_rng_for(seed, replication))
     remaining = n_cycles
@@ -197,15 +288,75 @@ def _accumulate(params: QueueParameters, n_cycles: int, seed: int,
                 replication: int):
     """Pooled power sums Z, Z^2, Z^3, Z^4 for one replication."""
     sums = np.zeros(4)
-    for idle, busy in _batches(params, n_cycles, seed, replication):
-        z = idle + busy
+    for z in _batches(params, n_cycles, seed, replication):
         with np.errstate(over="ignore"):  # estimate_beta_c checks the range
-            z2 = z * z
             sums[0] += z.sum()
+            z2 = z * z
             sums[1] += z2.sum()
-            sums[2] += (z2 * z).sum()
-            sums[3] += (z2 * z2).sum()
+            z *= z2
+            sums[2] += z.sum()
+            z2 *= z2
+            sums[3] += z2.sum()
+        del z, z2  # free this batch before the next one is drawn
     return sums
+
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _replication_sums(params: QueueParameters, n_cycles: int, seed: int,
+                      replications: int) -> list:
+    """``_accumulate`` of each replication, in replication order.
+
+    When a batch has at least _THREADED_CYCLES cycles, replications run on
+    up to one thread per usable CPU: the calling thread and helpers, each
+    helper under a copy of the caller's context, all joined before this
+    returns.  (One helper fewer keeps one allocator arena fewer: looping
+    over the oracle benchmark's configurations, peak RSS was about 5 MB
+    lower than with a helper per CPU.)
+    A replication that raises stops new ones from starting, and the error
+    of the lowest replication that raised is raised, as a run one at a
+    time would.
+    """
+    workers = min(replications, _usable_cpus())
+    if workers < 2 or min(n_cycles, BATCH) < _THREADED_CYCLES:
+        return [_accumulate(params, n_cycles, seed, r)
+                for r in range(replications)]
+    results = [None] * replications
+    claims = itertools.count()
+    stop = threading.Event()
+
+    def work():
+        for r in claims:
+            if r >= replications or stop.is_set():
+                return
+            try:
+                results[r] = _accumulate(params, n_cycles, seed, r)
+            except BaseException as exc:  # re-raised in replication order
+                results[r] = exc
+                stop.set()
+
+    helpers = []
+    try:
+        for k in range(workers - 1):
+            helper = threading.Thread(target=contextvars.copy_context().run,
+                                      args=(work,), name=f"busycycle-sim-{k}")
+            helper.start()
+            helpers.append(helper)
+        work()
+    finally:
+        stop.set()  # after an error or an interrupt, start no more
+        for helper in helpers:
+            helper.join()
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    return results
 
 
 def estimate_beta_c(params: QueueParameters, n_cycles: int, seed: int,
@@ -214,9 +365,15 @@ def estimate_beta_c(params: QueueParameters, n_cycles: int, seed: int,
 
     ``n_cycles`` cycles are generated per replication; replications use
     independently keyed streams and their sums are pooled in replication
-    order before the single ratio is formed.  ``n_cycles``, ``seed`` and
-    ``replications`` must be integers.  DomainError is raised before any
-    draw when the expected number of arrivals exceeds ``EVENT_CAP``.
+    order before the single ratio is formed.  Replications of at least
+    ``_THREADED_CYCLES`` cycles run on up to one thread per usable CPU, each
+    holding about 3.2 arrays of ``min(n_cycles, BATCH)`` floats at rho = 1.
+    The result has the same bits as a run one at a time, but the service
+    quantile (and a user's cdf) may be called from two threads at once.
+    An error in a replication is raised once every thread has stopped, the
+    lowest replication's first.  ``n_cycles``, ``seed`` and ``replications``
+    must be integers.  DomainError is raised before any draw when the expected
+    number of arrivals exceeds ``EVENT_CAP``.
     """
     n_cycles = _integer(n_cycles, "n_cycles")
     seed = _integer(seed, "seed")
@@ -239,8 +396,7 @@ def estimate_beta_c(params: QueueParameters, n_cycles: int, seed: int,
 
     total = np.zeros(4)
     per_rep = []
-    for r in range(replications):
-        s = _accumulate(params, n_cycles, seed, r)
+    for s in _replication_sums(params, n_cycles, seed, replications):
         per_rep.append(float(s[1] / (2.0 * s[0])))
         total += s
 

@@ -2,6 +2,10 @@
 
 import dataclasses
 import math
+import sys
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,25 +21,33 @@ def _params_exp():
     return bc.QueueParameters(1.0, bc.exponential(1.0))
 
 
+def _idle(seed, replication, n, lam):
+    """The idle periods a batch of n cycles starts its stream with."""
+    return -np.log1p(-_rng_for(seed, replication).random(n)) / lam
+
+
 def test_single_cycle_is_reproducible_and_pinned():
     # value pinned after the first implementation run; Philox key (42, 0).
     # A batch of one draws idle, first service, then gap and service
     # uniforms in turn, the order a single cycle is drawn in.
     rng = Generator(Philox(key=np.array([42, 0], dtype=np.uint64)))
-    (idle,), (busy,) = _simulate_batch(_params_exp(), 1, _Uniforms(rng))
+    (z,) = _simulate_batch(_params_exp(), 1, _Uniforms(rng))
+    (idle,) = _idle(42, 0, 1, 1.0)
     assert idle == pytest.approx(1.715899855890263, rel=1e-15)
-    assert busy == pytest.approx(0.20979013644443417, rel=1e-15)
+    assert z - idle == pytest.approx(0.20979013644443417, rel=1e-13)
+    assert z == pytest.approx(1.715899855890263 + 0.20979013644443417,
+                              rel=1e-15)
     rng2 = Generator(Philox(key=np.array([42, 0], dtype=np.uint64)))
-    (idle2,), (busy2,) = _simulate_batch(_params_exp(), 1, _Uniforms(rng2))
-    assert (idle2, busy2) == (idle, busy)
+    (z2,) = _simulate_batch(_params_exp(), 1, _Uniforms(rng2))
+    assert z2 == z
 
 
 def test_single_cycle_zero_service():
     params = bc.QueueParameters(2.0, bc.deterministic(0.0))
     rng = _rng_for(5, 0)
-    (idle,), (busy,) = _simulate_batch(params, 1, _Uniforms(rng))
-    assert busy == 0.0
-    assert idle > 0.0
+    (z,) = _simulate_batch(params, 1, _Uniforms(rng))
+    assert z == _idle(5, 0, 1, 2.0)[0]  # no busy time
+    assert z > 0.0
 
 
 def test_single_customer_busy_period_equals_service():
@@ -44,8 +56,8 @@ def test_single_customer_busy_period_equals_service():
     params = bc.QueueParameters(0.001, bc.deterministic(2.0))
     for rep in range(5):
         draws = _Uniforms(_rng_for(100 + rep, 0))
-        (idle,), (busy,) = _simulate_batch(params, 1, draws)
-        assert busy == 2.0
+        (z,) = _simulate_batch(params, 1, draws)
+        assert z == _idle(100 + rep, 0, 1, 0.001)[0] + 2.0
 
 
 def test_estimate_determinism_bit_identical():
@@ -131,8 +143,10 @@ def test_oracle_agreement_spot():
 
 def test_busy_and_idle_means_match_theory():
     params = bc.QueueParameters(1.0, bc.exponential(1.0))
-    idle, busy = _simulate_batch(params, 200_000, _Uniforms(_rng_for(31, 0)))
     n = 200_000
+    z = _simulate_batch(params, n, _Uniforms(_rng_for(31, 0)))
+    idle, busy = _reference_batch(params, n, _rng_for(31, 0))
+    assert np.array_equal(z, idle + busy)
     busy_mean = busy.sum() / n
     busy_se = math.sqrt(max((busy * busy).sum() / n - busy_mean**2, 0.0) / n)
     idle_mean = idle.sum() / n
@@ -298,8 +312,10 @@ WINDOW_LAWS = [
 def test_quantile_windows_draw_what_the_round_loop_draws(label, make,
                                                          monkeypatch):
     # 700-cycle batches: 1000 and 3000 cycles span 2 and 5 batches, and the
-    # uniforms drawn ahead carry from each batch into the next
+    # uniforms drawn ahead carry from each batch into the next; first gaps
+    # and rounds too large for a window are drawn 300 at a time
     monkeypatch.setattr(simulator, "BATCH", 700)
+    monkeypatch.setattr(simulator, "_CHUNK", 300)
     params, calls = _counted(make())
     ref_params, ref_calls = _counted(make())
     for n in (1, 1000, 3000):
@@ -307,9 +323,9 @@ def test_quantile_windows_draw_what_the_round_loop_draws(label, make,
             got = list(_batches(params, n, 2024 + n, replication))
             want = _reference_batches(ref_params, n, 2024 + n, replication)
             assert len(got) == len(want) == -(-n // 700), (label, n)
-            for (idle, busy), (ref_idle, ref_busy) in zip(got, want):
-                assert np.array_equal(idle, ref_idle), (label, n, replication)
-                assert np.array_equal(busy, ref_busy), (label, n, replication)
+            for z, (ref_idle, ref_busy) in zip(got, want):
+                assert np.array_equal(z, ref_idle + ref_busy), (
+                    label, n, replication)
     assert calls[0] <= ref_calls[0], label
     if label != "deterministic0":  # zero services end every cycle at once
         assert calls[0] < ref_calls[0] / 2, (label, calls[0], ref_calls[0])
@@ -338,3 +354,149 @@ def test_runaway_rounds_raise_inside_a_quantile_window(monkeypatch):
     with pytest.raises(RunawayCycleError):
         for seed in range(20):
             _simulate_batch(params, 1, _Uniforms(_rng_for(seed, 0)))
+
+
+CONCURRENT_LAWS = [
+    ("exponential", lambda: bc.QueueParameters(1.0, bc.exponential(1.0))),
+    ("deterministic", lambda: bc.QueueParameters(0.5, bc.deterministic(2.0))),
+    ("user_weibull_half", lambda: bc.QueueParameters(1.0, bc.make_distribution(
+        _weibull_half_cdf, mean=0.5))),
+]
+
+
+def _threads_of(monkeypatch):
+    """Names of the threads each replication's ``_accumulate`` ran on."""
+    names = {}
+    accumulate = simulator._accumulate
+
+    def spy(params, n_cycles, seed, replication):
+        names[replication] = threading.current_thread().name
+        time.sleep(0.005)  # let a helper thread claim the next replication
+        return accumulate(params, n_cycles, seed, replication)
+
+    monkeypatch.setattr(simulator, "_accumulate", spy)
+    return names
+
+
+@pytest.mark.parametrize("batch", [None, 700])
+@pytest.mark.parametrize("label,make", CONCURRENT_LAWS)
+def test_concurrent_replications_keep_every_bit(label, make, batch,
+                                                monkeypatch):
+    # 2000 cycles a replication: batches of 700 carry the uniforms drawn
+    # ahead across three batches; the user law's small rounds take their
+    # services from quantile windows
+    if batch:
+        monkeypatch.setattr(simulator, "BATCH", batch)
+    monkeypatch.setattr(simulator, "_THREADED_CYCLES", 0)
+    names = _threads_of(monkeypatch)
+    params = make()
+    for replications in (2, 3, 4):
+        got = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(simulator, "_usable_cpus", lambda c=cpus: c)
+            names.clear()
+            got[cpus] = bc.estimate_beta_c(params, 2000, seed=99,
+                                           replications=replications)
+            assert sorted(names) == list(range(replications))
+            helped = set(names.values()) != {threading.main_thread().name}
+            assert helped == (cpus == 2), (label, cpus, names)
+        assert got[1] == got[2], (label, replications)
+        singles = [simulator._accumulate(params, 2000, 99, r)
+                   for r in range(replications)]
+        assert got[2].per_replication == tuple(
+            float(s[1] / (2.0 * s[0])) for s in singles)
+
+
+def test_small_batches_keep_replications_on_the_calling_thread(monkeypatch):
+    names = _threads_of(monkeypatch)
+    monkeypatch.setattr(simulator, "_usable_cpus", lambda: 2)
+    bc.estimate_beta_c(_params_exp(), simulator._THREADED_CYCLES - 1, seed=4,
+                       replications=2)
+    assert set(names.values()) == {threading.main_thread().name}
+    names.clear()
+    bc.estimate_beta_c(_params_exp(), simulator._THREADED_CYCLES, seed=4,
+                       replications=2)
+    assert set(names.values()) != {threading.main_thread().name}
+
+
+def test_concurrent_errors_match_the_serial_run_and_leave_no_thread(
+        monkeypatch):
+    monkeypatch.setattr(simulator, "_THREADED_CYCLES", 0)
+    monkeypatch.setattr(simulator, "EVENT_CAP", 3)
+    params = bc.QueueParameters(1.0, bc.exponential(3.0))
+    before = threading.active_count()
+    errors = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(simulator, "_usable_cpus", lambda c=cpus: c)
+        # estimate_beta_c refuses a cap of 3 before any draw, so this calls
+        # the replication runner beneath it
+        with pytest.raises(RunawayCycleError) as info:
+            simulator._replication_sums(params, 1000, 1, 4)
+        errors[cpus] = str(info.value)
+        assert threading.active_count() == before
+    assert errors[1] == errors[2]
+
+    # replication 2 fails at once and replication 1 later: the error raised
+    # is replication 1's, as when they run one at a time
+    accumulate = simulator._accumulate
+
+    def failing(params, n_cycles, seed, replication):
+        if replication == 1:
+            time.sleep(0.05)
+        if replication in (1, 2):
+            raise RunawayCycleError(f"replication {replication}")
+        return accumulate(params, n_cycles, seed, replication)
+
+    monkeypatch.setattr(simulator, "_accumulate", failing)
+    monkeypatch.setattr(simulator, "EVENT_CAP", 10**9)
+    for cpus in (1, 2):
+        monkeypatch.setattr(simulator, "_usable_cpus", lambda c=cpus: c)
+        with pytest.raises(RunawayCycleError, match="replication 1"):
+            bc.estimate_beta_c(_params_exp(), 1000, seed=1, replications=4)
+        assert threading.active_count() == before
+    monkeypatch.setattr(simulator, "_accumulate", accumulate)
+    bc.estimate_beta_c(_params_exp(), 1000, seed=1, replications=4)
+    assert threading.active_count() == before
+
+
+def test_a_replication_works_in_about_four_arrays_of_its_cycles():
+    # the idle times become Z in place and only the active cycles' index,
+    # arrival and end are kept; a loop over full-length arrays keeps about
+    # 7 arrays of n floats
+    n = 1 << 17
+    params = _params_exp()
+    simulator._accumulate(params, 1000, 8, 0)
+    tracemalloc.start()
+    try:
+        simulator._accumulate(params, n, 8, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * n, peak / (8 * n)
+
+
+def test_each_replication_runs_once_under_thread_switching(monkeypatch):
+    # more threads than cores and a tiny switch interval: a replication
+    # claimed twice or never would move the bits or the count
+    monkeypatch.setattr(simulator, "_THREADED_CYCLES", 0)
+    runs = []
+    accumulate = simulator._accumulate
+
+    def counted(params, n_cycles, seed, replication):
+        runs.append(replication)
+        return accumulate(params, n_cycles, seed, replication)
+
+    monkeypatch.setattr(simulator, "_accumulate", counted)
+    monkeypatch.setattr(simulator, "_usable_cpus", lambda: 1)
+    serial = bc.estimate_beta_c(_params_exp(), 1000, seed=6, replications=16)
+    runs.clear()
+    monkeypatch.setattr(simulator, "_usable_cpus", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        concurrent = bc.estimate_beta_c(_params_exp(), 1000, seed=6,
+                                        replications=16)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(runs) == list(range(16))
+    assert concurrent == serial
