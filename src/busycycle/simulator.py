@@ -29,12 +29,15 @@ change.
 A batch keeps only its active cycles' index, arrival and end, and adds
 each busy period to its cycle's idle time when it ends, so one replication
 needs about 3.2 arrays of 8-byte floats per cycle of a batch at rho = 1.
-Replications run concurrently, one thread per usable CPU, once a batch is
-large enough for its array work to outweigh the interpreter's share (see
-``_THREADED_CYCLES``).  Each replication owns its stream and its sums are
-pooled in replication order, so a concurrent run gives the same bits as a
-run one at a time.  A service law's quantile, and so a user's cdf, may
-then be called from two threads at once.
+Replications run concurrently, one thread per usable CPU and at most
+``_MAX_WORKERS``, once a batch is large enough for its array work to
+outweigh the interpreter's share (see ``_THREADED_CYCLES``).  Memory grows
+with the replications that run at once: two hold about 6.4 arrays a
+cycle, against 7 for one replication before its working set was cut.
+Each replication owns its stream and its sums are pooled in replication
+order, so a concurrent run gives the same bits as a run one at a time.  A
+service law's quantile, and so a user's cdf, may then be called from two
+threads at once.
 """
 
 from __future__ import annotations
@@ -83,6 +86,11 @@ _AHEAD = 3
 # one at a time (rho 1 and 5), of 8 000-11 000 cycles 2-10% faster (rho 1
 # to 4.5), and of 16 000-220 728 cycles 13-48% faster (rho 1 to 4).
 _THREADED_CYCLES = 1 << 14
+# Most replications run at once.  Each holds its own working set (above),
+# so k at once hold about 3.2k arrays of a batch's floats against the 7 of
+# one replication before that set was cut; only two threads, on 2 CPUs,
+# have been measured.
+_MAX_WORKERS = 2
 # Cycles whose first gaps, or whose services in a round too large for a
 # quantile window, are drawn at a time.  Drawn whole, they raised a batch's
 # peak from 3.2 to 3.6 arrays of n floats (2^17 cycles, exponential at
@@ -302,7 +310,8 @@ def _accumulate(params: QueueParameters, n_cycles: int, seed: int,
 
 
 def _usable_cpus() -> int:
-    """How many CPUs this process may run on."""
+    """How many CPUs this process may run on (a cgroup's CPU quota is not
+    read)."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -314,16 +323,16 @@ def _replication_sums(params: QueueParameters, n_cycles: int, seed: int,
     """``_accumulate`` of each replication, in replication order.
 
     When a batch has at least _THREADED_CYCLES cycles, replications run on
-    up to one thread per usable CPU: the calling thread and helpers, each
-    helper under a copy of the caller's context, all joined before this
-    returns.  (One helper fewer keeps one allocator arena fewer: looping
-    over the oracle benchmark's configurations, peak RSS was about 5 MB
-    lower than with a helper per CPU.)
-    A replication that raises stops new ones from starting, and the error
-    of the lowest replication that raised is raised, as a run one at a
-    time would.
+    up to _MAX_WORKERS threads, one per usable CPU: the calling thread and
+    helpers, each helper under a copy of the caller's context, all joined
+    before this returns.  (The calling thread works too: looping over the
+    oracle benchmark's configurations, an idle caller with two pool threads
+    kept one allocator arena more and peaked about 2 MB higher.)
+    A thread claims a replication only while no replication has raised,
+    and runs every replication it claims, so the error of the lowest
+    replication that raised is raised, as a run one at a time would.
     """
-    workers = min(replications, _usable_cpus())
+    workers = min(replications, _usable_cpus(), _MAX_WORKERS)
     if workers < 2 or min(n_cycles, BATCH) < _THREADED_CYCLES:
         return [_accumulate(params, n_cycles, seed, r)
                 for r in range(replications)]
@@ -332,8 +341,9 @@ def _replication_sums(params: QueueParameters, n_cycles: int, seed: int,
     stop = threading.Event()
 
     def work():
-        for r in claims:
-            if r >= replications or stop.is_set():
+        while not stop.is_set():
+            r = next(claims)
+            if r >= replications:
                 return
             try:
                 results[r] = _accumulate(params, n_cycles, seed, r)
@@ -350,7 +360,7 @@ def _replication_sums(params: QueueParameters, n_cycles: int, seed: int,
             helpers.append(helper)
         work()
     finally:
-        stop.set()  # after an error or an interrupt, start no more
+        stop.set()  # after an error or an interrupt, claim no more
         for helper in helpers:
             helper.join()
     for result in results:
@@ -366,8 +376,9 @@ def estimate_beta_c(params: QueueParameters, n_cycles: int, seed: int,
     ``n_cycles`` cycles are generated per replication; replications use
     independently keyed streams and their sums are pooled in replication
     order before the single ratio is formed.  Replications of at least
-    ``_THREADED_CYCLES`` cycles run on up to one thread per usable CPU, each
-    holding about 3.2 arrays of ``min(n_cycles, BATCH)`` floats at rho = 1.
+    ``_THREADED_CYCLES`` cycles run on up to one thread per usable CPU, at
+    most ``_MAX_WORKERS`` (2), each holding about 3.2 arrays of
+    ``min(n_cycles, BATCH)`` floats at rho = 1.
     The result has the same bits as a run one at a time, but the service
     quantile (and a user's cdf) may be called from two threads at once.
     An error in a replication is raised once every thread has stopped, the

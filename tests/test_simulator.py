@@ -459,6 +459,38 @@ def test_concurrent_errors_match_the_serial_run_and_leave_no_thread(
     assert threading.active_count() == before
 
 
+def test_a_helper_paused_around_its_claim_still_runs_what_it_claims(
+        monkeypatch):
+    # a helper that loses the interpreter in its check for an error, while
+    # the calling thread runs out of replications and sets the stop flag,
+    # must still run every replication it claims
+    monkeypatch.setattr(simulator, "_THREADED_CYCLES", 0)
+    monkeypatch.setattr(simulator, "_usable_cpus", lambda: 2)
+    serial = [simulator._accumulate(_params_exp(), 1000, 3, r)
+              for r in range(3)]
+
+    class PausingEvent(threading.Event):
+        def is_set(self):
+            if threading.current_thread().name.startswith("busycycle-sim"):
+                time.sleep(0.05)
+            return super().is_set()
+
+    before = threading.active_count()
+    monkeypatch.setattr(simulator.threading, "Event", PausingEvent)
+    got = simulator._replication_sums(_params_exp(), 1000, 3, 3)
+    monkeypatch.undo()
+    assert threading.active_count() == before
+    assert [s.tobytes() for s in got] == [s.tobytes() for s in serial]
+
+
+def test_replications_run_on_at_most_two_threads(monkeypatch):
+    monkeypatch.setattr(simulator, "_THREADED_CYCLES", 0)
+    monkeypatch.setattr(simulator, "_usable_cpus", lambda: 8)
+    names = _threads_of(monkeypatch)
+    bc.estimate_beta_c(_params_exp(), 1000, seed=2, replications=8)
+    assert len(set(names.values())) <= simulator._MAX_WORKERS == 2
+
+
 def test_a_replication_works_in_about_four_arrays_of_its_cycles():
     # the idle times become Z in place and only the active cycles' index,
     # arrival and end are kept; a loop over full-length arrays keeps about
@@ -491,6 +523,7 @@ def test_each_replication_runs_once_under_thread_switching(monkeypatch):
     serial = bc.estimate_beta_c(_params_exp(), 1000, seed=6, replications=16)
     runs.clear()
     monkeypatch.setattr(simulator, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(simulator, "_MAX_WORKERS", 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
