@@ -140,10 +140,10 @@ def power_double_series(arrival_rate: float, c: float,
     """
     lam = float(arrival_rate)
     c = float(c)
-    if not (lam > 0.0):
-        raise DomainError(f"arrival_rate must be positive, got {lam}")
-    if not (c > 0.0):
-        raise DomainError(f"c must be positive, got {c}")
+    if not (0.0 < lam < math.inf):
+        raise DomainError(f"arrival_rate must be positive and finite, got {lam}")
+    if not (0.0 < c < math.inf):
+        raise DomainError(f"c must be positive and finite, got {c}")
     beta, err = _power_beta_series(lam, c, tol)
     bc = beta + 1.0 / lam
     return bc, err + math.ulp(bc)

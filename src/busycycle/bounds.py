@@ -96,8 +96,8 @@ def proposition1(rho: float, scv: float) -> Comparison:
     scv >= 2/rho.  The below-test runs first; both can hold only in the
     rho -> 0 limit, where the below conclusion is the sharper one.
     """
-    if not (rho > 0.0):
-        raise DomainError(f"rho must be positive, got {rho}")
+    if not (0.0 < rho < math.inf):
+        raise DomainError(f"rho must be positive and finite, got {rho}")
     if not (scv >= 0.0):  # nan fails too
         raise DomainError(f"scv must be >= 0, got {scv}")
     if scv * (math.expm1(rho) - rho) <= rho:  # exact as e^rho - 1 - rho -> 0
@@ -231,6 +231,9 @@ def _class_upper(kind: str, params: QueueParameters, assume_tags) -> float:
 
 def gap_ratio(lower: float, upper: float, reference: float) -> float:
     """(upper - lower) / reference, the bound-gap quality measure."""
+    if not all(map(math.isfinite, (lower, upper, reference))):
+        raise DomainError(f"bounds and reference must be finite, got "
+                          f"{lower}, {upper}, {reference}")
     if upper < lower:
         raise DomainError(f"upper ({upper}) must be >= lower ({lower})")
     if not (reference > 0.0):

@@ -362,8 +362,8 @@ def scale(dist: ServiceDistribution, factor: float) -> ServiceDistribution:
     Class tags survive scaling.  The two logistic-form members rescale onto
     themselves with the arrival rate divided by ``factor``.
     """
-    if not (factor > 0.0):
-        raise DomainError(f"scale factor must be positive, got {factor}")
+    if not (0.0 < factor < math.inf):
+        raise DomainError(f"scale factor must be positive and finite, got {factor}")
     k = float(factor)
     key = _CATALOG.get(dist.spec.get("type"), (None, None))[1]
     if key == "mean":

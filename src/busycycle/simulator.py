@@ -17,27 +17,27 @@ the generator's uniforms in a fixed batch order (documented at
 ``_simulate_batch``), so results are bit-identical across runs and do not
 depend on execution parallelism.
 
-The uniforms come from a block drawn ahead of the replication's generator,
-carried across its batches; Philox's uniforms do not depend on how the
-draws are split, so the block changes no value.  Once a round has few
-services left, their quantiles are evaluated once per window of the
-uniforms ahead, and the next rounds take their services from that window:
-one quantile call then serves many small rounds.  Every quantile the
-package builds is elementwise, so the draw order and the bytes do not
-change.
+A replication's gaps and services come from one draw object (``_Draws``),
+carried across its batches, which alone decides where each value comes
+from.  Small requests are sliced from a window of uniforms drawn ahead,
+whose gaps and service quantiles are computed once for the whole window:
+one quantile call then serves many small rounds.  Larger requests are
+drawn and transformed on their own.  Philox's uniforms do not depend on
+how the draws are split and every quantile the package builds is
+elementwise, so the draw order and the bytes do not change.
 
 A batch keeps only its active cycles' index, arrival and end, and adds
 each busy period to its cycle's idle time when it ends, so one replication
-needs about 3.2 arrays of 8-byte floats per cycle of a batch at rho = 1.
+needs about 3.6 arrays of 8-byte floats per cycle of a batch at rho = 1.
 Replications run concurrently, one thread per usable CPU and at most
 ``_MAX_WORKERS``, once a batch is large enough for its array work to
 outweigh the interpreter's share (see ``_THREADED_CYCLES``).  Memory grows
-with the replications that run at once: two hold about 6.4 arrays a
-cycle, against 7 for one replication before its working set was cut.
-Each replication owns its stream and its sums are pooled in replication
-order, so a concurrent run gives the same bits as a run one at a time.  A
-service law's quantile, and so a user's cdf, may then be called from two
-threads at once.
+with the replications that run at once: two hold about 7.2 arrays a
+cycle at rho = 1, against 7 for one replication before its working set
+was cut.  Each replication owns its stream and its sums are pooled in
+replication order, so a concurrent run gives the same bits as a run one
+at a time.  A service law's quantile, and so a user's cdf, may then be
+called from two threads at once.
 """
 
 from __future__ import annotations
@@ -68,15 +68,16 @@ BATCH = 1 << 19
 # of one estimate; termination is a.s. anyway
 EVENT_CAP = 10**9
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
-# Uniforms drawn ahead per block, the shortest quantile window, and the
-# rounds a window covers at least: a round with m services, 7m <= _BLOCK,
-# evaluates the quantile on the next max(_WINDOW, 7m) uniforms.  A user-CDF
-# quantile call makes about five cdf calls and some seventy array
-# operations whatever its size, and most rounds carry 1-200 draws.  On the
-# general_g benchmark (2-core Xeon) these sizes cut quantile calls from 95
-# to 13 a pass, for 26 468 draws in place of 14 902, and its estimates ran
-# about 35% faster than with no windows; windows 5m long, _WINDOW 128 and
-# _BLOCK 8192 ran them within 3% of these sizes.
+# The window sizes of ``_Draws`` (see its docstring).  The active set
+# never grows, so a window opened for a round's m services, at least
+# (2 _AHEAD + 1) m long, also holds the services of the next _AHEAD
+# rounds.  A user-CDF quantile call makes about five cdf calls and some
+# seventy array operations whatever its size, and most rounds carry 1-200
+# draws.  On the general_g benchmark (2-core Xeon) these sizes cut
+# quantile calls from 95 to 13 a pass, for 26 468 draws in place of
+# 14 902, and its estimates ran about 35% faster than with no windows;
+# windows 5m long, _WINDOW 128 and _BLOCK 8192 ran them within 3% of
+# these sizes.
 _BLOCK = 4096
 _WINDOW = 512
 _AHEAD = 3
@@ -86,17 +87,11 @@ _AHEAD = 3
 # one at a time (rho 1 and 5), of 8 000-11 000 cycles 2-10% faster (rho 1
 # to 4.5), and of 16 000-220 728 cycles 13-48% faster (rho 1 to 4).
 _THREADED_CYCLES = 1 << 14
-# Most replications run at once.  Each holds its own working set (above),
-# so k at once hold about 3.2k arrays of a batch's floats against the 7 of
-# one replication before that set was cut; only two threads, on 2 CPUs,
-# have been measured.
+# Most replications run at once.  Each holds its own working set
+# (``_simulate_batch``), so k at once hold about 3.6k arrays of a batch's
+# floats at rho = 1 against the 7 of one replication before that set was
+# cut; only two threads, on 2 CPUs, have been measured.
 _MAX_WORKERS = 2
-# Cycles whose first gaps, or whose services in a round too large for a
-# quantile window, are drawn at a time.  Drawn whole, they raised a batch's
-# peak from 3.2 to 3.6 arrays of n floats (2^17 cycles, exponential at
-# rho = 1); drawn this many at a time, they ran the oracle benchmark's
-# configurations within 3% of the time drawn whole.
-_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -134,140 +129,107 @@ def _rng_for(seed: int, replication: int) -> Generator:
     return Generator(Philox(key=key))
 
 
-class _Uniforms:
-    """The uniforms of one generator in order, served from a block drawn
-    ahead.  ``count`` is how many have been taken."""
+class _Draws:
+    """One replication's inter-arrival gaps and service times, in the order
+    its generator's uniforms come: ``gaps(n)`` and ``services(n)`` each
+    transform the next n uniforms, by -log1p(-u) / lam and by the service
+    quantile.
 
-    def __init__(self, rng: Generator):
+    A request is sliced from the window of uniforms drawn ahead when the
+    window holds it.  Otherwise, if (2 _AHEAD + 1) n <= _BLOCK, the window's
+    leftover uniforms and the generator's next ones form a new window of
+    max(_WINDOW, (2 _AHEAD + 1) n), and the request is sliced from that; a
+    window's gaps and its quantiles are each computed once, for the whole
+    window, when first asked for.  A larger request takes the window's
+    leftover uniforms, then the generator's, and is transformed on its own.
+    Both transforms are elementwise and Philox's uniforms do not depend on
+    how the draws are split, so every value is the one a request
+    transformed on its own would get.  A returned array may be a view of
+    the window's values; the caller may overwrite it, as no value is
+    handed out twice and the window keeps its uniforms apart.
+    """
+
+    def __init__(self, params: QueueParameters, rng: Generator):
+        self._lam = params.arrival_rate
+        self._quantile = params.service.quantile_fn
         self._rng = rng
-        self._block = np.empty(0)
-        self._pos = 0
-        self.count = 0
+        self._window = np.empty(0)
+        self._pos = 0  # uniforms of the window handed out
+        self._made = {}  # the window's gaps and services, once asked for
 
-    def peek(self, n: int) -> np.ndarray:
-        """The next n <= _BLOCK uniforms, left in the stream."""
-        if self._pos + n > self._block.size:
-            self._block = np.concatenate((self._block[self._pos:],
-                                          self._rng.random(_BLOCK)))
-            self._pos = 0
-        return self._block[self._pos:self._pos + n]
+    def gaps(self, n: int) -> np.ndarray:
+        """The next n inter-arrival gaps."""
+        return self._draw(n, "gaps")
 
-    def fresh(self, n: int) -> np.ndarray:
-        """The next n uniforms in an array the caller may overwrite."""
-        u = self.take(n)
-        return u if u.base is None else u.copy()
+    def services(self, n: int) -> np.ndarray:
+        """The next n service times."""
+        return self._draw(n, "services")
 
-    def skip(self, n: int) -> None:
-        """Pass over the next n uniforms, all inside the last peek."""
-        self._pos += n
-        self.count += n
-
-    def take(self, n: int) -> np.ndarray:
-        """The next n uniforms."""
-        if n <= _BLOCK or self._pos + n <= self._block.size:
-            u = self.peek(n)
-            self._pos += n
-        else:  # the rest of the block, then straight from the generator
-            rest = self._block[self._pos:]
-            u = np.empty(n)
-            u[:rest.size] = rest
-            self._rng.random(out=u[rest.size:])
-            self._block, self._pos = np.empty(0), 0
-        self.count += n
+    def _transform(self, u: np.ndarray, kind: str) -> np.ndarray:
+        if kind == "services":
+            return np.asarray(self._quantile(u), dtype=float)
+        np.negative(u, out=u)  # the gaps in place in u
+        np.log1p(u, out=u)
+        u /= -self._lam  # log1p(-u) / -lam is -log1p(-u) / lam bit for bit
         return u
 
-
-def _exponential_gaps(u: np.ndarray, lam: float) -> np.ndarray:
-    """-log1p(-u) / lam, computed in place in ``u``."""
-    np.negative(u, out=u)
-    np.log1p(u, out=u)
-    u /= -lam  # log1p(-u) / -lam is -log1p(-u) / lam bit for bit
-    return u
-
-
-def _first_arrivals(draws: _Uniforms, end: np.ndarray, lam: float):
-    """Round 1: the mask of the cycles whose first gap ends before their
-    first service, and those gaps.  The gaps are drawn _CHUNK at a time,
-    so only the ones kept take memory."""
-    still = np.empty(end.size, dtype=bool)
-    kept = []
-    for first in range(0, end.size, _CHUNK):
-        gap = _exponential_gaps(draws.fresh(min(_CHUNK, end.size - first)),
-                                lam)
-        busy = still[first:first + _CHUNK]
-        np.less(gap, end[first:first + _CHUNK], out=busy)
-        kept.append(gap[busy])
-    return still, np.concatenate(kept)
+    def _draw(self, n: int, kind: str) -> np.ndarray:
+        rest = self._window.size - self._pos
+        if n > rest:
+            span = (2 * _AHEAD + 1) * n
+            if span > _BLOCK:
+                u = np.empty(n)
+                u[:rest] = self._window[self._pos:]
+                self._rng.random(out=u[rest:])
+                self._pos = self._window.size
+                return self._transform(u, kind)
+            self._window = np.concatenate((
+                self._window[self._pos:],
+                self._rng.random(max(_WINDOW, span) - rest)))
+            self._pos = 0
+            self._made = {}
+        if kind not in self._made:
+            self._made[kind] = self._transform(self._window.copy(), kind)
+        self._pos += n
+        return self._made[kind][self._pos - n:self._pos]
 
 
-def _serve(q, draws: _Uniforms, arrival: np.ndarray, end: np.ndarray):
-    """end = max(end, arrival + service), with the services drawn _CHUNK
-    at a time."""
-    for first in range(0, end.size, _CHUNK):
-        part = end[first:first + _CHUNK]
-        svc = np.asarray(q(draws.take(part.size)), dtype=float)
-        np.maximum(part, arrival[first:first + _CHUNK] + svc, out=part)
-
-
-def _simulate_batch(params: QueueParameters, n: int, draws: _Uniforms):
+def _simulate_batch(draws: _Draws, n: int) -> np.ndarray:
     """Cycle lengths Z = idle + busy for n cycles, batched across cycles.
 
-    Fixed draw order per batch: n idle uniforms, n first-service uniforms,
-    then per round over the still-active cycles (in ascending cycle index):
-    one gap uniform each, followed by one service uniform for each cycle
-    whose arrival landed inside its current busy period.
-
-    ``draws`` is the replication's ``_Uniforms`` stream.  A round with m
-    services, (2 _AHEAD + 1) m <= _BLOCK, evaluates the quantile on the
-    next max(_WINDOW, (2 _AHEAD + 1) m) uniforms.  The active set never
-    grows, so each later round takes at most m gap and m service uniforms,
-    and the next _AHEAD rounds' services lie inside the window; every later
-    round whose services do takes them from it.
+    Fixed draw order per batch: n idle gaps, n first services, n first
+    gaps, then per round over the cycles whose arrival landed inside their
+    current busy period (in ascending cycle index): one service each, then
+    one gap each.  ``draws`` decides where each draw's value comes from.
 
     Only the active cycles' index, arrival and end are kept, compacted
     each round, and a busy period is added to its cycle's idle time when
-    it ends.  The exponential transforms work in place, and a window's
-    gaps are transformed with its services.  The peak grows with the share
-    p of cycles still busy at the first arrival (p = rho / (1 + rho) for
-    exponential service): about 3.2 arrays of n floats at rho = 1 and 5.2
-    at rho = 5, where a loop over full-length arrays keeps about 7.
+    it ends.  The peak grows with the share p of cycles still busy at the
+    first arrival (p = rho / (1 + rho) for exponential service): about 3.6
+    arrays of n floats at rho = 1 and 5.9 at rho = 5, where a loop over
+    full-length arrays keeps about 7.
     """
-    lam = params.arrival_rate
-    q = params.service.quantile_fn
-    z = _exponential_gaps(draws.fresh(n), lam)
-    end = np.asarray(q(draws.take(n)), dtype=float)
-    # round 1: every cycle is active and its arrival is its first gap
-    still, arrival = _first_arrivals(draws, end, lam)
+    z = draws.gaps(n)  # the idle periods, then the cycle lengths
+    end = draws.services(n)
+    arrival = draws.gaps(n)
+    # round 1: every cycle is active
+    still = arrival < end
     np.add(z, end, out=z, where=~still)
+    arrival = arrival[still]
     end = end[still]
     index = still.nonzero()[0]
-    # service quantiles and gaps of the uniforms from `start` on
-    window = gaps = np.empty(0)
-    start = 0
+    del still
     rounds = 1
     while index.size:
         m = index.size
-        at = draws.count - start
-        span = (2 * _AHEAD + 1) * m
-        if at + m > window.size and span <= _BLOCK:
-            start, at = draws.count, 0
-            u = draws.peek(max(_WINDOW, span))
-            window = np.asarray(q(u), dtype=float)
-            gaps = _exponential_gaps(u.copy(), lam)
-        if at + m <= window.size:
-            draws.skip(m)
-            np.maximum(end, arrival + window[at:at + m], out=end)
-        else:
-            _serve(q, draws, arrival, end)
+        svc = draws.services(m)
+        svc += arrival
+        np.maximum(end, svc, out=end)
+        del svc
         rounds += 1
         if rounds > EVENT_CAP:
             raise RunawayCycleError("busy period exceeded the event cap")
-        at = draws.count - start
-        if at + m <= gaps.size:
-            draws.skip(m)
-            arrival += gaps[at:at + m]
-        else:
-            arrival += _exponential_gaps(draws.fresh(m), lam)
+        arrival += draws.gaps(m)
         still = arrival < end
         ended = z[index]  # the busy periods that end here join their idle
         np.add(ended, end, out=ended, where=~still)
@@ -284,11 +246,11 @@ def _batches(params: QueueParameters, n_cycles: int, seed: int,
              replication: int):
     """Cycle-length arrays of one replication, BATCH cycles at a time, all
     drawn from one stream of its generator."""
-    draws = _Uniforms(_rng_for(seed, replication))
+    draws = _Draws(params, _rng_for(seed, replication))
     remaining = n_cycles
     while remaining > 0:
         m = min(BATCH, remaining)
-        yield _simulate_batch(params, m, draws)
+        yield _simulate_batch(draws, m)
         remaining -= m
 
 
@@ -377,8 +339,8 @@ def estimate_beta_c(params: QueueParameters, n_cycles: int, seed: int,
     independently keyed streams and their sums are pooled in replication
     order before the single ratio is formed.  Replications of at least
     ``_THREADED_CYCLES`` cycles run on up to one thread per usable CPU, at
-    most ``_MAX_WORKERS`` (2), each holding about 3.2 arrays of
-    ``min(n_cycles, BATCH)`` floats at rho = 1.
+    most ``_MAX_WORKERS`` (2), each holding about 3.6 arrays of
+    ``min(n_cycles, BATCH)`` floats at rho = 1 (5.9 at rho = 5).
     The result has the same bits as a run one at a time, but the service
     quantile (and a user's cdf) may be called from two threads at once.
     An error in a replication is raised once every thread has stopped, the

@@ -99,8 +99,8 @@ def _ratio_bounds(row: str, params: QueueParameters):
 
 def compute_table(which: int) -> list:
     """All annotated cells of table 1, 2 or 3, in row-major registry order."""
-    if which not in (1, 2, 3):
-        raise DomainError(f"table number must be 1, 2 or 3, got {which}")
+    if type(which) is not int or which not in (1, 2, 3):
+        raise DomainError(f"table number must be 1, 2 or 3, got {which!r}")
     reg = load_registry()[f"table{which}"]
     quantity = reg["quantity"]
     results = []

@@ -349,9 +349,16 @@ def test_traffic_intensity_past_the_float_range_is_rejected():
     lambda: bc.time_average_age([math.nan]),
     lambda: bc.time_average_age([0.0, 0.0]),
     lambda: bc.class_lower_bound(5, bc.QueueParameters(2.0, bc.exponential(0.5))),
+    lambda: bc.gap_ratio(math.nan, 1.0, 1.0),
+    lambda: bc.proposition1(math.inf, 1.0),
+    lambda: bc.power_double_series(math.inf, 2.0),
+    lambda: bc.power_double_series(1.0, math.inf),
+    lambda: bc.scale(bc.make_distribution(
+        lambda t: -np.expm1(-np.maximum(t, 0.0)), mean=1.0), math.inf),
 ], ids=["deterministic-nan", "deterministic-inf", "power-inf", "proposition1-nan",
         "residual-tail-nan", "integrated-tail-nan", "age-nan", "age-all-zero",
-        "class-not-a-name"])
+        "class-not-a-name", "gap-ratio-nan", "proposition1-inf",
+        "power-series-lambda-inf", "power-series-c-inf", "scale-inf"])
 def test_api_values_without_a_finite_answer_are_domain_errors(call):
     # each once returned nan, built a law with a nan mean or raised an
     # untyped error

@@ -14,7 +14,7 @@ from numpy.random import Generator, Philox
 import busycycle as bc
 from busycycle import simulator
 from busycycle.errors import DomainError, RunawayCycleError
-from busycycle.simulator import _Uniforms, _batches, _rng_for, _simulate_batch
+from busycycle.simulator import _Draws, _batches, _rng_for, _simulate_batch
 
 
 def _params_exp():
@@ -31,21 +31,21 @@ def test_single_cycle_is_reproducible_and_pinned():
     # A batch of one draws idle, first service, then gap and service
     # uniforms in turn, the order a single cycle is drawn in.
     rng = Generator(Philox(key=np.array([42, 0], dtype=np.uint64)))
-    (z,) = _simulate_batch(_params_exp(), 1, _Uniforms(rng))
+    (z,) = _simulate_batch(_Draws(_params_exp(), rng), 1)
     (idle,) = _idle(42, 0, 1, 1.0)
     assert idle == pytest.approx(1.715899855890263, rel=1e-15)
     assert z - idle == pytest.approx(0.20979013644443417, rel=1e-13)
     assert z == pytest.approx(1.715899855890263 + 0.20979013644443417,
                               rel=1e-15)
     rng2 = Generator(Philox(key=np.array([42, 0], dtype=np.uint64)))
-    (z2,) = _simulate_batch(_params_exp(), 1, _Uniforms(rng2))
+    (z2,) = _simulate_batch(_Draws(_params_exp(), rng2), 1)
     assert z2 == z
 
 
 def test_single_cycle_zero_service():
     params = bc.QueueParameters(2.0, bc.deterministic(0.0))
     rng = _rng_for(5, 0)
-    (z,) = _simulate_batch(params, 1, _Uniforms(rng))
+    (z,) = _simulate_batch(_Draws(params, rng), 1)
     assert z == _idle(5, 0, 1, 2.0)[0]  # no busy time
     assert z > 0.0
 
@@ -55,8 +55,8 @@ def test_single_customer_busy_period_equals_service():
     # almost surely, so the busy period is exactly one service long
     params = bc.QueueParameters(0.001, bc.deterministic(2.0))
     for rep in range(5):
-        draws = _Uniforms(_rng_for(100 + rep, 0))
-        (z,) = _simulate_batch(params, 1, draws)
+        draws = _Draws(params, _rng_for(100 + rep, 0))
+        (z,) = _simulate_batch(draws, 1)
         assert z == _idle(100 + rep, 0, 1, 0.001)[0] + 2.0
 
 
@@ -144,7 +144,7 @@ def test_oracle_agreement_spot():
 def test_busy_and_idle_means_match_theory():
     params = bc.QueueParameters(1.0, bc.exponential(1.0))
     n = 200_000
-    z = _simulate_batch(params, n, _Uniforms(_rng_for(31, 0)))
+    z = _simulate_batch(_Draws(params, _rng_for(31, 0)), n)
     idle, busy = _reference_batch(params, n, _rng_for(31, 0))
     assert np.array_equal(z, idle + busy)
     busy_mean = busy.sum() / n
@@ -273,21 +273,54 @@ def _counted(params):
     return bc.QueueParameters(params.arrival_rate, service), calls
 
 
+def _script(t):
+    """Requests of a stream whose window rule takes at most t draws: under,
+    at and over t, some served from a window's rest though over t, some
+    turning a window over with a remainder, and larger ones taking the
+    window's leftover straight from the generator."""
+    return [("gaps", 3), ("services", t), ("gaps", t), ("services", t + 1),
+            ("gaps", 1), ("services", 2), ("gaps", 7 * t), ("services", 0),
+            ("gaps", t // 2), ("services", 2 * t + 3), ("gaps", t),
+            ("services", t), ("gaps", t), ("services", t - 1), ("gaps", 5),
+            ("services", 3 * t), ("gaps", t), ("services", 1),
+            ("gaps", 2 * t), ("services", t), ("gaps", t), ("services", 7)]
+
+
+STREAM_LAWS = [
+    ("exponential", lambda: bc.QueueParameters(1.5, bc.exponential(2.0))),
+    # a quantile that hands back its input: overwriting the services it
+    # serves must not move the window's gaps
+    ("identity", lambda: bc.QueueParameters(0.7, dataclasses.replace(
+        bc.uniform01(), quantile_fn=lambda u: u))),
+]
+
+
 def test_uniform_stream_serves_the_generator_sequence(monkeypatch):
-    # requests under, at and over the block size, some after a refill left
-    # a remainder larger than the next request, with peeks in between
-    for block in (8, simulator._BLOCK):
+    # the draw object's gaps and services, in the order asked for, are the
+    # transforms of the generator's uniforms in order, with a small block
+    # and window and at their defaults
+    for block, window in ((63, 16), (simulator._BLOCK, simulator._WINDOW)):
         monkeypatch.setattr(simulator, "_BLOCK", block)
-        draws = simulator._Uniforms(_rng_for(9, 1))
-        taken = []
-        for n in (3, block, block - 1, 2, block + 5, 1, 2 * block + 3, 0,
-                  block // 2, block + 1, block, 7):
-            ahead = draws.peek(min(n, block)).copy()
-            taken.append(draws.take(n))
-            assert np.array_equal(taken[-1][:ahead.size], ahead), (block, n)
-        got = np.concatenate(taken)
-        assert draws.count == got.size
-        assert np.array_equal(got, _rng_for(9, 1).random(got.size)), block
+        monkeypatch.setattr(simulator, "_WINDOW", window)
+        for label, make in STREAM_LAWS:
+            params = make()
+            draws = _Draws(params, _rng_for(9, 1))
+            served = []
+            for kind, n in _script(block // (2 * simulator._AHEAD + 1)):
+                values = getattr(draws, kind)(n)
+                assert values.shape == (n,), (kind, n)
+                served.append((kind, values.copy()))
+                values[:] = -1.0  # the caller may overwrite what it got
+            u = _rng_for(9, 1).random(sum(v.size for _, v in served))
+            q = params.service.quantile_fn
+            first = 0
+            for kind, got in served:
+                part = u[first:first + got.size]
+                first += got.size
+                want = (-np.log1p(-part) / params.arrival_rate
+                        if kind == "gaps"
+                        else np.asarray(q(part.copy()), dtype=float))
+                assert np.array_equal(got, want), (label, block, kind, first)
 
 
 def _weibull_half_cdf(t):
@@ -312,23 +345,29 @@ WINDOW_LAWS = [
 def test_quantile_windows_draw_what_the_round_loop_draws(label, make,
                                                          monkeypatch):
     # 700-cycle batches: 1000 and 3000 cycles span 2 and 5 batches, and the
-    # uniforms drawn ahead carry from each batch into the next; first gaps
-    # and rounds too large for a window are drawn 300 at a time
+    # uniforms drawn ahead carry from each batch into the next.  With a
+    # block of 64, rounds of more than 9 services take the direct path and
+    # windows of at most 64 uniforms turn over every few rounds.
     monkeypatch.setattr(simulator, "BATCH", 700)
-    monkeypatch.setattr(simulator, "_CHUNK", 300)
-    params, calls = _counted(make())
-    ref_params, ref_calls = _counted(make())
-    for n in (1, 1000, 3000):
-        for replication in range(2):
-            got = list(_batches(params, n, 2024 + n, replication))
-            want = _reference_batches(ref_params, n, 2024 + n, replication)
-            assert len(got) == len(want) == -(-n // 700), (label, n)
-            for z, (ref_idle, ref_busy) in zip(got, want):
-                assert np.array_equal(z, ref_idle + ref_busy), (
-                    label, n, replication)
-    assert calls[0] <= ref_calls[0], label
-    if label != "deterministic0":  # zero services end every cycle at once
-        assert calls[0] < ref_calls[0] / 2, (label, calls[0], ref_calls[0])
+    for block, window in ((simulator._BLOCK, simulator._WINDOW), (64, 16)):
+        monkeypatch.setattr(simulator, "_BLOCK", block)
+        monkeypatch.setattr(simulator, "_WINDOW", window)
+        params, calls = _counted(make())
+        ref_params, ref_calls = _counted(make())
+        for n in (1, 1000, 3000):
+            for replication in range(2):
+                got = list(_batches(params, n, 2024 + n, replication))
+                want = _reference_batches(ref_params, n, 2024 + n,
+                                          replication)
+                assert len(got) == len(want) == -(-n // 700), (label, n)
+                for z, (ref_idle, ref_busy) in zip(got, want):
+                    assert np.array_equal(z, ref_idle + ref_busy), (
+                        label, block, n, replication)
+        if block == 64:
+            continue
+        assert calls[0] <= ref_calls[0], label
+        if label != "deterministic0":  # zero services end every cycle at once
+            assert calls[0] < ref_calls[0] / 2, (label, calls[0], ref_calls[0])
 
 
 def test_estimate_pools_the_batches_of_one_stream(monkeypatch):
@@ -353,7 +392,7 @@ def test_runaway_rounds_raise_inside_a_quantile_window(monkeypatch):
     params = bc.QueueParameters(1.0, bc.exponential(3.0))
     with pytest.raises(RunawayCycleError):
         for seed in range(20):
-            _simulate_batch(params, 1, _Uniforms(_rng_for(seed, 0)))
+            _simulate_batch(_Draws(params, _rng_for(seed, 0)), 1)
 
 
 CONCURRENT_LAWS = [
@@ -494,17 +533,19 @@ def test_replications_run_on_at_most_two_threads(monkeypatch):
 def test_a_replication_works_in_about_four_arrays_of_its_cycles():
     # the idle times become Z in place and only the active cycles' index,
     # arrival and end are kept; a loop over full-length arrays keeps about
-    # 7 arrays of n floats
+    # 7 arrays of n floats.  More cycles are still busy at the first
+    # arrival at rho = 5, and its large rounds' services are drawn whole.
     n = 1 << 17
-    params = _params_exp()
-    simulator._accumulate(params, 1000, 8, 0)
-    tracemalloc.start()
-    try:
-        simulator._accumulate(params, n, 8, 0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * 8 * n, peak / (8 * n)
+    for rho, bound in ((1.0, 4.0), (5.0, 6.5)):
+        params = bc.QueueParameters(1.0, bc.exponential(rho))
+        simulator._accumulate(params, 1000, 8, 0)
+        tracemalloc.start()
+        try:
+            simulator._accumulate(params, n, 8, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 8 * n, (rho, peak / (8 * n))
 
 
 def test_each_replication_runs_once_under_thread_switching(monkeypatch):

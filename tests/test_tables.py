@@ -114,8 +114,10 @@ def test_golden_rows_all_pass(all_cells):
 
 
 def test_compute_table_rejects_bad_number():
-    with pytest.raises(DomainError):
-        tables.compute_table(4)
+    # a float or bool once ended in a bare KeyError ('table1.0')
+    for which in (4, 1.0, 2.0, True, "1"):
+        with pytest.raises(DomainError, match=f"got {which!r}$"):
+            tables.compute_table(which)
 
 
 def test_table_command_exit_3_when_registry_expectation_flips(monkeypatch, capsys):
