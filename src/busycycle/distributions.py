@@ -63,11 +63,14 @@ _G_SLACK = 4.0 * sys.float_info.epsilon
 # tol = _XTOL + _RTOL * q the absolute and relative tolerances brentq used
 # here before.  Each draw takes _SECANT steps from the table's guess; one
 # that fails the check has G evaluated at _PROBES times tol on either side
-# of its last step, and is then bisected to a bracket under tol / 2.
+# of its last step, and its bracket is then cut into _PARTS equal parts per
+# cdf call, at _CUTS, until it is under tol / 2.
 _XTOL = 1e-14
 _RTOL = 4.0 * sys.float_info.epsilon
 _SECANT = 3
 _PROBES = np.outer((-1.0, 1.0), 2.0 ** np.arange(-1.0, 24.0)).ravel()
+_PARTS = 32
+_CUTS = np.arange(1.0, _PARTS) / _PARTS
 
 
 def _check_rho(rho: float) -> None:
@@ -360,7 +363,9 @@ def scale(dist: ServiceDistribution, factor: float) -> ServiceDistribution:
     """Service times multiplied by ``factor`` (> 0).
 
     Class tags survive scaling.  The two logistic-form members rescale onto
-    themselves with the arrival rate divided by ``factor``.
+    themselves with the arrival rate divided by ``factor``.  DomainError is
+    raised when the scaled mean, or a known moment2 or moment3, is not a
+    finite float.
     """
     if not (0.0 < factor < math.inf):
         raise DomainError(f"scale factor must be positive and finite, got {factor}")
@@ -372,6 +377,17 @@ def scale(dist: ServiceDistribution, factor: float) -> ServiceDistribution:
         return from_spec(dist.spec, dist.embedded_arrival_rate / k)
 
     base = dist
+    mean = k * base.mean
+    moment2 = None if base.moment2 is None else k * k * base.moment2
+    try:
+        moment3 = None if base.moment3 is None else k**3 * base.moment3
+    except OverflowError:  # float ** raises where * gives inf
+        moment3 = math.inf
+    for what, value in (("mean", mean), ("moment2", moment2),
+                        ("moment3", moment3)):
+        if value is not None and not math.isfinite(value):
+            raise DomainError(f"scale factor {k!r} takes the {what} of "
+                              f"{base.name} out of the float range")
 
     def cdf(t):
         return base.cdf(np.asarray(t, dtype=float) / k)
@@ -388,9 +404,9 @@ def scale(dist: ServiceDistribution, factor: float) -> ServiceDistribution:
 
     return ServiceDistribution(
         name=f"scaled({base.name}, k={k:g})",
-        mean=k * base.mean,
-        moment2=None if base.moment2 is None else k * k * base.moment2,
-        moment3=None if base.moment3 is None else k**3 * base.moment3,
+        mean=mean,
+        moment2=moment2,
+        moment3=moment3,
         cdf=cdf,
         residual_tail_fn=rtail,
         quantile_fn=quantile,
@@ -431,7 +447,8 @@ def make_distribution(
       the cubic's slope and two secant steps refine it, and two cdf values
       check the result q: G(q - tol) < u <= G(q), tol = 1e-14 + 8.9e-16 q.
       Only the draws that fail (G flat at float resolution, kinks, atoms)
-      are bisected, each with a step count from its own bracket.  So the
+      fall back to cutting their bracket into 32 equal parts per cdf call,
+      each with a round count from its own bracket.  So the
       quantile is elementwise: ``quantile_fn(u)[i]`` is ``quantile_fn(u[i])``
       bit for bit, whatever else ``u`` holds.
 
@@ -596,7 +613,7 @@ def _invert(G, u, lo, hi, g0, du, c1, c2, c3):
     Then q = x + tol/2, tol = _XTOL + _RTOL x, is returned when it passes
     the check G(q - (_XTOL + _RTOL q)) < u <= G(q).  Where it fails (G
     moves only at float resolution, or has a kink or an atom), G at
-    _PROBES tol from x narrows the bracket, and bisection ends it.  Every
+    _PROBES tol from x narrows the bracket, and ``_bisect`` ends it.  Every
     step acts on each element alone, so element i of the result depends
     on u[i] only.
     """
@@ -630,18 +647,22 @@ def _invert(G, u, lo, hi, g0, du, c1, c2, c3):
 
 
 def _bisect(G, u, lo, hi):
-    """hi after halving each bracket [lo, hi], G(lo) < u <= G(hi), until it
-    is under half of _XTOL + _RTOL lo, which leaves G(hi - tol) < u room for
-    rounding.  The step count of each element comes from its own bracket
-    alone."""
+    """hi after cutting each bracket [lo, hi], G(lo) < u <= G(hi), into
+    _PARTS parts per cdf call and keeping the first part whose right end
+    has G >= u, until it is under half of _XTOL + _RTOL lo, which leaves
+    G(hi - tol) < u room for rounding.  The round count of each element
+    comes from its own bracket alone."""
     ratio = 2.0 * (hi - lo) / (_XTOL + _RTOL * lo)
-    steps = np.ceil(np.log2(np.fmax(ratio, 1.0)))
-    for step in range(int(np.max(steps, initial=0.0))):
-        k = np.flatnonzero(steps > step)
-        mid = 0.5 * (lo[k] + hi[k])
-        ge = G(mid) >= u[k]
-        hi[k] = np.where(ge, mid, hi[k])
-        lo[k] = np.where(ge, lo[k], mid)
+    rounds = np.ceil(np.log2(np.fmax(ratio, 1.0)) / math.log2(_PARTS))
+    for r in range(int(np.max(rounds, initial=0.0))):
+        k = np.flatnonzero(rounds > r)
+        cuts = lo[k, None] + (hi[k] - lo[k])[:, None] * _CUTS
+        ge = G(cuts.ravel()).reshape(cuts.shape) >= u[k, None]
+        # part j, the first whose right end has G >= u, is the new bracket
+        j = np.where(ge.any(axis=1), ge.argmax(axis=1), _PARTS - 1)
+        ends = np.column_stack((lo[k], cuts, hi[k]))
+        rows = np.arange(k.size)
+        lo[k], hi[k] = ends[rows, j], ends[rows, j + 1]
     return hi
 
 

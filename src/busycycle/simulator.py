@@ -26,9 +26,11 @@ drawn and transformed on their own.  Philox's uniforms do not depend on
 how the draws are split and every quantile the package builds is
 elementwise, so the draw order and the bytes do not change.
 
-A batch keeps only its active cycles' index, arrival and end, and adds
-each busy period to its cycle's idle time when it ends, so one replication
-needs about 3.6 arrays of 8-byte floats per cycle of a batch at rho = 1.
+A batch keeps only its active cycles' index, arrival and end, so one
+replication needs about 3.6 arrays of 8-byte floats per cycle of a batch
+at rho = 1.  A round adds only the busy periods that end in it to their
+cycles' idle times, and compacts the active set only when some ended:
+at rho = 5 more than half the rounds end no cycle.
 Replications run concurrently, one thread per usable CPU and at most
 ``_MAX_WORKERS``, once a batch is large enough for its array work to
 outweigh the interpreter's share (see ``_THREADED_CYCLES``).  Memory grows
@@ -202,12 +204,13 @@ def _simulate_batch(draws: _Draws, n: int) -> np.ndarray:
     current busy period (in ascending cycle index): one service each, then
     one gap each.  ``draws`` decides where each draw's value comes from.
 
-    Only the active cycles' index, arrival and end are kept, compacted
-    each round, and a busy period is added to its cycle's idle time when
-    it ends.  The peak grows with the share p of cycles still busy at the
-    first arrival (p = rho / (1 + rho) for exponential service): about 3.6
-    arrays of n floats at rho = 1 and 5.9 at rho = 5, where a loop over
-    full-length arrays keeps about 7.
+    Only the active cycles' index, arrival and end are kept.  A round
+    adds the busy periods that end in it, and only those, to their
+    cycles' idle times, then compacts the three arrays; a round in which
+    no cycle ends skips both.  The peak grows with the share p of cycles
+    still busy at the first arrival (p = rho / (1 + rho) for exponential
+    service): about 3.6 arrays of n floats at rho = 1 and 5.9 at rho = 5,
+    where a loop over full-length arrays keeps about 7.
     """
     z = draws.gaps(n)  # the idle periods, then the cycle lengths
     end = draws.services(n)
@@ -231,11 +234,11 @@ def _simulate_batch(draws: _Draws, n: int) -> np.ndarray:
             raise RunawayCycleError("busy period exceeded the event cap")
         arrival += draws.gaps(m)
         still = arrival < end
-        ended = z[index]  # the busy periods that end here join their idle
-        np.add(ended, end, out=ended, where=~still)
-        z[index] = ended
-        del ended
         keep = still.nonzero()[0]
+        if keep.size == m:  # no busy period ended: nothing to add or drop
+            continue
+        done = (~still).nonzero()[0]  # these busy periods join their idle
+        z[index[done]] += end[done]
         index = index[keep]
         arrival = arrival[keep]
         end = end[keep]

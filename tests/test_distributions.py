@@ -430,6 +430,26 @@ def test_scale_generic_wrappers_are_the_base_law_rescaled():
     assert np.all(s.cdf(q) >= u)
 
 
+def _exp10_cdf(t):
+    return -np.expm1(-np.maximum(t, 0.0) / 10.0)
+
+
+@pytest.mark.parametrize("base,factor,what", [
+    (lambda: bc.make_distribution(_exp10_cdf, mean=10.0), 1e308, "mean"),
+    (lambda: bc.power_function(2.0), 1e308, "moment2"),
+    (lambda: bc.make_distribution(_exp10_cdf, mean=10.0, moment3=6000.0),
+     1e103, "moment3"),
+], ids=["user-mean", "power-moment2", "user-moment3"])
+def test_scale_refuses_a_factor_that_overflows_a_moment(base, factor, what):
+    # a finite factor once gave a law with mean or moment2 inf, refused
+    # later with a "rho = inf" message, and k**3 raised OverflowError
+    law = base()
+    message = re.escape(f"scale factor {factor!r}") + f".*{what}"
+    with pytest.raises(DomainError, match=message):
+        bc.scale(law, factor)
+    assert bc.scale(law, 1e100).mean == 1e100 * law.mean
+
+
 def test_from_spec_round_trip():
     cases = [
         ({"type": "exponential", "mean": 0.5}, None),
@@ -523,7 +543,7 @@ def test_user_quantile_is_the_generalized_inverse(label, cdf, mean, end,
     q = np.asarray(dist.quantile_fn(U_GRID))
     g = dist.cdf(q)
     assert np.all(np.diff(q) >= 0.0), label
-    # G(q(u)) >= u, and G stays below u a bisection tolerance further left
+    # G(q(u)) >= u, and G stays below u the quantile's tolerance further left
     assert np.all(g >= U_GRID), label
     left = np.maximum(q - 1.01 * (1e-14 + 4.0 * np.finfo(float).eps * q), 0.0)
     below = dist.cdf(left) < U_GRID
@@ -534,9 +554,9 @@ def test_user_quantile_is_the_generalized_inverse(label, cdf, mean, end,
 
 @pytest.mark.parametrize("label,cdf,mean,end,bounded_density", USER_LAWS)
 def test_user_quantile_is_elementwise(label, cdf, mean, end, bounded_density):
-    # one bisection count per law: an array call gives each element the
-    # bits a call on that element alone gives, which the simulator's
-    # quantile windows rely on
+    # one fallback round count per element: an array call gives each
+    # element the bits a call on that element alone gives, which the
+    # simulator's quantile windows rely on
     dist = bc.make_distribution(cdf, mean=mean, support_end=end)
     u = np.concatenate((U_GRID, np.random.default_rng(11).random(300)))
     together = np.asarray(dist.quantile_fn(u))
@@ -583,8 +603,8 @@ def test_user_quantile_contract_on_random_draws(label, cdf, mean, end,
     monkeypatch.setattr(distributions, "_bisect", spy)
     u = np.concatenate((U_GRID, np.random.default_rng(13).random(10_000)))
     q = np.asarray(dist.quantile_fn(u))
-    # the generalized inverse: G(q) >= u exactly, and G below u a bisection
-    # tolerance further left
+    # the generalized inverse: G(q) >= u exactly, and G below u the
+    # quantile's tolerance further left
     assert np.all(dist.cdf(q) >= u), label
     left = np.maximum(q - 1.01 * (1e-14 + 4.0 * np.finfo(float).eps * q), 0.0)
     assert np.all((dist.cdf(left) < u) | (q == 0.0)), label
@@ -598,7 +618,7 @@ def test_user_quantile_contract_on_random_draws(label, cdf, mean, end,
     assert np.array_equal(np.concatenate(chunks), q), label
     if label == "flat_kink":
         # u = 1/2 ends at the kink left of the flat stretch: the interpolated
-        # guess fails its check there and is bisected
+        # guess fails its check there and goes to the 32-part fallback
         assert 0.5 in bisected
         assert 0.5 <= float(dist.quantile_fn(0.5)) <= 0.5 + 1e-14
 

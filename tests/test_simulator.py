@@ -233,9 +233,10 @@ def test_delta_method_error_tracks_observed_spread():
     assert 0.4 * typical_se <= observed <= 2.5 * typical_se
 
 
-def _reference_batch(params, n, rng):
+def _reference_batch(params, n, rng, quiet=None):
     """The round loop before uniforms were drawn ahead: every uniform
-    straight from the generator, one quantile call per round."""
+    straight from the generator, one quantile call per round.  ``quiet``,
+    a one-element list, counts the rounds in which no cycle ends."""
     lam = params.arrival_rate
     q = params.service.quantile_fn
     idle = -np.log1p(-rng.random(n)) / lam
@@ -244,19 +245,22 @@ def _reference_batch(params, n, rng):
     active = np.arange(n)
     while active.size:
         arrival[active] += -np.log1p(-rng.random(active.size)) / lam
+        m = active.size
         active = active[arrival[active] < end[active]]
+        if quiet is not None and active.size == m:
+            quiet[0] += 1
         if active.size:
             svc = np.asarray(q(rng.random(active.size)), dtype=float)
             end[active] = np.maximum(end[active], arrival[active] + svc)
     return idle, end
 
 
-def _reference_batches(params, n_cycles, seed, replication):
+def _reference_batches(params, n_cycles, seed, replication, quiet=None):
     rng = _rng_for(seed, replication)
     out = []
     for first in range(0, n_cycles, simulator.BATCH):
         out.append(_reference_batch(
-            params, min(simulator.BATCH, n_cycles - first), rng))
+            params, min(simulator.BATCH, n_cycles - first), rng, quiet))
     return out
 
 
@@ -368,6 +372,25 @@ def test_quantile_windows_draw_what_the_round_loop_draws(label, make,
         assert calls[0] <= ref_calls[0], label
         if label != "deterministic0":  # zero services end every cycle at once
             assert calls[0] < ref_calls[0] / 2, (label, calls[0], ref_calls[0])
+
+
+def test_rounds_where_no_cycle_ends_keep_every_bit(monkeypatch):
+    # at rho = 5 many rounds end no busy period, and the round loop skips
+    # their compaction; 3000 cycles span 5 batches of 700, at the default
+    # block and window and at a block of 64 with windows of 16
+    monkeypatch.setattr(simulator, "BATCH", 700)
+    params = bc.QueueParameters(1.0, bc.exponential(5.0))
+    for block, window in ((simulator._BLOCK, simulator._WINDOW), (64, 16)):
+        monkeypatch.setattr(simulator, "_BLOCK", block)
+        monkeypatch.setattr(simulator, "_WINDOW", window)
+        for replication in range(2):
+            quiet = [0]
+            got = list(_batches(params, 3000, 77, replication))
+            want = _reference_batches(params, 3000, 77, replication, quiet)
+            assert len(got) == len(want) == 5
+            for z, (idle, busy) in zip(got, want):
+                assert np.array_equal(z, idle + busy), (block, replication)
+            assert quiet[0] > 0, (block, replication)
 
 
 def test_estimate_pools_the_batches_of_one_stream(monkeypatch):
