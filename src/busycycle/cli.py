@@ -15,6 +15,11 @@ that flag's text is (so "cycles": 1000.0 is a usage error, like --cycles
 Exit status: 0 on success (known table errata are listed, not fatal),
 2 on usage errors, 3 when a table cell's status deviates from the shipped
 registry (i.e. a cell expected to PASS stopped matching).
+
+Each call builds a fresh parser holding only the subparser of the command
+that argv[0] names; building all five took most of a ``metrics`` call.
+Any other argv builds all five.  Help and error texts are the same either
+way.
 """
 
 from __future__ import annotations
@@ -92,14 +97,52 @@ class _ConfigFlags(argparse.Action):
                 flags.append(flag)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _metrics_options(sp) -> None:
+    sp.add_argument("--rho", type=float,
+                    help="only --rho 0 is accepted: the idle-only limit")
+    sp.add_argument("--strategy", choices=["auto", "closed-form", "quadrature"],
+                    default="auto")
+    sp.add_argument("--tol-series", dest="tol_series", type=float,
+                    default=analytics.DEFAULT_SERIES_TOL)
+    sp.add_argument("--tol-quad", dest="tol_quad", type=float,
+                    default=analytics.DEFAULT_QUAD_TOL)
+
+
+def _bounds_options(sp) -> None:
+    sp.add_argument("--assume-tags", type=_class_tags, default=frozenset(),
+                    help="comma-separated class tags to assert (e.g. NBUE,DFR)")
+    sp.add_argument("--no-reference", action="store_true",
+                    help="skip the analytic beta_c reference / gap ratio")
+
+
+def _run_options(cycles):
+    def add(sp) -> None:
+        sp.add_argument("--cycles", type=int, default=cycles)
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--reps", type=int, default=1)
+    return add
+
+
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The parser of the command ``argv[0]`` names, or of all five.
+
+    A call that names its command first gets only that command's subparser;
+    any other argv (none, ``-h``, an unknown command, an option first) gets
+    all five.  The usage line lists every command either way.
+    """
     p = argparse.ArgumentParser(
         prog="busycycle",
         description="Busy-cycle age/excess mean values for the M/G/inf queue",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def command(name, handler, summary, queue=True):
+    names = list(_COMMANDS)
+    if argv and argv[0] in _COMMANDS:
+        # the metavar keeps the usage line; left unset on the full path, so
+        # that "argument command: invalid choice" keeps its wording
+        sub.metavar = "{" + ",".join(names) + "}"
+        names = [argv[0]]
+    for name in names:
+        handler, summary, queue, options = _COMMANDS[name]
         sp = sub.add_parser(name, help=summary)
         sp.set_defaults(handler=handler)
         sp.add_argument("--config", action=_ConfigFlags,
@@ -113,35 +156,8 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--which", type=int, choices=[1, 2, 3])
         sp.add_argument("--format", dest="output_format",
                         choices=["plain", "csv", "json"], default="plain")
-        return sp
-
-    def runs(sp, cycles):
-        sp.add_argument("--cycles", type=int, default=cycles)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--reps", type=int, default=1)
-
-    sp = command("metrics", run_metrics, "analytic busy-cycle mean values")
-    sp.add_argument("--rho", type=float,
-                    help="only --rho 0 is accepted: the idle-only limit")
-    sp.add_argument("--strategy", choices=["auto", "closed-form", "quadrature"],
-                    default="auto")
-    sp.add_argument("--tol-series", dest="tol_series", type=float,
-                    default=analytics.DEFAULT_SERIES_TOL)
-    sp.add_argument("--tol-quad", dest="tol_quad", type=float,
-                    default=analytics.DEFAULT_QUAD_TOL)
-
-    sp = command("bounds", run_bounds, "distribution-free and class bounds")
-    sp.add_argument("--assume-tags", type=_class_tags, default=frozenset(),
-                    help="comma-separated class tags to assert (e.g. NBUE,DFR)")
-    sp.add_argument("--no-reference", action="store_true",
-                    help="skip the analytic beta_c reference / gap ratio")
-
-    runs(command("simulate", run_simulate, "Monte Carlo busy-cycle estimate"),
-         None)
-    command("table", run_table, "recompute a published reference table",
-            queue=False)
-    runs(command("compare", run_compare, "analytics vs simulation vs bounds"),
-         100_000)
+        if options is not None:
+            options(sp)
     return p
 
 
@@ -353,9 +369,23 @@ def run_compare(args: argparse.Namespace, parser) -> int:
     return 0
 
 
+# name: (handler, summary, takes --lambda and --dist, its other options)
+_COMMANDS = {
+    "metrics": (run_metrics, "analytic busy-cycle mean values", True,
+                _metrics_options),
+    "bounds": (run_bounds, "distribution-free and class bounds", True,
+               _bounds_options),
+    "simulate": (run_simulate, "Monte Carlo busy-cycle estimate", True,
+                 _run_options(None)),
+    "table": (run_table, "recompute a published reference table", False, None),
+    "compare": (run_compare, "analytics vs simulation vs bounds", True,
+                _run_options(100_000)),
+}
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser()
+    parser = _build_parser(argv)
     args = parser.parse_args(argv)
     if args.config:
         # the config's flags go right after the command name, ahead of the

@@ -365,7 +365,7 @@ def scale(dist: ServiceDistribution, factor: float) -> ServiceDistribution:
     Class tags survive scaling.  The two logistic-form members rescale onto
     themselves with the arrival rate divided by ``factor``.  DomainError is
     raised when the scaled mean, or a known moment2 or moment3, is not a
-    finite float.
+    finite float or underflows to 0.
     """
     if not (0.0 < factor < math.inf):
         raise DomainError(f"scale factor must be positive and finite, got {factor}")
@@ -385,7 +385,7 @@ def scale(dist: ServiceDistribution, factor: float) -> ServiceDistribution:
         moment3 = math.inf
     for what, value in (("mean", mean), ("moment2", moment2),
                         ("moment3", moment3)):
-        if value is not None and not math.isfinite(value):
+        if value is not None and not (0.0 < value < math.inf):
             raise DomainError(f"scale factor {k!r} takes the {what} of "
                               f"{base.name} out of the float range")
 

@@ -1,5 +1,6 @@
 """CLI surface: golden output, exit codes, config files, determinism."""
 
+import argparse
 import contextlib
 import importlib
 import io
@@ -607,3 +608,53 @@ def test_benchmark_traced_entry_points_exist(monkeypatch, capsys):
     assert {"cli", "analytics.beta_c", "analytics.series"} <= {
         span[1] for span in tracer.spans}
     assert busycycle.cli.main is main
+
+
+# ---------------------------------------------------------------------------
+# a call builds only the parser of the command it names
+# ---------------------------------------------------------------------------
+
+COMMANDS = ["metrics", "bounds", "simulate", "table", "compare"]
+USAGE_PATHS = [
+    *([command, "-h"] for command in COMMANDS),
+    ["metrics", "--lambda"],                         # a missing value
+    ["table", "--which"],
+    ["metrics", "--lambda", "2", "--dist", EXP_HALF, "--format", "xml"],
+    ["table", "--which", "4"],
+    ["metrics", "--lambda", "2", "--dist", EXP_HALF, "--strategy", "foo"],
+    ["bounds", "--lambda", "2", "--dist", EXP_HALF, "extra"],
+    ["metrics", "--lambda", "2", "--dist", "[1]"],   # --dist's JSON check
+    # errors that handlers print through the top-level parser
+    ["metrics", "--lambda", "2", "--dist", '{"type":"weibull"}'],
+    ["table"],
+    [], ["-h"], ["foo"], ["--bogus", "metrics"],
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_PATHS, ids=lambda argv: " ".join(
+    argv).replace(EXP_HALF, "EXP_HALF") or "no-argv")
+def test_usage_paths_print_what_the_full_parser_prints(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "100")
+    shipped = run_captured(argv)
+    full = busycycle.cli._build_parser
+    monkeypatch.setattr(busycycle.cli, "_build_parser", lambda argv: full(()))
+    assert run_captured(argv) == shipped
+    code, out, err = shipped
+    assert "usage: busycycle" in out + err
+    assert code == (0 if "-h" in argv else 2)
+
+
+def test_a_call_builds_only_the_subparser_it_names(monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def recording(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recording)
+    assert run_captured(["metrics", "--lambda", "2", "--dist", EXP_HALF])[0] == 0
+    assert built == ["metrics"]
+    built.clear()
+    assert run_captured(["-h"])[0] == 0
+    assert built == COMMANDS

@@ -439,10 +439,15 @@ def _exp10_cdf(t):
     (lambda: bc.power_function(2.0), 1e308, "moment2"),
     (lambda: bc.make_distribution(_exp10_cdf, mean=10.0, moment3=6000.0),
      1e103, "moment3"),
-], ids=["user-mean", "power-moment2", "user-moment3"])
+    (lambda: bc.power_function(2.0), 1e-200, "moment2"),
+    (lambda: bc.make_distribution(_exp10_cdf, mean=10.0, moment3=6000.0),
+     1e-110, "moment3"),
+], ids=["user-mean", "power-moment2", "user-moment3", "power-moment2-underflow",
+        "user-moment3-underflow"])
 def test_scale_refuses_a_factor_that_overflows_a_moment(base, factor, what):
     # a finite factor once gave a law with mean or moment2 inf, refused
-    # later with a "rho = inf" message, and k**3 raised OverflowError
+    # later with a "rho = inf" message, and k**3 raised OverflowError; a
+    # tiny one gave moment2 or moment3 0, refused later through the mean
     law = base()
     message = re.escape(f"scale factor {factor!r}") + f".*{what}"
     with pytest.raises(DomainError, match=message):
