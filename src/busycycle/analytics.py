@@ -318,10 +318,16 @@ def beta_c(params: QueueParameters, strategy: str = "auto",
     """Full metrics bundle for one configuration.
 
     ``strategy`` is one of "auto" (closed forms where available, quadrature
-    otherwise), "closed-form", or "quadrature".
+    otherwise), "closed-form", or "quadrature".  Both tolerances must be
+    finite and positive, whichever engine runs.
     """
     if strategy not in ("auto", "closed-form", "quadrature"):
         raise DomainError(f"unknown strategy {strategy!r}")
+    # checked up front: auto may never reach quadrature, and an infinite
+    # tolerance ends a series at its first terms
+    for name, tol in (("series_tol", series_tol), ("quad_tol", quad_tol)):
+        if not (0.0 < tol < math.inf):
+            raise DomainError(f"{name} must be finite and positive, got {tol}")
     lam = params.arrival_rate
     rho = params.traffic_intensity
 

@@ -16,15 +16,16 @@ Exit status: 0 on success (known table errata are listed, not fatal),
 2 on usage errors, 3 when a table cell's status deviates from the shipped
 registry (i.e. a cell expected to PASS stopped matching).
 
-Each call builds a fresh parser holding only the subparser of the command
-that argv[0] names; building all five took most of a ``metrics`` call.
-Any other argv builds all five.  Help and error texts are the same either
-way.
+One parser, holding all five commands, is built per process, on the first
+call; building it took most of a ``metrics`` call, so later calls only
+parse.  Help and error texts are formatted when they are printed, so they
+follow ``COLUMNS`` and the current streams as a fresh parser's would.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -123,26 +124,18 @@ def _run_options(cycles):
     return add
 
 
-def _build_parser(argv) -> argparse.ArgumentParser:
-    """The parser of the command ``argv[0]`` names, or of all five.
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The five-command parser, built once per process.
 
-    A call that names its command first gets only that command's subparser;
-    any other argv (none, ``-h``, an unknown command, an option first) gets
-    all five.  The usage line lists every command either way.
+    No call changes it: ``--config`` re-parses into a fresh namespace.
     """
     p = argparse.ArgumentParser(
         prog="busycycle",
         description="Busy-cycle age/excess mean values for the M/G/inf queue",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    names = list(_COMMANDS)
-    if argv and argv[0] in _COMMANDS:
-        # the metavar keeps the usage line; left unset on the full path, so
-        # that "argument command: invalid choice" keeps its wording
-        sub.metavar = "{" + ",".join(names) + "}"
-        names = [argv[0]]
-    for name in names:
-        handler, summary, queue, options = _COMMANDS[name]
+    for name, (handler, summary, queue, options) in _COMMANDS.items():
         sp = sub.add_parser(name, help=summary)
         sp.set_defaults(handler=handler)
         sp.add_argument("--config", action=_ConfigFlags,
@@ -385,7 +378,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser(argv)
+    parser = _build_parser()
     args = parser.parse_args(argv)
     if args.config:
         # the config's flags go right after the command name, ahead of the

@@ -160,6 +160,20 @@ def test_usage_errors_exit_2(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
+def test_tolerances_are_checked_whatever_the_strategy(capsys):
+    # --tol-series inf once blamed the moments for overflowing; --tol-quad
+    # nan and 0 once passed under auto, which never ran quadrature
+    queue = ["--lambda", "1", "--dist", '{"type":"exponential","mean":1}']
+    for flags, message in (
+        (["--tol-series", "inf", "--strategy", "closed-form"],
+         "series_tol must be finite and positive, got inf"),
+        (["--tol-quad", "nan"], "quad_tol must be finite and positive, got nan"),
+        (["--tol-quad", "0"], "quad_tol must be finite and positive, got 0.0"),
+    ):
+        assert run_cli(capsys, "metrics", *queue, *flags) == (
+            2, "", f"error: {message}\n"), flags
+
+
 def test_compare_where_e_rho_minus_1_minus_rho_underflows(capsys):
     # proposition1 divided by e^rho - 1 - rho = 0 at rho = 1e-20
     code, out, _ = run_cli(capsys, "compare", "--lambda", "1e-8", "--dist",
@@ -611,7 +625,7 @@ def test_benchmark_traced_entry_points_exist(monkeypatch, capsys):
 
 
 # ---------------------------------------------------------------------------
-# a call builds only the parser of the command it names
+# one parser per process
 # ---------------------------------------------------------------------------
 
 COMMANDS = ["metrics", "bounds", "simulate", "table", "compare"]
@@ -635,16 +649,28 @@ USAGE_PATHS = [
     argv).replace(EXP_HALF, "EXP_HALF") or "no-argv")
 def test_usage_paths_print_what_the_full_parser_prints(monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "100")
+    run_captured(argv)  # builds the cached parser, if no earlier test did
     shipped = run_captured(argv)
-    full = busycycle.cli._build_parser
-    monkeypatch.setattr(busycycle.cli, "_build_parser", lambda argv: full(()))
+    fresh = busycycle.cli._build_parser.__wrapped__
+    monkeypatch.setattr(busycycle.cli, "_build_parser", fresh)
     assert run_captured(argv) == shipped
     code, out, err = shipped
     assert "usage: busycycle" in out + err
     assert code == (0 if "-h" in argv else 2)
 
 
-def test_a_call_builds_only_the_subparser_it_names(monkeypatch):
+def test_cached_parser_formats_help_at_the_current_width(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    wide = run_captured(["metrics", "-h"])
+    monkeypatch.setenv("COLUMNS", "60")
+    narrow = run_captured(["metrics", "-h"])
+    assert narrow != wide
+    monkeypatch.setattr(busycycle.cli, "_build_parser",
+                        busycycle.cli._build_parser.__wrapped__)
+    assert run_captured(["metrics", "-h"]) == narrow
+
+
+def test_the_parser_is_built_once_per_process(monkeypatch):
     built = []
     add_parser = argparse._SubParsersAction.add_parser
 
@@ -653,8 +679,12 @@ def test_a_call_builds_only_the_subparser_it_names(monkeypatch):
         return add_parser(self, name, **kwargs)
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recording)
-    assert run_captured(["metrics", "--lambda", "2", "--dist", EXP_HALF])[0] == 0
-    assert built == ["metrics"]
-    built.clear()
-    assert run_captured(["-h"])[0] == 0
+    busycycle.cli._build_parser.cache_clear()
+    metrics = ["metrics", "--lambda", "2", "--dist", EXP_HALF]
+    assert run_captured(metrics)[0] == 0
     assert built == COMMANDS
+    built.clear()
+    assert run_captured(metrics)[0] == 0
+    assert run_captured(["table", "--which", "3", "--format", "csv"])[0] == 0
+    assert run_captured(["-h"])[0] == 0
+    assert built == []

@@ -355,10 +355,18 @@ def test_traffic_intensity_past_the_float_range_is_rejected():
     lambda: bc.power_double_series(1.0, math.inf),
     lambda: bc.scale(bc.make_distribution(
         lambda t: -np.expm1(-np.maximum(t, 0.0)), mean=1.0), math.inf),
+    lambda: bc.beta_c(bc.QueueParameters(1.0, bc.exponential(1.0)), "closed-form",
+                      series_tol=math.inf),
+    lambda: bc.beta_c(bc.QueueParameters(1.0, bc.exponential(1.0)), quad_tol=math.nan),
+    lambda: bc.beta_c(bc.QueueParameters(1.0, bc.exponential(1.0)), quad_tol=0.0),
+    lambda: bc.beta_c(bc.QueueParameters(1.0, bc.exponential(1.0)), "quadrature",
+                      quad_tol=math.inf),
 ], ids=["deterministic-nan", "deterministic-inf", "power-inf", "proposition1-nan",
         "residual-tail-nan", "integrated-tail-nan", "age-nan", "age-all-zero",
         "class-not-a-name", "gap-ratio-nan", "proposition1-inf",
-        "power-series-lambda-inf", "power-series-c-inf", "scale-inf"])
+        "power-series-lambda-inf", "power-series-c-inf", "scale-inf",
+        "beta-c-series-tol-inf", "beta-c-quad-tol-nan", "beta-c-quad-tol-zero",
+        "beta-c-quad-tol-inf"])
 def test_api_values_without_a_finite_answer_are_domain_errors(call):
     # each once returned nan, built a law with a nan mean or raised an
     # untyped error
