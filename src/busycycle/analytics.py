@@ -74,6 +74,13 @@ def mean_busy_period(params: QueueParameters) -> float:
     return math.expm1(params.traffic_intensity) / params.arrival_rate
 
 
+def _check_tol(name: str, tol: float) -> None:
+    """Every public tolerance must be finite and > 0: an infinite one ends
+    a series at its first terms."""
+    if not (0.0 < tol < math.inf):
+        raise DomainError(f"{name} must be finite and positive, got {tol}")
+
+
 # ---------------------------------------------------------------------------
 # series engines
 # ---------------------------------------------------------------------------
@@ -84,11 +91,11 @@ def exp_series(rho: float, tol: float = DEFAULT_SERIES_TOL) -> float:
     Terms follow the recurrence t_n = t_{n-1} * rho * (n-1) / n^2 and are
     accumulated with compensated summation, which keeps the sum accurate
     up to rho = 50 and beyond (the peak term stays far below overflow).
+    rho must be finite and >= 0, and tol finite and > 0.
     """
-    if rho < 0.0:
-        raise DomainError(f"rho must be >= 0, got {rho}")
-    if not (tol > 0.0):
-        raise DomainError(f"tol must be positive, got {tol}")
+    if not (0.0 <= rho < math.inf):
+        raise DomainError(f"rho must be finite and >= 0, got {rho}")
+    _check_tol("tol", tol)
     if rho == 0.0:
         return 0.0
     return _positive_series(rho, rho, tol, 1, -1, 1, 0)[0]
@@ -159,8 +166,7 @@ def _power_beta_series(lam: float, c: float, tol: float):
     t = s^2 softens the t^(c+1) kink at 0.  M_k is then w . h^k, a running
     product.  Rounding is charged per term summed.
     """
-    if not (tol > 0.0):
-        raise DomainError(f"tol must be positive, got {tol}")
+    _check_tol("tol", tol)
     rho = lam * c / (c + 1.0)
     if c == 1.0:  # sum_{k>=1} rho^k / (k! (2k+1)): all terms positive
         total, term = _positive_series(rho, rho / 3.0, tol, 2, -1, 2, 1)
@@ -245,8 +251,7 @@ def beta_quadrature(params: QueueParameters, tol: float = DEFAULT_QUAD_TOL):
     raised when no such point is found or the refinement fails, and
     DomainError when beta or its error estimate leaves the float range.
     """
-    if not (tol > 0.0):
-        raise DomainError(f"tol must be positive, got {tol}")
+    _check_tol("tol", tol)
     lam = params.arrival_rate
     dist = params.service
     if params.traffic_intensity == 0.0:
@@ -323,11 +328,9 @@ def beta_c(params: QueueParameters, strategy: str = "auto",
     """
     if strategy not in ("auto", "closed-form", "quadrature"):
         raise DomainError(f"unknown strategy {strategy!r}")
-    # checked up front: auto may never reach quadrature, and an infinite
-    # tolerance ends a series at its first terms
-    for name, tol in (("series_tol", series_tol), ("quad_tol", quad_tol)):
-        if not (0.0 < tol < math.inf):
-            raise DomainError(f"{name} must be finite and positive, got {tol}")
+    # checked up front: auto may never reach quadrature
+    _check_tol("series_tol", series_tol)
+    _check_tol("quad_tol", quad_tol)
     lam = params.arrival_rate
     rho = params.traffic_intensity
 

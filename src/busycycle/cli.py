@@ -13,13 +13,15 @@ other value is read as its string or JSON text, and is checked exactly as
 that flag's text is (so "cycles": 1000.0 is a usage error, like --cycles
 1000.0).  Keys the command lacks are ignored, and explicit flags win.
 Exit status: 0 on success (known table errata are listed, not fatal),
-2 on usage errors, 3 when a table cell's status deviates from the shipped
-registry (i.e. a cell expected to PASS stopped matching).
+2 on usage errors, JSON nested too deeply to parse among them, 3 when a
+table cell's status deviates from the shipped registry (i.e. a cell
+expected to PASS stopped matching).
 
-One parser, holding all five commands, is built per process, on the first
-call; building it took most of a ``metrics`` call, so later calls only
-parse.  Help and error texts are formatted when they are printed, so they
-follow ``COLUMNS`` and the current streams as a fresh parser's would.
+``_build_parser`` adds the five commands and their options in order, and
+runs once per process, on the first call: building the parser took most
+of a ``metrics`` call, so later calls only parse.  Help and error texts
+are formatted when they are printed, so they follow ``COLUMNS`` and the
+current streams as a fresh parser's would.
 """
 
 from __future__ import annotations
@@ -59,6 +61,8 @@ def _json_object(text: str) -> dict:
         value = json.loads(text)
     except json.JSONDecodeError as exc:
         raise argparse.ArgumentTypeError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise argparse.ArgumentTypeError("JSON nested too deeply") from None
     if not isinstance(value, dict):
         raise argparse.ArgumentTypeError("must be a JSON object")
     return value
@@ -81,6 +85,8 @@ class _ConfigFlags(argparse.Action):
                 cfg = json.load(fh)
         except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
             parser.error(f"cannot read config {path}: {exc}")
+        except RecursionError:
+            parser.error(f"cannot read config {path}: JSON nested too deeply")
         if not isinstance(cfg, dict):
             parser.error(f"config {path} must hold a JSON object")
         namespace.config = flags = []
@@ -90,38 +96,15 @@ class _ConfigFlags(argparse.Action):
             if action is None or action.dest in ("help", "config"):
                 continue  # a key the command lacks
             if action.nargs != 0:
-                text = value if isinstance(value, str) else json.dumps(value)
+                try:
+                    text = value if isinstance(value, str) else json.dumps(value)
+                except RecursionError:
+                    parser.error(f"config key {key!r} is nested too deeply")
                 flags.append(f"{flag}={text}")
             elif not isinstance(value, bool):
                 parser.error(f"config key {key!r} is a switch: use true or false")
             elif value:
                 flags.append(flag)
-
-
-def _metrics_options(sp) -> None:
-    sp.add_argument("--rho", type=float,
-                    help="only --rho 0 is accepted: the idle-only limit")
-    sp.add_argument("--strategy", choices=["auto", "closed-form", "quadrature"],
-                    default="auto")
-    sp.add_argument("--tol-series", dest="tol_series", type=float,
-                    default=analytics.DEFAULT_SERIES_TOL)
-    sp.add_argument("--tol-quad", dest="tol_quad", type=float,
-                    default=analytics.DEFAULT_QUAD_TOL)
-
-
-def _bounds_options(sp) -> None:
-    sp.add_argument("--assume-tags", type=_class_tags, default=frozenset(),
-                    help="comma-separated class tags to assert (e.g. NBUE,DFR)")
-    sp.add_argument("--no-reference", action="store_true",
-                    help="skip the analytic beta_c reference / gap ratio")
-
-
-def _run_options(cycles):
-    def add(sp) -> None:
-        sp.add_argument("--cycles", type=int, default=cycles)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--reps", type=int, default=1)
-    return add
 
 
 @functools.cache
@@ -135,7 +118,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Busy-cycle age/excess mean values for the M/G/inf queue",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (handler, summary, queue, options) in _COMMANDS.items():
+
+    def command(name, handler, summary, queue=True):
         sp = sub.add_parser(name, help=summary)
         sp.set_defaults(handler=handler)
         sp.add_argument("--config", action=_ConfigFlags,
@@ -149,8 +133,35 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--which", type=int, choices=[1, 2, 3])
         sp.add_argument("--format", dest="output_format",
                         choices=["plain", "csv", "json"], default="plain")
-        if options is not None:
-            options(sp)
+        return sp
+
+    def runs(sp, cycles):
+        sp.add_argument("--cycles", type=int, default=cycles)
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--reps", type=int, default=1)
+
+    sp = command("metrics", run_metrics, "analytic busy-cycle mean values")
+    sp.add_argument("--rho", type=float,
+                    help="only --rho 0 is accepted: the idle-only limit")
+    sp.add_argument("--strategy", choices=["auto", "closed-form", "quadrature"],
+                    default="auto")
+    sp.add_argument("--tol-series", dest="tol_series", type=float,
+                    default=analytics.DEFAULT_SERIES_TOL)
+    sp.add_argument("--tol-quad", dest="tol_quad", type=float,
+                    default=analytics.DEFAULT_QUAD_TOL)
+
+    sp = command("bounds", run_bounds, "distribution-free and class bounds")
+    sp.add_argument("--assume-tags", type=_class_tags, default=frozenset(),
+                    help="comma-separated class tags to assert (e.g. NBUE,DFR)")
+    sp.add_argument("--no-reference", action="store_true",
+                    help="skip the analytic beta_c reference / gap ratio")
+
+    runs(command("simulate", run_simulate, "Monte Carlo busy-cycle estimate"),
+         None)
+    command("table", run_table, "recompute a published reference table",
+            queue=False)
+    runs(command("compare", run_compare, "analytics vs simulation vs bounds"),
+         100_000)
     return p
 
 
@@ -360,20 +371,6 @@ def run_compare(args: argparse.Namespace, parser) -> int:
     pairs.append(("sandwich", "PASS" if sandwich else "FAIL"))
     print(_emit_pairs(pairs, args.output_format))
     return 0
-
-
-# name: (handler, summary, takes --lambda and --dist, its other options)
-_COMMANDS = {
-    "metrics": (run_metrics, "analytic busy-cycle mean values", True,
-                _metrics_options),
-    "bounds": (run_bounds, "distribution-free and class bounds", True,
-               _bounds_options),
-    "simulate": (run_simulate, "Monte Carlo busy-cycle estimate", True,
-                 _run_options(None)),
-    "table": (run_table, "recompute a published reference table", False, None),
-    "compare": (run_compare, "analytics vs simulation vs bounds", True,
-                _run_options(100_000)),
-}
 
 
 def main(argv=None) -> int:

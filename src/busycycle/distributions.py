@@ -130,7 +130,12 @@ class ServiceDistribution:
 
     @property
     def scv(self) -> float:
-        """Squared coefficient of variation (mu2 - mean^2) / mean^2."""
+        """Squared coefficient of variation (mu2 - mean^2) / mean^2.
+
+        The difference cancels when the variance is tiny against mean^2
+        (the power law past c ~ 2e8), so it is floored at 0: rounding
+        cannot make the SCV negative.
+        """
         if self.moment2 is None:
             raise UnsupportedMomentError(
                 f"{self.name}: second moment unavailable, cannot form SCV"
@@ -138,7 +143,7 @@ class ServiceDistribution:
         if self.mean == 0.0:
             raise UnsupportedMomentError("SCV undefined for a zero-mean service")
         mean2 = _power(self.mean, 2, f"{self.name}: mean")
-        return (self.moment2 - mean2) / mean2
+        return max(self.moment2 - mean2, 0.0) / mean2
 
     def __repr__(self) -> str:  # keep reprs short and informative
         return f"ServiceDistribution({self.name})"

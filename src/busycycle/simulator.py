@@ -35,11 +35,10 @@ Replications run concurrently, one thread per usable CPU and at most
 ``_MAX_WORKERS``, once a batch is large enough for its array work to
 outweigh the interpreter's share (see ``_THREADED_CYCLES``).  Memory grows
 with the replications that run at once: two hold about 7.2 arrays a
-cycle at rho = 1, against 7 for one replication before its working set
-was cut.  Each replication owns its stream and its sums are pooled in
-replication order, so a concurrent run gives the same bits as a run one
-at a time.  A service law's quantile, and so a user's cdf, may then be
-called from two threads at once.
+cycle at rho = 1.  Each replication owns its stream and its sums are
+pooled in replication order, so a concurrent run gives the same bits as
+a run one at a time.  A service law's quantile, and so a user's cdf, may
+then be called from two threads at once.
 """
 
 from __future__ import annotations
@@ -91,8 +90,7 @@ _AHEAD = 3
 _THREADED_CYCLES = 1 << 14
 # Most replications run at once.  Each holds its own working set
 # (``_simulate_batch``), so k at once hold about 3.6k arrays of a batch's
-# floats at rho = 1 against the 7 of one replication before that set was
-# cut; only two threads, on 2 CPUs, have been measured.
+# floats at rho = 1; only two threads, on 2 CPUs, have been measured.
 _MAX_WORKERS = 2
 
 
@@ -209,8 +207,7 @@ def _simulate_batch(draws: _Draws, n: int) -> np.ndarray:
     cycles' idle times, then compacts the three arrays; a round in which
     no cycle ends skips both.  The peak grows with the share p of cycles
     still busy at the first arrival (p = rho / (1 + rho) for exponential
-    service): about 3.6 arrays of n floats at rho = 1 and 5.9 at rho = 5,
-    where a loop over full-length arrays keeps about 7.
+    service): about 3.6 arrays of n floats at rho = 1 and 5.9 at rho = 5.
     """
     z = draws.gaps(n)  # the idle periods, then the cycle lengths
     end = draws.services(n)
@@ -287,20 +284,20 @@ def _replication_sums(params: QueueParameters, n_cycles: int, seed: int,
                       replications: int) -> list:
     """``_accumulate`` of each replication, in replication order.
 
-    When a batch has at least _THREADED_CYCLES cycles, replications run on
-    up to _MAX_WORKERS threads, one per usable CPU: the calling thread and
-    helpers, each helper under a copy of the caller's context, all joined
-    before this returns.  (The calling thread works too: looping over the
-    oracle benchmark's configurations, an idle caller with two pool threads
-    kept one allocator arena more and peaked about 2 MB higher.)
-    A thread claims a replication only while no replication has raised,
-    and runs every replication it claims, so the error of the lowest
-    replication that raised is raised, as a run one at a time would.
+    Replications run on up to _MAX_WORKERS threads, one per usable CPU,
+    when a batch has at least _THREADED_CYCLES cycles, and on the calling
+    thread alone otherwise.  The calling thread works too, and helpers each
+    run under a copy of the caller's context, all joined before this
+    returns.  (Looping over the oracle benchmark's configurations, an idle
+    caller with two pool threads kept one allocator arena more and peaked
+    about 2 MB higher.)  A thread claims a replication only while no
+    replication has raised, and runs every replication it claims, so the
+    error of the lowest replication that raised is raised, as a run one at
+    a time would.
     """
     workers = min(replications, _usable_cpus(), _MAX_WORKERS)
-    if workers < 2 or min(n_cycles, BATCH) < _THREADED_CYCLES:
-        return [_accumulate(params, n_cycles, seed, r)
-                for r in range(replications)]
+    if min(n_cycles, BATCH) < _THREADED_CYCLES:
+        workers = 1
     results = [None] * replications
     claims = itertools.count()
     stop = threading.Event()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import busycycle as bc
+from busycycle import cli
 from busycycle.bounds import Comparison
 from busycycle.errors import (
     ClassViolationError,
@@ -328,3 +329,16 @@ def test_sandwich_spot_checks():
             lo, up = rep.tightest
             slack = 1e-10 * ref
             assert lo - slack <= ref <= up + slack, (params.service.name, rho)
+
+
+def test_power_scv_is_never_negative_so_near_deterministic_laws_bound(capsys):
+    # (m2 - mean^2) / mean^2 cancels: from c ~ 2.1e8 the power law's SCV,
+    # truly 1 / (c (c + 2)), once rounded below 0 (-1.1e-16 at c = 3e8), and
+    # bounds and compare exited 2 on "scv must be >= 0"
+    assert min(bc.power_function(c).scv for c in np.logspace(-8, 12, 4001)) >= 0.0
+    for c in (1e8, 3e8, 1e12):
+        queue = ["--lambda", "1", "--dist", '{"type":"power","c":%r}' % c]
+        assert cli.main(["bounds", *queue]) == 0, c
+        assert capsys.readouterr().out.endswith("consistent        yes\n"), c
+        assert cli.main(["compare", *queue, "--cycles", "1000"]) == 0, c
+        assert capsys.readouterr().out.endswith("sandwich            PASS\n"), c

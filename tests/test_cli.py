@@ -19,6 +19,7 @@ import busycycle.cli
 from busycycle.cli import main
 
 EXP_HALF = '{"type":"exponential","mean":0.5}'
+DEEP = "[" * 5000 + "]" * 5000  # JSON nested past the recursion limit
 
 
 def run_cli(capsys, *argv):
@@ -120,6 +121,10 @@ def test_usage_errors_exit_2(capsys):
         # an integer too large for a float
         ["metrics", "--lambda", "1", "--dist",
          '{"type":"exponential","mean":1%s}' % ("0" * 400)],
+        # nesting too deep to parse: as the spec, in a value and in the type
+        ["bounds", "--lambda", "1", "--dist", DEEP],
+        ["bounds", "--lambda", "1", "--dist", '{"type":"exponential","mean":%s}' % DEEP],
+        ["bounds", "--lambda", "1", "--dist", '{"type":%s,"mean":1}' % DEEP],
     ):
         with pytest.raises(SystemExit) as exc:
             run_cli(capsys, *argv)
@@ -374,6 +379,28 @@ def test_config_file_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(capsys, "metrics", "--config", str(not_utf8))
     assert exc.value.code == 2
+    # nesting too deep to parse, as the file and in a value
+    for name, text in (("deep.json", "[" * 100_000 + "]" * 100_000),
+                       ("deep_dist.json", '{"lambda": 1, "dist": %s}' % DEEP)):
+        (tmp_path / name).write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "bounds", "--config", str(tmp_path / name))
+        assert exc.value.code == 2, name
+    capsys.readouterr()
+
+
+def test_config_value_too_deep_to_encode_is_a_usage_error(tmp_path, monkeypatch):
+    # a config value becomes its flag's JSON text; encoding may hit the
+    # recursion limit where decoding did not
+    def too_deep(value):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"dist": {"type": "exponential", "mean": 1}}')
+    monkeypatch.setattr(json, "dumps", too_deep)
+    code, out, err = run_captured(["bounds", "--config", str(cfg), "--lambda", "1"])
+    assert (code, out) == (2, "")
+    assert err.endswith("error: config key 'dist' is nested too deeply\n")
 
 
 def test_config_numbers_as_json_strings(tmp_path, capsys):

@@ -361,12 +361,20 @@ def test_traffic_intensity_past_the_float_range_is_rejected():
     lambda: bc.beta_c(bc.QueueParameters(1.0, bc.exponential(1.0)), quad_tol=0.0),
     lambda: bc.beta_c(bc.QueueParameters(1.0, bc.exponential(1.0)), "quadrature",
                       quad_tol=math.inf),
+    lambda: bc.exp_series(1.0, math.inf),
+    lambda: bc.exp_series(math.nan),
+    lambda: bc.exp_series(math.inf),
+    lambda: bc.power_double_series(1.0, 2.0, math.inf),
+    lambda: bc.power_double_series(1.0, 1.0, math.inf),
+    lambda: bc.beta_quadrature(bc.QueueParameters(1.0, bc.exponential(1.0)), math.inf),
 ], ids=["deterministic-nan", "deterministic-inf", "power-inf", "proposition1-nan",
         "residual-tail-nan", "integrated-tail-nan", "age-nan", "age-all-zero",
         "class-not-a-name", "gap-ratio-nan", "proposition1-inf",
         "power-series-lambda-inf", "power-series-c-inf", "scale-inf",
         "beta-c-series-tol-inf", "beta-c-quad-tol-nan", "beta-c-quad-tol-zero",
-        "beta-c-quad-tol-inf"])
+        "beta-c-quad-tol-inf", "exp-series-tol-inf", "exp-series-rho-nan",
+        "exp-series-rho-inf", "power-series-tol-inf", "power-series-c1-tol-inf",
+        "quadrature-tol-inf"])
 def test_api_values_without_a_finite_answer_are_domain_errors(call):
     # each once returned nan, built a law with a nan mean or raised an
     # untyped error
