@@ -683,6 +683,13 @@ _CATALOG = {"exponential": (exponential, "mean"),
             "power": (power_function, "c"), "uniform01": (uniform01, None)}
 
 
+def _shown(value) -> str:
+    """repr(value), cut with an ellipsis past 200 characters, so that an
+    error on outside input stays short."""
+    text = repr(value)
+    return text if len(text) <= 200 else text[:200] + "…"
+
+
 def from_spec(spec: dict, arrival_rate: Optional[float] = None) -> ServiceDistribution:
     """Build a catalog member from its key-value form.
 
@@ -693,16 +700,16 @@ def from_spec(spec: dict, arrival_rate: Optional[float] = None) -> ServiceDistri
     a DomainError.
     """
     if not isinstance(spec, dict) or "type" not in spec:
-        raise DomainError(f"distribution spec must be a dict with a 'type': {spec!r}")
+        raise DomainError(f"distribution spec must be a dict with a 'type': {_shown(spec)}")
     kind = spec["type"]
     entry = _CATALOG.get(kind) if isinstance(kind, str) else None
     if entry is None:
-        raise DomainError(f"unknown distribution type {kind!r}")
+        raise DomainError(f"unknown distribution type {_shown(kind)}")
     build, key = entry
     for other in spec:
         if other != "type" and (other != key or key is None):
-            raise DomainError(f"distribution spec {spec!r}: type {kind!r} "
-                              f"does not read {other!r}")
+            raise DomainError(f"distribution spec {_shown(spec)}: type {kind!r} "
+                              f"does not read {_shown(other)}")
     if key is None:
         return build()
     value = _req(spec, key)
@@ -715,18 +722,18 @@ def from_spec(spec: dict, arrival_rate: Optional[float] = None) -> ServiceDistri
 
 def _req(spec: dict, key: str) -> float:
     if key not in spec:
-        raise DomainError(f"distribution spec {spec!r} is missing {key!r}")
+        raise DomainError(f"distribution spec {_shown(spec)} is missing {key!r}")
     if isinstance(spec[key], bool):  # float(True) would read as 1.0
-        raise DomainError(f"distribution spec {spec!r} has a non-numeric {key!r}")
+        raise DomainError(f"distribution spec {_shown(spec)} has a non-numeric {key!r}")
     try:
         value = float(spec[key])
     except (TypeError, ValueError):
         raise DomainError(
-            f"distribution spec {spec!r} has a non-numeric {key!r}") from None
+            f"distribution spec {_shown(spec)} has a non-numeric {key!r}") from None
     except OverflowError:  # an int too large for a float
         value = math.inf
     if not math.isfinite(value):
-        raise DomainError(f"distribution spec {spec!r} has a non-finite {key!r}")
+        raise DomainError(f"distribution spec {_shown(spec)} has a non-finite {key!r}")
     return value
 
 

@@ -12,10 +12,18 @@ replacement values for cells the source got wrong.  Statuses:
 Ratio cells may also carry ``paper_reference``, the beta_c value the
 published ratio was evidently formed with; both the authoritative ratio and
 the one using that reference are reported.
+
+Nothing a cell's engine values depend on can change within a process, so
+the registry file is read once and each cell's computed value (and its
+ratio with the paper reference) is computed once per process, on the first
+table call that needs it.  Every call still parses the registry afresh and
+takes the published value, the statuses, the replacement and the note from
+it, so a registry whose expectation no longer holds still shows the drift.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -57,9 +65,14 @@ class CellResult:
     paper_reference: Optional[float] = None
 
 
+@functools.cache
+def _registry_text() -> str:
+    return resources.files("busycycle.data").joinpath("paper_cells.json").read_text()
+
+
 def load_registry() -> dict:
-    text = resources.files("busycycle.data").joinpath("paper_cells.json").read_text()
-    return json.loads(text)
+    """The registry, freshly parsed: callers may change what they get."""
+    return json.loads(_registry_text())
 
 
 def classify(paper_value: float, computed: float) -> str:
@@ -97,12 +110,28 @@ def _ratio_bounds(row: str, params: QueueParameters):
     return lo, up
 
 
+@functools.cache
+def _engine_values(row: str, lam: float, alpha: float, ratio: bool,
+                   paper_reference: Optional[float]):
+    """(computed, ratio with the paper reference or None) of one cell; a
+    ratio cell holds the gap ratio of its class bounds around beta_c."""
+    params = QueueParameters(lam, _service_for(row, lam, alpha))
+    computed = analytics.beta_c(params, "auto").beta_c
+    if not ratio:
+        return computed, None
+    lo, up = _ratio_bounds(row, params)
+    ratio_ref = (None if paper_reference is None
+                 else bounds.gap_ratio(lo, up, paper_reference))
+    return bounds.gap_ratio(lo, up, computed), ratio_ref
+
+
 def compute_table(which: int) -> list:
     """All annotated cells of table 1, 2 or 3, in row-major registry order."""
     if type(which) is not int or which not in (1, 2, 3):
         raise DomainError(f"table number must be 1, 2 or 3, got {which!r}")
     reg = load_registry()[f"table{which}"]
     quantity = reg["quantity"]
+    ratio = quantity != "beta_c"
     results = []
     for row, data in reg["rows"].items():
         for i, col in enumerate(reg["columns"]):
@@ -111,17 +140,12 @@ def compute_table(which: int) -> list:
             else:
                 lam, alpha = col, reg["mean_service"]
             paper = float(data["paper"][i])
-            ratio_ref = None
             paper_ref = None
-            params = QueueParameters(lam, _service_for(row, lam, alpha))
-            computed = analytics.beta_c(params, "auto").beta_c
-            if quantity != "beta_c":
-                lo, up = _ratio_bounds(row, params)
-                computed = bounds.gap_ratio(lo, up, computed)
+            if ratio:
                 ref = data.get("paper_reference", [None] * len(reg["columns"]))[i]
                 if ref is not None:
                     paper_ref = float(ref)
-                    ratio_ref = bounds.gap_ratio(lo, up, paper_ref)
+            computed, ratio_ref = _engine_values(row, lam, alpha, ratio, paper_ref)
             repl = data["replacement"][i]
             results.append(CellResult(
                 table=which,

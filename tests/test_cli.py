@@ -165,6 +165,23 @@ def test_usage_errors_exit_2(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
+def test_long_dist_specs_are_cut_in_the_usage_error():
+    # both once echoed the whole spec: 1961 and 5184 bytes on stderr
+    nested = "[" * 900 + "]" * 900
+    for spec, tail in (
+        ('{"type":"exponential","mean":%s}' % nested, "… has a non-numeric 'mean'"),
+        ('{"type":"exponential","mean":1,"k":"%s"}' % ("x" * 5000),
+         "…: type 'exponential' does not read 'k'"),
+    ):
+        code, out, err = run_captured(["bounds", "--lambda", "1", "--dist", spec])
+        assert (code, out) == (2, "")
+        usage, error = err.splitlines()
+        assert usage.startswith("usage: ") and err.count("\n") == 2
+        assert error.startswith("busycycle: error: distribution spec {'type': ")
+        assert error.endswith(tail)
+        assert len(err.encode()) < 400
+
+
 def test_tolerances_are_checked_whatever_the_strategy(capsys):
     # --tol-series inf once blamed the moments for overflowing; --tol-quad
     # nan and 0 once passed under auto, which never ran quadrature

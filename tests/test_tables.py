@@ -5,7 +5,7 @@ import math
 import pytest
 
 import busycycle as bc
-from busycycle import tables
+from busycycle import analytics, tables
 from busycycle.errors import DomainError
 
 
@@ -137,3 +137,60 @@ def test_cells_expose_consistent_rho(all_cells):
         for c in cells:
             assert c.rho == pytest.approx(c.arrival_rate * c.mean_service, rel=1e-15)
             assert math.isfinite(c.computed)
+
+
+# ---------------------------------------------------------------------------
+# engine values are computed once per process; annotations on every call
+# ---------------------------------------------------------------------------
+
+def test_warm_tables_call_no_engine(monkeypatch):
+    warm = {w: tables.compute_table(w) for w in (1, 2, 3)}
+    calls = []
+    original = analytics.beta_c
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(analytics, "beta_c", spy)
+    for w in (1, 2, 3):
+        assert tables.compute_table(w) == warm[w]
+    assert calls == []
+
+
+def test_changing_a_returned_table_leaves_the_next_call(all_cells):
+    first = tables.compute_table(2)
+    assert first is not tables.compute_table(2)
+    first.clear()
+    assert tables.compute_table(2) == all_cells[2]
+    assert tables.load_registry() is not tables.load_registry()
+
+
+def test_flipped_expectation_exits_3_with_table_1_cached(monkeypatch, capsys):
+    from busycycle.cli import main
+    tables.compute_table(1)
+    reg = tables.load_registry()
+    reg["table1"]["rows"]["special_b"]["expected_status"][2] = "APPROX"
+    monkeypatch.setattr(tables, "load_registry", lambda: reg)
+    assert main(["table", "--which", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("UNEXPECTED STATUS: special_b ")
+    assert err.endswith("expected APPROX, got PASS\n") and err.count("\n") == 1
+
+
+def test_a_new_paper_reference_gets_its_own_ratio(monkeypatch, all_cells):
+    # formed with the authoritative beta_c of table 2, the ratio with the
+    # published reference is the authoritative ratio
+    beta_c = _cell(all_cells, 2, "exponential", 100.0, 0.5).computed
+    authoritative = _cell(all_cells, 3, "exponential", 100.0, 0.5)
+    assert authoritative.ratio_with_paper_reference != pytest.approx(
+        authoritative.computed, rel=1e-3)
+    reg = tables.load_registry()
+    row = reg["table3"]["rows"]["exponential"]
+    i = reg["table3"]["columns"].index(100.0)
+    row["paper_reference"][i] = beta_c
+    monkeypatch.setattr(tables, "load_registry", lambda: reg)
+    cell = _cell({3: tables.compute_table(3)}, 3, "exponential", 100.0, 0.5)
+    assert cell.paper_reference == beta_c
+    assert cell.ratio_with_paper_reference == pytest.approx(cell.computed, rel=1e-12)
+    assert cell.computed == authoritative.computed
