@@ -143,7 +143,8 @@ def power_double_series(arrival_rate: float, c: float,
     (see ``_power_beta_series``).  The k-sum alternates, so float64
     supports it only up to moderate traffic intensity; past that an
     AccuracyError is raised and callers should fall back to quadrature.
-    The estimate adds one ulp of beta_c for the sum beta + 1/lam.
+    The estimate adds one ulp of beta_c for the sum beta + 1/lam; a
+    subnormal rate, whose 1/lam overflows, is a DomainError.
     """
     lam = float(arrival_rate)
     c = float(c)
@@ -153,7 +154,11 @@ def power_double_series(arrival_rate: float, c: float,
         raise DomainError(f"c must be positive and finite, got {c}")
     beta, err = _power_beta_series(lam, c, tol)
     bc = beta + 1.0 / lam
-    return bc, err + math.ulp(bc)
+    err += math.ulp(bc)
+    if not (math.isfinite(bc) and math.isfinite(err)):  # 1/lam overflowed
+        raise DomainError(f"arrival_rate = {lam:g}: beta_c = beta + 1/lambda "
+                          f"overflows the float range")
+    return bc, err
 
 
 def _power_beta_series(lam: float, c: float, tol: float):

@@ -6,8 +6,10 @@ cancellation-free form, and an inverse-transform quantile used for
 sampling.  The integrated tail I(t) = int_0^t [1 - G(v)] dv is derived as
 alpha - r(t).  A law given only by its CDF (``make_distribution``) takes
 both r(t) and the quantile from one table of 1 - G built at construction,
-with no quadrature call per node and a few cdf calls per draw.  Values are
-immutable after construction and safe for concurrent reads.
+with no quadrature call per node and a few cdf calls per draw; the
+quantile builds its inverse tables from it on its first draw and searches
+them through a guide table.  Values are immutable after construction, bar
+that one-time build, and safe for concurrent reads.
 """
 
 from __future__ import annotations
@@ -71,6 +73,9 @@ _SECANT = 3
 _PROBES = np.outer((-1.0, 1.0), 2.0 ** np.arange(-1.0, 24.0)).ravel()
 _PARTS = 32
 _CUTS = np.arange(1.0, _PARTS) / _PARTS
+# The most buckets a quantile's guide table takes; the search is exact
+# for any count.
+_GUIDE_MAX = 1 << 16
 
 
 def _check_rho(rho: float) -> None:
@@ -159,6 +164,8 @@ class QueueParameters:
     def __post_init__(self):
         if not (self.arrival_rate > 0.0) or not math.isfinite(self.arrival_rate):
             raise DomainError(f"arrival_rate must be positive, got {self.arrival_rate}")
+        # a numpy float32 rate would carry its precision into every result
+        object.__setattr__(self, "arrival_rate", float(self.arrival_rate))
         lam = self.service.embedded_arrival_rate
         if lam is not None and lam != self.arrival_rate:
             raise ArrivalRateMismatchError(
@@ -445,12 +452,15 @@ def make_distribution(
       one 15-point Kronrod rule on the rest of t's panel, one array call
       of ``cdf`` for all t (r(t <= 0) is the declared mean);
     * the quantile is the generalized inverse, the smallest t with
-      G(t) >= u, to 1e-14 absolute plus a few ulp.  One ``searchsorted``
-      into the distinct tabulated G values brackets u between two nodes
-      and picks a monotone (Fritsch-Carlson) cubic of the inverse built
-      from the table, whose value is the first guess.  A Newton step on
-      the cubic's slope and two secant steps refine it, and two cdf values
-      check the result q: G(q - tol) < u <= G(q), tol = 1e-14 + 8.9e-16 q.
+      G(t) >= u, to 1e-14 absolute plus a few ulp.  Its inverse tables are
+      built from the table on its first draw, so r(t) and ``beta_c`` never
+      build them.  A guide table into the distinct tabulated G values
+      (``np.searchsorted``'s index, found in one lookup and one step for
+      nearly every u) brackets u between two nodes and picks a monotone
+      (Fritsch-Carlson) cubic of the inverse built from the table, whose
+      value is the first guess.  A Newton step on the cubic's slope and
+      two secant steps refine it, and two cdf values check the result q:
+      G(q - tol) < u <= G(q), tol = 1e-14 + 8.9e-16 q.
       Only the draws that fail (G flat at float resolution, kinks, atoms)
       fall back to cutting their bracket into 32 equal parts per cdf call,
       each with a round count from its own bracket.  So the
@@ -480,23 +490,34 @@ def make_distribution(
     edges, tail_after, t_tab, g_tab = _tail_table(
         G, name, float(support_end), (mean, moment2, moment3))
     last = len(edges) - 2  # index of the last panel
-    g_knot, hi_tab, cubic = _inverse_table(t_tab, g_tab)
+    tables = None  # the quantile's, built on its first call
 
     def rtail(t):
         t = np.asarray(t, dtype=float)
-        i = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, last)
+        # np.minimum(np.maximum(...)) gives np.clip's values, NaN included,
+        # without its dispatch cost
+        i = np.minimum(np.maximum(np.searchsorted(edges, t, side="right") - 1, 0),
+                       last)
         b = edges[i + 1]
-        part, _err = _gauss_kronrod(lambda v: 1.0 - G(v), np.clip(t, 0.0, b), b)
+        part, _err = _gauss_kronrod(lambda v: 1.0 - G(v),
+                                    np.minimum(np.maximum(t, 0.0), b), b)
         return np.where(t <= 0.0, mean, np.maximum(tail_after[i] + part, 0.0))
 
     def quantile(u):
+        nonlocal tables
+        built = tables
+        if built is None:
+            # a pure function of the tail table: threads that race here
+            # build equal tables, and whichever rebind lands last is kept
+            built = tables = _inverse_table(t_tab, g_tab)
+        knots, guide, hi_tab, cubic = built
         u = np.asarray(u, dtype=float)
         # first tabulated G >= u; u <= G(0) gets the empty bracket [0, 0],
         # and u past the last G the empty bracket [end, end]
         flat = u.ravel()
-        i = np.searchsorted(g_knot, flat)
+        i = _guide_search(knots, guide, flat)
         x = hi_tab[i]
-        k = np.flatnonzero((i > 0) & (i < g_knot.size))
+        k = np.flatnonzero((i > 0) & (i < knots.size - 1))
         if k.size:
             x[k] = _invert(G, flat[k], *np.take(cubic, i[k] - 1, axis=0).T)
         return x.reshape(u.shape)
@@ -575,15 +596,18 @@ def _tail_table(G, name: str, support_end: float, moments: tuple):
 
 
 def _inverse_table(t_tab, g_tab):
-    """(knots g, bracket right ends, cubic rows) of the generalized inverse
-    t(u) of a tabulated nondecreasing G, for ``make_distribution``.
+    """(knots g, guide, bracket right ends, cubic rows) of the generalized
+    inverse t(u) of a tabulated nondecreasing G, for ``make_distribution``'s
+    quantile.
 
     Each distinct G value g[j] is kept at its leftmost node, hi[j]; the
     last node (the support end) is a sentinel past the last g.  So u in
     (g[j-1], g[j]] has the bracket [lo, hi[j]], with lo the node before
     hi[j], where G is still g[j-1]; u <= g[0] or u > g[-1] has an empty
-    one.  Row j - 1 of the cubic rows holds lo, hi[j], g[j-1],
-    g[j] - g[j-1] and the coefficients of the Hermite cubic
+    one.  ``_guide_search`` finds j through the guide; the knots are g
+    followed by a +inf sentinel, past which its step cannot go.  Row j - 1
+    of the cubic rows holds lo, hi[j], g[j-1], g[j] - g[j-1] and the
+    coefficients of the Hermite cubic
     lo + c1 s + c2 s^2 + c3 s^3, s = (u - g[j-1]) / (g[j] - g[j-1]),
     through the bracket ends.  Its end slopes are Fritsch-Carlson weighted
     harmonic means of the neighbouring secants (secants at the two outer
@@ -605,7 +629,31 @@ def _inverse_table(t_tab, g_tab):
     a, b = np.fmax(a, 0.0), np.fmax(b, 0.0)  # 0/0 and inf/inf give 0
     rows = np.column_stack((lo, hi[1:-1], g[:-1], du, dt * a,
                             dt * (3.0 - 2.0 * a - b), dt * (a + b - 2.0)))
-    return g, hi, rows
+    # K buckets, a power of two so that u K is exact: bucket j holds the u
+    # with j <= u K < j + 1, and guide[j] is the first knot >= j / K (0 for
+    # j = 0, which also takes every u < 0)
+    buckets = min(1 << (4 * g.size - 1).bit_length(), _GUIDE_MAX)
+    guide = np.searchsorted(g, np.arange(buckets) / buckets)
+    guide[0] = 0
+    return np.append(g, np.inf), guide, hi, rows
+
+
+def _guide_search(knots, guide, u):
+    """np.searchsorted(knots[:-1], u) for every float in the 1-d array u,
+    through the guide table of ``_inverse_table`` (Hoermann and Leydold,
+    2003): from guide[floor(u K)], clamped to [0, K - 1], one step forward
+    where the knot is still below u; the few u that are still short, and
+    NaN, go to np.searchsorted."""
+    buckets = guide.size
+    j = u * buckets
+    np.fmax(j, 0.0, out=j)  # before the int cast: NaN becomes bucket 0
+    np.minimum(j, buckets - 1, out=j)
+    i = guide[j.astype(np.intp)]
+    i += knots[i] < u
+    short = np.flatnonzero(~(knots[i] >= u))  # the +inf sentinel stops the rest
+    if short.size:
+        i[short] = np.searchsorted(knots[:-1], u[short])
+    return i
 
 
 def _invert(G, u, lo, hi, g0, du, c1, c2, c3):
@@ -663,11 +711,15 @@ def _bisect(G, u, lo, hi):
         k = np.flatnonzero(rounds > r)
         cuts = lo[k, None] + (hi[k] - lo[k])[:, None] * _CUTS
         ge = G(cuts.ravel()).reshape(cuts.shape) >= u[k, None]
-        # part j, the first whose right end has G >= u, is the new bracket
-        j = np.where(ge.any(axis=1), ge.argmax(axis=1), _PARTS - 1)
-        ends = np.column_stack((lo[k], cuts, hi[k]))
+        # the new bracket is the first part whose right end has G >= u:
+        # [lo, cut 0] when cut 0 has, [cut j - 1, cut j] when cut j is the
+        # first that has, and [last cut, hi] when none has (argmax is then
+        # 0, and index j - 1 = -1 is the last cut)
+        hit = ge.any(axis=1)
+        j = ge.argmax(axis=1)
         rows = np.arange(k.size)
-        lo[k], hi[k] = ends[rows, j], ends[rows, j + 1]
+        lo[k] = np.where(hit & (j == 0), lo[k], cuts[rows, j - 1])
+        hi[k] = np.where(hit, cuts[rows, j], hi[k])
     return hi
 
 

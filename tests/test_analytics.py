@@ -184,6 +184,20 @@ def test_power_series_domain_errors():
         bc.power_double_series(0.0, 1.0)
     with pytest.raises(DomainError):
         bc.power_double_series(1.0, -2.0)
+    # a subnormal rate: 1/lam overflows, and (inf, inf) was returned
+    for lam in (5e-324, 1e-310):
+        with pytest.raises(DomainError, match="overflows"):
+            bc.power_double_series(lam, 3.0)
+
+
+def test_a_float32_rate_gives_the_float64_result():
+    # the rate is stored as a Python float: a float32 one kept its type and
+    # gave beta_c = 2.5701513, 1.2e-7 off, with an error estimate of 5.7e-11
+    params = bc.QueueParameters(np.float32(0.5), bc.exponential(1.0))
+    assert type(params.arrival_rate) is float
+    value = bc.beta_c(params).beta_c
+    assert type(value) is float
+    assert value == bc.beta_c(bc.QueueParameters(0.5, bc.exponential(1.0))).beta_c
 
 
 # ---------------------------------------------------------------------------

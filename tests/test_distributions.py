@@ -5,6 +5,7 @@ import math
 import re
 import subprocess
 import sys
+import threading
 import warnings
 
 import mpmath
@@ -657,6 +658,88 @@ def test_user_quantile_evaluates_few_cdf_points_per_draw(label, cdf, mean, end,
     evaluated[0] = 0  # construction's table is not counted
     dist.quantile_fn(np.random.default_rng(17).random(4096))
     assert evaluated[0] / 4096 <= 8.0, (label, evaluated[0] / 4096)
+
+
+def _spy_on_inverse_table(monkeypatch):
+    """The list of tables each ``_inverse_table`` call returns."""
+    built = []
+    build = distributions._inverse_table
+
+    def spy(t_tab, g_tab):
+        built.append(build(t_tab, g_tab))
+        return built[-1]
+
+    monkeypatch.setattr(distributions, "_inverse_table", spy)
+    return built
+
+
+@pytest.mark.parametrize(
+    "label,cdf,mean,end,bounded_density",
+    # G may start below 0 by rounding: u < 0 then still finds knot 0
+    USER_LAWS + [("below_zero", lambda t: np.clip(t, 0.0, 1.0) - 1e-17, 0.5, 1.0, True)])
+def test_user_quantile_guide_search_is_searchsorted(label, cdf, mean, end,
+                                                    bounded_density, monkeypatch):
+    built = _spy_on_inverse_table(monkeypatch)
+    bc.make_distribution(cdf, mean=mean, support_end=end).quantile_fn(0.5)
+    knots, guide = built[0][:2]
+    g = knots[:-1]  # the last knot is a +inf sentinel
+    u = np.concatenate((
+        np.random.default_rng(19).random(100_000),
+        g, np.nextafter(g, -np.inf), np.nextafter(g, np.inf),
+        [0.0, -0.0, 5e-324, 1.0, 2.0, -1.0, np.inf, -np.inf, np.nan]))
+    found = distributions._guide_search(knots, guide, u)
+    assert np.array_equal(found, np.searchsorted(g, u)), label
+    # K, a power of two, is the smallest >= 4 x the knot count, up to 2^16
+    assert guide.size == min(2 ** math.ceil(math.log2(4 * g.size)), 2 ** 16), label
+
+
+def test_user_quantile_tables_are_built_on_the_first_draw(monkeypatch):
+    built = _spy_on_inverse_table(monkeypatch)
+    for cdf, mean, end in ((_exp_cdf, 0.5, math.inf),
+                           (lambda t: np.clip(t, 0.0, 1.0) ** 2.5, 2.5 / 3.5, 1.0)):
+        built.clear()
+        dist = bc.make_distribution(cdf, mean=mean, support_end=end)
+        dist.residual_tail_fn(np.linspace(0.0, 3.0, 7))
+        bc.beta_c(bc.QueueParameters(1.0 / mean, dist))
+        assert len(built) == 0
+        u = np.random.default_rng(21).random(500)
+        first = dist.quantile_fn(u)
+        assert len(built) == 1
+        for _ in range(3):
+            assert np.array_equal(dist.quantile_fn(u), first)
+            dist.quantile_fn(0.25)
+        assert len(built) == 1
+
+
+@pytest.mark.parametrize("label,cdf,mean,end,bounded_density", USER_LAWS)
+def test_user_quantile_first_draw_from_several_threads(label, cdf, mean, end,
+                                                       bounded_density):
+    # the simulator may make a law's first draw from two threads at once;
+    # each thread may build the tables, and each gets a serial call's bits
+    u = np.random.default_rng(23).random(3000)
+    serial = bc.make_distribution(cdf, mean=mean, support_end=end).quantile_fn(u)
+    dist = bc.make_distribution(cdf, mean=mean, support_end=end)
+    n = 4  # more threads than the two the simulator uses
+    barrier = threading.Barrier(n)
+    drawn = [None] * n
+
+    def draw(k):
+        barrier.wait()
+        drawn[k] = dist.quantile_fn(u)
+
+    threads = [threading.Thread(target=draw, args=(k,)) for k in range(n)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads), label
+    for x in drawn:
+        assert x is not None and np.array_equal(x, serial), label
 
 
 def test_user_residual_tail_matches_closed_form():
