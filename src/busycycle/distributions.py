@@ -61,6 +61,14 @@ RHO_MAX = math.log(sys.float_info.max)
 _TABLE_TOL = 1e-13
 _MEAN_TOL = 1e-8
 _G_SLACK = 4.0 * sys.float_info.epsilon
+# The table's first refinement is also seeded at mean * 2^-k, k = 1 ... this
+# count.  A density singular at 0 (t^c with c < 1, Weibull shape < 1) has
+# its error piled in the panel at 0, which refinement otherwise halves one
+# cdf call at a time: power c = 0.5 took 18 cdf calls, Weibull(1/2) 32.
+# The benchmark's general_g pass (its six laws, in-process, 2 cores) took
+# 11-14% less time than with no seeds for 13 to 24 octaves, a flat range,
+# and 8-11% less for 6 to 10.
+_TABLE_OCTAVES = 16
 # User-CDF quantile: a draw q passes once G(q - tol) < u <= G(q), with
 # tol = _XTOL + _RTOL * q the absolute and relative tolerances brentq used
 # here before.  Each draw takes _SECANT steps from the table's guess; one
@@ -119,6 +127,8 @@ class ServiceDistribution:
     ``residual_tail_fn`` accepts scalars or numpy arrays and is the one tail
     a law defines; the integrated tail is derived as I(t) = mean - r(t).
     ``quantile_fn`` is the generalized inverse of the CDF, also vectorized.
+    ``variance``, when a law knows it in closed form, spares the SCV the
+    cancellation of moment2 - mean^2.
     """
 
     name: str
@@ -132,14 +142,15 @@ class ServiceDistribution:
     support_end: float = math.inf
     embedded_arrival_rate: Optional[float] = None
     spec: dict = field(default_factory=dict)
+    variance: Optional[float] = None
 
     @property
     def scv(self) -> float:
-        """Squared coefficient of variation (mu2 - mean^2) / mean^2.
+        """Squared coefficient of variation variance / mean^2.
 
-        The difference cancels when the variance is tiny against mean^2
-        (the power law past c ~ 2e8), so it is floored at 0: rounding
-        cannot make the SCV negative.
+        A law that supplies its variance has it used as given.  Otherwise
+        it is mu2 - mean^2, which cancels when the variance is tiny against
+        mean^2, so it is floored at 0: rounding cannot make the SCV negative.
         """
         if self.moment2 is None:
             raise UnsupportedMomentError(
@@ -148,6 +159,8 @@ class ServiceDistribution:
         if self.mean == 0.0:
             raise UnsupportedMomentError("SCV undefined for a zero-mean service")
         mean2 = _power(self.mean, 2, f"{self.name}: mean")
+        if self.variance is not None:
+            return self.variance / mean2
         return max(self.moment2 - mean2, 0.0) / mean2
 
     def __repr__(self) -> str:  # keep reprs short and informative
@@ -215,6 +228,7 @@ def exponential(mean: float) -> ServiceDistribution:
         quantile_fn=quantile,
         class_tags=frozenset({NBUE, NWUE, DFR, IMRL}),
         spec={"type": "exponential", "mean": a},
+        variance=a * a,
     )
 
 
@@ -247,6 +261,7 @@ def deterministic(mean: float) -> ServiceDistribution:
         class_tags=frozenset({NBUE}) if a > 0.0 else frozenset(),
         support_end=a,
         spec={"type": "deterministic", "mean": a},
+        variance=0.0,
     )
 
 
@@ -363,6 +378,7 @@ def power_function(c: float) -> ServiceDistribution:
         quantile_fn=quantile,
         support_end=1.0,
         spec=specd,
+        variance=c / ((c + 1.0) ** 2 * (c + 2.0)),
     )
 
 
@@ -426,6 +442,7 @@ def scale(dist: ServiceDistribution, factor: float) -> ServiceDistribution:
         support_end=k * base.support_end,
         embedded_arrival_rate=None,
         spec={"type": "scaled", "base": dict(base.spec), "factor": k},
+        variance=None if base.variance is None else k * k * base.variance,
     )
 
 
@@ -442,11 +459,14 @@ def make_distribution(
 
     ``cdf`` must map a numpy array of times to an array of probabilities of
     the same shape.  Construction tabulates the survival 1 - G once: the
-    adaptive Gauss-Kronrod engine refines panels seeded at 0, at mean * 2^k
-    below the end and at the end, where end is ``support_end`` or, for an
-    unbounded support, the first mean * 2^k at which G reaches 1.  The
-    table keeps G at every node it evaluated and the reverse cumulative
-    sums of the panel integrals.  From it
+    adaptive Gauss-Kronrod engine refines panels seeded at 0, at mean * 2^-k
+    for k = 16, ..., 1, at mean * 2^k below the end and at the end, where
+    end is ``support_end`` or, for an unbounded support, the first
+    mean * 2^k at which G reaches 1.  The seeds below the mean let a
+    density singular at 0 (t^c with c < 1, Weibull shape < 1) be resolved
+    in a few cdf calls rather than one split per call on the way to 0.
+    The table keeps G at every node it evaluated and the reverse
+    cumulative sums of the panel integrals.  From it
 
     * r(t) = int_t^end [1 - G(v)] dv is the sum of the panels past t plus
       one 15-point Kronrod rule on the rest of t's panel, one array call
@@ -553,7 +573,8 @@ def _tail_table(G, name: str, support_end: float, moments: tuple):
 
     breaks = _support_breaks(
         moments[0], support_end, lambda t: not survival(np.array([t]))[0] > 0.0,
-        f"{name}: G stays below 1")  # G(t) >= 1, or nan, ends the support
+        f"{name}: G stays below 1",  # G(t) >= 1, or nan, ends the support
+        below=_TABLE_OCTAVES)
 
     def nodes():
         """Every time G was evaluated at, sorted, and G there, validated."""

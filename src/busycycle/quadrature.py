@@ -10,7 +10,10 @@ panels from one call of the integrand, ``_refine`` returns the converged
 panels as a table sorted by position (``_kronrod_nodes`` turns it into
 nodes and weights), and ``_support_breaks`` seeds breakpoints at 0,
 mean * 2^k and the support end, so rescaling time rescales the panels
-with it.
+with it.  The user-CDF table also asks it for seeds at mean * 2^-k below
+the mean: its first refinement call then spans the octaves near 0, where
+a density singular at 0 puts its error, which splitting one panel per
+call would otherwise reach one call at a time.
 """
 
 from __future__ import annotations
@@ -68,24 +71,30 @@ def _gauss_kronrod(f, a, b):
     return value, np.maximum(err, 1e-16 * np.abs(value))
 
 
-def _support_breaks(mean: float, end: float, negligible, what: str) -> list:
-    """Panel breakpoints over [0, end]: 0, then mean * 2^k below ``end``
-    (k < 200), then ``end``.  An unbounded support ends at the first
-    mean * 2^k where ``negligible(t)`` holds; AccuracyError, saying
-    ``what`` stays true, when there is none."""
-    breaks = [0.0]
+def _support_breaks(mean: float, end: float, negligible, what: str,
+                    below: int = 0) -> list:
+    """Panel breakpoints over [0, end]: 0, then mean * 2^-k for k = below,
+    ..., 1 (none by default), then mean * 2^k below ``end`` (k < 200), then
+    ``end``.  The seeds below the mean put the first refinement's panels
+    on ``below`` octaves near 0, where a density singular at 0 needs
+    them.  An unbounded support ends at the first mean * 2^k where
+    ``negligible(t)`` holds; AccuracyError, saying ``what`` stays true,
+    when there is none."""
+    low = (math.ldexp(mean, -k) for k in range(below, 0, -1))
+    breaks = [0.0] + [t for t in low if t < end]
+    up = []
     t = mean
-    while t < end and len(breaks) <= 200:
-        breaks.append(t)
+    while t < end and len(up) < 200:
+        up.append(t)
         if math.isinf(end) and negligible(t):
-            return breaks
+            return breaks + up
         t *= 2.0
     if math.isinf(end):
         raise AccuracyError(
-            f"{what} up to t = {breaks[-1]:.3g}; the support cannot be truncated",
+            f"{what} up to t = {up[-1]:.3g}; the support cannot be truncated",
             best_estimate=math.inf, error_estimate=math.inf,
         )
-    return breaks + [end]
+    return breaks + up + [end]
 
 
 def integrate_adaptive(f, breakpoints, rel_tol: float):

@@ -452,6 +452,8 @@ USER_TWINS = {
                   lambda t: np.clip(t, 0.0, 1.0) ** 0.5, 1.0),
     "power_c25": (bc.power_function(2.5),
                   lambda t: np.clip(t, 0.0, 1.0) ** 2.5, 1.0),
+    "power_c02": (bc.power_function(0.2),
+                  lambda t: np.clip(t, 0.0, 1.0) ** 0.2, 1.0),
     # support_end at the atom
     "deterministic": (bc.deterministic(0.7),
                       lambda t: np.where(t < 0.7, 0.0, 1.0), 0.7),

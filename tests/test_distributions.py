@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -127,6 +128,17 @@ def test_scv_examples():
     assert bc.power_function(1.0).scv == pytest.approx(1.0 / 3.0, rel=1e-12)
     # general power: 1/(c(c+2))
     assert bc.power_function(2.0).scv == pytest.approx(1.0 / 8.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("c", [1e-8, 1.0, 2.5, 1e8, 1e12])
+def test_power_scv_is_formed_without_cancellation(c):
+    # mu2 - mean^2 cancels at large c: it gave 2.22e-16 at c = 1e8, where
+    # the SCV is 1.0e-16; the variance the law supplies keeps a few ulp
+    exact = 1 / (Fraction(c) * (Fraction(c) + 2))
+    scv = bc.power_function(c).scv
+    assert abs(Fraction(scv) - exact) <= 4 * Fraction(math.ulp(float(exact)))
+    # scaling keeps the SCV
+    assert bc.scale(bc.power_function(c), 3.0).scv == pytest.approx(scv, rel=1e-15)
 
 
 def test_scv_consistency_invariant():
@@ -545,6 +557,11 @@ def _weibull_half_cdf(t):
     return -np.expm1(-np.sqrt(np.maximum(t, 0.0) / 0.25))
 
 
+def _kumaraswamy_cdf(t):
+    # Kumaraswamy(2, 3) on [0, 1]: mean 16/35; 1 - (1 - t^2)^3 cancels near 0
+    return 1.0 - (1.0 - np.clip(t, 0.0, 1.0) ** 2) ** 3
+
+
 # (label, cdf, mean, support end, G' bounded) for the user-CDF path
 USER_LAWS = [
     ("exponential", _exp_cdf, 0.5, math.inf, True),
@@ -552,6 +569,7 @@ USER_LAWS = [
     ("power_c25", lambda t: np.clip(t, 0.0, 1.0) ** 2.5, 2.5 / 3.5, 1.0, True),
     ("power_c05", lambda t: np.clip(t, 0.0, 1.0) ** 0.5, 1.0 / 3.0, 1.0, False),
     ("weibull_half", _weibull_half_cdf, 0.5, math.inf, False),
+    ("kumaraswamy", _kumaraswamy_cdf, 16.0 / 35.0, 1.0, True),
 ]
 # 0, interior values, values within 1e-12 of 1, and 1 itself
 U_GRID = np.array([0.0, 1e-300, 1e-12, 1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-6,
@@ -658,6 +676,42 @@ def test_user_quantile_evaluates_few_cdf_points_per_draw(label, cdf, mean, end,
     evaluated[0] = 0  # construction's table is not counted
     dist.quantile_fn(np.random.default_rng(17).random(4096))
     assert evaluated[0] / 4096 <= 8.0, (label, evaluated[0] / 4096)
+
+
+def test_user_table_is_built_in_few_cdf_calls():
+    # the first refinement is seeded below the mean too, so a law steep at
+    # 0 does not reach 0 one panel split, and one cdf call, at a time
+    # (power c = 0.5 took 18 calls, Weibull(1/2) 32, power c = 0.2 23)
+    limits = {"exponential": 10, "uniform01": 2, "power_c25": 2, "power_c05": 2,
+              "weibull_half": 16, "kumaraswamy": 2, "power_c02": 7}
+    laws = [law[:4] for law in USER_LAWS]
+    laws.append(("power_c02", lambda t: np.clip(t, 0.0, 1.0) ** 0.2, 0.2 / 1.2, 1.0))
+    for label, cdf, mean, end in laws:
+        calls = [0]
+
+        def counted(t, cdf=cdf):
+            calls[0] += 1
+            return cdf(t)
+
+        bc.make_distribution(counted, mean=mean, support_end=end)
+        assert calls[0] <= limits[label], (label, calls[0])
+
+
+def test_user_quantile_rarely_falls_back_on_a_cdf_that_cancels_near_0(monkeypatch):
+    # 1 - (1 - t^2)^3 loses its digits near 0; the table's knots there keep
+    # the cubic's guess good enough that almost no draw needs the 32-part
+    # search (1.06% of these draws did without the seeds below the mean)
+    dist = bc.make_distribution(_kumaraswamy_cdf, mean=16.0 / 35.0, support_end=1.0)
+    bisected = [0]
+    bisect = distributions._bisect
+
+    def spy(G, u, lo, hi):
+        bisected[0] += u.size
+        return bisect(G, u, lo, hi)
+
+    monkeypatch.setattr(distributions, "_bisect", spy)
+    dist.quantile_fn(np.random.default_rng(29).random(200_000))
+    assert bisected[0] <= 200, bisected[0]
 
 
 def _spy_on_inverse_table(monkeypatch):
@@ -800,7 +854,8 @@ def test_declared_moments_are_checked_against_the_table():
     true_moments = {"exponential": (0.5, 0.75), "uniform01": (1 / 3, 0.25),
                     "power_c25": (2.5 / 4.5, 2.5 / 5.5),
                     "power_c05": (0.5 / 2.5, 0.5 / 3.5),
-                    "weibull_half": (1.5, 11.25)}
+                    "weibull_half": (1.5, 11.25),
+                    "kumaraswamy": (0.25, 16.0 / 105.0)}
     for label, cdf, mean, end, _bounded in USER_LAWS:
         m2, m3 = true_moments[label]
         dist = bc.make_distribution(cdf, mean=mean, moment2=m2, moment3=m3,
