@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import QueueParameters
+from .distributions import QueueParameters, _check_rho, _number
 from .errors import AccuracyError, DomainError, UnsupportedClosedFormError
 from .quadrature import (_kronrod_nodes, _refine, _support_breaks,
                          integrate_adaptive)
@@ -74,13 +74,6 @@ def mean_busy_period(params: QueueParameters) -> float:
     return math.expm1(params.traffic_intensity) / params.arrival_rate
 
 
-def _check_tol(name: str, tol: float) -> None:
-    """Every public tolerance must be finite and > 0: an infinite one ends
-    a series at its first terms."""
-    if not (0.0 < tol < math.inf):
-        raise DomainError(f"{name} must be finite and positive, got {tol}")
-
-
 # ---------------------------------------------------------------------------
 # series engines
 # ---------------------------------------------------------------------------
@@ -93,9 +86,8 @@ def exp_series(rho: float, tol: float = DEFAULT_SERIES_TOL) -> float:
     up to rho = 50 and beyond (the peak term stays far below overflow).
     rho must be finite and >= 0, and tol finite and > 0.
     """
-    if not (0.0 <= rho < math.inf):
-        raise DomainError(f"rho must be finite and >= 0, got {rho}")
-    _check_tol("tol", tol)
+    rho = _number(rho, "rho", "finite and >= 0")
+    tol = _number(tol, "tol")  # an infinite tol ends a series at its first terms
     if rho == 0.0:
         return 0.0
     return _positive_series(rho, rho, tol, 1, -1, 1, 0)[0]
@@ -143,15 +135,14 @@ def power_double_series(arrival_rate: float, c: float,
     (see ``_power_beta_series``).  The k-sum alternates, so float64
     supports it only up to moderate traffic intensity; past that an
     AccuracyError is raised and callers should fall back to quadrature.
-    The estimate adds one ulp of beta_c for the sum beta + 1/lam; a
-    subnormal rate, whose 1/lam overflows, is a DomainError.
+    The estimate adds one ulp of beta_c for the sum beta + 1/lam.  A rho
+    past log(DBL_MAX), and a subnormal rate, whose 1/lam overflows, are
+    DomainErrors.
     """
-    lam = float(arrival_rate)
-    c = float(c)
-    if not (0.0 < lam < math.inf):
-        raise DomainError(f"arrival_rate must be positive and finite, got {lam}")
-    if not (0.0 < c < math.inf):
-        raise DomainError(f"c must be positive and finite, got {c}")
+    lam = _number(arrival_rate, "arrival_rate")
+    c = _number(c, "c")
+    tol = _number(tol, "tol")
+    _check_rho(lam * c / (c + 1.0))
     beta, err = _power_beta_series(lam, c, tol)
     bc = beta + 1.0 / lam
     err += math.ulp(bc)
@@ -171,7 +162,6 @@ def _power_beta_series(lam: float, c: float, tol: float):
     t = s^2 softens the t^(c+1) kink at 0.  M_k is then w . h^k, a running
     product.  Rounding is charged per term summed.
     """
-    _check_tol("tol", tol)
     rho = lam * c / (c + 1.0)
     if c == 1.0:  # sum_{k>=1} rho^k / (k! (2k+1)): all terms positive
         total, term = _positive_series(rho, rho / 3.0, tol, 2, -1, 2, 1)
@@ -256,7 +246,7 @@ def beta_quadrature(params: QueueParameters, tol: float = DEFAULT_QUAD_TOL):
     raised when no such point is found or the refinement fails, and
     DomainError when beta or its error estimate leaves the float range.
     """
-    _check_tol("tol", tol)
+    tol = _number(tol, "tol")
     lam = params.arrival_rate
     dist = params.service
     if params.traffic_intensity == 0.0:
@@ -289,6 +279,7 @@ def beta_closed_form(params: QueueParameters,
 
     Raises UnsupportedClosedFormError for laws outside the catalog.
     """
+    tol = _number(tol, "tol")
     lam = params.arrival_rate
     rho = params.traffic_intensity
     kind = params.service.spec.get("type")
@@ -334,8 +325,8 @@ def beta_c(params: QueueParameters, strategy: str = "auto",
     if strategy not in ("auto", "closed-form", "quadrature"):
         raise DomainError(f"unknown strategy {strategy!r}")
     # checked up front: auto may never reach quadrature
-    _check_tol("series_tol", series_tol)
-    _check_tol("quad_tol", quad_tol)
+    series_tol = _number(series_tol, "series_tol")
+    quad_tol = _number(quad_tol, "quad_tol")
     lam = params.arrival_rate
     rho = params.traffic_intensity
 

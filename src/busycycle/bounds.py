@@ -35,7 +35,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .distributions import DFR, IMRL, NBUE, NWUE, QueueParameters
+from .distributions import (DFR, IMRL, NBUE, NWUE, QueueParameters, _check_rho,
+                            _number)
 from .errors import ClassViolationError, DomainError, UnsupportedMomentError
 
 __all__ = [
@@ -76,13 +77,11 @@ class BoundsReport:
 
 def sathe_interval(arrival_rate: float, mean_service: float, scv: float):
     """Distribution-free (lower, upper) for beta_c from (lam, alpha, scv)."""
-    lam = float(arrival_rate)
-    alpha = float(mean_service)
-    if not (lam > 0.0) or not (alpha > 0.0):
-        raise DomainError("arrival_rate and mean_service must be positive")
-    if not (scv >= 0.0):  # nan fails too
-        raise DomainError(f"scv must be >= 0, got {scv}")
+    lam = _number(arrival_rate, "arrival_rate")
+    alpha = _number(mean_service, "mean_service")
+    scv = _number(scv, "scv", "finite and >= 0")
     rho = lam * alpha
+    _check_rho(rho)
     e_z = math.exp(rho) / lam
     lower = e_z - alpha + rho * rho * scv / (2.0 * lam)
     upper = e_z - alpha + (scv / lam) * (math.expm1(rho) - rho)
@@ -96,10 +95,9 @@ def proposition1(rho: float, scv: float) -> Comparison:
     scv >= 2/rho.  The below-test runs first; both can hold only in the
     rho -> 0 limit, where the below conclusion is the sharper one.
     """
-    if not (0.0 < rho < math.inf):
-        raise DomainError(f"rho must be positive and finite, got {rho}")
-    if not (scv >= 0.0):  # nan fails too
-        raise DomainError(f"scv must be >= 0, got {scv}")
+    rho = _number(rho, "rho")
+    _check_rho(rho)
+    scv = _number(scv, "scv", ">= 0")
     if scv * (math.expm1(rho) - rho) <= rho:  # exact as e^rho - 1 - rho -> 0
         return Comparison.BELOW_EZ
     if scv >= 2.0 / rho:
@@ -231,14 +229,15 @@ def _class_upper(kind: str, params: QueueParameters, assume_tags) -> float:
 
 def gap_ratio(lower: float, upper: float, reference: float) -> float:
     """(upper - lower) / reference, the bound-gap quality measure."""
-    if not all(map(math.isfinite, (lower, upper, reference))):
-        raise DomainError(f"bounds and reference must be finite, got "
-                          f"{lower}, {upper}, {reference}")
+    lower = _number(lower, "lower", "finite")
+    upper = _number(upper, "upper", "finite")
+    reference = _number(reference, "reference")
     if upper < lower:
         raise DomainError(f"upper ({upper}) must be >= lower ({lower})")
-    if not (reference > 0.0):
-        raise DomainError(f"reference must be positive, got {reference}")
-    return (upper - lower) / reference
+    ratio = (upper - lower) / reference
+    if not math.isfinite(ratio):
+        raise DomainError(f"({upper} - {lower}) / {reference} overflows the float range")
+    return ratio
 
 
 def build_report(params: QueueParameters, reference: Optional[float] = None,

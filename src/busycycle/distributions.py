@@ -86,6 +86,54 @@ _CUTS = np.arange(1.0, _PARTS) / _PARTS
 _GUIDE_MAX = 1 << 16
 
 
+_BOOLS = (bool, np.bool_)  # float(True) would read as 1.0
+# Each range a public numeric parameter may take, keyed by its wording.
+_RANGES = {"finite and positive": lambda x: 0.0 < x < math.inf,
+           "finite and >= 0": lambda x: 0.0 <= x < math.inf,
+           "positive": lambda x: x > 0.0, ">= 0": lambda x: x >= 0.0,
+           "finite": math.isfinite, "a number": lambda x: not math.isnan(x)}
+
+
+def _number(value, name: str, rule: str = "finite and positive") -> float:
+    """``value`` as a Python float: the one reading of every public numeric
+    parameter.  DomainError, naming ``name``, for a bool (Python or numpy),
+    a value ``float()`` cannot read, an int past the float range, NaN, or
+    a value outside ``rule``, a key of ``_RANGES``."""
+    try:
+        if isinstance(value, _BOOLS):
+            raise TypeError
+        x = float(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a number, got {_shown(value)}") from None
+    except OverflowError:  # an int past the float range
+        x = math.nan
+    if not _RANGES[rule](x):
+        raise DomainError(f"{name} must be {rule}, got {_shown(value)}")
+    return x
+
+
+def _floats(values, name: str) -> np.ndarray:
+    """``values`` as a float array, or DomainError, naming ``name``, for
+    bools, non-numbers, NaN and values below 0."""
+    try:
+        arr = np.asarray(values)
+        if arr.dtype.kind == "b":
+            raise TypeError
+        arr = arr.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{name} must be numbers, got {_shown(values)}") from None
+    if not np.all(arr >= 0.0):  # NaN fails too
+        raise DomainError(f"{name} must be >= 0, got {_shown(values)}")
+    return arr
+
+
+def _shown(value) -> str:
+    """repr(value), cut with an ellipsis past 200 characters, so that an
+    error on outside input stays short."""
+    text = repr(value)
+    return text if len(text) <= 200 else text[:200] + "…"
+
+
 def _check_rho(rho: float) -> None:
     if not rho <= RHO_MAX:
         raise DomainError(f"rho = {rho:g} exceeds log(DBL_MAX) = {RHO_MAX:.6g}; "
@@ -175,10 +223,8 @@ class QueueParameters:
     service: ServiceDistribution
 
     def __post_init__(self):
-        if not (self.arrival_rate > 0.0) or not math.isfinite(self.arrival_rate):
-            raise DomainError(f"arrival_rate must be positive, got {self.arrival_rate}")
-        # a numpy float32 rate would carry its precision into every result
-        object.__setattr__(self, "arrival_rate", float(self.arrival_rate))
+        object.__setattr__(self, "arrival_rate",
+                           _number(self.arrival_rate, "arrival_rate"))
         lam = self.service.embedded_arrival_rate
         if lam is not None and lam != self.arrival_rate:
             raise ArrivalRateMismatchError(
@@ -198,9 +244,7 @@ class QueueParameters:
 
 def exponential(mean: float) -> ServiceDistribution:
     """Exponential service with the given mean."""
-    if not (mean > 0.0):
-        raise DomainError(f"exponential mean must be positive, got {mean}")
-    a = float(mean)
+    a = _number(mean, "exponential mean")
 
     def cdf(t):
         t = np.asarray(t, dtype=float)
@@ -235,9 +279,7 @@ def exponential(mean: float) -> ServiceDistribution:
 def deterministic(mean: float) -> ServiceDistribution:
     """Unit mass at ``mean``.  mean == 0 gives the idle-only limit in which
     every service takes no time (rho = 0)."""
-    if not (0.0 <= mean < math.inf):
-        raise DomainError(f"deterministic mean must be >= 0 and finite, got {mean}")
-    a = float(mean)
+    a = _number(mean, "deterministic mean", "finite and >= 0")
 
     def cdf(t):
         t = np.asarray(t, dtype=float)
@@ -253,7 +295,7 @@ def deterministic(mean: float) -> ServiceDistribution:
     return ServiceDistribution(
         name=f"deterministic(mean={a:g})",
         mean=a,
-        moment2=a * a,
+        moment2=a * a if a * a < math.inf else _power(a, 2, "deterministic mean"),
         moment3=None,
         cdf=cdf,
         residual_tail_fn=rtail,
@@ -291,12 +333,8 @@ def _logistic(kind: str, arrival_rate: float, rho: float) -> ServiceDistribution
     residual tail r(t) = log1p((e^rho - 1) e^(-k t)) / lam, with k = lam
     for special_a and k = lam / (1 - e^-rho) for special_b; only the cdf,
     the quantile and the E[S^2] factor differ."""
-    lam = float(arrival_rate)
-    rho = float(rho)
-    if not (lam > 0.0):
-        raise DomainError(f"arrival_rate must be positive, got {lam}")
-    if not (rho > 0.0):
-        raise DomainError(f"rho must be positive, got {rho}")
+    lam = _number(arrival_rate, "arrival_rate")
+    rho = _number(rho, "rho")
     _check_rho(rho)
     atom = kind == "special_a"   # special_a has mass em at zero
     em = math.exp(-rho)
@@ -344,9 +382,7 @@ def _logistic(kind: str, arrival_rate: float, rho: float) -> ServiceDistribution
 
 def power_function(c: float) -> ServiceDistribution:
     """Power-function service on [0, 1]: G(t) = t^c, mean c/(c+1)."""
-    c = float(c)
-    if not (0.0 < c < math.inf):
-        raise DomainError(f"power parameter c must be positive and finite, got {c}")
+    c = _number(c, "power parameter c")
     a = c / (c + 1.0)
 
     def cdf(t):
@@ -378,7 +414,7 @@ def power_function(c: float) -> ServiceDistribution:
         quantile_fn=quantile,
         support_end=1.0,
         spec=specd,
-        variance=c / ((c + 1.0) ** 2 * (c + 2.0)),
+        variance=c / (_power(c + 1.0, 2, "power parameter c + 1") * (c + 2.0)),
     )
 
 
@@ -395,9 +431,7 @@ def scale(dist: ServiceDistribution, factor: float) -> ServiceDistribution:
     raised when the scaled mean, or a known moment2 or moment3, is not a
     finite float or underflows to 0.
     """
-    if not (0.0 < factor < math.inf):
-        raise DomainError(f"scale factor must be positive and finite, got {factor}")
-    k = float(factor)
+    k = _number(factor, "scale factor")
     key = _CATALOG.get(dist.spec.get("type"), (None, None))[1]
     if key == "mean":
         return from_spec({**dist.spec, "mean": dist.mean * k})
@@ -495,20 +529,19 @@ def make_distribution(
     No reliability class is assumed; pass ``class_tags`` only for
     properties you can actually establish.
     """
-    if not (0.0 < mean < math.inf):
-        raise DomainError(f"mean must be positive and finite, got {mean}")
+    mean = _number(mean, "mean")
+    moment2 = None if moment2 is None else _number(moment2, "moment2")
+    moment3 = None if moment3 is None else _number(moment3, "moment3")
+    support_end = _number(support_end, "support_end", "positive")
     tags = frozenset(class_tags)
     if not tags <= KNOWN_TAGS:
         raise DomainError(f"unknown class tags: {sorted(tags - KNOWN_TAGS)}")
-    if not (support_end > 0.0):
-        raise DomainError(f"support_end must be positive, got {support_end}")
-    mean = float(mean)
 
     def G(t):
         return np.asarray(cdf(t), dtype=float)
 
     edges, tail_after, t_tab, g_tab = _tail_table(
-        G, name, float(support_end), (mean, moment2, moment3))
+        G, name, support_end, (mean, moment2, moment3))
     last = len(edges) - 2  # index of the last panel
     tables = None  # the quantile's, built on its first call
 
@@ -604,6 +637,7 @@ def _tail_table(G, name: str, support_end: float, moments: tuple):
     # refinement evaluated G at every Kronrod node of the converged panels
     x, w = _kronrod_nodes(a, b)
     tail_w = w * (1.0 - g_tab[np.searchsorted(t_tab, x)])
+    x = np.where(tail_w != 0.0, x, 0.0)  # no inf * 0 where G is 1 at a huge t
     for k, declared in enumerate(moments, 1):
         if declared is None:
             continue
@@ -756,13 +790,6 @@ _CATALOG = {"exponential": (exponential, "mean"),
             "power": (power_function, "c"), "uniform01": (uniform01, None)}
 
 
-def _shown(value) -> str:
-    """repr(value), cut with an ellipsis past 200 characters, so that an
-    error on outside input stays short."""
-    text = repr(value)
-    return text if len(text) <= 200 else text[:200] + "…"
-
-
 def from_spec(spec: dict, arrival_rate: Optional[float] = None) -> ServiceDistribution:
     """Build a catalog member from its key-value form.
 
@@ -785,29 +812,18 @@ def from_spec(spec: dict, arrival_rate: Optional[float] = None) -> ServiceDistri
                               f"does not read {_shown(other)}")
     if key is None:
         return build()
-    value = _req(spec, key)
+    if key not in spec:
+        raise DomainError(f"distribution spec {_shown(spec)} is missing {key!r}")
+    try:  # the constructor checks the range
+        value = _number(spec[key], key, "a number")
+    except DomainError:
+        raise DomainError(f"distribution spec {_shown(spec)} has a non-numeric "
+                          f"{key!r}") from None
     if key != "rho":
         return build(value)
     if arrival_rate is None:
         raise DomainError(f"{kind} needs the queue arrival rate")
     return build(arrival_rate, value)
-
-
-def _req(spec: dict, key: str) -> float:
-    if key not in spec:
-        raise DomainError(f"distribution spec {_shown(spec)} is missing {key!r}")
-    if isinstance(spec[key], bool):  # float(True) would read as 1.0
-        raise DomainError(f"distribution spec {_shown(spec)} has a non-numeric {key!r}")
-    try:
-        value = float(spec[key])
-    except (TypeError, ValueError):
-        raise DomainError(
-            f"distribution spec {_shown(spec)} has a non-numeric {key!r}") from None
-    except OverflowError:  # an int too large for a float
-        value = math.inf
-    if not math.isfinite(value):
-        raise DomainError(f"distribution spec {_shown(spec)} has a non-finite {key!r}")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -821,8 +837,6 @@ def integrated_tail(dist: ServiceDistribution, t):
 
 def residual_tail(dist: ServiceDistribution, t):
     """mean - I(t) = int_t^inf [1 - G(v)] dv, computed without cancellation."""
-    arr = np.asarray(t, dtype=float)
-    if not np.all(arr >= 0.0):  # nan fails too
-        raise DomainError(f"residual tail needs t >= 0, got {t}")
+    arr = _floats(t, "t")
     out = dist.residual_tail_fn(arr)
     return float(out) if arr.shape == () else out

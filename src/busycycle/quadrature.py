@@ -116,8 +116,6 @@ def _refine(f, breakpoints, rel_tol: float):
     pts = np.array(sorted(set(float(b) for b in breakpoints)))
     if len(pts) < 2:
         raise DomainError("need at least two distinct breakpoints")
-    if not (rel_tol > 0.0):
-        raise DomainError(f"rel_tol must be positive, got {rel_tol}")
 
     vals, errs = _gauss_kronrod(f, pts[:-1], pts[1:])
     heap = list(zip((-errs).tolist(), pts[:-1].tolist(), pts[1:].tolist(),

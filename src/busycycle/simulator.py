@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .distributions import QueueParameters
+from .distributions import QueueParameters, _floats
 from .errors import DomainError, RunawayCycleError
 
 __all__ = [
@@ -412,11 +412,9 @@ def time_average_age(cycles) -> float:
     is Z^2/2 and the trajectory average over the cycles equals the ratio
     estimator sum(Z^2) / (2 sum(Z)) identically.
     """
-    z = np.asarray(cycles, dtype=float)
+    z = _floats(cycles, "cycle lengths")
     if z.size == 0:
         raise DomainError("need at least one cycle length")
-    if not np.all(z >= 0.0):  # nan fails too
-        raise DomainError("cycle lengths must be nonnegative")
     with np.errstate(over="ignore", invalid="ignore"):
         value = float((z * z).sum() / (2.0 * z.sum()))
     if not math.isfinite(value):  # all zero, infinite, or Z^2 overflows

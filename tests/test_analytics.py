@@ -188,6 +188,11 @@ def test_power_series_domain_errors():
     for lam in (5e-324, 1e-310):
         with pytest.raises(DomainError, match="overflows"):
             bc.power_double_series(lam, 3.0)
+    # rho = lam c / (c + 1) past log(DBL_MAX): float warnings, then a bare
+    # OverflowError
+    for lam, c in ((1065.0, 2.0), (1e308, 0.5)):
+        with pytest.raises(DomainError, match="exceeds log"):
+            bc.power_double_series(lam, c)
 
 
 def test_a_float32_rate_gives_the_float64_result():

@@ -261,6 +261,11 @@ def test_gap_ratio_examples():
         bc.gap_ratio(1.0, 0.5, 1.0)
     with pytest.raises(DomainError):
         bc.gap_ratio(0.5, 1.0, 0.0)
+    # finite bounds and reference whose ratio overflows once returned inf
+    for lower, upper, reference in ((0.0, 1e308, 5e-324), (-1e308, 1e308, 1.0)):
+        with pytest.raises(DomainError, match="overflows the float range"):
+            bc.gap_ratio(lower, upper, reference)
+    assert bc.gap_ratio(-2.0, -1.0, 4.0) == 0.25  # bounds of either sign
 
 
 def test_build_report_exponential_all_classes():

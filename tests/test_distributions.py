@@ -380,6 +380,18 @@ def test_traffic_intensity_past_the_float_range_is_rejected():
     lambda: bc.power_double_series(1.0, 2.0, math.inf),
     lambda: bc.power_double_series(1.0, 1.0, math.inf),
     lambda: bc.beta_quadrature(bc.QueueParameters(1.0, bc.exponential(1.0)), math.inf),
+    lambda: bc.residual_tail(bc.exponential(1.0), 10**400),
+    lambda: bc.integrated_tail(bc.exponential(1.0), 10**400),
+    lambda: bc.time_average_age([10**400, 1.0]),
+    lambda: bc.time_average_age(["abc"]),
+    lambda: bc.residual_tail(bc.exponential(1.0), True),
+    lambda: bc.exponential(10**400),
+    lambda: bc.exponential("abc"),
+    lambda: bc.exponential(True),
+    lambda: bc.exponential(np.True_),
+    lambda: bc.QueueParameters(True, bc.exponential(1.0)),
+    lambda: bc.deterministic(1e200),
+    lambda: bc.power_function(1e300),
 ], ids=["deterministic-nan", "deterministic-inf", "power-inf", "proposition1-nan",
         "residual-tail-nan", "integrated-tail-nan", "age-nan", "age-all-zero",
         "class-not-a-name", "gap-ratio-nan", "proposition1-inf",
@@ -387,7 +399,11 @@ def test_traffic_intensity_past_the_float_range_is_rejected():
         "beta-c-series-tol-inf", "beta-c-quad-tol-nan", "beta-c-quad-tol-zero",
         "beta-c-quad-tol-inf", "exp-series-tol-inf", "exp-series-rho-nan",
         "exp-series-rho-inf", "power-series-tol-inf", "power-series-c1-tol-inf",
-        "quadrature-tol-inf"])
+        "quadrature-tol-inf", "residual-tail-huge-int", "integrated-tail-huge-int",
+        "age-huge-int", "age-string", "residual-tail-bool", "exponential-huge-int",
+        "exponential-string", "exponential-bool", "exponential-numpy-bool",
+        "queue-bool-rate", "deterministic-mean-squared-overflows",
+        "power-c-plus-1-squared-overflows"])
 def test_api_values_without_a_finite_answer_are_domain_errors(call):
     # each once returned nan, built a law with a nan mean or raised an
     # untyped error
@@ -835,6 +851,14 @@ def test_user_cdf_validation():
     # a defective law never reaches 1: a typed error, not a hang
     with pytest.raises(AccuracyError):
         bc.make_distribution(lambda t: 0.5 * _exp_cdf(t), mean=0.5)
+
+
+def test_declared_moments_pass_with_a_support_end_near_the_float_limit():
+    # G is 1 long before t = 1e308; k t^(k-1) (1 - G) there was inf * 0,
+    # a float warning and a moment2 of nan that refused the true moments
+    law = bc.make_distribution(lambda t: -np.expm1(-np.maximum(t, 0.0)), mean=1.0,
+                               moment2=2.0, moment3=6.0, support_end=1e308)
+    assert (law.moment2, law.moment3, law.support_end) == (2.0, 6.0, 1e308)
 
 
 def test_declared_moments_are_checked_against_the_table():
