@@ -18,14 +18,14 @@ integrand never suffers cancellation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import QueueParameters, _check_rho, _number
 from .errors import AccuracyError, DomainError, UnsupportedClosedFormError
-from .quadrature import (_kronrod_nodes, _refine, _support_breaks,
-                         integrate_adaptive)
+from .quadrature import _refine, _support_breaks, integrate_adaptive
 
 __all__ = [
     "BusyCycleMetrics",
@@ -40,10 +40,6 @@ __all__ = [
 
 DEFAULT_SERIES_TOL = 1e-10
 DEFAULT_QUAD_TOL = 1e-9
-
-# Above this traffic intensity the alternating general-c power series loses
-# too many digits in float64; quadrature takes over.
-_POWER_SERIES_RHO_LIMIT = 6.0
 
 
 @dataclass(frozen=True)
@@ -64,14 +60,27 @@ class BusyCycleMetrics:
     error_estimate: float
 
 
+def _overflow(params: QueueParameters, what: str) -> DomainError:
+    """The DomainError, naming rho and lambda, for ``what`` of a queue
+    leaving the float range."""
+    return DomainError(f"rho = {params.traffic_intensity:g}, lambda = "
+                       f"{params.arrival_rate:g}: {what} the float range")
+
+
 def mean_cycle(params: QueueParameters) -> float:
-    """E[Z] = e^rho / lam."""
-    return math.exp(params.traffic_intensity) / params.arrival_rate
+    """E[Z] = e^rho / lam; DomainError when it overflows."""
+    e_z = math.exp(params.traffic_intensity) / params.arrival_rate
+    if not math.isfinite(e_z):
+        raise _overflow(params, "the busy-cycle moments overflow")
+    return e_z
 
 
 def mean_busy_period(params: QueueParameters) -> float:
-    """E[B] = (e^rho - 1) / lam."""
-    return math.expm1(params.traffic_intensity) / params.arrival_rate
+    """E[B] = (e^rho - 1) / lam; DomainError when it overflows."""
+    e_b = math.expm1(params.traffic_intensity) / params.arrival_rate
+    if not math.isfinite(e_b):
+        raise _overflow(params, "the mean busy period overflows")
+    return e_b
 
 
 # ---------------------------------------------------------------------------
@@ -99,17 +108,21 @@ def _positive_series(rho: float, first: float, tol: float,
     with t_1 = ``first`` and t_n = t_(n-1) rho (a n + b) / (n (c n + d)),
     by compensated summation.  The ratio comes as four integers, not a
     callback, so a term costs no call and its integer factors are exact.
-    The sum stops past n > rho once a term falls under tol/4 of the total.
+    The sum stops past n > rho once a term falls under tol/4 of the total;
+    DomainError at the first total that is not finite.
     """
     total = 0.0
     comp = 0.0
     term = first
     n = 1
+    inf = math.inf
     while True:
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
+        if not total < inf:  # a term or the sum overflowed, or is nan
+            raise DomainError(f"rho = {rho:g}: S(rho) overflows the float range")
         n += 1
         term *= rho * (a * n + b) / (n * (c * n + d))
         if n > rho and term < 0.25 * tol * total:
@@ -131,10 +144,10 @@ def power_double_series(arrival_rate: float, c: float,
 
     For c = 1 the inner integrals collapse and the expansion regroups into
     the all-positive series sum_k rho^k/(k! (2k+1)), stable for any rho.
-    For other c every M_k comes from one Gauss-Kronrod node table on [0, 1]
-    (see ``_power_beta_series``).  The k-sum alternates, so float64
-    supports it only up to moderate traffic intensity; past that an
-    AccuracyError is raised and callers should fall back to quadrature.
+    For other c the k-sum is summed inside its integral, as
+    int_0^1 e^(-lam h(t)) dt with h(t) = t - t^(c+1)/(c+1), by one adaptive
+    Gauss-Kronrod call (see ``_power_beta_series``).  Nothing alternates,
+    so no traffic intensity is out of reach.
     The estimate adds one ulp of beta_c for the sum beta + 1/lam.  A rho
     past log(DBL_MAX), and a subnormal rate, whose 1/lam overflows, are
     DomainErrors.
@@ -155,78 +168,33 @@ def power_double_series(arrival_rate: float, c: float,
 def _power_beta_series(lam: float, c: float, tol: float):
     """(beta, abs error estimate) for the power member via series.
 
-    For c != 1 the inner integrals M_k = int_0^1 h(t)^k dt, with
-    h(t) = t - t^(c+1)/(c+1), all come from one table of nodes and weights:
-    panels are refined once on the envelope expm1(lam h) = sum_k (lam h)^k/k!,
-    which weights each k by its share of the series' absolute sum, after
-    t = s^2 softens the t^(c+1) kink at 0.  M_k is then w . h^k, a running
-    product.  Rounding is charged per term summed.
+    For c != 1 the k-sum of ``power_double_series`` is summed inside its
+    integral: sum_k (-lam)^k M_k / k! = int_0^1 e^(-lam h(t)) dt with
+    h(t) = t - t^(c+1)/(c+1), so no term alternates.  Its part past k = 0,
+    s = int_0^1 expm1(-lam h(t)) dt, is refined to 1e-15 of itself after
+    t = v^2 softens the t^(c+1) kink at 0, whatever ``tol`` (which steers
+    only the c = 1 sum), and beta = expm1(rho) + e^rho s.  The estimate is
+    e^rho times the integral's, plus 16 eps of expm1(rho) + e^rho |s| for
+    the rounding.
     """
     rho = lam * c / (c + 1.0)
     if c == 1.0:  # sum_{k>=1} rho^k / (k! (2k+1)): all terms positive
         total, term = _positive_series(rho, rho / 3.0, tol, 2, -1, 2, 1)
         return total, term * 4.0 + 4e-16 * total
 
-    def h(s):  # t (c - expm1(c ln t)) / (c+1) at t = s^2, free of cancellation
-        return s * s * (c - np.expm1(2.0 * c * np.log(s))) / (c + 1.0)
+    def h(v):  # t (c - expm1(c ln t)) / (c+1) at t = v^2, free of cancellation
+        return v * v * (c - np.expm1(2.0 * c * np.log(v))) / (c + 1.0)
 
-    # at 1e-15 the table's M_k errors stay inside the rounding charge below
-    _total, _err, a, b, _values = _refine(
-        lambda s: np.expm1(lam * h(s)) * (2.0 * s), (0.0, 1.0), 1e-15)
-    nodes, weights = _kronrod_nodes(a, b)
-    hs = h(nodes).ravel()
-    wk = (weights * (2.0 * nodes)).ravel()  # w h^k, k = 0
-
-    # beta = e^rho (1 + s) - 1 = expm1(rho) + e^rho s with s the k >= 1 part
-    # of sum (-lam)^k M_k / k!; the regrouping avoids subtracting near-1
-    # quantities and keeps small traffic intensities fully accurate.
+    s, err_s = _refine(lambda v: np.expm1(-lam * h(v)) * (2.0 * v),
+                       (0.0, 1.0), 1e-15)[:2]
+    # beta = e^rho (1 + s) - 1, regrouped so that no near-1 quantities are
+    # subtracted and small traffic intensities stay fully accurate
     exp_rho = math.exp(rho)
-    floor = lam * c / (2.0 * (c + 2.0))  # beta >= lam E[S^2] / 2
-    total = 0.0
-    comp = 0.0
-    abs_sum = 0.0
-    coeff = 1.0          # (-lam)^k / k!
-    bound = rho          # rho^(k+1) / (k+1)!
-    k = 0
-    small_streak = 0
-    while True:
-        k += 1
-        coeff *= -lam / k
-        wk = wk * hs
-        term = coeff * float(wk.sum())
-        abs_sum += abs(term)
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if not math.isfinite(total):  # (-lam)^k / k! overflowed
-            break
-        bound *= rho / (k + 1)
-        if k > lam and abs(term) < 0.25 * tol * max(abs(total), 1e-300) \
-                and bound < tol:
-            small_streak += 1
-            if small_streak >= 3:
-                break
-        else:
-            small_streak = 0
-        if k > 5000:
-            raise AccuracyError(
-                "power series did not converge",
-                max(floor, math.expm1(rho) + exp_rho * total), math.inf,
-            )
-    beta = math.expm1(rho) + exp_rho * total
-    scale = abs(math.expm1(rho)) + exp_rho * abs_sum
-    float_err = 4e-16 * k * scale
-    trunc_err = abs(term) * 8.0 * exp_rho
-    err = float_err + trunc_err
-    if not (beta > 0.0 and err <= max(tol, 1e-9) * beta):
-        raise AccuracyError(
-            f"power series for c={c}, lam={lam} is cancellation-limited "
-            f"(estimated error {err:.2e} on {beta:.6e})",
-            best_estimate=max(floor, beta),
-            error_estimate=err,
-        )
-    return beta, err
+    beta = math.expm1(rho) + exp_rho * s
+    # the rounding charge on expm1(rho) + e^rho |s|, written with
+    # expm1(rho) = -e^rho expm1(-rho) so that it cannot overflow
+    return beta, exp_rho * (err_s + 16.0 * sys.float_info.epsilon
+                            * (abs(s) - math.expm1(-rho)))
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +232,7 @@ def beta_quadrature(params: QueueParameters, tol: float = DEFAULT_QUAD_TOL):
     with np.errstate(over="ignore", invalid="ignore"):
         value, err, _n = integrate_adaptive(integrand, breaks, tol)
     if not (math.isfinite(value) and math.isfinite(err)):
-        raise DomainError(f"rho = {params.traffic_intensity:g}, lambda = {lam:g}: "
-                          f"beta overflows the float range")
+        raise _overflow(params, "beta overflows")
     return value, err
 
 
@@ -337,10 +304,7 @@ def beta_c(params: QueueParameters, strategy: str = "auto",
         beta, method, err = beta_closed_form(params, series_tol)
     else:
         method = "quadrature"
-        # auto sends the general-c power law past the rho its alternating
-        # series supports straight to quadrature
-        if strategy == "auto" and not (params.service.spec.get("type") == "power"
-                                       and rho > _POWER_SERIES_RHO_LIMIT):
+        if strategy == "auto":
             try:
                 beta, method, err = beta_closed_form(params, series_tol)
             except (AccuracyError, UnsupportedClosedFormError):
@@ -353,8 +317,7 @@ def beta_c(params: QueueParameters, strategy: str = "auto",
     z2 = 2.0 * e_z * bc
     # every other field is finite whenever E[Z^2] is
     if not (math.isfinite(z2) and math.isfinite(err)):
-        raise DomainError(f"rho = {rho:g}, lambda = {lam:g}: the busy-cycle "
-                          f"moments overflow the float range")
+        raise _overflow(params, "the busy-cycle moments overflow")
     return BusyCycleMetrics(
         e_z=e_z, e_b=mean_busy_period(params), beta=beta, beta_c=bc,
         z_second_moment=z2, method=method, error_estimate=err,

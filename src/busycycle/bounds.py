@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .distributions import (DFR, IMRL, NBUE, NWUE, QueueParameters, _check_rho,
-                            _number)
+                            _number, _tags)
 from .errors import ClassViolationError, DomainError, UnsupportedMomentError
 
 __all__ = [
@@ -128,8 +128,7 @@ def _normalize(kind: str) -> str:
 
 
 def _check_tag(params: QueueParameters, tag: str, assume_tags) -> None:
-    tags = params.service.class_tags | frozenset(assume_tags)
-    if tag not in tags:
+    if tag not in params.service.class_tags | assume_tags:
         raise ClassViolationError(
             f"{params.service.name} is not known to be {tag}; "
             f"pass assume_tags={{'{tag}'}} only if you can establish it"
@@ -155,9 +154,11 @@ def class_lower_bound(kind: str, params: QueueParameters,
     """Reliability-class lower bound on beta_c.
 
     ``kind`` is one of m-nwue (valid for exponential and NWUE laws), dfr,
-    imrl, power, uniform01.
+    imrl, power, uniform01.  ``assume_tags``, a set of class tag names,
+    asserts classes the law's own tags do not record.
     """
-    return _finite(_class_lower(_normalize(kind), params, assume_tags),
+    return _finite(_class_lower(_normalize(kind), params,
+                                _tags(assume_tags, "assume_tags")),
                    params.traffic_intensity, params.arrival_rate)
 
 
@@ -200,9 +201,10 @@ def class_upper_bound(kind: str, params: QueueParameters,
     """Reliability-class upper bound on beta_c.
 
     ``kind`` is one of m-nbue (valid for exponential and NBUE laws), power,
-    uniform01.
+    uniform01.  ``assume_tags`` is read as in ``class_lower_bound``.
     """
-    return _finite(_class_upper(_normalize(kind), params, assume_tags),
+    return _finite(_class_upper(_normalize(kind), params,
+                                _tags(assume_tags, "assume_tags")),
                    params.traffic_intensity, params.arrival_rate)
 
 
@@ -248,6 +250,7 @@ def build_report(params: QueueParameters, reference: Optional[float] = None,
     Class bounds whose prerequisites (tags, moments, power type) are
     missing are omitted.
     """
+    assume_tags = _tags(assume_tags, "assume_tags")
     lowers = []
     uppers = []
     try:

@@ -32,7 +32,7 @@ import json
 import sys
 
 from . import analytics, bounds, simulator, tables
-from .distributions import KNOWN_TAGS, QueueParameters, deterministic, from_spec
+from .distributions import QueueParameters, _tags, deterministic, from_spec
 from .errors import BusyCycleError, DomainError
 
 __all__ = ["main"]
@@ -69,11 +69,11 @@ def _json_object(text: str) -> dict:
 
 
 def _class_tags(text: str) -> frozenset:
-    tags = frozenset(t.strip() for t in text.split(",") if t.strip())
-    if not tags <= KNOWN_TAGS:
-        raise argparse.ArgumentTypeError(
-            f"unknown class tags: {sorted(tags - KNOWN_TAGS)}")
-    return tags
+    try:
+        return _tags((t.strip() for t in text.split(",") if t.strip()),
+                     "--assume-tags")
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 class _ConfigFlags(argparse.Action):

@@ -112,6 +112,23 @@ def _number(value, name: str, rule: str = "finite and positive") -> float:
     return x
 
 
+def _tags(value, name: str) -> frozenset:
+    """``value`` as a frozenset of known class tags: the one reading of every
+    tag-set parameter.  DomainError, naming ``name``, for a value that is
+    not a collection of names (a string too, whose letters a set would
+    read as tags), and for a tag outside KNOWN_TAGS."""
+    try:
+        if isinstance(value, str):
+            raise TypeError
+        tags = frozenset(value)
+    except TypeError:
+        raise DomainError(f"{name} must be a set of class tags, got "
+                          f"{_shown(value)}") from None
+    if not tags <= KNOWN_TAGS:
+        raise DomainError(f"unknown class tags: {sorted(tags - KNOWN_TAGS, key=repr)}")
+    return tags
+
+
 def _floats(values, name: str) -> np.ndarray:
     """``values`` as a float array, or DomainError, naming ``name``, for
     bools, non-numbers, NaN and values below 0."""
@@ -533,9 +550,7 @@ def make_distribution(
     moment2 = None if moment2 is None else _number(moment2, "moment2")
     moment3 = None if moment3 is None else _number(moment3, "moment3")
     support_end = _number(support_end, "support_end", "positive")
-    tags = frozenset(class_tags)
-    if not tags <= KNOWN_TAGS:
-        raise DomainError(f"unknown class tags: {sorted(tags - KNOWN_TAGS)}")
+    tags = _tags(class_tags, "class_tags")
 
     def G(t):
         return np.asarray(cdf(t), dtype=float)

@@ -30,14 +30,7 @@ from importlib import resources
 from typing import Optional
 
 from . import analytics, bounds
-from .distributions import (
-    QueueParameters,
-    deterministic,
-    exponential,
-    power_function,
-    special_a,
-    special_b,
-)
+from .distributions import QueueParameters, from_spec
 from .errors import DomainError
 
 __all__ = ["CellResult", "load_registry", "compute_table", "classify"]
@@ -86,17 +79,15 @@ def classify(paper_value: float, computed: float) -> str:
 
 
 def _service_for(row: str, lam: float, alpha: float):
-    if row == "exponential":
-        return exponential(alpha)
-    if row == "constant":
-        return deterministic(alpha)
-    if row == "special_a":
-        return special_a(lam, lam * alpha)
-    if row == "special_b":
-        return special_b(lam, lam * alpha)
-    if row == "power":
-        return power_function(1.0)  # mean 0.5, matching the table's alpha
-    raise DomainError(f"unknown table row {row!r}")
+    spec = {"exponential": {"type": "exponential", "mean": alpha},
+            "constant": {"type": "deterministic", "mean": alpha},
+            "special_a": {"type": "special_a", "rho": lam * alpha},
+            "special_b": {"type": "special_b", "rho": lam * alpha},
+            # mean 0.5, matching the table's alpha
+            "power": {"type": "power", "c": 1.0}}.get(row)
+    if spec is None:
+        raise DomainError(f"unknown table row {row!r}")
+    return from_spec(spec, lam)
 
 
 def _ratio_bounds(row: str, params: QueueParameters):

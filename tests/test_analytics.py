@@ -87,6 +87,15 @@ def test_exp_series_stability_at_fifty():
     )
 
 
+def test_exp_series_past_the_float_range_is_a_domain_error():
+    # the running sum overflowed to inf and then nan, so the stopping test
+    # never held: 200 000 terms, then an AccuracyError
+    assert bc.exp_series(712.0) == pytest.approx(2.3216800838e306, rel=1e-9)
+    for rho in (720.0, 1e308):
+        with pytest.raises(DomainError, match="overflows the float range"):
+            bc.exp_series(rho)
+
+
 def test_power_series_c1_frozen_grid():
     # beta for uniform service: frozen from the defining integral
     expected = {
@@ -122,19 +131,31 @@ def test_power_series_general_c_matches_quadrature(lam, c):
     assert series == pytest.approx(quad, rel=1e-8)
 
 
+def _mp_power_beta(lam, c):
+    """beta = int_0^1 expm1(lam r(t)) dt, r(t) = 1 - t - (1 - t^(c+1))/(c+1),
+    in mpmath at its working precision; the integrand peaks at t = 0 with
+    width 1/lam, so the interval is split at 4^k / lam."""
+    cm, lm = mpmath.mpf(c), mpmath.mpf(lam)
+    cuts = [0] + [p for p in (1 / lm, 4 / lm, 16 / lm, 64 / lm) if p < 0.5] + [1]
+    return mpmath.quad(lambda t: mpmath.expm1(
+        lm * (1 - t - (1 - t ** (cm + 1)) / (cm + 1))), cuts)
+
+
 def test_power_series_error_estimate_covers_mpmath_on_grid():
-    # beta = int_0^1 expm1(lam r(t)) dt with r(t) = 1 - t - (1 - t^(c+1))/(c+1)
+    grid = [(c, rho) for c in map(float, np.geomspace(0.2, 5.0, 20))
+            for rho in map(float, np.geomspace(0.01, 6.0, 20))]
+    # small and high traffic intensities, which the alternating k-sum once
+    # refused from rho = 7.75
+    grid += [(c, rho) for c in map(float, np.geomspace(0.05, 20.0, 12))
+             for rho in map(float, np.geomspace(1e-4, 60.0, 14))]
     misses = []
     with mpmath.workdps(30):
-        for c in map(float, np.geomspace(0.2, 5.0, 20)):
-            for rho in map(float, np.geomspace(0.01, 6.0, 20)):
-                lam = rho * (c + 1.0) / c
-                cm, lm = mpmath.mpf(c), mpmath.mpf(lam)
-                ref = mpmath.quad(lambda t: mpmath.expm1(
-                    lm * (1 - t - (1 - t ** (cm + 1)) / (cm + 1))), [0, 1])
-                beta, err = _power_beta_series(lam, c, 1e-10)
-                if abs(beta - ref) > err:
-                    misses.append((c, rho, float(abs(beta - ref)) / err))
+        for c, rho in grid:
+            lam = rho * (c + 1.0) / c
+            ref = _mp_power_beta(lam, c)
+            beta, err = _power_beta_series(lam, c, 1e-10)
+            if abs(beta - ref) > err:
+                misses.append((c, rho, float(abs(beta - ref)) / err))
     assert not misses
 
 
@@ -155,28 +176,25 @@ def test_power_double_series_estimate_covers_the_returned_beta_c():
     assert not misses
 
 
-def test_power_series_general_c_cancellation_raises():
-    with pytest.raises(AccuracyError) as exc:
-        bc.power_double_series(60.0, 2.0)
-    assert exc.value.best_estimate > 0
+def test_power_series_general_c_answers_at_high_intensity():
+    # rho = 40: the alternating k-sum refused here as cancellation-limited
+    value, err = bc.power_double_series(60.0, 2.0)
+    with mpmath.workdps(30):
+        ref = 1 / mpmath.mpf(60) + _mp_power_beta(60.0, 2.0)
+    assert abs(value - ref) <= err
+    assert err <= 1e-10 * value
 
 
 def test_power_series_past_rho_six_answers_or_refuses_cleanly():
-    # an answer inside its tolerance, or the cancellation error carrying an
-    # estimate of at least lam E[S^2] / 2, a lower bound on beta.  At
-    # (71.08, 3.16) the sum once returned beta = -1.5e29; at (242, 0.1) its
-    # truncation bound rho^(k+1) / (k+1)! overflowed.
+    # it answers: at (71.08, 3.16) the alternating k-sum once returned
+    # beta = -1.5e29, and at (242, 0.1) its truncation bound
+    # rho^(k+1) / (k+1)! overflowed
     points = [(rho * (c + 1.0) / c, c)
               for c in map(float, np.geomspace(0.05, 20.0, 12))
               for rho in map(float, np.geomspace(6.0, 60.0, 12))]
     for lam, c in points + [(71.07629936490926, 3.1622776601683795), (242.0, 0.1)]:
-        try:
-            beta, err = _power_beta_series(lam, c, 1e-10)
-        except AccuracyError as exc:
-            assert "cancellation-limited" in str(exc), (lam, c)
-            assert exc.best_estimate >= lam * c / (2.0 * (c + 2.0)), (lam, c)
-        else:
-            assert 0.0 < err <= 1e-9 * beta, (lam, c)
+        beta, err = _power_beta_series(lam, c, 1e-10)
+        assert 0.0 < err <= 1e-10 * beta, (lam, c)
 
 
 def test_power_series_domain_errors():
@@ -219,6 +237,19 @@ def test_mean_cycle_values():
     assert bc.mean_cycle(bc.QueueParameters(3.0, bc.deterministic(0.0))) == pytest.approx(
         1.0 / 3.0, rel=1e-15
     )
+
+
+def test_mean_values_past_the_float_range_are_domain_errors():
+    # e^rho / lambda overflowed to inf: at a subnormal rate for E[Z] only
+    # (E[B] = 1 there), and at rho = 709, lambda = 0.1 for both
+    tiny = bc.QueueParameters(1e-310, bc.exponential(1.0))
+    with pytest.raises(DomainError, match="lambda = 1e-310"):
+        bc.mean_cycle(tiny)
+    assert bc.mean_busy_period(tiny) == 1.0
+    heavy = bc.QueueParameters(0.1, bc.exponential(7090.0))
+    for mean in (bc.mean_cycle, bc.mean_busy_period):
+        with pytest.raises(DomainError, match="rho = 709, lambda = 0.1"):
+            mean(heavy)
 
 
 def test_mean_busy_period_values():
@@ -595,10 +626,10 @@ def test_quadrature_agrees_at_extreme_intensity():
         assert qd == pytest.approx(cf, rel=1e-9), params.service.name
 
 
-def test_auto_strategy_falls_back_for_general_c_at_high_intensity():
+def test_auto_strategy_takes_the_general_c_series_at_high_intensity():
     params = bc.QueueParameters(40.0, bc.power_function(3.7))
     m = bc.beta_c(params)
-    assert m.method == "quadrature"
+    assert m.method == "series"
     assert m.beta_c == pytest.approx(
         bc.beta_quadrature(params, tol=1e-10)[0] + 1.0 / 40.0, rel=1e-9
     )

@@ -318,6 +318,36 @@ def test_build_report_untagged_member_gets_only_distribution_free_rows():
     assert [l for l, _ in rep.upper_bounds] == ["sathe"]
 
 
+def test_tag_sets_are_read_one_way_everywhere():
+    # None and 5 were bare TypeErrors; "NWUE" was read as its letters, and
+    # an unknown tag was silently ignored by the bounds
+    untagged = bc.make_distribution(lambda t: -np.expm1(-t), 1.0)
+    p = bc.QueueParameters(2.0, untagged)
+    floor = bc.class_lower_bound("m-nwue", bc.QueueParameters(2.0, bc.exponential(1.0)))
+    calls = {
+        "make_distribution": lambda tags: bc.make_distribution(
+            lambda t: -np.expm1(-t), 1.0, class_tags=tags).class_tags,
+        "class_lower_bound": lambda tags: bc.class_lower_bound(
+            "m-nwue", p, assume_tags=tags),
+        "class_upper_bound": lambda tags: bc.class_upper_bound(
+            "m-nbue", p, assume_tags=tags),
+        "build_report": lambda tags: dict(bc.build_report(
+            p, assume_tags=tags).lower_bounds).get("m-nwue"),
+    }
+    for call in calls.values():
+        for tags in (None, 5, "NWUE", {"FOO"}, {"nwue"}, ["NWUE", 3]):
+            with pytest.raises(DomainError):
+                call(tags)
+    assert calls["make_distribution"]({"NWUE"}) == frozenset({"NWUE"})
+    assert calls["class_lower_bound"]({"NWUE"}) == floor
+    with pytest.raises(ClassViolationError):  # NWUE does not make a law NBUE
+        calls["class_upper_bound"]({"NWUE"})
+    assert calls["build_report"]({"NWUE"}) == floor
+    # unknown names of mixed types are sorted by repr, not a bare TypeError
+    with pytest.raises(DomainError, match=r"unknown class tags: \['BAR', 'FOO', 3\]"):
+        bc.class_lower_bound("m-nwue", p, assume_tags=["FOO", 3, "NWUE", "BAR"])
+
+
 def test_sandwich_spot_checks():
     # bounds never consult beta_c, so this is a genuine cross-check
     for rho in (0.1, 0.5, 1.0, 2.0, 5.0):

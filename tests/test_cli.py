@@ -141,12 +141,6 @@ def test_usage_errors_exit_2(capsys):
         # rho = 709.5 is in range, but e^rho / lambda overflows every bound
         ["bounds", "--lambda", "0.5", "--dist", '{"type":"exponential","mean":1419}',
          "--no-reference"],
-        # the power series past rho = 6: once beta = -1.5e29, then an
-        # OverflowError in its truncation bound
-        ["metrics", "--lambda", "71.07629936490926", "--dist",
-         '{"type":"power","c":3.1622776601683795}', "--strategy", "closed-form"],
-        ["metrics", "--lambda", "242", "--dist", '{"type":"power","c":0.1}',
-         "--strategy", "closed-form"],
         ["bounds", "--lambda", "1", "--dist", '{"type":"power","c":1e-300}'],
         ["metrics", "--lambda", "50", "--dist", '{"type":"special_b","rho":709.7}',
          "--strategy", "quadrature"],
@@ -163,6 +157,24 @@ def test_usage_errors_exit_2(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+def test_closed_form_power_series_answers_past_rho_six(capsys):
+    # the alternating k-sum once gave beta = -1.5e29 at the first, then
+    # exited 2 at both as cancellation-limited; the series prints the beta_c
+    # quadrature prints
+    for lam, c, expected in (("71.07629936490926", "3.1622776601683795",
+                              "3.9827375e+21"), ("242", "0.1", "38164278")):
+        lines = {}
+        for strategy in ("closed-form", "quadrature"):
+            code, out, err = run_cli(capsys, "metrics", "--lambda", lam, "--dist",
+                                     '{"type":"power","c":%s}' % c,
+                                     "--strategy", strategy)
+            assert (code, err) == (0, ""), (lam, c, strategy)
+            lines[strategy] = dict(ln.split(None, 1) for ln in out.splitlines())
+        assert lines["closed-form"]["method"] == "series"
+        assert lines["closed-form"]["beta_c"] == lines["quadrature"]["beta_c"] \
+            == expected
 
 
 def test_long_dist_specs_are_cut_in_the_usage_error():
