@@ -15,7 +15,8 @@ that flag's text is (so "cycles": 1000.0 is a usage error, like --cycles
 Exit status: 0 on success (known table errata are listed, not fatal),
 2 on usage errors, JSON nested too deeply to parse among them, 3 when a
 table cell's status deviates from the shipped registry (i.e. a cell
-expected to PASS stopped matching).
+expected to PASS stopped matching), 141 (128 + SIGPIPE) from the
+``busycycle`` command when its stdout's reader has gone.
 
 ``_build_parser`` adds the five commands and their options in order, and
 runs once per process, on the first call: building the parser took most
@@ -29,13 +30,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import analytics, bounds, simulator, tables
 from .distributions import QueueParameters, _tags, deterministic, from_spec
 from .errors import BusyCycleError, DomainError
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 HIGH_RHO_WARN = 5.0
 DEFAULT_CYCLES = 1_000_000
@@ -389,5 +391,25 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> int:
+    """The ``busycycle`` command: ``main`` on the process's arguments, with
+    stdout flushed before it returns.  When stdout's reader has gone (as in
+    ``busycycle table --which 1 | head -1``) it returns 141, the status a
+    shell reports for a process ended by SIGPIPE, and prints nothing more.
+    """
+    try:
+        try:
+            return main()
+        finally:  # argparse's help and usage errors exit through here too
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: send what is left
+        # to the null device, so that flush neither fails nor reports
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        return 141
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -543,6 +543,10 @@ def make_distribution(
     integral of k t^(k-1) (1 - G) from a given ``moment2`` (k = 2) or
     ``moment3`` (k = 3), by more than 1e-8 relative; AccuracyError when an
     unbounded support finds no end.
+    Every cdf output, at construction and later, that is text, complex
+    (even with a zero imaginary part) or objects ``float`` cannot read
+    raises DomainError naming the law; an error the cdf raises itself
+    passes through unchanged.
     No reliability class is assumed; pass ``class_tags`` only for
     properties you can actually establish.
     """
@@ -553,7 +557,15 @@ def make_distribution(
     tags = _tags(class_tags, "class_tags")
 
     def G(t):
-        return np.asarray(cdf(t), dtype=float)
+        values = cdf(t)  # an error the cdf raises passes through
+        try:
+            g = np.asarray(values)
+            if g.dtype.kind not in "biufO":  # text, complex, dates
+                raise TypeError
+            return g.astype(float, copy=False)
+        except (TypeError, ValueError, OverflowError):
+            raise DomainError(f"{name}: cdf returned {_shown(values)}, not "
+                              f"real numbers") from None
 
     edges, tail_after, t_tab, g_tab = _tail_table(
         G, name, support_end, (mean, moment2, moment3))

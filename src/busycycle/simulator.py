@@ -12,19 +12,22 @@ every customer arriving before the current end.  The recursion
 is exact here because customers never queue, and costs O(arrivals/cycle).
 
 Randomness comes from the counter-based Philox generator.  Replication r of
-a run seeded with s uses key (s, r), and all draws are inverse transforms of
-the generator's uniforms in a fixed batch order (documented at
-``_simulate_batch``), so results are bit-identical across runs and do not
-depend on execution parallelism.
+a run seeded with s uses key (s, r), and each kind of draw has its own
+substream of that key: the gaps (idle periods included) are the inverse
+transforms of the generator's uniforms from counter 0, and the services
+those of its ``jumped()`` copy, 2^128 blocks further on.  A value's bits are
+fixed by the key, its kind and how many values of its kind the fixed batch
+order (documented at ``_simulate_batch``) drew before it, so results are
+bit-identical across runs and do not depend on execution parallelism.
 
 A replication's gaps and services come from one draw object (``_Draws``),
-carried across its batches, which alone decides where each value comes
-from.  Small requests are sliced from a window of uniforms drawn ahead,
-whose gaps and service quantiles are computed once for the whole window:
-one quantile call then serves many small rounds.  Larger requests are
-drawn and transformed on their own.  Philox's uniforms do not depend on
-how the draws are split and every quantile the package builds is
-elementwise, so the draw order and the bytes do not change.
+carried across its batches: two ``_Stream`` objects, one a kind.  Small
+requests are sliced from a window of values drawn ahead, whose uniforms
+are transformed once for the whole window: one quantile call then serves
+many small rounds, and only on uniforms that become services.  Larger
+requests are drawn and transformed on their own.  Philox's uniforms do not
+depend on how the draws are split and every quantile the package builds is
+elementwise, so the window sizes move no bit.
 
 A batch keeps only its active cycles' index, arrival and end, so one
 replication needs about 3.6 arrays of 8-byte floats per cycle of a batch
@@ -69,19 +72,23 @@ BATCH = 1 << 19
 # of one estimate; termination is a.s. anyway
 EVENT_CAP = 10**9
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
-# The window sizes of ``_Draws`` (see its docstring).  The active set
-# never grows, so a window opened for a round's m services, at least
-# (2 _AHEAD + 1) m long, also holds the services of the next _AHEAD
-# rounds.  A user-CDF quantile call makes about five cdf calls and some
-# seventy array operations whatever its size, and most rounds carry 1-200
-# draws.  On the general_g benchmark (2-core Xeon) these sizes cut
-# quantile calls from 95 to 13 a pass, for 26 468 draws in place of
-# 14 902, and its estimates ran about 35% faster than with no windows;
-# windows 5m long, _WINDOW 128 and _BLOCK 8192 ran them within 3% of
-# these sizes.
+# The window sizes of a ``_Stream`` (see its docstring).  The active set
+# never grows, so a window opened for a round's m draws, at least
+# (_AHEAD + 1) m long, also holds the draws of the next _AHEAD rounds.  A
+# user-CDF quantile call makes about five cdf calls and some seventy array
+# operations whatever its size, and most rounds carry 1-200 draws.  At
+# rho = 1 a batch of n cycles draws about e n services, so windows 3n long
+# serve a batch of up to _BLOCK / 3 cycles in one quantile call and
+# transform about 0.3 n uniforms that no round uses.  On the general_g
+# benchmark (2-core Xeon) these sizes make 6 quantile calls a pass for
+# 18 000 draws, of which 15 210 become services; windows 4n long made
+# 24 000 draws, and windows 2n long 17 249 draws in 18 calls, neither
+# faster in-process (minimum of 40 passes).  _WINDOW 128 and _BLOCK 8192
+# drew the same on general_g, and in-process oracle passes read the same
+# with any of these sizes, within their noise.
 _BLOCK = 4096
 _WINDOW = 512
-_AHEAD = 3
+_AHEAD = 2
 # Fewest cycles per batch for which replications run on threads.  Smaller
 # batches spend their time in short rounds that hold the GIL.  On a 2-core
 # Xeon, two threads ran 2 replications of 4 043 cycles 10-27% slower than
@@ -129,78 +136,86 @@ def _rng_for(seed: int, replication: int) -> Generator:
     return Generator(Philox(key=key))
 
 
-class _Draws:
-    """One replication's inter-arrival gaps and service times, in the order
-    its generator's uniforms come: ``gaps(n)`` and ``services(n)`` each
-    transform the next n uniforms, by -log1p(-u) / lam and by the service
-    quantile.
+class _Stream:
+    """One kind of draw: the transforms of one generator's uniforms, in
+    the order they come.  ``take(n)`` hands out the next n values.
 
-    A request is sliced from the window of uniforms drawn ahead when the
-    window holds it.  Otherwise, if (2 _AHEAD + 1) n <= _BLOCK, the window's
-    leftover uniforms and the generator's next ones form a new window of
-    max(_WINDOW, (2 _AHEAD + 1) n), and the request is sliced from that; a
-    window's gaps and its quantiles are each computed once, for the whole
-    window, when first asked for.  A larger request takes the window's
-    leftover uniforms, then the generator's, and is transformed on its own.
-    Both transforms are elementwise and Philox's uniforms do not depend on
-    how the draws are split, so every value is the one a request
-    transformed on its own would get.  A returned array may be a view of
-    the window's values; the caller may overwrite it, as no value is
-    handed out twice and the window keeps its uniforms apart.
+    A request is sliced from the window of values drawn ahead when the
+    window holds it.  Otherwise, if max(_WINDOW, (_AHEAD + 1) n) <= _BLOCK,
+    the window's leftover values and the transforms of the generator's
+    next uniforms form a new window of that size, and the request is
+    sliced from it.  A larger request takes the window's leftover values,
+    then the transforms of the generator's next uniforms, in an array of
+    its own.  Each uniform is transformed once, in the window or request
+    it is drawn for.  The transform is elementwise and Philox's uniforms
+    do not depend on how the draws are split, so the window sizes move no
+    bit.  A returned array may be a view of the window; the caller may
+    overwrite it, as no value is handed out twice.
+    """
+
+    def __init__(self, rng: Generator, transform):
+        self._rng = rng
+        # maps uniforms, which it may overwrite, to values of the same shape
+        self._transform = transform
+        self._values = np.empty(0)
+        self._pos = 0  # values of the window handed out
+
+    def take(self, n: int) -> np.ndarray:
+        rest = self._values.size - self._pos
+        if n > rest:
+            size = max(_WINDOW, (_AHEAD + 1) * n)
+            if size > _BLOCK:
+                size = n
+            values = self._transform(self._rng.random(size - rest))
+            if rest:
+                values = np.concatenate((self._values[self._pos:], values))
+            self._pos = 0
+            if size == n:  # a request of its own: keep no view of it
+                self._values = np.empty(0)
+                return values
+            self._values = values
+        self._pos += n
+        return self._values[self._pos - n:self._pos]
+
+
+class _Draws:
+    """One replication's inter-arrival gaps and service times, each kind
+    from its own Philox substream.  ``gaps(n)`` transforms the next n
+    uniforms of ``rng`` by -log1p(-u) / lam; ``services(n)`` transforms
+    the next n uniforms of ``rng``'s ``jumped()`` copy, 2^128 blocks
+    further on, by the service quantile.
+
+    So a value's bits are fixed by the key, its kind and how many of its
+    kind were drawn before it, and a quantile is computed only on
+    uniforms that become services.  Each kind is a ``_Stream``.
     """
 
     def __init__(self, params: QueueParameters, rng: Generator):
-        self._lam = params.arrival_rate
-        self._quantile = params.service.quantile_fn
-        self._rng = rng
-        self._window = np.empty(0)
-        self._pos = 0  # uniforms of the window handed out
-        self._made = {}  # the window's gaps and services, once asked for
+        lam = params.arrival_rate
+        quantile = params.service.quantile_fn
 
-    def gaps(self, n: int) -> np.ndarray:
-        """The next n inter-arrival gaps."""
-        return self._draw(n, "gaps")
+        def gap(u):  # the gaps in place in u
+            np.negative(u, out=u)
+            np.log1p(u, out=u)
+            u /= -lam  # log1p(-u) / -lam is -log1p(-u) / lam bit for bit
+            return u
 
-    def services(self, n: int) -> np.ndarray:
-        """The next n service times."""
-        return self._draw(n, "services")
+        def service(u):
+            return np.asarray(quantile(u), dtype=float)
 
-    def _transform(self, u: np.ndarray, kind: str) -> np.ndarray:
-        if kind == "services":
-            return np.asarray(self._quantile(u), dtype=float)
-        np.negative(u, out=u)  # the gaps in place in u
-        np.log1p(u, out=u)
-        u /= -self._lam  # log1p(-u) / -lam is -log1p(-u) / lam bit for bit
-        return u
-
-    def _draw(self, n: int, kind: str) -> np.ndarray:
-        rest = self._window.size - self._pos
-        if n > rest:
-            span = (2 * _AHEAD + 1) * n
-            if span > _BLOCK:
-                u = np.empty(n)
-                u[:rest] = self._window[self._pos:]
-                self._rng.random(out=u[rest:])
-                self._pos = self._window.size
-                return self._transform(u, kind)
-            self._window = np.concatenate((
-                self._window[self._pos:],
-                self._rng.random(max(_WINDOW, span) - rest)))
-            self._pos = 0
-            self._made = {}
-        if kind not in self._made:
-            self._made[kind] = self._transform(self._window.copy(), kind)
-        self._pos += n
-        return self._made[kind][self._pos - n:self._pos]
+        self.services = _Stream(Generator(rng.bit_generator.jumped()),
+                                service).take
+        self.gaps = _Stream(rng, gap).take
 
 
 def _simulate_batch(draws: _Draws, n: int) -> np.ndarray:
     """Cycle lengths Z = idle + busy for n cycles, batched across cycles.
 
-    Fixed draw order per batch: n idle gaps, n first services, n first
-    gaps, then per round over the cycles whose arrival landed inside their
-    current busy period (in ascending cycle index): one service each, then
-    one gap each.  ``draws`` decides where each draw's value comes from.
+    Fixed draw order per batch, each kind in its own substream: the gaps
+    are n idle periods and n first gaps, the services n first services;
+    then per round over the cycles whose arrival landed inside their
+    current busy period (in ascending cycle index), one service each and
+    one gap each.  How the two kinds interleave moves no bit.
 
     Only the active cycles' index, arrival and end are kept.  A round
     adds the busy periods that end in it, and only those, to their

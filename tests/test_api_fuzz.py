@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import busycycle as bc
-from busycycle.errors import BusyCycleError
+from busycycle.errors import BusyCycleError, DomainError
 
 VALUES = (0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf,
           math.nan, np.float32(0.5), np.int64(3), True, False, 10**400,
@@ -141,3 +141,62 @@ def test_value_combinations(name, data):
     valid = FUZZ[name][1]
     _call(name, {key: data.draw(st.sampled_from(VALUES + (value,)), label=key)
                  for key, value in valid.items()})
+
+
+class CdfError(Exception):
+    """An error a user's cdf raises on its own."""
+
+
+# cdf outputs that are not real numbers: each is a DomainError naming the
+# law, never a bare ValueError or TypeError or a dropped imaginary part
+UNREADABLE_CDFS = {
+    "text": lambda t: np.full(np.shape(t), "x"),
+    "numbers as text": lambda t: _exp_cdf(t).astype(str),
+    "objects": lambda t: np.array([object() for _ in np.ravel(t)]),
+    "complex": lambda t: _exp_cdf(t) + 1e-3j,
+    "complex, zero imaginary part": lambda t: _exp_cdf(t).astype(complex),
+    "complex objects": lambda t: np.array([complex(g) for g in _exp_cdf(t)],
+                                          dtype=object),
+}
+
+
+@pytest.mark.parametrize("label", sorted(UNREADABLE_CDFS))
+def test_cdf_outputs_that_are_not_real_numbers_are_domain_errors(label):
+    with pytest.raises(DomainError, match="^probe: cdf returned .*not real"):
+        bc.make_distribution(UNREADABLE_CDFS[label], mean=1.0, name="probe")
+    # a cdf that turns unreadable after construction fails the same way in
+    # the engines that call it
+    broken = []
+
+    def cdf(t):
+        return UNREADABLE_CDFS[label](t) if broken else _exp_cdf(t)
+
+    dist = bc.make_distribution(cdf, mean=1.0, name="probe")
+    broken.append(True)
+    for call in (lambda: dist.quantile_fn(np.array([0.3, 0.9])),
+                 lambda: bc.residual_tail(dist, 0.5),
+                 lambda: bc.estimate_beta_c(bc.QueueParameters(1.0, dist),
+                                            1000, seed=1)):
+        with pytest.raises(DomainError, match="^probe: cdf returned"):
+            call()
+
+
+def test_cdf_outputs_float_reads_keep_working():
+    # numeric lists, object arrays of floats and ints give the float
+    # cdf's law bit for bit; an error the cdf raises passes through
+    want = bc.beta_c(bc.QueueParameters(1.0, bc.make_distribution(
+        _exp_cdf, mean=1.0))).beta_c
+    for cdf in (lambda t: _exp_cdf(t).tolist(),
+                lambda t: _exp_cdf(t).astype(object)):
+        got = bc.beta_c(bc.QueueParameters(1.0, bc.make_distribution(
+            cdf, mean=1.0)))
+        assert got.beta_c == want
+    step = bc.make_distribution(lambda t: np.where(t >= 1.0, 1, 0), mean=1.0,
+                                support_end=1.0)
+    assert step.quantile_fn(np.array([0.5])).tolist() == [1.0]
+
+    def raising(t):
+        raise CdfError("the cdf's own error")
+
+    with pytest.raises(CdfError, match="the cdf's own error"):
+        bc.make_distribution(raising, mean=1.0)

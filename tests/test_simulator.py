@@ -26,19 +26,42 @@ def _idle(seed, replication, n, lam):
     return -np.log1p(-_rng_for(seed, replication).random(n)) / lam
 
 
+def _substreams(seed, replication):
+    """The gap and service generators of key (seed, replication), built
+    from Philox alone: gaps from counter 0, services from its jumped()
+    copy."""
+    key = np.array([seed, replication], dtype=np.uint64)
+    return Generator(Philox(key=key)), Generator(Philox(key=key).jumped())
+
+
 def test_single_cycle_is_reproducible_and_pinned():
-    # value pinned after the first implementation run; Philox key (42, 0).
-    # A batch of one draws idle, first service, then gap and service
-    # uniforms in turn, the order a single cycle is drawn in.
-    rng = Generator(Philox(key=np.array([42, 0], dtype=np.uint64)))
-    (z,) = _simulate_batch(_Draws(_params_exp(), rng), 1)
-    (idle,) = _idle(42, 0, 1, 1.0)
+    # Philox key (42, 0).  A batch of one draws its idle period and then
+    # its gaps from the key's stream, its services from the jumped stream;
+    # the recursion below follows one cycle by hand in scalar arithmetic.
+    # Its gap uniforms are 0.820, 0.189, 0.868, ... and its service
+    # uniforms 0.976, 0.252, 0.274, ...: the first service, 3.715, outlasts
+    # seven arrivals, and the busy period ends at 4.9175 after 8 services.
+    gap_rng, service_rng = _substreams(42, 0)
+    idle = -math.log1p(-gap_rng.random())
+    end = -math.log1p(-service_rng.random())
+    arrival, services = 0.0, 1
+    while True:
+        arrival += -math.log1p(-gap_rng.random())
+        if arrival >= end:
+            break
+        end = max(end, arrival - math.log1p(-service_rng.random()))
+        services += 1
+    assert services == 8
     assert idle == pytest.approx(1.715899855890263, rel=1e-15)
-    assert z - idle == pytest.approx(0.20979013644443417, rel=1e-13)
-    assert z == pytest.approx(1.715899855890263 + 0.20979013644443417,
+    assert end == pytest.approx(4.917477744536273, rel=1e-13)
+
+    (z,) = _simulate_batch(_Draws(_params_exp(), _rng_for(42, 0)), 1)
+    (idle_drawn,) = _idle(42, 0, 1, 1.0)
+    assert idle_drawn == pytest.approx(idle, rel=1e-15)
+    assert z - idle_drawn == pytest.approx(4.917477744536273, rel=1e-13)
+    assert z == pytest.approx(1.715899855890263 + 4.917477744536273,
                               rel=1e-15)
-    rng2 = Generator(Philox(key=np.array([42, 0], dtype=np.uint64)))
-    (z2,) = _simulate_batch(_Draws(_params_exp(), rng2), 1)
+    (z2,) = _simulate_batch(_Draws(_params_exp(), _rng_for(42, 0)), 1)
     assert z2 == z
 
 
@@ -145,7 +168,7 @@ def test_busy_and_idle_means_match_theory():
     params = bc.QueueParameters(1.0, bc.exponential(1.0))
     n = 200_000
     z = _simulate_batch(_Draws(params, _rng_for(31, 0)), n)
-    idle, busy = _reference_batch(params, n, _rng_for(31, 0))
+    idle, busy = _reference_batch(params, n, *_substreams(31, 0))
     assert np.array_equal(z, idle + busy)
     busy_mean = busy.sum() / n
     busy_se = math.sqrt(max((busy * busy).sum() / n - busy_mean**2, 0.0) / n)
@@ -233,44 +256,47 @@ def test_delta_method_error_tracks_observed_spread():
     assert 0.4 * typical_se <= observed <= 2.5 * typical_se
 
 
-def _reference_batch(params, n, rng, quiet=None):
-    """The round loop before uniforms were drawn ahead: every uniform
-    straight from the generator, one quantile call per round.  ``quiet``,
-    a one-element list, counts the rounds in which no cycle ends."""
+def _reference_batch(params, n, gap_rng, service_rng, quiet=None):
+    """The round loop with no uniforms drawn ahead: every gap straight
+    from ``gap_rng`` and every service from ``service_rng``, one quantile
+    call per round.  ``quiet``, a one-element list, counts the rounds in
+    which no cycle ends."""
     lam = params.arrival_rate
     q = params.service.quantile_fn
-    idle = -np.log1p(-rng.random(n)) / lam
-    end = np.asarray(q(rng.random(n)), dtype=float).copy()
+    idle = -np.log1p(-gap_rng.random(n)) / lam
+    end = np.asarray(q(service_rng.random(n)), dtype=float).copy()
     arrival = np.zeros(n)
     active = np.arange(n)
     while active.size:
-        arrival[active] += -np.log1p(-rng.random(active.size)) / lam
+        arrival[active] += -np.log1p(-gap_rng.random(active.size)) / lam
         m = active.size
         active = active[arrival[active] < end[active]]
         if quiet is not None and active.size == m:
             quiet[0] += 1
         if active.size:
-            svc = np.asarray(q(rng.random(active.size)), dtype=float)
+            svc = np.asarray(q(service_rng.random(active.size)), dtype=float)
             end[active] = np.maximum(end[active], arrival[active] + svc)
     return idle, end
 
 
 def _reference_batches(params, n_cycles, seed, replication, quiet=None):
-    rng = _rng_for(seed, replication)
+    rngs = _substreams(seed, replication)
     out = []
     for first in range(0, n_cycles, simulator.BATCH):
         out.append(_reference_batch(
-            params, min(simulator.BATCH, n_cycles - first), rng, quiet))
+            params, min(simulator.BATCH, n_cycles - first), *rngs, quiet))
     return out
 
 
 def _counted(params):
-    """params with a quantile that counts its calls, and the count."""
-    calls = [0]
+    """params with a quantile that counts its calls, and the counts: of
+    calls, then of the uniforms they transformed."""
+    calls = [0, 0]
     q = params.service.quantile_fn
 
     def quantile(u):
         calls[0] += 1
+        calls[1] += np.size(u)
         return q(u)
 
     service = dataclasses.replace(params.service, quantile_fn=quantile)
@@ -292,39 +318,38 @@ def _script(t):
 
 STREAM_LAWS = [
     ("exponential", lambda: bc.QueueParameters(1.5, bc.exponential(2.0))),
-    # a quantile that hands back its input: overwriting the services it
-    # serves must not move the window's gaps
+    # a quantile that hands back its input: the stream keeps the services
+    # the quantile wrote over its own uniforms
     ("identity", lambda: bc.QueueParameters(0.7, dataclasses.replace(
         bc.uniform01(), quantile_fn=lambda u: u))),
 ]
 
 
 def test_uniform_stream_serves_the_generator_sequence(monkeypatch):
-    # the draw object's gaps and services, in the order asked for, are the
-    # transforms of the generator's uniforms in order, with a small block
-    # and window and at their defaults
+    # the draw object's gaps, in the order asked for, are the transforms
+    # of the key's uniforms in order, and its services those of the
+    # jumped stream's, with a small block and window and at their defaults
     for block, window in ((63, 16), (simulator._BLOCK, simulator._WINDOW)):
         monkeypatch.setattr(simulator, "_BLOCK", block)
         monkeypatch.setattr(simulator, "_WINDOW", window)
         for label, make in STREAM_LAWS:
             params = make()
             draws = _Draws(params, _rng_for(9, 1))
-            served = []
-            for kind, n in _script(block // (2 * simulator._AHEAD + 1)):
+            served = {"gaps": [], "services": []}
+            for kind, n in _script(block // (simulator._AHEAD + 1)):
                 values = getattr(draws, kind)(n)
                 assert values.shape == (n,), (kind, n)
-                served.append((kind, values.copy()))
+                served[kind].append(values.copy())
                 values[:] = -1.0  # the caller may overwrite what it got
-            u = _rng_for(9, 1).random(sum(v.size for _, v in served))
+            gap_rng, service_rng = _substreams(9, 1)
+            gaps = np.concatenate(served["gaps"])
+            want = -np.log1p(-gap_rng.random(gaps.size)) / params.arrival_rate
+            assert np.array_equal(gaps, want), (label, block)
+            services = np.concatenate(served["services"])
             q = params.service.quantile_fn
-            first = 0
-            for kind, got in served:
-                part = u[first:first + got.size]
-                first += got.size
-                want = (-np.log1p(-part) / params.arrival_rate
-                        if kind == "gaps"
-                        else np.asarray(q(part.copy()), dtype=float))
-                assert np.array_equal(got, want), (label, block, kind, first)
+            want = np.asarray(q(service_rng.random(services.size)),
+                              dtype=float)
+            assert np.array_equal(services, want), (label, block)
 
 
 def _weibull_half_cdf(t):
@@ -391,6 +416,53 @@ def test_rounds_where_no_cycle_ends_keep_every_bit(monkeypatch):
             for z, (idle, busy) in zip(got, want):
                 assert np.array_equal(z, idle + busy), (block, replication)
             assert quiet[0] > 0, (block, replication)
+
+
+WINDOW_SIZES = [
+    # (_BLOCK, _WINDOW, _AHEAD): the defaults, tiny windows, windows as
+    # long as their request, and no window at all (every request direct)
+    (simulator._BLOCK, simulator._WINDOW, simulator._AHEAD),
+    (64, 16, 1),
+    (64, 1, 0),
+    (0, simulator._WINDOW, simulator._AHEAD),
+]
+
+
+@pytest.mark.parametrize("label,make", [
+    law for law in WINDOW_LAWS if law[0] in ("special_a", "user_weibull_half")])
+def test_window_sizes_move_no_bit_of_an_estimate(label, make, monkeypatch):
+    # 2000 cycles in batches of 700 carry each stream's window across
+    # batches; the estimate is compared whole, per replication included
+    monkeypatch.setattr(simulator, "BATCH", 700)
+    params = make()
+    got = {}
+    for sizes in WINDOW_SIZES:
+        for name, value in zip(("_BLOCK", "_WINDOW", "_AHEAD"), sizes):
+            monkeypatch.setattr(simulator, name, value)
+        for replications in (1, 2):
+            got[sizes, replications] = bc.estimate_beta_c(
+                params, 2000, seed=31, replications=replications)
+    for (sizes, replications), est in got.items():
+        assert est == got[WINDOW_SIZES[0], replications], (
+            label, sizes, replications)
+
+
+def test_user_quantile_runs_on_little_more_than_the_services_used():
+    # Weibull(1/2) at rho = 1: a run transforms the uniforms of the
+    # windows it opens, the round loop only the services it uses.  When
+    # gaps and services shared their windows, each window's quantile also
+    # ran on the uniforms that became gaps, about 1.8 times the services.
+    ratio_cap = 1.25
+    make = lambda: bc.QueueParameters(2.0, bc.make_distribution(
+        _weibull_half_cdf, mean=0.5))
+    for n, replications in ((1000, 1), (1000, 2), (5000, 2)):
+        params, drawn = _counted(make())
+        bc.estimate_beta_c(params, n, seed=n + 1, replications=replications)
+        ref_params, used = _counted(make())
+        for r in range(replications):
+            _reference_batches(ref_params, n, n + 1, r)
+        assert used[1] > 2 * n * replications
+        assert drawn[1] <= ratio_cap * used[1], (n, drawn[1], used[1])
 
 
 def test_estimate_pools_the_batches_of_one_stream(monkeypatch):
