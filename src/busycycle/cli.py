@@ -109,13 +109,26 @@ class _ConfigFlags(argparse.Action):
                 flags.append(flag)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but its writes to stdout (help, usage) let a
+    stream's error through, as a command's output does; argparse drops the
+    OSError of its own write, so a closed stdout under PYTHONUNBUFFERED=1
+    would not reach ``run``.  Messages to other streams are argparse's."""
+
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The five-command parser, built once per process.
 
     No call changes it: ``--config`` re-parses into a fresh namespace.
     """
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="busycycle",
         description="Busy-cycle age/excess mean values for the M/G/inf queue",
     )

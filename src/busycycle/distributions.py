@@ -545,8 +545,10 @@ def make_distribution(
     unbounded support finds no end.
     Every cdf output, at construction and later, that is text, complex
     (even with a zero imaginary part) or objects ``float`` cannot read
-    raises DomainError naming the law; an error the cdf raises itself
-    passes through unchanged.
+    raises DomainError naming the law, and so does a float output narrower
+    than float64 (float32, float16): the table's tolerance, 1e-13, is below
+    its resolution, so the table could not converge.  An error the cdf
+    raises itself passes through unchanged.
     No reliability class is assumed; pass ``class_tags`` only for
     properties you can actually establish.
     """
@@ -562,10 +564,15 @@ def make_distribution(
             g = np.asarray(values)
             if g.dtype.kind not in "biufO":  # text, complex, dates
                 raise TypeError
-            return g.astype(float, copy=False)
+            if g.dtype.kind != "f" or g.dtype.itemsize >= 8:
+                return g.astype(float, copy=False)
         except (TypeError, ValueError, OverflowError):
             raise DomainError(f"{name}: cdf returned {_shown(values)}, not "
                               f"real numbers") from None
+        raise DomainError(f"{name}: cdf returned {g.dtype} values, whose "
+                          f"resolution {np.finfo(g.dtype).eps:.3g} is coarser "
+                          f"than the table tolerance {_TABLE_TOL:g}; return "
+                          f"float64")
 
     edges, tail_after, t_tab, g_tab = _tail_table(
         G, name, support_end, (mean, moment2, moment3))

@@ -1,47 +1,47 @@
 """Monte Carlo oracle for busy-cycle statistics.
 
-A busy cycle is an idle period (exponential, rate lam) followed by a busy
-period.  With infinitely many servers a busy period is a coverage process:
-it ends at the largest departure epoch among the initiating customer and
-every customer arriving before the current end.  The recursion
+With infinitely many servers customers never queue, so one time-ordered
+sample path of the M/G/inf queue holds every busy cycle.  Arrival i comes
+at a_i and leaves at a_i + S_i, and the system stays busy up to the running
+maximum M_i = max(M_(i-1), a_i + S_i) of the departures so far.  Arrival i
+starts a busy cycle when it finds the system empty, a_i > M_(i-1).  A cycle
+runs from one start to the next: its busy period M - a_start, then its idle
+period a_next - M.  Busy then idle has the law of idle then busy, so the
+cycle lengths Z are those of the paper.  A replication runs one path and
+keeps its first n cycles.
 
-    end <- first service duration
-    repeat: draw the next inter-arrival gap; if the arrival falls past end,
-            stop; otherwise end <- max(end, arrival + fresh service)
-
-is exact here because customers never queue, and costs O(arrivals/cycle).
+The path is drawn in chunks of k arrivals: k gaps and k services, the
+arrival times by a cumulative sum, the departures' running maximum by
+``np.maximum.accumulate`` and the cycle starts by one comparison, with no
+Python loop per arrival or per cycle.  A chunk holds the expected arrivals
+of the cycles still needed and a margin, k = min(_CHUNK,
+ceil((m + 2 sqrt(m)) e^rho)) for m cycles (a busy period serves e^rho
+customers on average).  A cycle in progress carries two values into the
+next chunk, the last arrival time and M, both rebased on the chunk's last
+cycle start, so times stay within the span of a chunk and the cycle in
+progress.  Each Z is the difference of two starts' times in the frame of
+the chunk where the later start lies, and the power sums add one chunk's
+cycles at a time.
 
 Randomness comes from the counter-based Philox generator.  Replication r of
 a run seeded with s uses key (s, r), and each kind of draw has its own
-substream of that key: the gaps (idle periods included) are the inverse
-transforms of the generator's uniforms from counter 0, and the services
-those of its ``jumped()`` copy, 2^128 blocks further on.  A value's bits are
-fixed by the key, its kind and how many values of its kind the fixed batch
-order (documented at ``_simulate_batch``) drew before it, so results are
+substream of that key: the gaps are the inverse transforms of the
+generator's uniforms from counter 0, and the services those of its
+``jumped()`` copy, 2^128 blocks further on.  Arrival i takes the i-th value
+of each kind whatever the chunks.  A result's bits are fixed by the key,
+the two transforms and the chunk rule, which places the rebasing and
+groups the sums; the rounding of a Z from chunk-relative times, about
+1e-16 of that span, is far below its sampling error.  Results are
 bit-identical across runs and do not depend on execution parallelism.
 
-A replication's gaps and services come from one draw object (``_Draws``),
-carried across its batches: two ``_Stream`` objects, one a kind.  Small
-requests are sliced from a window of values drawn ahead, whose uniforms
-are transformed once for the whole window: one quantile call then serves
-many small rounds, and only on uniforms that become services.  Larger
-requests are drawn and transformed on their own.  Philox's uniforms do not
-depend on how the draws are split and every quantile the package builds is
-elementwise, so the window sizes move no bit.
-
-A batch keeps only its active cycles' index, arrival and end, so one
-replication needs about 3.6 arrays of 8-byte floats per cycle of a batch
-at rho = 1.  A round adds only the busy periods that end in it to their
-cycles' idle times, and compacts the active set only when some ended:
-at rho = 5 more than half the rounds end no cycle.
-Replications run concurrently, one thread per usable CPU and at most
-``_MAX_WORKERS``, once a batch is large enough for its array work to
-outweigh the interpreter's share (see ``_THREADED_CYCLES``).  Memory grows
-with the replications that run at once: two hold about 7.2 arrays a
-cycle at rho = 1.  Each replication owns its stream and its sums are
-pooled in replication order, so a concurrent run gives the same bits as
-a run one at a time.  A service law's quantile, and so a user's cdf, may
-then be called from two threads at once.
+A replication holds a few arrays of one chunk's floats, whatever its number
+of cycles.  Replications run concurrently, one thread per usable CPU and at
+most ``_MAX_WORKERS``, once they are long enough for their array work to
+outweigh the interpreter's share (see ``_THREADED_CYCLES``).  Each
+replication owns its streams and its sums are pooled in replication order,
+so a concurrent run gives the same bits as a run one at a time.  A service
+law's quantile, and so a user's cdf, may then be called from two threads at
+once.
 """
 
 from __future__ import annotations
@@ -66,38 +66,24 @@ __all__ = [
     "time_average_age",
 ]
 
-# cycles processed per vectorized batch; part of the fixed draw order
-BATCH = 1 << 19
 # hard cap on the arrivals of one busy period and on the expected arrivals
 # of one estimate; termination is a.s. anyway
 EVENT_CAP = 10**9
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
-# The window sizes of a ``_Stream`` (see its docstring).  The active set
-# never grows, so a window opened for a round's m draws, at least
-# (_AHEAD + 1) m long, also holds the draws of the next _AHEAD rounds.  A
-# user-CDF quantile call makes about five cdf calls and some seventy array
-# operations whatever its size, and most rounds carry 1-200 draws.  At
-# rho = 1 a batch of n cycles draws about e n services, so windows 3n long
-# serve a batch of up to _BLOCK / 3 cycles in one quantile call and
-# transform about 0.3 n uniforms that no round uses.  On the general_g
-# benchmark (2-core Xeon) these sizes make 6 quantile calls a pass for
-# 18 000 draws, of which 15 210 become services; windows 4n long made
-# 24 000 draws, and windows 2n long 17 249 draws in 18 calls, neither
-# faster in-process (minimum of 40 passes).  _WINDOW 128 and _BLOCK 8192
-# drew the same on general_g, and in-process oracle passes read the same
-# with any of these sizes, within their noise.
-_BLOCK = 4096
-_WINDOW = 512
-_AHEAD = 2
-# Fewest cycles per batch for which replications run on threads.  Smaller
-# batches spend their time in short rounds that hold the GIL.  On a 2-core
-# Xeon, two threads ran 2 replications of 4 043 cycles 10-27% slower than
-# one at a time (rho 1 and 5), of 8 000-11 000 cycles 2-10% faster (rho 1
-# to 4.5), and of 16 000-220 728 cycles 13-48% faster (rho 1 to 4).
-_THREADED_CYCLES = 1 << 14
-# Most replications run at once.  Each holds its own working set
-# (``_simulate_batch``), so k at once hold about 3.6k arrays of a batch's
-# floats at rho = 1; only two threads, on 2 CPUs, have been measured.
+# Most arrivals of a chunk (see the module docstring); with the chunk rule
+# part of the fixed draw order.  A replication's working set is a few
+# arrays of this many floats.
+_CHUNK = 1 << 16
+# Fewest cycles per replication for which replications run on threads.
+# A helper thread costs 0.1-0.25 ms, and a replication of 4000 cycles
+# takes about 0.7 ms at rho = 1 and 12 ms at rho = 5.  On the oracle
+# benchmark (2-core Xeon, 4 pairs of runs) this threshold, which threads
+# its rho = 5 configuration of 4043 cycles, cut the p90 latency by 16%
+# against 16 384 cycles; 2 replications of 1000 to 4096 cycles at rho <=
+# 1 ran 15-50% slower on threads while the host lent no second CPU.
+_THREADED_CYCLES = 4000
+# Most replications run at once.  Each holds its own chunk's arrays; only
+# two threads, on 2 CPUs, have been measured.
 _MAX_WORKERS = 2
 
 
@@ -136,144 +122,90 @@ def _rng_for(seed: int, replication: int) -> Generator:
     return Generator(Philox(key=key))
 
 
-class _Stream:
-    """One kind of draw: the transforms of one generator's uniforms, in
-    the order they come.  ``take(n)`` hands out the next n values.
+def _chunk_size(cycles: int, per_cycle: float) -> int:
+    """Arrivals drawn for the next ``cycles`` cycles: their expected
+    arrivals and those of 2 sqrt(cycles) more, so that one chunk usually
+    ends them all, at most ``_CHUNK``."""
+    return min(_CHUNK, math.ceil((cycles + 2.0 * math.sqrt(cycles))
+                                 * per_cycle))
 
-    A request is sliced from the window of values drawn ahead when the
-    window holds it.  Otherwise, if max(_WINDOW, (_AHEAD + 1) n) <= _BLOCK,
-    the window's leftover values and the transforms of the generator's
-    next uniforms form a new window of that size, and the request is
-    sliced from it.  A larger request takes the window's leftover values,
-    then the transforms of the generator's next uniforms, in an array of
-    its own.  Each uniform is transformed once, in the window or request
-    it is drawn for.  The transform is elementwise and Philox's uniforms
-    do not depend on how the draws are split, so the window sizes move no
-    bit.  A returned array may be a view of the window; the caller may
-    overwrite it, as no value is handed out twice.
+
+def _cycle_lengths(params: QueueParameters, n_cycles: int, seed: int,
+                   replication: int):
+    """The first n_cycles cycle lengths of one replication's sample path,
+    an array per chunk (see the module docstring).
+
+    RunawayCycleError when one of these cycles' busy periods has more than
+    EVENT_CAP arrivals, raised once the period in progress passes the cap,
+    wherever the chunk boundaries fall.
     """
-
-    def __init__(self, rng: Generator, transform):
-        self._rng = rng
-        # maps uniforms, which it may overwrite, to values of the same shape
-        self._transform = transform
-        self._values = np.empty(0)
-        self._pos = 0  # values of the window handed out
-
-    def take(self, n: int) -> np.ndarray:
-        rest = self._values.size - self._pos
-        if n > rest:
-            size = max(_WINDOW, (_AHEAD + 1) * n)
-            if size > _BLOCK:
-                size = n
-            values = self._transform(self._rng.random(size - rest))
-            if rest:
-                values = np.concatenate((self._values[self._pos:], values))
-            self._pos = 0
-            if size == n:  # a request of its own: keep no view of it
-                self._values = np.empty(0)
-                return values
-            self._values = values
-        self._pos += n
-        return self._values[self._pos - n:self._pos]
-
-
-class _Draws:
-    """One replication's inter-arrival gaps and service times, each kind
-    from its own Philox substream.  ``gaps(n)`` transforms the next n
-    uniforms of ``rng`` by -log1p(-u) / lam; ``services(n)`` transforms
-    the next n uniforms of ``rng``'s ``jumped()`` copy, 2^128 blocks
-    further on, by the service quantile.
-
-    So a value's bits are fixed by the key, its kind and how many of its
-    kind were drawn before it, and a quantile is computed only on
-    uniforms that become services.  Each kind is a ``_Stream``.
-    """
-
-    def __init__(self, params: QueueParameters, rng: Generator):
-        lam = params.arrival_rate
-        quantile = params.service.quantile_fn
-
-        def gap(u):  # the gaps in place in u
-            np.negative(u, out=u)
-            np.log1p(u, out=u)
-            u /= -lam  # log1p(-u) / -lam is -log1p(-u) / lam bit for bit
-            return u
-
-        def service(u):
-            return np.asarray(quantile(u), dtype=float)
-
-        self.services = _Stream(Generator(rng.bit_generator.jumped()),
-                                service).take
-        self.gaps = _Stream(rng, gap).take
-
-
-def _simulate_batch(draws: _Draws, n: int) -> np.ndarray:
-    """Cycle lengths Z = idle + busy for n cycles, batched across cycles.
-
-    Fixed draw order per batch, each kind in its own substream: the gaps
-    are n idle periods and n first gaps, the services n first services;
-    then per round over the cycles whose arrival landed inside their
-    current busy period (in ascending cycle index), one service each and
-    one gap each.  How the two kinds interleave moves no bit.
-
-    Only the active cycles' index, arrival and end are kept.  A round
-    adds the busy periods that end in it, and only those, to their
-    cycles' idle times, then compacts the three arrays; a round in which
-    no cycle ends skips both.  The peak grows with the share p of cycles
-    still busy at the first arrival (p = rho / (1 + rho) for exponential
-    service): about 3.6 arrays of n floats at rho = 1 and 5.9 at rho = 5.
-    """
-    z = draws.gaps(n)  # the idle periods, then the cycle lengths
-    end = draws.services(n)
-    arrival = draws.gaps(n)
-    # round 1: every cycle is active
-    still = arrival < end
-    np.add(z, end, out=z, where=~still)
-    arrival = arrival[still]
-    end = end[still]
-    index = still.nonzero()[0]
-    del still
-    rounds = 1
-    while index.size:
-        m = index.size
-        svc = draws.services(m)
-        svc += arrival
-        np.maximum(end, svc, out=end)
-        del svc
-        rounds += 1
-        if rounds > EVENT_CAP:
+    lam = params.arrival_rate
+    quantile = params.service.quantile_fn
+    per_cycle = math.exp(params.traffic_intensity)  # arrivals, on average
+    gap_rng = _rng_for(seed, replication)
+    service_rng = Generator(gap_rng.bit_generator.jumped())
+    last = top = 0.0  # the last arrival and M, in the current frame
+    started = False   # a cycle is in progress, started at 0 in the frame
+    run = 0           # arrivals since the last start
+    left = n_cycles
+    # buffers reused by every chunk, sized for the first: chunks only
+    # shrink.  With fresh arrays each chunk, a replication of 4043 cycles
+    # at rho = 5 took 3168 minor page faults; with these, 256.
+    k = _chunk_size(left, per_cycle)
+    gaps, uniforms, empty = np.empty(k), np.empty(k), np.empty(k, dtype=bool)
+    while left:
+        k = _chunk_size(left, per_cycle)
+        a = gap_rng.random(out=gaps[:k])  # the gaps, then the arrival times
+        np.negative(a, out=a)
+        np.log1p(a, out=a)
+        a /= -lam  # log1p(-u) / -lam is -log1p(-u) / lam bit for bit
+        a[0] += last
+        np.add.accumulate(a, out=a)
+        m = np.asarray(quantile(service_rng.random(out=uniforms[:k])),
+                       dtype=float)
+        m += a  # the departures, then their running maximum M, in place
+        m[0] = max(m[0], top)
+        np.maximum.accumulate(m, out=m)
+        new = empty[:k]  # arrival i finds the system empty
+        new[0] = a[0] > top
+        np.greater(a[1:], m[:-1], out=new[1:])
+        top = m[-1]
+        del m
+        if math.isnan(top):  # the maximum carries a NaN service to the end
+            raise DomainError(f"{params.service.name}: the service quantile "
+                              f"returned NaN")
+        starts = np.flatnonzero(new)
+        if run + k > EVENT_CAP:  # a busy period here may pass the cap
+            runs = np.diff(starts, prepend=-run) if started else np.diff(starts)
+            if runs[:left].max(initial=0) > EVENT_CAP:
+                raise RunawayCycleError("busy period exceeded the event cap")
+        run = k - starts[-1] if starts.size else run + k
+        times = a[starts]
+        del starts
+        z = times.copy()  # the cycle lengths, each in its end's frame
+        z[1:] -= times[:-1]
+        if not started:  # the first start ends no cycle
+            z = z[1:]
+        z = z[:left]
+        left -= z.size
+        last = a[-1]
+        if times.size:  # rebase on the last start
+            started = True
+            last -= times[-1]
+            top -= times[-1]
+        del times
+        if left and run > EVENT_CAP:
             raise RunawayCycleError("busy period exceeded the event cap")
-        arrival += draws.gaps(m)
-        still = arrival < end
-        keep = still.nonzero()[0]
-        if keep.size == m:  # no busy period ended: nothing to add or drop
-            continue
-        done = (~still).nonzero()[0]  # these busy periods join their idle
-        z[index[done]] += end[done]
-        index = index[keep]
-        arrival = arrival[keep]
-        end = end[keep]
-    return z
-
-
-def _batches(params: QueueParameters, n_cycles: int, seed: int,
-             replication: int):
-    """Cycle-length arrays of one replication, BATCH cycles at a time, all
-    drawn from one stream of its generator."""
-    draws = _Draws(params, _rng_for(seed, replication))
-    remaining = n_cycles
-    while remaining > 0:
-        m = min(BATCH, remaining)
-        yield _simulate_batch(draws, m)
-        remaining -= m
+        yield z
+        del z  # free it before the next chunk is drawn
 
 
 def _accumulate(params: QueueParameters, n_cycles: int, seed: int,
                 replication: int):
-    """Pooled power sums Z, Z^2, Z^3, Z^4 for one replication."""
+    """Pooled power sums Z, Z^2, Z^3, Z^4 for one replication, added one
+    chunk's cycles at a time."""
     sums = np.zeros(4)
-    for z in _batches(params, n_cycles, seed, replication):
+    for z in _cycle_lengths(params, n_cycles, seed, replication):
         with np.errstate(over="ignore"):  # estimate_beta_c checks the range
             sums[0] += z.sum()
             z2 = z * z
@@ -282,7 +214,7 @@ def _accumulate(params: QueueParameters, n_cycles: int, seed: int,
             sums[2] += z.sum()
             z2 *= z2
             sums[3] += z2.sum()
-        del z, z2  # free this batch before the next one is drawn
+        del z, z2  # free this chunk's cycles before the next is drawn
     return sums
 
 
@@ -300,7 +232,7 @@ def _replication_sums(params: QueueParameters, n_cycles: int, seed: int,
     """``_accumulate`` of each replication, in replication order.
 
     Replications run on up to _MAX_WORKERS threads, one per usable CPU,
-    when a batch has at least _THREADED_CYCLES cycles, and on the calling
+    when each has at least _THREADED_CYCLES cycles, and on the calling
     thread alone otherwise.  The calling thread works too, and helpers each
     run under a copy of the caller's context, all joined before this
     returns.  (Looping over the oracle benchmark's configurations, an idle
@@ -311,7 +243,7 @@ def _replication_sums(params: QueueParameters, n_cycles: int, seed: int,
     a time would.
     """
     workers = min(replications, _usable_cpus(), _MAX_WORKERS)
-    if min(n_cycles, BATCH) < _THREADED_CYCLES:
+    if n_cycles < _THREADED_CYCLES:
         workers = 1
     results = [None] * replications
     claims = itertools.count()
@@ -354,8 +286,8 @@ def estimate_beta_c(params: QueueParameters, n_cycles: int, seed: int,
     independently keyed streams and their sums are pooled in replication
     order before the single ratio is formed.  Replications of at least
     ``_THREADED_CYCLES`` cycles run on up to one thread per usable CPU, at
-    most ``_MAX_WORKERS`` (2), each holding about 3.6 arrays of
-    ``min(n_cycles, BATCH)`` floats at rho = 1 (5.9 at rho = 5).
+    most ``_MAX_WORKERS`` (2), each holding a few arrays of at most
+    ``_CHUNK`` floats, whatever ``n_cycles`` is.
     The result has the same bits as a run one at a time, but the service
     quantile (and a user's cdf) may be called from two threads at once.
     An error in a replication is raised once every thread has stopped, the

@@ -181,6 +181,17 @@ def test_cdf_outputs_that_are_not_real_numbers_are_domain_errors(label):
             call()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float16])
+def test_cdf_outputs_narrower_than_float64_are_domain_errors(dtype):
+    # a float32 cdf once ended in "quadrature did not converge within
+    # 4096 panels", which did not name the cause
+    with pytest.raises(DomainError, match=(
+            rf"^probe: cdf returned {np.dtype(dtype).name} values, whose "
+            r"resolution .* is coarser than the table tolerance 1e-13")):
+        bc.make_distribution(lambda t: _exp_cdf(t).astype(dtype), mean=1.0,
+                             name="probe")
+
+
 def test_cdf_outputs_float_reads_keep_working():
     # numeric lists, object arrays of floats and ints give the float
     # cdf's law bit for bit; an error the cdf raises passes through

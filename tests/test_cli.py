@@ -254,6 +254,45 @@ def test_a_closed_stdout_ends_with_status_141_and_no_traceback(unbuffered,
         assert "Exception ignored" not in proc.stderr
 
 
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_help_on_a_closed_stdout_ends_with_status_141(unbuffered, monkeypatch):
+    # argparse drops the error of its own write: unbuffered, help on a
+    # closed stdout once exited 0 as if it had been read
+    if unbuffered:
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    else:
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    for argv in (["--help"], ["simulate", "--help"]):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "busycycle.cli", *argv],
+                stdout=write, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write)
+        assert proc.returncode == 141, (argv, proc.stderr)
+        assert proc.stderr == ""
+
+
+def test_in_process_help_and_usage_errors_print_as_before(capsys):
+    # help still goes to stdout and exits 0; a usage error's message still
+    # goes through argparse to stderr and exits 2
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: busycycle [-h]")
+    assert "Busy-cycle age/excess mean values" in out and err == ""
+    with pytest.raises(SystemExit) as info:
+        main(["table", "--which", "4"])
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: busycycle table")
+    assert "invalid choice: 4" in err
+
+
 def test_in_process_main_lets_a_broken_pipe_through(monkeypatch):
     # only the command turns a closed stdout into status 141; a caller of
     # main sees the error its stream raised
@@ -264,6 +303,8 @@ def test_in_process_main_lets_a_broken_pipe_through(monkeypatch):
     monkeypatch.setattr(sys, "stdout", Closed())
     with pytest.raises(BrokenPipeError):
         main(["metrics", "--lambda", "2", "--dist", EXP_HALF])
+    with pytest.raises(BrokenPipeError):  # help too, as any output
+        main(["--help"])
 
 
 def test_metrics_json_format(capsys):
@@ -557,12 +598,12 @@ UNIFORM_SIMULATE = [
     ("cycles", "2000"),
     ("replications", "1"),
     ("seed", "7"),
-    ("beta_c_hat", "1.1574898"),
-    ("std_error", "0.026521073"),
-    ("ci95", "[1.1055095, 1.2094702]"),
-    ("E[Z]_hat", "1.4753658"),
-    ("E[Z^2]_hat", "3.4154418"),
-    ("per_replication", "1.1574898"),
+    ("beta_c_hat", "1.1718074"),
+    ("std_error", "0.028464365"),
+    ("ci95", "[1.1160183, 1.2275965]"),
+    ("E[Z]_hat", "1.4838312"),
+    ("E[Z^2]_hat", "3.4775288"),
+    ("per_replication", "1.1718074"),
 ]
 
 EXPONENTIAL_COMPARE = [
@@ -570,9 +611,9 @@ EXPONENTIAL_COMPARE = [
     ("rho", "0.5"),
     ("beta_c_analytic", "1.2850757"),
     ("method", "series"),
-    ("beta_c_simulated", "1.291574"),
-    ("std_error", "0.02622989"),
-    ("ci95", "[1.2401644, 1.3429837]"),
+    ("beta_c_simulated", "1.2918063"),
+    ("std_error", "0.027333978"),
+    ("ci95", "[1.2382326, 1.3453799]"),
     ("analytic_inside_ci", "yes"),
     ("lower[sathe]", "1.2737213"),
     ("lower[universal]", "1.2737213"),

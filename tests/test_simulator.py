@@ -14,16 +14,11 @@ from numpy.random import Generator, Philox
 import busycycle as bc
 from busycycle import simulator
 from busycycle.errors import DomainError, RunawayCycleError
-from busycycle.simulator import _Draws, _batches, _rng_for, _simulate_batch
+from busycycle.simulator import _accumulate, _cycle_lengths
 
 
 def _params_exp():
     return bc.QueueParameters(1.0, bc.exponential(1.0))
-
-
-def _idle(seed, replication, n, lam):
-    """The idle periods a batch of n cycles starts its stream with."""
-    return -np.log1p(-_rng_for(seed, replication).random(n)) / lam
 
 
 def _substreams(seed, replication):
@@ -34,53 +29,126 @@ def _substreams(seed, replication):
     return Generator(Philox(key=key)), Generator(Philox(key=key).jumped())
 
 
+@dataclasses.dataclass
+class _Path:
+    """What ``_scalar_path`` saw: the cycle lengths that ended in each
+    chunk, and per cycle its busy period, idle period and arrivals."""
+    chunks: list
+    busy: list
+    idle: list
+    arrivals: list
+
+
+def _scalar_path(params, n, seed, replication, chunk=None):
+    """The first n cycles of one replication, one arrival at a time.
+
+    Times start at 0.  Arrival i comes one gap after arrival i - 1 and
+    stays one service; it starts a cycle when it comes after every
+    departure so far (top), and a cycle lasts from one start to the next.
+    The i-th gap and the i-th service are the i-th values of the key's two
+    substreams.  They are drawn in chunks of
+    min(chunk, ceil((m + 2 sqrt(m)) e^rho)) arrivals, m the cycles still
+    needed; after a chunk in which a cycle started, the times are rebased
+    on its last start.
+    """
+    chunk = simulator._CHUNK if chunk is None else chunk
+    gap_rng, service_rng = _substreams(seed, replication)
+    lam = params.arrival_rate
+    quantile = params.service.quantile_fn
+    per_cycle = math.exp(params.traffic_intensity)
+    path = _Path([], [], [], [])
+    t = top = 0.0
+    start = None  # the time of the last start
+    run = 0  # arrivals since then
+    while len(path.busy) < n:
+        m = n - len(path.busy)
+        k = min(chunk, math.ceil((m + 2.0 * math.sqrt(m)) * per_cycle))
+        gaps = -np.log1p(-gap_rng.random(k)) / lam
+        services = np.asarray(quantile(service_rng.random(k)), dtype=float)
+        ended = []
+        started = False
+        for gap, service in zip(gaps.tolist(), services.tolist()):
+            t = t + gap
+            if t > top:
+                if start is not None:
+                    ended.append(t - start)
+                    path.busy.append(top - start)
+                    path.idle.append(t - top)
+                    path.arrivals.append(run)
+                    if len(path.busy) == n:
+                        break
+                start, run, started = t, 0, True
+            run += 1
+            top = max(top, t + service)
+        path.chunks.append(np.array(ended))
+        if started:
+            t, top, start = t - start, top - start, 0.0
+    return path
+
+
+def _sums(chunks):
+    """The power sums of Z, Z^2, Z^3 and Z^4, added a chunk at a time."""
+    sums = np.zeros(4)
+    for z in chunks:
+        z2 = z * z
+        sums += [z.sum(), z2.sum(), (z * z2).sum(), (z2 * z2).sum()]
+    return sums
+
+
 def test_single_cycle_is_reproducible_and_pinned():
-    # Philox key (42, 0).  A batch of one draws its idle period and then
-    # its gaps from the key's stream, its services from the jumped stream;
-    # the recursion below follows one cycle by hand in scalar arithmetic.
-    # Its gap uniforms are 0.820, 0.189, 0.868, ... and its service
-    # uniforms 0.976, 0.252, 0.274, ...: the first service, 3.715, outlasts
-    # seven arrivals, and the busy period ends at 4.9175 after 8 services.
+    # Philox key (42, 0), followed by hand in scalar arithmetic.  Its gap
+    # uniforms are 0.820, 0.189, 0.868, ... and its service uniforms
+    # 0.976, 0.252, 0.274, ...: the first arrival, at 1.716, starts the
+    # first cycle, and its service, 3.715, outlasts seven arrivals.  The
+    # busy period ends 4.9175 after the start, after 8 services, and the
+    # ninth arrival (gap uniform 0.877) comes 1.2202 later and starts the
+    # second cycle.
     gap_rng, service_rng = _substreams(42, 0)
-    idle = -math.log1p(-gap_rng.random())
-    end = -math.log1p(-service_rng.random())
-    arrival, services = 0.0, 1
+    start = -math.log1p(-gap_rng.random())
+    end = start - math.log1p(-service_rng.random())
+    arrival, services = start, 1
     while True:
         arrival += -math.log1p(-gap_rng.random())
-        if arrival >= end:
+        if arrival > end:
             break
         end = max(end, arrival - math.log1p(-service_rng.random()))
         services += 1
     assert services == 8
-    assert idle == pytest.approx(1.715899855890263, rel=1e-15)
-    assert end == pytest.approx(4.917477744536273, rel=1e-13)
+    assert start == pytest.approx(1.715899855890263, rel=1e-15)
+    assert end - start == pytest.approx(4.917477744536273, rel=1e-13)
+    assert arrival - end == pytest.approx(1.220213842692188, rel=1e-13)
+    assert arrival - start == pytest.approx(6.137691587228461, rel=1e-15)
 
-    (z,) = _simulate_batch(_Draws(_params_exp(), _rng_for(42, 0)), 1)
-    (idle_drawn,) = _idle(42, 0, 1, 1.0)
-    assert idle_drawn == pytest.approx(idle, rel=1e-15)
-    assert z - idle_drawn == pytest.approx(4.917477744536273, rel=1e-13)
-    assert z == pytest.approx(1.715899855890263 + 4.917477744536273,
-                              rel=1e-15)
-    (z2,) = _simulate_batch(_Draws(_params_exp(), _rng_for(42, 0)), 1)
-    assert z2 == z
+    z = _accumulate(_params_exp(), 1, 42, 0)
+    assert z[0] == pytest.approx(6.137691587228461, rel=1e-15)
+    assert z[1] == z[0] * z[0]
+    assert np.array_equal(_accumulate(_params_exp(), 1, 42, 0), z)
 
 
 def test_single_cycle_zero_service():
+    # every arrival finds the system empty: a cycle is one gap, the time
+    # from the first arrival to the second
     params = bc.QueueParameters(2.0, bc.deterministic(0.0))
-    rng = _rng_for(5, 0)
-    (z,) = _simulate_batch(_Draws(params, rng), 1)
-    assert z == _idle(5, 0, 1, 2.0)[0]  # no busy time
+    gaps = -np.log1p(-_substreams(5, 0)[0].random(2)) / 2.0
+    (z,) = np.concatenate(list(_cycle_lengths(params, 1, 5, 0)))
+    assert z == (gaps[0] + gaps[1]) - gaps[0]
+    assert z == pytest.approx(gaps[1], rel=1e-15)
     assert z > 0.0
 
 
 def test_single_customer_busy_period_equals_service():
-    # tiny arrival rate: the first inter-arrival gap exceeds the service
-    # almost surely, so the busy period is exactly one service long
+    # tiny arrival rate: the second arrival comes after the first one's
+    # service almost surely, so the busy period is exactly one service long
+    # and the cycle is that service and the idle time after it
     params = bc.QueueParameters(0.001, bc.deterministic(2.0))
     for rep in range(5):
-        draws = _Draws(params, _rng_for(100 + rep, 0))
-        (z,) = _simulate_batch(draws, 1)
-        assert z == _idle(100 + rep, 0, 1, 0.001)[0] + 2.0
+        gaps = -np.log1p(-_substreams(100 + rep, 0)[0].random(2)) / 0.001
+        assert gaps[1] > 2.0
+        (z,) = np.concatenate(list(_cycle_lengths(params, 1, 100 + rep, 0)))
+        assert z == (gaps[0] + gaps[1]) - gaps[0]
+        path = _scalar_path(params, 1, 100 + rep, 0)
+        assert path.busy == [(gaps[0] + 2.0) - gaps[0]]
+        assert path.arrivals == [1]
 
 
 def test_estimate_determinism_bit_identical():
@@ -167,9 +235,9 @@ def test_oracle_agreement_spot():
 def test_busy_and_idle_means_match_theory():
     params = bc.QueueParameters(1.0, bc.exponential(1.0))
     n = 200_000
-    z = _simulate_batch(_Draws(params, _rng_for(31, 0)), n)
-    idle, busy = _reference_batch(params, n, *_substreams(31, 0))
-    assert np.array_equal(z, idle + busy)
+    path = _scalar_path(params, n, 31, 0)
+    _same_chunks(_cycle_lengths(params, n, 31, 0), path, "exponential")
+    busy, idle = np.array(path.busy), np.array(path.idle)
     busy_mean = busy.sum() / n
     busy_se = math.sqrt(max((busy * busy).sum() / n - busy_mean**2, 0.0) / n)
     idle_mean = idle.sum() / n
@@ -256,38 +324,6 @@ def test_delta_method_error_tracks_observed_spread():
     assert 0.4 * typical_se <= observed <= 2.5 * typical_se
 
 
-def _reference_batch(params, n, gap_rng, service_rng, quiet=None):
-    """The round loop with no uniforms drawn ahead: every gap straight
-    from ``gap_rng`` and every service from ``service_rng``, one quantile
-    call per round.  ``quiet``, a one-element list, counts the rounds in
-    which no cycle ends."""
-    lam = params.arrival_rate
-    q = params.service.quantile_fn
-    idle = -np.log1p(-gap_rng.random(n)) / lam
-    end = np.asarray(q(service_rng.random(n)), dtype=float).copy()
-    arrival = np.zeros(n)
-    active = np.arange(n)
-    while active.size:
-        arrival[active] += -np.log1p(-gap_rng.random(active.size)) / lam
-        m = active.size
-        active = active[arrival[active] < end[active]]
-        if quiet is not None and active.size == m:
-            quiet[0] += 1
-        if active.size:
-            svc = np.asarray(q(service_rng.random(active.size)), dtype=float)
-            end[active] = np.maximum(end[active], arrival[active] + svc)
-    return idle, end
-
-
-def _reference_batches(params, n_cycles, seed, replication, quiet=None):
-    rngs = _substreams(seed, replication)
-    out = []
-    for first in range(0, n_cycles, simulator.BATCH):
-        out.append(_reference_batch(
-            params, min(simulator.BATCH, n_cycles - first), *rngs, quiet))
-    return out
-
-
 def _counted(params):
     """params with a quantile that counts its calls, and the counts: of
     calls, then of the uniforms they transformed."""
@@ -303,53 +339,48 @@ def _counted(params):
     return bc.QueueParameters(params.arrival_rate, service), calls
 
 
-def _script(t):
-    """Requests of a stream whose window rule takes at most t draws: under,
-    at and over t, some served from a window's rest though over t, some
-    turning a window over with a remainder, and larger ones taking the
-    window's leftover straight from the generator."""
-    return [("gaps", 3), ("services", t), ("gaps", t), ("services", t + 1),
-            ("gaps", 1), ("services", 2), ("gaps", 7 * t), ("services", 0),
-            ("gaps", t // 2), ("services", 2 * t + 3), ("gaps", t),
-            ("services", t), ("gaps", t), ("services", t - 1), ("gaps", 5),
-            ("services", 3 * t), ("gaps", t), ("services", 1),
-            ("gaps", 2 * t), ("services", t), ("gaps", t), ("services", 7)]
+def _same_chunks(got, path, label):
+    """The simulator's chunks hold the scalar path's cycle lengths."""
+    got = list(got)
+    assert len(got) == len(path.chunks), label
+    for z, want in zip(got, path.chunks):
+        assert np.array_equal(z, want), label
 
 
 STREAM_LAWS = [
     ("exponential", lambda: bc.QueueParameters(1.5, bc.exponential(2.0))),
-    # a quantile that hands back its input: the stream keeps the services
-    # the quantile wrote over its own uniforms
+    # a quantile that hands back its input: the simulator keeps the
+    # services the quantile wrote over its own uniforms
     ("identity", lambda: bc.QueueParameters(0.7, dataclasses.replace(
         bc.uniform01(), quantile_fn=lambda u: u))),
 ]
 
 
 def test_uniform_stream_serves_the_generator_sequence(monkeypatch):
-    # the draw object's gaps, in the order asked for, are the transforms
-    # of the key's uniforms in order, and its services those of the
-    # jumped stream's, with a small block and window and at their defaults
-    for block, window in ((63, 16), (simulator._BLOCK, simulator._WINDOW)):
-        monkeypatch.setattr(simulator, "_BLOCK", block)
-        monkeypatch.setattr(simulator, "_WINDOW", window)
+    # the uniforms the quantile transforms, chunk after chunk, are the
+    # jumped stream's in order, a chunk's worth at a time, with a small
+    # chunk and at the default
+    for chunk in (63, simulator._CHUNK):
+        monkeypatch.setattr(simulator, "_CHUNK", chunk)
         for label, make in STREAM_LAWS:
             params = make()
-            draws = _Draws(params, _rng_for(9, 1))
-            served = {"gaps": [], "services": []}
-            for kind, n in _script(block // (simulator._AHEAD + 1)):
-                values = getattr(draws, kind)(n)
-                assert values.shape == (n,), (kind, n)
-                served[kind].append(values.copy())
-                values[:] = -1.0  # the caller may overwrite what it got
-            gap_rng, service_rng = _substreams(9, 1)
-            gaps = np.concatenate(served["gaps"])
-            want = -np.log1p(-gap_rng.random(gaps.size)) / params.arrival_rate
-            assert np.array_equal(gaps, want), (label, block)
-            services = np.concatenate(served["services"])
+            seen = []
             q = params.service.quantile_fn
-            want = np.asarray(q(service_rng.random(services.size)),
-                              dtype=float)
-            assert np.array_equal(services, want), (label, block)
+
+            def quantile(u, q=q):
+                seen.append(u.copy())
+                return q(u)
+
+            spied = bc.QueueParameters(params.arrival_rate, dataclasses.replace(
+                params.service, quantile_fn=quantile))
+            got = list(_cycle_lengths(spied, 500, 9, 1))
+            path = _scalar_path(params, 500, 9, 1, chunk)
+            _same_chunks(got, path, (label, chunk))
+            assert len(seen) == len(path.chunks), (label, chunk)
+            assert max(u.size for u in seen) <= chunk
+            uniforms = np.concatenate(seen)
+            want = _substreams(9, 1)[1].random(uniforms.size)
+            assert np.array_equal(uniforms, want), (label, chunk)
 
 
 def _weibull_half_cdf(t):
@@ -373,121 +404,175 @@ WINDOW_LAWS = [
 @pytest.mark.parametrize("label,make", WINDOW_LAWS)
 def test_quantile_windows_draw_what_the_round_loop_draws(label, make,
                                                          monkeypatch):
-    # 700-cycle batches: 1000 and 3000 cycles span 2 and 5 batches, and the
-    # uniforms drawn ahead carry from each batch into the next.  With a
-    # block of 64, rounds of more than 9 services take the direct path and
-    # windows of at most 64 uniforms turn over every few rounds.
-    monkeypatch.setattr(simulator, "BATCH", 700)
-    for block, window in ((simulator._BLOCK, simulator._WINDOW), (64, 16)):
-        monkeypatch.setattr(simulator, "_BLOCK", block)
-        monkeypatch.setattr(simulator, "_WINDOW", window)
+    # A chunk's services are one quantile call.  Every chunk holds the
+    # cycle lengths the scalar path computes one arrival at a time, at the
+    # default chunk and with chunks of 64 arrivals, which carry cycles
+    # across many boundaries; the quantile runs once a chunk, on as many
+    # uniforms as the scalar path draws.
+    for chunk in (simulator._CHUNK, 64):
+        monkeypatch.setattr(simulator, "_CHUNK", chunk)
         params, calls = _counted(make())
         ref_params, ref_calls = _counted(make())
         for n in (1, 1000, 3000):
             for replication in range(2):
-                got = list(_batches(params, n, 2024 + n, replication))
-                want = _reference_batches(ref_params, n, 2024 + n,
-                                          replication)
-                assert len(got) == len(want) == -(-n // 700), (label, n)
-                for z, (ref_idle, ref_busy) in zip(got, want):
-                    assert np.array_equal(z, ref_idle + ref_busy), (
-                        label, block, n, replication)
-        if block == 64:
-            continue
-        assert calls[0] <= ref_calls[0], label
-        if label != "deterministic0":  # zero services end every cycle at once
-            assert calls[0] < ref_calls[0] / 2, (label, calls[0], ref_calls[0])
+                path = _scalar_path(ref_params, n, 2024 + n, replication)
+                _same_chunks(_cycle_lengths(params, n, 2024 + n, replication),
+                             path, (label, chunk, n, replication))
+        assert calls == ref_calls, label
 
 
 def test_rounds_where_no_cycle_ends_keep_every_bit(monkeypatch):
-    # at rho = 5 many rounds end no busy period, and the round loop skips
-    # their compaction; 3000 cycles span 5 batches of 700, at the default
-    # block and window and at a block of 64 with windows of 16
-    monkeypatch.setattr(simulator, "BATCH", 700)
+    # at rho = 5 a busy period serves about 148 customers, so chunks of 64
+    # arrivals often end no cycle and carry the cycle in progress on, in
+    # the same frame, to the next; the default chunk too
     params = bc.QueueParameters(1.0, bc.exponential(5.0))
-    for block, window in ((simulator._BLOCK, simulator._WINDOW), (64, 16)):
-        monkeypatch.setattr(simulator, "_BLOCK", block)
-        monkeypatch.setattr(simulator, "_WINDOW", window)
+    for chunk in (simulator._CHUNK, 64):
+        monkeypatch.setattr(simulator, "_CHUNK", chunk)
         for replication in range(2):
-            quiet = [0]
-            got = list(_batches(params, 3000, 77, replication))
-            want = _reference_batches(params, 3000, 77, replication, quiet)
-            assert len(got) == len(want) == 5
-            for z, (idle, busy) in zip(got, want):
-                assert np.array_equal(z, idle + busy), (block, replication)
-            assert quiet[0] > 0, (block, replication)
-
-
-WINDOW_SIZES = [
-    # (_BLOCK, _WINDOW, _AHEAD): the defaults, tiny windows, windows as
-    # long as their request, and no window at all (every request direct)
-    (simulator._BLOCK, simulator._WINDOW, simulator._AHEAD),
-    (64, 16, 1),
-    (64, 1, 0),
-    (0, simulator._WINDOW, simulator._AHEAD),
-]
+            path = _scalar_path(params, 300, 77, replication)
+            _same_chunks(_cycle_lengths(params, 300, 77, replication), path,
+                         (chunk, replication))
+            quiet = sum(z.size == 0 for z in path.chunks)
+            assert (quiet > 0) == (chunk == 64), (chunk, replication)
 
 
 @pytest.mark.parametrize("label,make", [
     law for law in WINDOW_LAWS if law[0] in ("special_a", "user_weibull_half")])
-def test_window_sizes_move_no_bit_of_an_estimate(label, make, monkeypatch):
-    # 2000 cycles in batches of 700 carry each stream's window across
-    # batches; the estimate is compared whole, per replication included
-    monkeypatch.setattr(simulator, "BATCH", 700)
+def test_chunked_estimates_match_the_scalar_loop(label, make, monkeypatch):
+    # whole estimates, per replication included, at the default chunk and
+    # at chunks of 64 and 1 arrivals: the chunk size moves where the times
+    # are rebased, and the sums are those of the scalar path at that size
     params = make()
-    got = {}
-    for sizes in WINDOW_SIZES:
-        for name, value in zip(("_BLOCK", "_WINDOW", "_AHEAD"), sizes):
-            monkeypatch.setattr(simulator, name, value)
+    for chunk in (simulator._CHUNK, 64, 1):
+        monkeypatch.setattr(simulator, "_CHUNK", chunk)
+        sums = [_sums(_scalar_path(params, 1000, 31, r, chunk).chunks)
+                for r in range(2)]
         for replications in (1, 2):
-            got[sizes, replications] = bc.estimate_beta_c(
-                params, 2000, seed=31, replications=replications)
-    for (sizes, replications), est in got.items():
-        assert est == got[WINDOW_SIZES[0], replications], (
-            label, sizes, replications)
+            est = bc.estimate_beta_c(params, 1000, seed=31,
+                                     replications=replications)
+            total = sum(sums[:replications])
+            n = 1000 * replications
+            assert est.e_z_hat == float(total[0]) / n, (label, chunk)
+            assert est.e_z2_hat == float(total[1]) / n, (label, chunk)
+            assert est.per_replication == tuple(
+                float(s[1] / (2.0 * s[0])) for s in sums[:replications])
+        for r in range(2):
+            assert np.array_equal(_accumulate(params, 1000, 31, r), sums[r])
 
 
 def test_user_quantile_runs_on_little_more_than_the_services_used():
     # Weibull(1/2) at rho = 1: a run transforms the uniforms of the
-    # windows it opens, the round loop only the services it uses.  When
-    # gaps and services shared their windows, each window's quantile also
-    # ran on the uniforms that became gaps, about 1.8 times the services.
+    # chunks it draws, the scalar path uses the services of the arrivals
+    # in its cycles.  When gaps and services shared their windows, each
+    # window's quantile also ran on the uniforms that became gaps, about
+    # 1.8 times the services.
     ratio_cap = 1.25
     make = lambda: bc.QueueParameters(2.0, bc.make_distribution(
         _weibull_half_cdf, mean=0.5))
     for n, replications in ((1000, 1), (1000, 2), (5000, 2)):
         params, drawn = _counted(make())
         bc.estimate_beta_c(params, n, seed=n + 1, replications=replications)
-        ref_params, used = _counted(make())
-        for r in range(replications):
-            _reference_batches(ref_params, n, n + 1, r)
-        assert used[1] > 2 * n * replications
-        assert drawn[1] <= ratio_cap * used[1], (n, drawn[1], used[1])
+        used = sum(sum(_scalar_path(make(), n, n + 1, r).arrivals)
+                   for r in range(replications))
+        assert used > 2 * n * replications
+        assert drawn[1] <= ratio_cap * used, (n, drawn[1], used)
 
 
 def test_estimate_pools_the_batches_of_one_stream(monkeypatch):
-    monkeypatch.setattr(simulator, "BATCH", 700)
+    # chunks of 700 arrivals: 3000 cycles at rho = 1 span a dozen
+    monkeypatch.setattr(simulator, "_CHUNK", 700)
     params = bc.QueueParameters(1.0, bc.exponential(1.0))
     est = bc.estimate_beta_c(params, 3000, seed=5, replications=2)
     want = []
     for r in range(2):
-        s1 = s2 = 0.0
-        for idle, busy in _reference_batches(params, 3000, 5, r):
-            z = idle + busy
-            s1 += z.sum()
-            s2 += (z * z).sum()
-        want.append(float(s2 / (2.0 * s1)))
+        path = _scalar_path(params, 3000, 5, r, 700)
+        assert len(path.chunks) >= 12
+        s = _sums(path.chunks)
+        want.append(float(s[1] / (2.0 * s[0])))
     assert est.per_replication == tuple(want)
 
 
 def test_runaway_rounds_raise_inside_a_quantile_window(monkeypatch):
-    # a single cycle at rho = 3 runs about e^3 rounds, each of one service,
-    # all inside windows; a cap of 3 rounds stops it without a huge run
+    # a single cycle at rho = 3 serves about e^3 customers, all inside its
+    # first chunk's quantile call; a cap of 3 arrivals stops it without a
+    # huge run
     monkeypatch.setattr(simulator, "EVENT_CAP", 3)
     params = bc.QueueParameters(1.0, bc.exponential(3.0))
     with pytest.raises(RunawayCycleError):
         for seed in range(20):
-            _simulate_batch(_Draws(params, _rng_for(seed, 0)), 1)
+            _accumulate(params, 1, seed, 0)
+
+
+def test_runaway_busy_period_raises_inside_one_chunk(monkeypatch):
+    # 40 cycles at rho = 3 fit one chunk; the cap is passed by the longest
+    # busy period of the 40, in a chunk in which other cycles start
+    params = bc.QueueParameters(1.0, bc.exponential(3.0))
+    path = _scalar_path(params, 40, 12, 0)
+    longest = max(path.arrivals)
+    assert len(path.chunks) == 1 and len(path.chunks[0]) == 40
+    assert 10 < longest < sum(path.arrivals) // 4
+    monkeypatch.setattr(simulator, "EVENT_CAP", longest)
+    _accumulate(params, 40, 12, 0)
+    monkeypatch.setattr(simulator, "EVENT_CAP", longest - 1)
+    with pytest.raises(RunawayCycleError, match="event cap"):
+        _accumulate(params, 40, 12, 0)
+
+
+def test_runaway_busy_period_raises_across_a_chunk_boundary(monkeypatch):
+    # chunks of 40 arrivals at rho = 3: the cap is passed only by a busy
+    # period that starts in one chunk and ends in the next, so each of the
+    # two chunks starts a cycle and no chunk lies wholly inside the period
+    monkeypatch.setattr(simulator, "_CHUNK", 40)
+    params = bc.QueueParameters(1.0, bc.exponential(3.0))
+    path = _scalar_path(params, 40, 15, 0, 40)
+    longest = max(path.arrivals)
+    assert path.arrivals.count(longest) == 1
+    cycle = path.arrivals.index(longest)
+    ended = np.cumsum([z.size for z in path.chunks])
+
+    def chunk_where_ends(i):
+        return int(np.searchsorted(ended, i, side="right"))
+
+    # the cycle starts where the one before it ends
+    assert cycle > 0
+    assert chunk_where_ends(cycle) == chunk_where_ends(cycle - 1) + 1
+    monkeypatch.setattr(simulator, "EVENT_CAP", longest)
+    _accumulate(params, 40, 15, 0)
+    monkeypatch.setattr(simulator, "EVENT_CAP", longest - 1)
+    with pytest.raises(RunawayCycleError, match="event cap"):
+        _accumulate(params, 40, 15, 0)
+
+
+def test_a_busy_period_past_the_cap_raises_before_it_ends(monkeypatch):
+    # at rho = 30 a busy period serves about 1e13 customers: the cap stops
+    # the one in progress once it passes 1000 arrivals, in the 16th chunk
+    # of 64, without waiting for its end
+    monkeypatch.setattr(simulator, "_CHUNK", 64)
+    monkeypatch.setattr(simulator, "EVENT_CAP", 1000)
+    law = bc.deterministic(30.0)
+    chunks = []
+
+    def quantile(u):
+        chunks.append(u.size)
+        assert len(chunks) <= 100, "the cap did not stop the busy period"
+        return law.quantile_fn(u)
+
+    params = bc.QueueParameters(1.0, dataclasses.replace(
+        law, quantile_fn=quantile))
+    with pytest.raises(RunawayCycleError, match="event cap"):
+        _accumulate(params, 2, 1, 0)
+    assert len(chunks) == 16
+
+
+def test_a_nan_service_is_a_domain_error():
+    # the running maximum carries a NaN departure to the chunk's end, where
+    # it is refused; unchecked, it would hide every later cycle start
+    law = bc.exponential(1.0)
+    q = law.quantile_fn
+    broken = dataclasses.replace(
+        law, quantile_fn=lambda u: np.where(u > 0.999, np.nan, q(u)))
+    with pytest.raises(DomainError, match="quantile returned NaN"):
+        bc.estimate_beta_c(bc.QueueParameters(1.0, broken), 5000, seed=1)
 
 
 CONCURRENT_LAWS = [
@@ -512,15 +597,14 @@ def _threads_of(monkeypatch):
     return names
 
 
-@pytest.mark.parametrize("batch", [None, 700])
+@pytest.mark.parametrize("chunk", [None, 700])
 @pytest.mark.parametrize("label,make", CONCURRENT_LAWS)
-def test_concurrent_replications_keep_every_bit(label, make, batch,
+def test_concurrent_replications_keep_every_bit(label, make, chunk,
                                                 monkeypatch):
-    # 2000 cycles a replication: batches of 700 carry the uniforms drawn
-    # ahead across three batches; the user law's small rounds take their
-    # services from quantile windows
-    if batch:
-        monkeypatch.setattr(simulator, "BATCH", batch)
+    # 2000 cycles a replication: chunks of 700 arrivals carry the cycle in
+    # progress across several chunk boundaries
+    if chunk:
+        monkeypatch.setattr(simulator, "_CHUNK", chunk)
     monkeypatch.setattr(simulator, "_THREADED_CYCLES", 0)
     names = _threads_of(monkeypatch)
     params = make()
@@ -626,21 +710,23 @@ def test_replications_run_on_at_most_two_threads(monkeypatch):
 
 
 def test_a_replication_works_in_about_four_arrays_of_its_cycles():
-    # the idle times become Z in place and only the active cycles' index,
-    # arrival and end are kept; a loop over full-length arrays keeps about
-    # 7 arrays of n floats.  More cycles are still busy at the first
-    # arrival at rho = 5, and its large rounds' services are drawn whole.
-    n = 1 << 17
+    # a replication works in a few arrays of one chunk, so the peak is
+    # under the bounds a loop over all its cycles at once would need (about
+    # 7 arrays of n floats), and four times the cycles peak no higher
     for rho, bound in ((1.0, 4.0), (5.0, 6.5)):
         params = bc.QueueParameters(1.0, bc.exponential(rho))
         simulator._accumulate(params, 1000, 8, 0)
-        tracemalloc.start()
-        try:
-            simulator._accumulate(params, n, 8, 0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound * 8 * n, (rho, peak / (8 * n))
+        peaks = {}
+        for n in (1 << 17, 1 << 19):
+            tracemalloc.start()
+            try:
+                simulator._accumulate(params, n, 8, 0)
+                _, peaks[n] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        n = 1 << 17
+        assert peaks[n] <= bound * 8 * n, (rho, peaks[n] / (8 * n))
+        assert peaks[1 << 19] <= peaks[n], (rho, peaks)
 
 
 def test_each_replication_runs_once_under_thread_switching(monkeypatch):
