@@ -6,10 +6,10 @@ cancellation-free form, and an inverse-transform quantile used for
 sampling.  The integrated tail I(t) = int_0^t [1 - G(v)] dv is derived as
 alpha - r(t).  A law given only by its CDF (``make_distribution``) takes
 both r(t) and the quantile from one table of 1 - G built at construction,
-with no quadrature call per node and a few cdf calls per draw; the
-quantile builds its inverse tables from it on its first draw and searches
-them through a guide table.  Values are immutable after construction, bar
-that one-time build, and safe for concurrent reads.
+with no quadrature call per node and about three cdf values per draw; the
+quantile builds its inverse tables from it on its first draw, with no cdf
+call, and searches them through a guide table.  Values are immutable after
+construction, bar that one-time build, and safe for concurrent reads.
 """
 
 from __future__ import annotations
@@ -27,7 +27,15 @@ from .errors import (
     DomainError,
     UnsupportedMomentError,
 )
-from .quadrature import _gauss_kronrod, _kronrod_nodes, _refine, _support_breaks
+from .quadrature import (
+    _G_WEIGHTS,
+    _GK_NODES,
+    _K_WEIGHTS,
+    _gauss_kronrod,
+    _kronrod_nodes,
+    _refine,
+    _support_breaks,
+)
 
 __all__ = [
     "ServiceDistribution",
@@ -71,19 +79,67 @@ _G_SLACK = 4.0 * sys.float_info.epsilon
 _TABLE_OCTAVES = 16
 # User-CDF quantile: a draw q passes once G(q - tol) < u <= G(q), with
 # tol = _XTOL + _RTOL * q the absolute and relative tolerances brentq used
-# here before.  Each draw takes _SECANT steps from the table's guess; one
-# that fails the check has G evaluated at _PROBES times tol on either side
-# of its last step, and its bracket is then cut into _PARTS equal parts per
-# cdf call, at _CUTS, until it is under tol / 2.
+# here before.  Each draw takes one Newton step from the table's quintic
+# guess and is checked; one that fails takes a secant step from its q and
+# is checked again.  These two checks replace _SECANT, the three steps
+# (Newton, then secant) that the earlier cubic guess took before its one
+# check.  A draw that fails both has G evaluated at _PROBES times tol on
+# either side of its last step, and its bracket is then cut into _PARTS
+# equal parts per cdf call, at _CUTS, until it is under tol / 2.
 _XTOL = 1e-14
 _RTOL = 4.0 * sys.float_info.epsilon
-_SECANT = 3
 _PROBES = np.outer((-1.0, 1.0), 2.0 ** np.arange(-1.0, 24.0)).ravel()
 _PARTS = 32
 _CUTS = np.arange(1.0, _PARTS) / _PARTS
 # The most buckets a quantile's guide table takes; the search is exact
 # for any count.
 _GUIDE_MAX = 1 << 16
+
+
+def _differentiation():
+    """(17, 2 * 17 + 2) weights: column j of a panel's G values at its left
+    edge, 15 Kronrod nodes and right edge, on [-1, 1], summed against
+    these gives the derivative of their degree-16 interpolant at point j
+    for j < 17, the second derivative at point j - 17 for j < 34
+    (barycentric formulas, Berrut and Trefethen 2004, in math.fsum),
+    K15 - G7 of G, the Kronrod rule's error estimate, for j = 34, and G's
+    rise over the panel for j = 35."""
+    x = [-1.0] + _GK_NODES.tolist() + [1.0]
+    n = len(x)
+    w = [1.0 / math.prod(x[j] - x[k] for k in range(n) if k != j)
+         for j in range(n)]
+    d1 = [[w[j] / w[i] / (x[i] - x[j]) if i != j else 0.0 for j in range(n)]
+          for i in range(n)]
+    d2 = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        d1[i][i] = -math.fsum(d1[i])
+        for j in range(n):
+            if j != i:
+                d2[i][j] = 2.0 * d1[i][j] * (d1[i][i] - 1.0 / (x[i] - x[j]))
+        d2[i][i] = -math.fsum(d2[i])
+    defect = [0.0] + (_K_WEIGHTS - _G_WEIGHTS).tolist() + [0.0]
+    rise = [-1.0] + [0.0] * (n - 2) + [1.0]
+    return np.array(d1 + d2 + [defect, rise]).T.copy()
+
+
+_DIFF = _differentiation()
+# A panel is rough, and takes its slopes from parabolas in u rather than
+# from its interpolant in t, when |K15 - G7| of G exceeds this share of
+# G's rise over it, a rise floored at this value: a panel that holds less
+# probability has too few draws to pay for the parabolas.  The panel at 0
+# of a density singular there (t^(1/2), Weibull shape 1/2) reads 4.7e-4,
+# smooth panels 1e-10 or less, and the panels where G is within 1e-7 of 1
+# (G flat at float resolution) hold under 1e-6.
+_ROUGH = 1e-6
+# The quintic Hermite coefficients c1 ... c5 of a bracket, the rows, from
+# its ends: (hi - lo, t' du at lo and at hi, -t'' du^2 at lo and at hi),
+# and the ends of the secant, per unit hi - lo, which has c1 = hi - lo.
+_QUINTIC = np.array([[0.0, 1.0, 0.0, 0.0, 0.0],
+                     [0.0, 0.0, 0.0, -0.5, 0.0],
+                     [10.0, -6.0, -4.0, 1.5, -0.5],
+                     [-15.0, 8.0, 7.0, -1.5, 1.0],
+                     [6.0, -3.0, -3.0, 0.5, -0.5]])
+_SECANT_ENDS = np.array([[1.0], [1.0], [1.0], [0.0], [0.0]])
 
 
 _BOOLS = (bool, np.bool_)  # float(True) would read as 1.0
@@ -524,19 +580,25 @@ def make_distribution(
       of ``cdf`` for all t (r(t <= 0) is the declared mean);
     * the quantile is the generalized inverse, the smallest t with
       G(t) >= u, to 1e-14 absolute plus a few ulp.  Its inverse tables are
-      built from the table on its first draw, so r(t) and ``beta_c`` never
-      build them.  A guide table into the distinct tabulated G values
-      (``np.searchsorted``'s index, found in one lookup and one step for
-      nearly every u) brackets u between two nodes and picks a monotone
-      (Fritsch-Carlson) cubic of the inverse built from the table, whose
-      value is the first guess.  A Newton step on the cubic's slope and
-      two secant steps refine it, and two cdf values check the result q:
-      G(q - tol) < u <= G(q), tol = 1e-14 + 8.9e-16 q.
-      Only the draws that fail (G flat at float resolution, kinks, atoms)
-      fall back to cutting their bracket into 32 equal parts per cdf call,
-      each with a round count from its own bracket.  So the
-      quantile is elementwise: ``quantile_fn(u)[i]`` is ``quantile_fn(u[i])``
-      bit for bit, whatever else ``u`` holds.
+      built from the table on its first draw, with no cdf call, so r(t)
+      and ``beta_c`` never build them.  A guide table into the tabulated G
+      values (``np.searchsorted``'s index, found in one lookup and one step
+      for nearly every u) brackets u between two adjacent nodes of one
+      panel, and the quintic Hermite interpolant of the inverse there
+      (Hoermann and Leydold, 2003) gives the first guess.  Its end slopes
+      t' = 1/G' and t'' = -G''/G'^3 come from the derivatives of the
+      panel's degree-16 interpolant through its Kronrod nodes and edges,
+      or, on a panel no polynomial in t follows (a density singular at 0),
+      from parabolas in u through neighbouring nodes.  One Newton step on
+      the quintic's slope refines the guess, and two cdf values check the
+      result q: G(q - tol) < u <= G(q), tol = 1e-14 + 8.9e-16 q.  That is
+      three cdf values for most draws.  A draw that fails takes a secant
+      step from q and is checked once more; only the draws that fail again
+      (G flat at float resolution, kinks, atoms) fall back to cutting
+      their bracket into 32 equal parts per cdf call, each with a round
+      count from its own bracket.  So the quantile is elementwise:
+      ``quantile_fn(u)[i]`` is ``quantile_fn(u[i])`` bit for bit, whatever
+      else ``u`` holds.
 
     Raises DomainError when the tabulated G leaves [0, 1] or decreases, or
     when the table's integral of 1 - G differs from ``mean``, or its
@@ -548,7 +610,9 @@ def make_distribution(
     raises DomainError naming the law, and so does a float output narrower
     than float64 (float32, float16): the table's tolerance, 1e-13, is below
     its resolution, so the table could not converge.  An error the cdf
-    raises itself passes through unchanged.
+    raises itself passes through unchanged, at construction and later:
+    from ``quantile_fn``, ``residual_tail_fn``, ``beta_c`` and
+    ``estimate_beta_c``, whose threads are all joined before it is raised.
     No reliability class is assumed; pass ``class_tags`` only for
     properties you can actually establish.
     """
@@ -574,7 +638,7 @@ def make_distribution(
                           f"than the table tolerance {_TABLE_TOL:g}; return "
                           f"float64")
 
-    edges, tail_after, t_tab, g_tab = _tail_table(
+    edges, tail_after, *panels = _tail_table(
         G, name, support_end, (mean, moment2, moment3))
     last = len(edges) - 2  # index of the last panel
     tables = None  # the quantile's, built on its first call
@@ -596,8 +660,8 @@ def make_distribution(
         if built is None:
             # a pure function of the tail table: threads that race here
             # build equal tables, and whichever rebind lands last is kept
-            built = tables = _inverse_table(t_tab, g_tab)
-        knots, guide, hi_tab, cubic = built
+            built = tables = _inverse_table(edges, *panels)
+        knots, guide, hi_tab, quintic = built
         u = np.asarray(u, dtype=float)
         # first tabulated G >= u; u <= G(0) gets the empty bracket [0, 0],
         # and u past the last G the empty bracket [end, end]
@@ -606,7 +670,7 @@ def make_distribution(
         x = hi_tab[i]
         k = np.flatnonzero((i > 0) & (i < knots.size - 1))
         if k.size:
-            x[k] = _invert(G, flat[k], *np.take(cubic, i[k] - 1, axis=0).T)
+            x[k] = _invert(G, flat[k], *np.take(quintic, i[k] - 1, axis=1))
         return x.reshape(u.shape)
 
     return ServiceDistribution(
@@ -624,9 +688,10 @@ def make_distribution(
 
 
 def _tail_table(G, name: str, support_end: float, moments: tuple):
-    """(panel edges, integral of 1 - G past each panel, node times, G at the
-    nodes) for ``make_distribution``, validated against the declared
-    moments E[S^k] = int k t^(k-1) (1 - G) dt, k = 1, 2, 3, that are given."""
+    """(panel edges, integral of 1 - G past each panel, each panel's 15
+    Kronrod nodes, G at them, G at the edges) for ``make_distribution``,
+    validated against the declared moments E[S^k] = int k t^(k-1) (1 - G)
+    dt, k = 1, 2, 3, that are given."""
     times, probs = [], []
 
     def survival(t):
@@ -667,64 +732,120 @@ def _tail_table(G, name: str, support_end: float, moments: tuple):
         raise
     edges = np.append(a, b[-1])
     survival(edges)  # G at the edges joins the nodes
+    g_edges = probs[-1]
     t_tab, g_tab = nodes()
     # refinement evaluated G at every Kronrod node of the converged panels
     x, w = _kronrod_nodes(a, b)
-    tail_w = w * (1.0 - g_tab[np.searchsorted(t_tab, x)])
-    x = np.where(tail_w != 0.0, x, 0.0)  # no inf * 0 where G is 1 at a huge t
+    g_x = g_tab[np.searchsorted(t_tab, x)]
+    tail_w = w * (1.0 - g_x)
+    t = np.where(tail_w != 0.0, x, 0.0)  # no inf * 0 where G is 1 at a huge t
     for k, declared in enumerate(moments, 1):
         if declared is None:
             continue
         what = "mean" if k == 1 else f"moment{k}"
-        table = float(np.sum(k * x ** (k - 1) * tail_w))
+        table = float(np.sum(k * t ** (k - 1) * tail_w))
         if not abs(table - declared) <= _MEAN_TOL * table:
             raise DomainError(f"{name}: the cdf integrates to a {what} of "
                               f"{table!r}, but {what} = {declared!r} was declared")
     inside = np.cumsum(values[::-1])[::-1]
-    return edges, np.append(inside[1:], 0.0), t_tab, np.maximum.accumulate(g_tab)
+    return edges, np.append(inside[1:], 0.0), x, g_x, g_edges
 
 
-def _inverse_table(t_tab, g_tab):
-    """(knots g, guide, bracket right ends, cubic rows) of the generalized
-    inverse t(u) of a tabulated nondecreasing G, for ``make_distribution``'s
-    quantile.
+def _panel_slopes(g, width):
+    """(G', G'', rough) at the 17 points of each panel, from the rows of G
+    values ``g`` (left edge, 15 Kronrod nodes, right edge) and the panel
+    widths: the derivatives of each row's degree-16 interpolant, and
+    whether |K15 - G7| of G exceeds _ROUGH of G's rise over the panel (of
+    _ROUGH, if the rise is less), so that no polynomial follows G there.
+    np.einsum adds the 17 terms of each value in a fixed order, so a
+    panel's values have the same bits alone and among any others."""
+    d = np.einsum("pk,kj->pj", g, _DIFF)
+    half = 0.5 * width[:, None]
+    rough = np.abs(d[:, -2]) > _ROUGH * np.fmax(d[:, -1], _ROUGH)
+    return d[:, :17] / half, d[:, 17:-2] / (half * half), rough
 
-    Each distinct G value g[j] is kept at its leftmost node, hi[j]; the
-    last node (the support end) is a sentinel past the last g.  So u in
-    (g[j-1], g[j]] has the bracket [lo, hi[j]], with lo the node before
-    hi[j], where G is still g[j-1]; u <= g[0] or u > g[-1] has an empty
-    one.  ``_guide_search`` finds j through the guide; the knots are g
-    followed by a +inf sentinel, past which its step cannot go.  Row j - 1
-    of the cubic rows holds lo, hi[j], g[j-1], g[j] - g[j-1] and the
-    coefficients of the Hermite cubic
-    lo + c1 s + c2 s^2 + c3 s^3, s = (u - g[j-1]) / (g[j] - g[j-1]),
-    through the bracket ends.  Its end slopes are Fritsch-Carlson weighted
-    harmonic means of the neighbouring secants (secants at the two outer
-    ends), each within 3 times its own secant, so the cubic is monotone.
+
+def _parabolic_slopes(t, g):
+    """(t', -t'') at the 17 points of each row of nodes t and G values g:
+    at each inner point those of the parabola of t in u = G through it and
+    its two neighbours, at an edge those of the parabola of the point
+    beside it.  On the panel at 0 of a law with G ~ t^(1/2) there, t is a
+    parabola in u, so they are exact, where the derivatives of the
+    degree-16 interpolant in t miss G' by up to 60%."""
+    du = np.diff(g, axis=1)
+    secant = np.diff(t, axis=1) / du
+    span = du[:, :-1] + du[:, 1:]
+    curve = np.empty_like(t)  # -t''
+    curve[:, 1:-1] = 2.0 * (secant[:, :-1] - secant[:, 1:]) / span
+    curve[:, 0], curve[:, -1] = curve[:, 1], curve[:, -2]
+    slope = np.empty_like(t)
+    slope[:, 1:-1] = (du[:, :-1] * secant[:, 1:] + du[:, 1:] * secant[:, :-1]) / span
+    slope[:, 0] = secant[:, 0] + 0.5 * du[:, 0] * curve[:, 0]
+    slope[:, -1] = secant[:, -1] - 0.5 * du[:, -1] * curve[:, -1]
+    return slope, curve
+
+
+def _inverse_table(edges, x, g_x, g_edges):
+    """(knots g, guide, bracket right ends, quintic rows) of the generalized
+    inverse t(u) of the G that ``_tail_table`` tabulated, for
+    ``make_distribution``'s quantile.
+
+    The nodes t are those of the converged panels [edges[p], edges[p + 1]]:
+    each panel's left edge and 15 Kronrod nodes x[p], then the support
+    end, with g their G values (g_x, g_edges) made nondecreasing by a
+    running maximum.  Building calls no cdf.  The first g >= u, g[i],
+    brackets u in (g[i-1], g[i]], with G(t[i-1]) < u <= G(t[i]), and t[i]
+    is the leftmost node where G reaches g[i]; i = 0 (u <= G(0)) and i
+    past the last node have no bracket and the quantile t[i], the support
+    end for the latter.  ``_guide_search`` finds i through the guide; the
+    knots are g followed by a +inf sentinel, past which its step cannot
+    go.
+
+    Column i - 1 of the quintic rows holds t[i-1], t[i], g[i-1], g[i] -
+    g[i-1] and the coefficients of t[i-1] + c1 s + ... + c5 s^5, s = (u -
+    g[i-1]) / (g[i] - g[i-1]): the quintic Hermite interpolant of t(u)
+    through the bracket ends with the slopes t' = 1/G' and t'' =
+    -G''/G'^3 there (Hoermann and Leydold, 2003), from ``_panel_slopes``
+    on the panel that holds both ends, or from ``_parabolic_slopes`` on a
+    panel it finds rough (a density singular at 0 or at the end, a kink).
+    Where t' or t'' is not finite at either end (G' <= 0, say), the column
+    is the secant, c1 = t[i] - t[i-1] and c2 = ... = c5 = 0.  (Each row is
+    one of these quantities, so a draw's values are contiguous arrays.)
     """
-    rise = np.flatnonzero(g_tab[1:] > g_tab[:-1]) + 1
-    first = np.append(0, rise)  # the leftmost node of each distinct G
-    g = g_tab[first]
-    hi = t_tab[np.append(first, t_tab.size - 1)]
-    lo = t_tab[rise - 1]
-    du, dt = np.diff(g), hi[1:-1] - lo
-    # end slopes relative to the bracket's secant, a at lo and b at hi
-    a, b = np.ones(du.size), np.ones(du.size)
-    w1, w2 = 2.0 * du[1:] + du[:-1], du[1:] + 2.0 * du[:-1]
+    a, b = edges[:-1], edges[1:]
+    g_panel = np.concatenate((g_edges[:-1, None], g_x, g_edges[1:, None]), axis=1)
+    t = np.append(np.concatenate((a[:, None], x), axis=1), b[-1])
+    g = np.maximum.accumulate(np.append(g_panel[:, :-1], g_edges[-1]))
+    # node pair (i - 1, i) is points j and j + 1 of panel p, i - 1 = 16 p + j
+    dt, du = np.diff(t).reshape(-1, 16), np.diff(g).reshape(-1, 16)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        r = (dt[:-1] * du[1:]) / (du[:-1] * dt[1:])  # left over right secant
-        b[:-1] = (w1 + w2) / (w1 + w2 * r)
-        a[1:] = (w1 + w2) / (w1 / r + w2)
-    a, b = np.fmax(a, 0.0), np.fmax(b, 0.0)  # 0/0 and inf/inf give 0
-    rows = np.column_stack((lo, hi[1:-1], g[:-1], du, dt * a,
-                            dt * (3.0 - 2.0 * a - b), dt * (a + b - 2.0)))
+        # panels 1e-200 or 1e300 wide take G'' past the float range
+        g_prime, g_second, rough = _panel_slopes(g_panel, b - a)
+        slope = 1.0 / np.fmax(g_prime, 0.0)  # t', inf where G' <= 0
+        bend = g_second * slope * slope * slope  # -t''
+        if rough.any():
+            rough = np.flatnonzero(rough)
+            slope[rough], bend[rough] = _parabolic_slopes(np.concatenate(
+                (a[rough, None], x[rough], b[rough, None]), axis=1), g_panel[rough])
+        du2 = du * du
+        ends = np.stack((dt, du * slope[:, :-1], du * slope[:, 1:],
+                         du2 * bend[:, :-1], du2 * bend[:, 1:])).reshape(5, -1)
+        # the secant, t' = dt / du and t'' = 0, where one is not finite
+        ends = np.where(np.isfinite(ends.sum(axis=0)), ends, _SECANT_ENDS * ends[0])
+    rows = np.empty((9, t.size - 1))
+    rows[:4] = t[:-1], t[1:], g[:-1], du.ravel()
+    np.einsum("jk,km->jm", _QUINTIC, ends, out=rows[4:])
     # K buckets, a power of two so that u K is exact: bucket j holds the u
-    # with j <= u K < j + 1, and guide[j] is the first knot >= j / K (0 for
-    # j = 0, which also takes every u < 0)
+    # with j <= u K < j + 1, and guide[j] is the first knot >= j / K, the
+    # count of knots g < j / K, that is of knots with floor(g K) + 1 <= j
+    # (0 for j = 0, which also takes every u < 0).  int() truncates, so a
+    # g below 0 by rounding counts from j = 1, as it should for j > 0, and
+    # one above 1 by rounding in no bucket.
     buckets = min(1 << (4 * g.size - 1).bit_length(), _GUIDE_MAX)
-    guide = np.searchsorted(g, np.arange(buckets) / buckets)
+    first = (g * buckets).astype(np.intp) + 1
+    guide = np.bincount(first, minlength=buckets + 2)[:buckets].cumsum()
     guide[0] = 0
-    return np.append(g, np.inf), guide, hi, rows
+    return np.append(g, np.inf), guide, np.append(t, t[-1]), rows
 
 
 def _guide_search(knots, guide, u):
@@ -745,47 +866,74 @@ def _guide_search(knots, guide, u):
     return i
 
 
-def _invert(G, u, lo, hi, g0, du, c1, c2, c3):
+def _invert(G, u, lo, hi, g0, du, c1, c2, c3, c4, c5):
     """The smallest t with G(t) >= u, for g0 < u <= g0 + du in the bracket
     [lo, hi] with G(lo) = g0 and G(hi) = g0 + du.
 
-    The cubic lo + c1 s + c2 s^2 + c3 s^3, s = (u - g0) / du, gives the
-    first guess x.  A Newton step on the cubic's slope and secant steps
-    follow, _SECANT in all, each kept inside the bracket as it shrinks.
-    Then q = x + tol/2, tol = _XTOL + _RTOL x, is returned when it passes
-    the check G(q - (_XTOL + _RTOL q)) < u <= G(q).  Where it fails (G
-    moves only at float resolution, or has a kink or an atom), G at
-    _PROBES tol from x narrows the bracket, and ``_bisect`` ends it.  Every
-    step acts on each element alone, so element i of the result depends
-    on u[i] only.
+    The quintic lo + c1 s + ... + c5 s^5, s = (u - g0) / du, gives the
+    first guess x, and a Newton step on the quintic's slope dt/du follows,
+    kept inside the bracket.  Its result passes as q = x + tol/2 (at most
+    hi), tol = _XTOL + _RTOL x, when ``_checked`` finds G(q - (_XTOL +
+    _RTOL q)) < u <= G(q).  A draw that fails has its bracket cut at x and
+    at the points checked, and takes a secant step from q, with the G(q)
+    the check computed, through x (none where G is the same at both); the
+    second and last check follows.  Where that fails too (G moves only at
+    float resolution, or has a kink or an atom), G at _PROBES tol from the
+    last step narrows the bracket, and ``_bisect`` ends it.  Every step
+    acts on each element alone, so element i of the result depends on u[i]
+    only.
     """
     s = (u - g0) / du
-    x = np.fmin(np.fmax(lo + s * (c1 + s * (c2 + s * c3)), lo), hi)
+    # Horner's scheme gives the quintic, lo + s b, and its slope in s, d
+    b = c4 + s * c5
+    d = b + s * c5
+    b = c3 + s * b
+    d = b + s * d
+    b = c2 + s * b
+    d = b + s * d
+    b = c1 + s * b
+    d = b + s * d
+    x = np.fmin(np.fmax(lo + s * b, lo), hi)
     f = G(x) - u
+    # a step past the float range, or NaN, is clamped to the bracket
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = np.fmin(np.fmax(x - f * d / du, lo), hi)
+    q, k, g_left, g_q = _checked(G, u, step, hi)
+    if not k.size:
+        return q
+    u, x, f, lo, hi, g_left, g_q = u[k], x[k], f[k], lo[k], hi[k], g_left[k], g_q[k]
+    step = q[k]
+    # x and the two points checked are bracket ends
+    below = f < 0.0
+    lo, hi = np.where(below, x, lo), np.where(below, hi, x)
+    hi = np.where(g_left >= u, np.fmin(hi, step - (_XTOL + _RTOL * step)), hi)
+    lo = np.where(g_q < u, np.fmax(lo, step), lo)
+    f_q = g_q - u
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        dx = np.where(f != 0.0, f * (c1 + s * (2.0 * c2 + 3.0 * s * c3)) / du, 0.0)
-    for step in range(_SECANT):
-        up = f >= 0.0
-        lo, hi = np.where(up, lo, x), np.where(up, x, hi)
-        x, xp, fp = np.fmin(np.fmax(x - dx, lo), hi), x, f
-        if step + 1 < _SECANT:
-            f = G(x) - u
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                dx = np.where(f != fp, f * (x - xp) / (f - fp), 0.0)
+        secant = np.where(f_q != f, f_q * (step - x) / (f_q - f), 0.0)
+        step = np.fmin(np.fmax(step - secant, lo), hi)
+    q[k], j, _, _ = _checked(G, u, step, hi)
+    if not j.size:
+        return q
+    k, u, x, lo, hi = k[j], u[j], step[j], lo[j], hi[j]
     tol = _XTOL + _RTOL * x
-    q = x + 0.5 * tol
-    n = q.size
-    ge = G(np.concatenate((q - (_XTOL + _RTOL * q), q))) >= np.concatenate((u, u))
-    k = np.flatnonzero(ge[:n] | ~ge[n:])
-    if k.size:
-        lo, hi = lo[k], hi[k]
-        pts = np.fmin(np.fmax(x[k, None] + tol[k, None] * _PROBES,
-                              lo[:, None]), hi[:, None])
-        ge = G(pts.ravel()).reshape(pts.shape) >= u[k, None]
-        lo = np.maximum(lo, np.max(np.where(ge, -np.inf, pts), axis=1))
-        hi = np.minimum(hi, np.min(np.where(ge, pts, np.inf), axis=1))
-        q[k] = _bisect(G, u[k], lo, hi)
+    pts = np.fmin(np.fmax(x[:, None] + tol[:, None] * _PROBES, lo[:, None]),
+                  hi[:, None])
+    ge = G(pts.ravel()).reshape(pts.shape) >= u[:, None]
+    lo = np.maximum(lo, np.max(np.where(ge, -np.inf, pts), axis=1))
+    hi = np.minimum(hi, np.min(np.where(ge, pts, np.inf), axis=1))
+    q[k] = _bisect(G, u, lo, hi)
     return q
+
+
+def _checked(G, u, x, hi):
+    """(q, the indices of the q that fail, G(q - (_XTOL + _RTOL q)), G(q))
+    for q = x + (_XTOL + _RTOL x) / 2, or hi, where G >= u, if that is
+    less: q fails unless G(q - (_XTOL + _RTOL q)) < u <= G(q)."""
+    q = np.fmin(x + 0.5 * (_XTOL + _RTOL * x), hi)
+    n = q.size
+    g = G(np.concatenate((q - (_XTOL + _RTOL * q), q)))
+    return q, np.flatnonzero((g[:n] >= u) | (g[n:] < u)), g[:n], g[n:]
 
 
 def _bisect(G, u, lo, hi):

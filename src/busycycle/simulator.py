@@ -27,17 +27,18 @@ Randomness comes from the counter-based Philox generator.  Replication r of
 a run seeded with s uses key (s, r), and each kind of draw has its own
 substream of that key: the gaps are the inverse transforms of the
 generator's uniforms from counter 0, and the services those of its
-``jumped()`` copy, 2^128 blocks further on.  Arrival i takes the i-th value
-of each kind whatever the chunks.  A result's bits are fixed by the key,
-the two transforms and the chunk rule, which places the rebasing and
-groups the sums; the rounding of a Z from chunk-relative times, about
-1e-16 of that span, is far below its sampling error.  Results are
-bit-identical across runs and do not depend on execution parallelism.
+uniforms from counter 2^128 (``_SERVICES``, word 2 of Philox's 256-bit
+counter set to 1), the stream its ``jumped()`` copy would give.  Arrival
+i takes the i-th value of each kind whatever the chunks.  A result's bits
+are fixed by the key, the two transforms and the chunk rule, which places
+the rebasing and groups the sums; the rounding of a Z from chunk-relative
+times, about 1e-16 of that span, is far below its sampling error.  Results
+are bit-identical across runs and do not depend on execution parallelism.
 
 A replication holds a few arrays of one chunk's floats, whatever its number
 of cycles.  Replications run concurrently, one thread per usable CPU and at
 most ``_MAX_WORKERS``, once they are long enough for their array work to
-outweigh the interpreter's share (see ``_THREADED_CYCLES``).  Each
+outweigh the interpreter's share (see ``_THREADED_ARRIVALS``).  Each
 replication owns its streams and its sums are pooled in replication order,
 so a concurrent run gives the same bits as a run one at a time.  A service
 law's quantile, and so a user's cdf, may then be called from two threads at
@@ -74,14 +75,17 @@ Z95 = 1.959963984540054  # two-sided 95% normal quantile
 # part of the fixed draw order.  A replication's working set is a few
 # arrays of this many floats.
 _CHUNK = 1 << 16
-# Fewest cycles per replication for which replications run on threads.
-# A helper thread costs 0.1-0.25 ms, and a replication of 4000 cycles
-# takes about 0.7 ms at rho = 1 and 12 ms at rho = 5.  On the oracle
-# benchmark (2-core Xeon, 4 pairs of runs) this threshold, which threads
-# its rho = 5 configuration of 4043 cycles, cut the p90 latency by 16%
-# against 16 384 cycles; 2 replications of 1000 to 4096 cycles at rho <=
-# 1 ran 15-50% slower on threads while the host lent no second CPU.
-_THREADED_CYCLES = 4000
+# Fewest expected arrivals per replication, n_cycles e^rho, for which
+# replications run on threads.  A helper thread costs 0.1-0.25 ms.  Two
+# replications of the exponential law at rho = 1 and 3 (2-core Xeon, 40
+# interleaved pairs each) ran on threads in a median 1.17 times the serial
+# time at 10 900 arrivals each, 0.89 times at 21 700 and 0.70-0.79 times
+# from 40 000 to 87 000.
+_THREADED_ARRIVALS = 20_000
+# The Philox counter where a replication's service substream starts,
+# 2^128 (word 2 of the 256-bit counter is 1), where jumped() would put it;
+# its gaps start at counter 0.
+_SERVICES = (0, 0, 1, 0)
 # Most replications run at once.  Each holds its own chunk's arrays; only
 # two threads, on 2 CPUs, have been measured.
 _MAX_WORKERS = 2
@@ -114,12 +118,13 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
-def _rng_for(seed: int, replication: int) -> Generator:
-    """Counter-based stream: replication r of seed s uses Philox key (s, r)."""
+def _rng_for(seed: int, replication: int, counter=None) -> Generator:
+    """Counter-based stream: replication r of seed s uses Philox key (s, r),
+    from ``counter`` on (from 0 by default)."""
     if not (0 <= seed < 2**64):
         raise DomainError(f"seed must be an unsigned 64-bit integer, got {seed}")
     key = np.array([seed, replication], dtype=np.uint64)
-    return Generator(Philox(key=key))
+    return Generator(Philox(key=key, counter=counter))
 
 
 def _chunk_size(cycles: int, per_cycle: float) -> int:
@@ -143,7 +148,7 @@ def _cycle_lengths(params: QueueParameters, n_cycles: int, seed: int,
     quantile = params.service.quantile_fn
     per_cycle = math.exp(params.traffic_intensity)  # arrivals, on average
     gap_rng = _rng_for(seed, replication)
-    service_rng = Generator(gap_rng.bit_generator.jumped())
+    service_rng = _rng_for(seed, replication, _SERVICES)
     last = top = 0.0  # the last arrival and M, in the current frame
     started = False   # a cycle is in progress, started at 0 in the frame
     run = 0           # arrivals since the last start
@@ -232,18 +237,18 @@ def _replication_sums(params: QueueParameters, n_cycles: int, seed: int,
     """``_accumulate`` of each replication, in replication order.
 
     Replications run on up to _MAX_WORKERS threads, one per usable CPU,
-    when each has at least _THREADED_CYCLES cycles, and on the calling
-    thread alone otherwise.  The calling thread works too, and helpers each
-    run under a copy of the caller's context, all joined before this
-    returns.  (Looping over the oracle benchmark's configurations, an idle
-    caller with two pool threads kept one allocator arena more and peaked
-    about 2 MB higher.)  A thread claims a replication only while no
-    replication has raised, and runs every replication it claims, so the
-    error of the lowest replication that raised is raised, as a run one at
-    a time would.
+    when each expects at least _THREADED_ARRIVALS arrivals (n_cycles
+    e^rho), and on the calling thread alone otherwise.  The calling thread
+    works too, and helpers each run under a copy of the caller's context,
+    all joined before this returns.  (Looping over the oracle benchmark's
+    configurations, an idle caller with two pool threads kept one
+    allocator arena more and peaked about 2 MB higher.)  A thread claims a
+    replication only while no replication has raised, and runs every
+    replication it claims, so the error of the lowest replication that
+    raised is raised, as a run one at a time would.
     """
     workers = min(replications, _usable_cpus(), _MAX_WORKERS)
-    if n_cycles < _THREADED_CYCLES:
+    if n_cycles * math.exp(params.traffic_intensity) < _THREADED_ARRIVALS:
         workers = 1
     results = [None] * replications
     claims = itertools.count()
@@ -284,10 +289,10 @@ def estimate_beta_c(params: QueueParameters, n_cycles: int, seed: int,
 
     ``n_cycles`` cycles are generated per replication; replications use
     independently keyed streams and their sums are pooled in replication
-    order before the single ratio is formed.  Replications of at least
-    ``_THREADED_CYCLES`` cycles run on up to one thread per usable CPU, at
-    most ``_MAX_WORKERS`` (2), each holding a few arrays of at most
-    ``_CHUNK`` floats, whatever ``n_cycles`` is.
+    order before the single ratio is formed.  Replications that expect at
+    least ``_THREADED_ARRIVALS`` arrivals (n_cycles e^rho) run on up to one
+    thread per usable CPU, at most ``_MAX_WORKERS`` (2), each holding a few
+    arrays of at most ``_CHUNK`` floats, whatever ``n_cycles`` is.
     The result has the same bits as a run one at a time, but the service
     quantile (and a user's cdf) may be called from two threads at once.
     An error in a replication is raised once every thread has stopped, the

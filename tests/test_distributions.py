@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 import busycycle as bc
-from busycycle import distributions
+from busycycle import distributions, simulator
 from busycycle.distributions import _li2_one_minus_exp
 from busycycle.errors import (
     AccuracyError,
@@ -679,6 +679,13 @@ def test_user_quantile_contract_on_random_draws(label, cdf, mean, end,
         assert 0.5 <= float(dist.quantile_fn(0.5)) <= 0.5 + 1e-14
 
 
+# cdf points per draw: 3 for a draw that passes its first check (the
+# guess, then q - tol and q), 2 more for one that needs the second; the
+# cubic guess with three refining steps took 5.00 to 6.79
+CDF_POINTS_PER_DRAW = {"exponential": 3.7, "uniform01": 3.0, "power_c25": 3.0,
+                       "power_c05": 3.05, "weibull_half": 4.0, "kumaraswamy": 3.7}
+
+
 @pytest.mark.parametrize("label,cdf,mean,end,bounded_density", USER_LAWS)
 def test_user_quantile_evaluates_few_cdf_points_per_draw(label, cdf, mean, end,
                                                          bounded_density):
@@ -691,7 +698,29 @@ def test_user_quantile_evaluates_few_cdf_points_per_draw(label, cdf, mean, end,
     dist = bc.make_distribution(counted, mean=mean, support_end=end)
     evaluated[0] = 0  # construction's table is not counted
     dist.quantile_fn(np.random.default_rng(17).random(4096))
-    assert evaluated[0] / 4096 <= 8.0, (label, evaluated[0] / 4096)
+    per_draw = evaluated[0] / 4096
+    assert per_draw <= CDF_POINTS_PER_DRAW[label], (label, per_draw)
+
+
+@pytest.mark.parametrize("label,cdf,mean,end,bounded_density", USER_LAWS)
+def test_user_panel_slopes_are_the_panels_own(label, cdf, mean, end,
+                                              bounded_density, monkeypatch):
+    # a panel's G', G'' and roughness have the same bits computed alone and
+    # within the whole table, so the quantile's table does not depend on
+    # how many panels it has
+    panels = []
+    build = distributions._inverse_table
+    monkeypatch.setattr(distributions, "_inverse_table",
+                        lambda *args: panels.append(args) or build(*args))
+    bc.make_distribution(cdf, mean=mean, support_end=end).quantile_fn(0.5)
+    edges, x, g_x, g_edges = panels[0]
+    g = np.concatenate((g_edges[:-1, None], g_x, g_edges[1:, None]), axis=1)
+    width = np.diff(edges)
+    whole = distributions._panel_slopes(g, width)
+    for p in range(width.size):
+        alone = distributions._panel_slopes(g[p:p + 1], width[p:p + 1])
+        for part, row in zip(alone, whole):
+            assert part[0].tobytes() == row[p].tobytes(), (label, p)
 
 
 def test_user_table_is_built_in_few_cdf_calls():
@@ -735,8 +764,8 @@ def _spy_on_inverse_table(monkeypatch):
     built = []
     build = distributions._inverse_table
 
-    def spy(t_tab, g_tab):
-        built.append(build(t_tab, g_tab))
+    def spy(*args):
+        built.append(build(*args))
         return built[-1]
 
     monkeypatch.setattr(distributions, "_inverse_table", spy)
@@ -812,6 +841,44 @@ def test_user_quantile_first_draw_from_several_threads(label, cdf, mean, end,
         assert x is not None and np.array_equal(x, serial), label
 
 
+class _CdfOutage(Exception):
+    """An error of the user's cdf, not of busycycle."""
+
+
+def test_cdf_errors_after_construction_pass_through(monkeypatch):
+    # the cdf works while the law is built, then raises its own error:
+    # every later caller sees that very exception, and the threads a
+    # simulation starts are all joined
+    outage = _CdfOutage("the cdf's data source is gone")
+    down = [False]
+
+    def cdf(t):
+        if down[0]:
+            raise outage
+        return _exp_cdf(t)
+
+    dist = bc.make_distribution(cdf, mean=0.5)
+    down[0] = True
+    calls = [
+        lambda: dist.quantile_fn(np.array([0.3, 0.9])),  # the first draw
+        lambda: dist.quantile_fn(0.5),  # a later one, tables built
+        lambda: dist.residual_tail_fn(np.array([0.1, 2.0])),
+        lambda: bc.beta_c(bc.QueueParameters(2.0, dist)),
+    ]
+    for call in calls:
+        with pytest.raises(_CdfOutage) as info:
+            call()
+        assert info.value is outage
+    monkeypatch.setattr(simulator, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(simulator, "_THREADED_ARRIVALS", 0)
+    before = threading.active_count()
+    with pytest.raises(_CdfOutage) as info:
+        bc.estimate_beta_c(bc.QueueParameters(2.0, dist), 1000, seed=1,
+                           replications=2)
+    assert info.value is outage
+    assert threading.active_count() == before
+
+
 def test_user_residual_tail_matches_closed_form():
     dist = bc.make_distribution(_weibull_half_cdf, mean=0.5)
     t = np.array([0.0, 1e-9, 0.01, 0.3, 2.0, 40.0, 400.0])
@@ -851,6 +918,23 @@ def test_user_cdf_validation():
     # a defective law never reaches 1: a typed error, not a hang
     with pytest.raises(AccuracyError):
         bc.make_distribution(lambda t: 0.5 * _exp_cdf(t), mean=0.5)
+
+
+@pytest.mark.parametrize("label,cdf,mean,end", [
+    ("uniform on [0, 1e300]", lambda t: np.clip(t / 1e300, 0.0, 1.0), 5e299, 1e300),
+    ("exponential of mean 1e-200", lambda t: -np.expm1(-np.maximum(t, 0.0) / 1e-200),
+     1e-200, math.inf)])
+def test_user_quantile_on_panels_far_from_unit_width(label, cdf, mean, end):
+    # G'' of a panel 1e300 or 1e-200 wide leaves the float range: the table
+    # is built without a float warning and the draws keep the contract
+    dist = bc.make_distribution(cdf, mean=mean, support_end=end)
+    u = np.random.default_rng(31).random(2000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = dist.quantile_fn(u)
+    assert np.all(cdf(q) >= u), label
+    left = np.maximum(q - (1e-14 + 4.0 * np.finfo(float).eps * q), 0.0)
+    assert np.all((cdf(left) < u) | (q == 0.0)), label
 
 
 def test_declared_moments_pass_with_a_support_end_near_the_float_limit():

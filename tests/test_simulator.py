@@ -95,6 +95,17 @@ def _sums(chunks):
     return sums
 
 
+@pytest.mark.parametrize("seed,replication", [(0, 0), (42, 0), (9, 1),
+                                              (2**64 - 1, 0), (2**64 - 1, 3),
+                                              (12345, 2**63)])
+def test_service_substream_starts_where_jumped_would(seed, replication):
+    # the simulator sets the service stream's Philox counter to 2^128; the
+    # reference reaches the same place through jumped()
+    want = _substreams(seed, replication)[1].random(10_000)
+    got = simulator._rng_for(seed, replication, simulator._SERVICES)
+    assert np.array_equal(got.random(10_000), want)
+
+
 def test_single_cycle_is_reproducible_and_pinned():
     # Philox key (42, 0), followed by hand in scalar arithmetic.  Its gap
     # uniforms are 0.820, 0.189, 0.868, ... and its service uniforms
@@ -605,7 +616,7 @@ def test_concurrent_replications_keep_every_bit(label, make, chunk,
     # progress across several chunk boundaries
     if chunk:
         monkeypatch.setattr(simulator, "_CHUNK", chunk)
-    monkeypatch.setattr(simulator, "_THREADED_CYCLES", 0)
+    monkeypatch.setattr(simulator, "_THREADED_ARRIVALS", 0)
     names = _threads_of(monkeypatch)
     params = make()
     for replications in (2, 3, 4):
@@ -626,20 +637,23 @@ def test_concurrent_replications_keep_every_bit(label, make, chunk,
 
 
 def test_small_batches_keep_replications_on_the_calling_thread(monkeypatch):
+    # threads are chosen by expected arrivals, n_cycles e^rho: the same
+    # 4000 cycles are about 4200 arrivals at rho = 0.05 and 594 000 at 5
     names = _threads_of(monkeypatch)
     monkeypatch.setattr(simulator, "_usable_cpus", lambda: 2)
-    bc.estimate_beta_c(_params_exp(), simulator._THREADED_CYCLES - 1, seed=4,
-                       replications=2)
+    assert 4000 * math.exp(0.05) < simulator._THREADED_ARRIVALS <= 4000 * math.exp(5.0)
+    bc.estimate_beta_c(bc.QueueParameters(1.0, bc.exponential(0.05)), 4000,
+                       seed=4, replications=2)
     assert set(names.values()) == {threading.main_thread().name}
     names.clear()
-    bc.estimate_beta_c(_params_exp(), simulator._THREADED_CYCLES, seed=4,
-                       replications=2)
+    bc.estimate_beta_c(bc.QueueParameters(1.0, bc.exponential(5.0)), 4000,
+                       seed=4, replications=2)
     assert set(names.values()) != {threading.main_thread().name}
 
 
 def test_concurrent_errors_match_the_serial_run_and_leave_no_thread(
         monkeypatch):
-    monkeypatch.setattr(simulator, "_THREADED_CYCLES", 0)
+    monkeypatch.setattr(simulator, "_THREADED_ARRIVALS", 0)
     monkeypatch.setattr(simulator, "EVENT_CAP", 3)
     params = bc.QueueParameters(1.0, bc.exponential(3.0))
     before = threading.active_count()
@@ -682,7 +696,7 @@ def test_a_helper_paused_around_its_claim_still_runs_what_it_claims(
     # a helper that loses the interpreter in its check for an error, while
     # the calling thread runs out of replications and sets the stop flag,
     # must still run every replication it claims
-    monkeypatch.setattr(simulator, "_THREADED_CYCLES", 0)
+    monkeypatch.setattr(simulator, "_THREADED_ARRIVALS", 0)
     monkeypatch.setattr(simulator, "_usable_cpus", lambda: 2)
     serial = [simulator._accumulate(_params_exp(), 1000, 3, r)
               for r in range(3)]
@@ -702,7 +716,7 @@ def test_a_helper_paused_around_its_claim_still_runs_what_it_claims(
 
 
 def test_replications_run_on_at_most_two_threads(monkeypatch):
-    monkeypatch.setattr(simulator, "_THREADED_CYCLES", 0)
+    monkeypatch.setattr(simulator, "_THREADED_ARRIVALS", 0)
     monkeypatch.setattr(simulator, "_usable_cpus", lambda: 8)
     names = _threads_of(monkeypatch)
     bc.estimate_beta_c(_params_exp(), 1000, seed=2, replications=8)
@@ -732,7 +746,7 @@ def test_a_replication_works_in_about_four_arrays_of_its_cycles():
 def test_each_replication_runs_once_under_thread_switching(monkeypatch):
     # more threads than cores and a tiny switch interval: a replication
     # claimed twice or never would move the bits or the count
-    monkeypatch.setattr(simulator, "_THREADED_CYCLES", 0)
+    monkeypatch.setattr(simulator, "_THREADED_ARRIVALS", 0)
     runs = []
     accumulate = simulator._accumulate
 
