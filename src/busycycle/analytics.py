@@ -38,7 +38,6 @@ __all__ = [
     "beta_c",
 ]
 
-DEFAULT_SERIES_TOL = 1e-10
 DEFAULT_QUAD_TOL = 1e-9
 
 
@@ -87,30 +86,32 @@ def mean_busy_period(params: QueueParameters) -> float:
 # series engines
 # ---------------------------------------------------------------------------
 
-def exp_series(rho: float, tol: float = DEFAULT_SERIES_TOL) -> float:
-    """S(rho) = sum_{n>=1} rho^n / (n * n!).
+def exp_series(rho: float):
+    """(S(rho), abs error estimate), S(rho) = sum_{n>=1} rho^n / (n * n!).
 
     Terms follow the recurrence t_n = t_{n-1} * rho * (n-1) / n^2 and are
-    accumulated with compensated summation, which keeps the sum accurate
-    up to rho = 50 and beyond (the peak term stays far below overflow).
-    rho must be finite and >= 0, and tol finite and > 0.
+    accumulated with compensated summation to float resolution, which keeps
+    the sum accurate up to its overflow (the peak term stays far below
+    it).  rho must be finite and >= 0.
     """
     rho = _number(rho, "rho", "finite and >= 0")
-    tol = _number(tol, "tol")  # an infinite tol ends a series at its first terms
-    if rho == 0.0:
-        return 0.0
-    return _positive_series(rho, rho, tol, 1, -1, 1, 0)[0]
+    return _positive_series(rho, rho, 1, -1, 1, 0)
 
 
-def _positive_series(rho: float, first: float, tol: float,
-                     a: int, b: int, c: int, d: int):
-    """(sum, first omitted term) of the all-positive series t_1 + t_2 + ...
+def _positive_series(rho: float, first: float, a: int, b: int, c: int, d: int):
+    """(sum, abs error estimate) of the all-positive series t_1 + t_2 + ...
     with t_1 = ``first`` and t_n = t_(n-1) rho (a n + b) / (n (c n + d)),
     by compensated summation.  The ratio comes as four integers, not a
     callback, so a term costs no call and its integer factors are exact.
-    The sum stops past n > rho once a term falls under tol/4 of the total;
-    DomainError at the first total that is not finite.
+    The sum stops past n > rho at the first term t_n at most eps/4 of the
+    total (``<=``, so a subnormal rho, whose terms underflow to 0, stops
+    too); DomainError at the first total that is not finite.
+
+    The estimate is 4 t_n for the omitted tail plus (n + 2) eps of the
+    total for the rounding: each term carries the roundings of the
+    products before it, so the rounding charge grows with the term count.
     """
+    eps = sys.float_info.epsilon
     total = 0.0
     comp = 0.0
     term = first
@@ -125,16 +126,11 @@ def _positive_series(rho: float, first: float, tol: float,
             raise DomainError(f"rho = {rho:g}: S(rho) overflows the float range")
         n += 1
         term *= rho * (a * n + b) / (n * (c * n + d))
-        if n > rho and term < 0.25 * tol * total:
-            return total, term
-        if n > 200000:  # cannot happen for sane rho; guards the loop
-            raise AccuracyError(
-                f"positive series at rho = {rho} did not converge", total, term
-            )
+        if n > rho and term <= 0.25 * eps * total:
+            return total, 4.0 * term + (n + 2) * eps * total
 
 
-def power_double_series(arrival_rate: float, c: float,
-                        tol: float = DEFAULT_SERIES_TOL):
+def power_double_series(arrival_rate: float, c: float):
     """(beta_c, abs error estimate) for the power-function service law.
 
     The underlying expansion of the cycle integral over the [0, 1] support is
@@ -154,9 +150,8 @@ def power_double_series(arrival_rate: float, c: float,
     """
     lam = _number(arrival_rate, "arrival_rate")
     c = _number(c, "c")
-    tol = _number(tol, "tol")
     _check_rho(lam * c / (c + 1.0))
-    beta, err = _power_beta_series(lam, c, tol)
+    beta, err = _power_beta_series(lam, c)
     bc = beta + 1.0 / lam
     err += math.ulp(bc)
     if not (math.isfinite(bc) and math.isfinite(err)):  # 1/lam overflowed
@@ -165,22 +160,21 @@ def power_double_series(arrival_rate: float, c: float,
     return bc, err
 
 
-def _power_beta_series(lam: float, c: float, tol: float):
+def _power_beta_series(lam: float, c: float):
     """(beta, abs error estimate) for the power member via series.
 
-    For c != 1 the k-sum of ``power_double_series`` is summed inside its
-    integral: sum_k (-lam)^k M_k / k! = int_0^1 e^(-lam h(t)) dt with
-    h(t) = t - t^(c+1)/(c+1), so no term alternates.  Its part past k = 0,
-    s = int_0^1 expm1(-lam h(t)) dt, is refined to 1e-15 of itself after
-    t = v^2 softens the t^(c+1) kink at 0, whatever ``tol`` (which steers
-    only the c = 1 sum), and beta = expm1(rho) + e^rho s.  The estimate is
-    e^rho times the integral's, plus 16 eps of expm1(rho) + e^rho |s| for
-    the rounding.
+    For c = 1, beta is the all-positive series of ``_positive_series``,
+    with its estimate.  For c != 1 the k-sum of ``power_double_series`` is
+    summed inside its integral: sum_k (-lam)^k M_k / k! =
+    int_0^1 e^(-lam h(t)) dt with h(t) = t - t^(c+1)/(c+1), so no term
+    alternates.  Its part past k = 0, s = int_0^1 expm1(-lam h(t)) dt, is
+    refined to 1e-15 of itself after t = v^2 softens the t^(c+1) kink at
+    0, and beta = expm1(rho) + e^rho s.  The estimate is e^rho times the
+    integral's, plus 16 eps of expm1(rho) + e^rho |s| for the rounding.
     """
     rho = lam * c / (c + 1.0)
     if c == 1.0:  # sum_{k>=1} rho^k / (k! (2k+1)): all terms positive
-        total, term = _positive_series(rho, rho / 3.0, tol, 2, -1, 2, 1)
-        return total, term * 4.0 + 4e-16 * total
+        return _positive_series(rho, rho / 3.0, 2, -1, 2, 1)
 
     def h(v):  # t (c - expm1(c ln t)) / (c+1) at t = v^2, free of cancellation
         return v * v * (c - np.expm1(2.0 * c * np.log(v))) / (c + 1.0)
@@ -240,25 +234,23 @@ def beta_quadrature(params: QueueParameters, tol: float = DEFAULT_QUAD_TOL):
 # closed forms and the dispatching front end
 # ---------------------------------------------------------------------------
 
-def beta_closed_form(params: QueueParameters,
-                     tol: float = DEFAULT_SERIES_TOL):
+def beta_closed_form(params: QueueParameters):
     """(beta, method, abs error) via the member-specific closed form/series.
 
     Raises UnsupportedClosedFormError for laws outside the catalog.
     """
-    tol = _number(tol, "tol")
     lam = params.arrival_rate
     rho = params.traffic_intensity
     kind = params.service.spec.get("type")
     if rho == 0.0:
         return 0.0, "closed-form", 0.0
-    if kind == "exponential":
-        s = exp_series(rho, tol)
-        beta = params.service.mean * s
-        return beta, "series", beta * max(tol, 4e-16)
+    if kind == "exponential":  # beta = mean S(rho)
+        s, err = exp_series(rho)
+        mean = params.service.mean
+        return mean * s, "series", mean * err
     if kind in ("power", "uniform01"):
         c = params.service.spec.get("c", 1.0)
-        beta, err = _power_beta_series(lam, c, tol)
+        beta, err = _power_beta_series(lam, c)
         return beta, "series", err
     if kind == "deterministic":
         if rho < 1.0:  # (rho^2/2)(1 + rho/3 (1 + rho/4 (...))), no cancellation
@@ -281,18 +273,16 @@ def beta_closed_form(params: QueueParameters,
 
 
 def beta_c(params: QueueParameters, strategy: str = "auto",
-           series_tol: float = DEFAULT_SERIES_TOL,
            quad_tol: float = DEFAULT_QUAD_TOL) -> BusyCycleMetrics:
     """Full metrics bundle for one configuration.
 
     ``strategy`` is one of "auto" (closed forms where available, quadrature
-    otherwise), "closed-form", or "quadrature".  Both tolerances must be
-    finite and positive, whichever engine runs.
+    otherwise), "closed-form", or "quadrature".  ``quad_tol`` steers the
+    quadrature only, and must be finite and positive whichever engine runs.
     """
     if strategy not in ("auto", "closed-form", "quadrature"):
         raise DomainError(f"unknown strategy {strategy!r}")
     # checked up front: auto may never reach quadrature
-    series_tol = _number(series_tol, "series_tol")
     quad_tol = _number(quad_tol, "quad_tol")
     lam = params.arrival_rate
     rho = params.traffic_intensity
@@ -301,12 +291,12 @@ def beta_c(params: QueueParameters, strategy: str = "auto",
         # idle-only queue: Z is exponential(lam)
         beta, method, err = 0.0, "closed-form", 0.0
     elif strategy == "closed-form":
-        beta, method, err = beta_closed_form(params, series_tol)
+        beta, method, err = beta_closed_form(params)
     else:
         method = "quadrature"
         if strategy == "auto":
             try:
-                beta, method, err = beta_closed_form(params, series_tol)
+                beta, method, err = beta_closed_form(params)
             except (AccuracyError, UnsupportedClosedFormError):
                 pass
         if method == "quadrature":

@@ -7,7 +7,7 @@
     busycycle compare  --lambda 2 --dist ... --cycles 200000 --seed 7
 
 A JSON config file (--config) is a set of flags: its keys are the command's
-long option names with underscores (e.g. {"lambda": 2, "tol_series": 1e-12,
+long option names with underscores (e.g. {"lambda": 2, "tol_quad": 1e-12,
 "no_reference": true, "dist": {...}}).  Switches take true or false; any
 other value is read as its string or JSON text, and is checked exactly as
 that flag's text is (so "cycles": 1000.0 is a usage error, like --cycles
@@ -160,8 +160,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="only --rho 0 is accepted: the idle-only limit")
     sp.add_argument("--strategy", choices=["auto", "closed-form", "quadrature"],
                     default="auto")
-    sp.add_argument("--tol-series", dest="tol_series", type=float,
-                    default=analytics.DEFAULT_SERIES_TOL)
     sp.add_argument("--tol-quad", dest="tol_quad", type=float,
                     default=analytics.DEFAULT_QUAD_TOL)
 
@@ -231,8 +229,7 @@ def _bound_pairs(report) -> list:
 
 def run_metrics(args: argparse.Namespace, parser) -> int:
     params = _queue_from(args, parser)
-    m = analytics.beta_c(params, args.strategy,
-                         series_tol=args.tol_series, quad_tol=args.tol_quad)
+    m = analytics.beta_c(params, args.strategy, quad_tol=args.tol_quad)
     pairs = _queue_pairs(params) + [
         ("E[Z]", fmt(m.e_z)),
         ("E[B]", fmt(m.e_b)),

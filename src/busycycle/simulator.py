@@ -367,9 +367,13 @@ def time_average_age(cycles) -> float:
     z = _floats(cycles, "cycle lengths")
     if z.size == 0:
         raise DomainError("need at least one cycle length")
-    with np.errstate(over="ignore", invalid="ignore"):
+    # scaled by the power of 2 that brings the largest length into
+    # [1/2, 1), so its square neither overflows nor underflows; the scaling
+    # is exact but for lengths some 2^1022 below the largest
+    e = math.frexp(float(z.max()))[1]
+    z = np.ldexp(z, -e)
+    with np.errstate(invalid="ignore"):
         value = float((z * z).sum() / (2.0 * z.sum()))
-    if not math.isfinite(value):  # all zero, infinite, or Z^2 overflows
-        raise DomainError("cycle lengths must be finite and not all zero, "
-                          "and their squares must sum to a float")
-    return value
+    if not math.isfinite(value):  # all zero or infinite
+        raise DomainError("cycle lengths must be finite and not all zero")
+    return math.ldexp(value, e)

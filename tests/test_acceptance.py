@@ -175,8 +175,7 @@ def _check_golden_cell(cell, got, registry):
 def test_criterion_1_golden_cells():
     t0 = time.perf_counter()
     computed = [
-        bc.beta_c(_member(row, lam, alpha), "closed-form",
-                  series_tol=1e-12).beta_c
+        bc.beta_c(_member(row, lam, alpha), "closed-form").beta_c
         for _, row, lam, alpha, _, _ in GOLDEN_CELLS
     ]
     elapsed = time.perf_counter() - t0
@@ -338,7 +337,7 @@ def test_criterion_4_closed_form_vs_quadrature():
             _member("power", 2.0 * rho, 0.5),
         ]
         for params in members:
-            cf = bc.beta_c(params, "closed-form", series_tol=1e-12).beta_c
+            cf = bc.beta_c(params, "closed-form").beta_c
             qd = bc.beta_c(params, "quadrature", quad_tol=1e-10).beta_c
             worst = max(worst, _rel(cf, qd))
     elapsed = time.perf_counter() - t0
@@ -432,13 +431,12 @@ def test_criterion_7_properties():
             _member("special_b", 1.0, 1.0),
             _member("power", 2.0, 0.5),
         ):
-            ref = bc.beta_c(params, series_tol=1e-12).beta_c
+            ref = bc.beta_c(params).beta_c
             scaled = bc.QueueParameters(
                 params.arrival_rate / k, bc.scale(params.service, k))
             strategy = ("quadrature"
                         if scaled.service.spec["type"] == "scaled" else "auto")
-            got = bc.beta_c(scaled, strategy, series_tol=1e-12,
-                            quad_tol=1e-12).beta_c
+            got = bc.beta_c(scaled, strategy, quad_tol=1e-12).beta_c
             assert got == pytest.approx(k * ref, rel=1e-10), \
                 (params.service.name, k)
 

@@ -7,6 +7,7 @@ QUADPACK) which are implementations independent of the package engines.
 
 import dataclasses
 import math
+import statistics
 import time
 import warnings
 
@@ -16,7 +17,7 @@ import pytest
 from scipy import integrate, special
 
 import busycycle as bc
-from busycycle.analytics import _power_beta_series
+from busycycle.analytics import _power_beta_series, beta_closed_form
 from busycycle.errors import (
     AccuracyError,
     DomainError,
@@ -63,26 +64,24 @@ def _members_for(rho):
 # ---------------------------------------------------------------------------
 
 def test_exp_series_examples():
-    assert bc.exp_series(0.0) == 0.0
-    assert bc.exp_series(0.5) == pytest.approx(0.57015142052158603, rel=1e-10)
-    assert bc.exp_series(1.0) == pytest.approx(1.3179021514544039, rel=1e-10)
+    assert bc.exp_series(0.0) == (0.0, 0.0)
+    assert bc.exp_series(0.5)[0] == pytest.approx(0.57015142052158603, rel=1e-10)
+    assert bc.exp_series(1.0)[0] == pytest.approx(1.3179021514544039, rel=1e-10)
     with pytest.raises(DomainError):
         bc.exp_series(-0.1)
-    with pytest.raises(DomainError):
-        bc.exp_series(1.0, tol=0.0)
 
 
 @pytest.mark.parametrize("rho", [0.5, 1.0, 5.0, 10.0, 50.0])
 def test_exp_series_against_exponential_integral_oracle(rho):
     # independent oracle: S(rho) = Ei(rho) - gamma - ln(rho)
     oracle = special.expi(rho) - np.euler_gamma - math.log(rho)
-    assert bc.exp_series(rho, tol=1e-13) == pytest.approx(oracle, rel=1e-10)
-    assert bc.exp_series(rho, tol=1e-13) == pytest.approx(S_TABLE[rho], rel=1e-10)
+    assert bc.exp_series(rho)[0] == pytest.approx(oracle, rel=1e-10)
+    assert bc.exp_series(rho)[0] == pytest.approx(S_TABLE[rho], rel=1e-10)
 
 
 def test_exp_series_stability_at_fifty():
     # magnitude ~1e20 must still carry 8+ significant digits
-    assert bc.exp_series(50.0, tol=1e-13) == pytest.approx(
+    assert bc.exp_series(50.0)[0] == pytest.approx(
         1.0585636897131691e20, rel=1e-10
     )
 
@@ -90,10 +89,43 @@ def test_exp_series_stability_at_fifty():
 def test_exp_series_past_the_float_range_is_a_domain_error():
     # the running sum overflowed to inf and then nan, so the stopping test
     # never held: 200 000 terms, then an AccuracyError
-    assert bc.exp_series(712.0) == pytest.approx(2.3216800838e306, rel=1e-9)
+    assert bc.exp_series(712.0)[0] == pytest.approx(2.3216800838e306, rel=1e-9)
     for rho in (720.0, 1e308):
         with pytest.raises(DomainError, match="overflows the float range"):
             bc.exp_series(rho)
+
+
+def test_exp_series_at_subnormal_rho_is_its_first_term():
+    # the stopping test "term < tol/4 * total" never held once its right
+    # side underflowed: 200 000 terms, then an AccuracyError
+    assert bc.exp_series(5e-324) == (5e-324, 0.0)
+    assert bc.exp_series(1e-320) == (1e-320, 0.0)
+
+
+def test_series_error_estimates_cover_mpmath_on_grid():
+    # both all-positive series, summed to float resolution: the closed-form
+    # exponential beta = rho S(rho) at lambda = 1 and the c = 1 power series
+    # sum_{k>=1} rho^k / (k! (2k+1)) = 1F1(1/2; 3/2; rho) - 1, against
+    # 40-digit hypergeometric values; both once missed at rho = 709
+    misses, ratios = [], []
+    with mpmath.workdps(40):
+        for rho in map(float, np.geomspace(1e-10, 709.0, 60)):
+            beta, method, err = beta_closed_form(
+                bc.QueueParameters(1.0, bc.exponential(rho)))
+            assert (method, beta, err) == (
+                "series", *(rho * x for x in bc.exp_series(rho)))
+            ref = mpmath.mpf(rho) ** 2 * mpmath.hyp2f2(1, 1, 2, 2, rho)
+            power_beta, power_err = _power_beta_series(2.0 * rho, 1.0)
+            power_ref = mpmath.hyp1f1(0.5, 1.5, rho) - 1
+            for label, value, estimate, exact in (
+                    ("exponential", beta, err, ref),
+                    ("power c = 1", power_beta, power_err, power_ref)):
+                actual = float(abs(value - exact))
+                if actual > estimate:
+                    misses.append((label, rho, actual / estimate))
+                ratios.append(estimate / actual if actual else math.inf)
+    assert not misses
+    assert statistics.median(ratios) <= 1e3
 
 
 def test_power_series_c1_frozen_grid():
@@ -107,17 +139,17 @@ def test_power_series_c1_frozen_grid():
     }
     for rho, beta in expected.items():
         lam = 2.0 * rho
-        assert bc.power_double_series(lam, 1.0, tol=1e-12)[0] == pytest.approx(
+        assert bc.power_double_series(lam, 1.0)[0] == pytest.approx(
             beta + 1.0 / lam, rel=1e-10
         )
 
 
 def test_power_series_c1_large_rho_stable():
     # all-positive regrouping keeps c=1 usable at high intensity
-    assert bc.power_double_series(20.0, 1.0, tol=1e-12)[0] == pytest.approx(
+    assert bc.power_double_series(20.0, 1.0)[0] == pytest.approx(
         1167.28046358, rel=1e-9
     )
-    assert bc.power_double_series(100.0, 1.0, tol=1e-12)[0] == pytest.approx(
+    assert bc.power_double_series(100.0, 1.0)[0] == pytest.approx(
         5.23819176218e19, rel=1e-9
     )
 
@@ -126,7 +158,7 @@ def test_power_series_c1_large_rho_stable():
                                    (2.0, 2.0), (1e-3, 2.0)])
 def test_power_series_general_c_matches_quadrature(lam, c):
     params = bc.QueueParameters(lam, bc.power_function(c))
-    series = bc.power_double_series(lam, c, tol=1e-12)[0]
+    series = bc.power_double_series(lam, c)[0]
     quad = bc.beta_quadrature(params, tol=1e-11)[0] + 1.0 / lam
     assert series == pytest.approx(quad, rel=1e-8)
 
@@ -153,7 +185,7 @@ def test_power_series_error_estimate_covers_mpmath_on_grid():
         for c, rho in grid:
             lam = rho * (c + 1.0) / c
             ref = _mp_power_beta(lam, c)
-            beta, err = _power_beta_series(lam, c, 1e-10)
+            beta, err = _power_beta_series(lam, c)
             if abs(beta - ref) > err:
                 misses.append((c, rho, float(abs(beta - ref)) / err))
     assert not misses
@@ -193,7 +225,7 @@ def test_power_series_past_rho_six_answers_or_refuses_cleanly():
               for c in map(float, np.geomspace(0.05, 20.0, 12))
               for rho in map(float, np.geomspace(6.0, 60.0, 12))]
     for lam, c in points + [(71.07629936490926, 3.1622776601683795), (242.0, 0.1)]:
-        beta, err = _power_beta_series(lam, c, 1e-10)
+        beta, err = _power_beta_series(lam, c)
         assert 0.0 < err <= 1e-10 * beta, (lam, c)
 
 
@@ -517,17 +549,6 @@ def test_support_search_that_never_ends_raises():
         bc.beta_quadrature(bc.QueueParameters(1.0, flat))
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
-def test_series_tolerance_must_be_positive(tol):
-    # a series stopped by "term < tol * total" never ends without tol > 0
-    for dist in (bc.uniform01(), bc.power_function(2.0), bc.power_function(0.5),
-                 bc.exponential(0.5)):
-        with pytest.raises(DomainError):
-            bc.beta_c(bc.QueueParameters(1.0, dist), series_tol=tol)
-    with pytest.raises(DomainError):
-        bc.power_double_series(1.0, 2.0, tol=tol)
-
-
 def test_beta_c_rejects_moments_past_the_float_range():
     # rho = 700 is a valid queue, but E[Z^2] ~ 1e608 is not a float
     with pytest.raises(DomainError):
@@ -547,7 +568,7 @@ def test_beta_c_degenerate_rho_zero():
 @pytest.mark.parametrize("rho", GRID_RHO)
 def test_closed_form_vs_quadrature_full_grid(rho):
     for label, params in _members_for(rho):
-        cf = bc.beta_c(params, "closed-form", series_tol=1e-12)
+        cf = bc.beta_c(params, "closed-form")
         qd = bc.beta_c(params, "quadrature", quad_tol=1e-10)
         rel = abs(cf.beta_c - qd.beta_c) / cf.beta_c
         assert rel <= 1e-8, f"{label} rho={rho}: {rel:.2e}"
@@ -571,12 +592,12 @@ def test_scale_covariance():
     # beta_c(lam/k, k-scaled service) = k * beta_c(lam, service)
     for k in (0.5, 2.0, 10.0):
         for label, params in _members_for(1.0):
-            ref = bc.beta_c(params, series_tol=1e-12).beta_c
+            ref = bc.beta_c(params).beta_c
             scaled = bc.QueueParameters(
                 params.arrival_rate / k, bc.scale(params.service, k)
             )
             strategy = "auto" if scaled.service.spec["type"] != "scaled" else "quadrature"
-            got = bc.beta_c(scaled, strategy, quad_tol=1e-12, series_tol=1e-12).beta_c
+            got = bc.beta_c(scaled, strategy, quad_tol=1e-12).beta_c
             assert got == pytest.approx(k * ref, rel=1e-10), (label, k)
 
 
@@ -621,7 +642,7 @@ def test_quadrature_agrees_at_extreme_intensity():
         bc.QueueParameters(100.0, bc.power_function(1.0)),
     ]
     for params in cases:
-        cf = bc.beta_c(params, "closed-form", series_tol=1e-12).beta_c
+        cf = bc.beta_c(params, "closed-form").beta_c
         qd = bc.beta_c(params, "quadrature", quad_tol=1e-10).beta_c
         assert qd == pytest.approx(cf, rel=1e-9), params.service.name
 

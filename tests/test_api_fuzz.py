@@ -39,11 +39,11 @@ FUZZ = {
     "QueueParameters": (lambda arrival_rate: bc.QueueParameters(arrival_rate, EXP),
                         {"arrival_rate": 1.0}),
     "beta_c": (lambda **kw: bc.beta_c(QUEUE, **kw),
-               {"series_tol": 1e-10, "quad_tol": 1e-9}),
+               {"strategy": "auto", "quad_tol": 1e-9}),
     "beta_quadrature": (lambda tol: bc.beta_quadrature(QUEUE, tol), {"tol": 1e-9}),
-    "exp_series": (bc.exp_series, {"rho": 1.0, "tol": 1e-10}),
+    "exp_series": (bc.exp_series, {"rho": 1.0}),
     "power_double_series": (bc.power_double_series,
-                            {"arrival_rate": 1.0, "c": 2.0, "tol": 1e-10}),
+                            {"arrival_rate": 1.0, "c": 2.0}),
     "sathe_interval": (bc.sathe_interval,
                        {"arrival_rate": 1.0, "mean_service": 1.0, "scv": 1.0}),
     "proposition1": (bc.proposition1, {"rho": 1.0, "scv": 1.0}),

@@ -134,10 +134,6 @@ def test_usage_errors_exit_2(capsys):
     # typed engine errors: one "error:" line on stderr, nothing on stdout
     for argv in (
         ["metrics", "--lambda", "1", "--dist", '{"type":"exponential","mean":700}'],
-        ["metrics", "--lambda", "1", "--dist", '{"type":"uniform01"}',
-         "--tol-series", "0"],
-        ["metrics", "--lambda", "1", "--dist", '{"type":"power","c":2}',
-         "--tol-series", "nan"],
         ["metrics", "--lambda", "1e-200", "--rho", "0"],  # E[Z^2] = 2e400
         # rho = 709.5 is in range, but e^rho / lambda overflows every bound
         ["bounds", "--lambda", "0.5", "--dist", '{"type":"exponential","mean":1419}',
@@ -196,17 +192,40 @@ def test_long_dist_specs_are_cut_in_the_usage_error():
 
 
 def test_tolerances_are_checked_whatever_the_strategy(capsys):
-    # --tol-series inf once blamed the moments for overflowing; --tol-quad
-    # nan and 0 once passed under auto, which never ran quadrature
+    # --tol-quad nan and 0 once passed under auto, which never ran quadrature
     queue = ["--lambda", "1", "--dist", '{"type":"exponential","mean":1}']
     for flags, message in (
-        (["--tol-series", "inf", "--strategy", "closed-form"],
-         "series_tol must be finite and positive, got inf"),
         (["--tol-quad", "nan"], "quad_tol must be finite and positive, got nan"),
         (["--tol-quad", "0"], "quad_tol must be finite and positive, got 0.0"),
     ):
         assert run_cli(capsys, "metrics", *queue, *flags) == (
             2, "", f"error: {message}\n"), flags
+
+
+def test_series_tolerance_is_not_an_option(tmp_path):
+    # both series are summed to float resolution: --tol-series is a usage
+    # error, and a tol_series config key is ignored like any key the
+    # command lacks
+    queue = ["--lambda", "2", "--dist", EXP_HALF]
+    code, out, err = run_captured(["metrics", *queue, "--tol-series", "1e-12"])
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --tol-series 1e-12" in err
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"tol_series": 1e-12}))
+    assert run_captured(["metrics", "--config", str(cfg), *queue]) == \
+        run_captured(["metrics", *queue])
+
+
+def test_subnormal_rho_series_ends_in_the_moments_overflow(capsys):
+    # rho near 1e-320: the stopping test "term < tol/4 * total" never held once
+    # its right side underflowed, so 200 000 terms (170 ms) ended in an
+    # AccuracyError
+    code, out, err = run_cli(capsys, "metrics", "--lambda", "1e-300", "--dist",
+                             '{"type":"exponential","mean":1e-20}',
+                             "--strategy", "closed-form")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: rho = ") and err.endswith(
+        ", lambda = 1e-300: the busy-cycle moments overflow the float range\n")
 
 
 def test_compare_where_e_rho_minus_1_minus_rho_underflows(capsys):
@@ -546,8 +565,8 @@ EXP_HALF_SPEC = {"type": "exponential", "mean": 0.5}
     ("metrics", {"lambda": True, "dist": EXP_HALF_SPEC}, ["--lambda", "true"]),
     ("metrics", {"lambda": 2, "dist": EXP_HALF_SPEC, "format": "xml"},
      ["--format", "xml"]),
-    ("metrics", {"lambda": 2, "dist": EXP_HALF_SPEC, "tol_series": 1e-12},
-     ["--tol-series", "1e-12"]),
+    ("metrics", {"lambda": 2, "dist": EXP_HALF_SPEC, "tol_quad": 1e-12},
+     ["--tol-quad", "1e-12"]),
     ("simulate", {"lambda": 2, "dist": EXP_HALF_SPEC, "cycles": 1000.5},
      ["--cycles", "1000.5"]),
     ("simulate", {"lambda": 2, "dist": EXP_HALF_SPEC, "cycles": 1000.0},
@@ -687,9 +706,8 @@ def fuzz_argv(draw):
     if command == "metrics":
         argv += ["--strategy", draw(st.sampled_from(
             ["auto", "closed-form", "quadrature"]))]
-        for flag in ("--tol-series", "--tol-quad"):
-            argv += [flag, draw(st.sampled_from(["1e-12", "1e-9", "1e-3", "0",
-                                                 "nan"]))]
+        argv += ["--tol-quad", draw(st.sampled_from(["1e-12", "1e-9", "1e-3",
+                                                     "0", "nan"]))]
     elif command == "bounds":
         argv += ["--assume-tags", draw(st.sampled_from(
             ["", "NBUE", "NWUE,DFR", "IMRL", "SHINY"]))]

@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -272,6 +273,26 @@ def test_time_average_age_equals_ratio_estimator():
     assert bc.time_average_age(z) == pytest.approx(
         float((z * z).sum() / (2 * z.sum())), rel=1e-15
     )
+
+
+def test_time_average_age_of_subnormal_lengths():
+    # Z^2 underflowed to 0, and 0.0 was returned
+    assert bc.time_average_age([1e-320, 1e-320]) == 5e-321
+
+
+def test_time_average_age_across_the_subnormal_boundary():
+    # 0.0 was returned; the exact value is about 4.19e-310
+    a, b = 3e-310, 1e-309
+    exact = (Fraction(a) ** 2 + Fraction(b) ** 2) / (2 * (Fraction(a) + Fraction(b)))
+    got = bc.time_average_age([a, b])
+    assert abs(Fraction(got) - exact) <= math.ulp(float(exact))
+
+
+def test_time_average_age_of_lengths_whose_squares_overflow():
+    # Z^2 overflowed, and a DomainError was raised for a finite answer
+    assert bc.time_average_age([1e200, 1e200]) == 5e199
+    with pytest.raises(DomainError, match="finite and not all zero"):
+        bc.time_average_age([math.inf, 1.0])
 
 
 def test_age_excess_symmetry_per_cycle():

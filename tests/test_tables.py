@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 
 import busycycle as bc
@@ -111,6 +112,26 @@ def test_golden_rows_all_pass(all_cells):
         for c in all_cells[1] + all_cells[2]:
             if c.distribution == row:
                 assert c.status == "PASS", (row, c.arrival_rate, c.mean_service)
+
+
+def test_series_cells_match_mpmath(all_cells):
+    # beta_c = 1/lam + alpha S(lam alpha) for the exponential rows, and
+    # 1/lam + 1F1(1/2; 3/2; lam/2) - 1 for the power row (c = 1), in
+    # 40-digit arithmetic; the series once stopped at 1e-10 of the sum
+    worst = 0.0
+    with mpmath.workdps(40):
+        for c in all_cells[1] + all_cells[2]:
+            lam, alpha = mpmath.mpf(c.arrival_rate), mpmath.mpf(c.mean_service)
+            if c.distribution == "exponential":
+                rho = lam * alpha
+                beta = alpha * rho * mpmath.hyp2f2(1, 1, 2, 2, rho)
+            elif c.distribution == "power":
+                beta = mpmath.hyp1f1(0.5, 1.5, lam / 2) - 1
+            else:
+                continue
+            exact = 1 / lam + beta
+            worst = max(worst, float(abs(c.computed - exact) / exact))
+    assert worst <= 1e-14
 
 
 def test_compute_table_rejects_bad_number():
