@@ -219,7 +219,7 @@ def beta_quadrature(params: QueueParameters, tol: float = DEFAULT_QUAD_TOL):
 
     breaks = _support_breaks(
         dist.mean, dist.support_end,
-        lambda t: float(dist.residual_tail_fn(t)) < 1e-16 * dist.mean,
+        lambda t: np.asarray(dist.residual_tail_fn(t)) < 1e-16 * dist.mean,
         f"{dist.name}: residual tail stays above 1e-16 * mean")
     # a beta past the float range overflows inside the panel sums; the one
     # check is on the result, so those sums run without float warnings

@@ -77,23 +77,42 @@ _G_SLACK = 4.0 * sys.float_info.epsilon
 # 11-14% less time than with no seeds for 13 to 24 octaves, a flat range,
 # and 8-11% less for 6 to 10.
 _TABLE_OCTAVES = 16
-# User-CDF quantile: a draw q passes once G(q - tol) < u <= G(q), with
-# tol = _XTOL + _RTOL * q the absolute and relative tolerances brentq used
-# here before.  Each draw takes one Newton step from the table's quintic
-# guess and is checked; one that fails takes a secant step from its q and
-# is checked again.  These two checks replace _SECANT, the three steps
-# (Newton, then secant) that the earlier cubic guess took before its one
-# check.  A draw that fails both has G evaluated at _PROBES times tol on
-# either side of its last step, and its bracket is then cut into _PARTS
-# equal parts per cdf call, at _CUTS, until it is under tol / 2.
+# User-CDF quantile: a draw q passes once G(q - tol) < u <= G(q).  Each
+# bracket of the inverse table fixes its tol: the larger of _XTOL + _RTOL t
+# at its left end t, the absolute and relative tolerances brentq used here
+# before, and G's resolution in t there, _ULPS eps g t', with g the G at
+# its right end and t' its least slope dt/du.  eps g is one to two float
+# steps of any u in the bracket, so where G rises by a few float steps over
+# tol, tol spans them.  Each draw takes one Newton step from the table's
+# quintic guess and is checked; one that fails takes a secant step from
+# its q and is checked again.  A draw that fails both has G evaluated at
+# _PROBES times _XTOL + _RTOL x on either side of its last step x, and its
+# bracket is then cut into _PARTS equal parts per cdf call, at _CUTS,
+# until it is under half that.
 _XTOL = 1e-14
 _RTOL = 4.0 * sys.float_info.epsilon
+_ULPS = 4.0
 _PROBES = np.outer((-1.0, 1.0), 2.0 ** np.arange(-1.0, 24.0)).ravel()
 _PARTS = 32
 _CUTS = np.arange(1.0, _PARTS) / _PARTS
 # The most buckets a quantile's guide table takes; the search is exact
 # for any count.
 _GUIDE_MAX = 1 << 16
+
+
+def _lagrange(y):
+    """(l, l', l'') at each y of the Lagrange basis l_m of the degree-16
+    interpolant through the 17 points -1, the Kronrod nodes and 1, along a
+    new last axis m.  No y may be a point: l_m is then a product over the
+    other points n, l_m' = l_m S1 and l_m'' = l_m (S1^2 - S2), with S1 and
+    S2 the sums of 1 / (y - x_n) and of its square over n != m."""
+    x = np.array([-1.0] + _GK_NODES.tolist() + [1.0])
+    same = np.eye(x.size, dtype=bool)  # [m, n]: n == m, left out
+    gap = np.where(same, 1.0, (np.asarray(y)[..., None] - x)[..., None, :])
+    basis = np.prod(gap, axis=-1) / np.prod(np.where(same, 1.0, x[:, None] - x), axis=1)
+    inv = np.where(same, 0.0, 1.0 / gap)
+    s1, s2 = inv.sum(axis=-1), (inv * inv).sum(axis=-1)
+    return basis, basis * s1, basis * (s1 * s1 - s2)
 
 
 def _differentiation():
@@ -123,6 +142,43 @@ def _differentiation():
 
 
 _DIFF = _differentiation()
+# A bracket of the quantile's table whose quintic may miss its check is cut
+# into 2^_SPLITS equal parts in t, at the points _GRID of the way across,
+# with knots from its panel's interpolant.
+_SPLITS = 2
+_GRID = np.arange((1 << _SPLITS) + 1) / (1 << _SPLITS)
+
+
+def _interpolation():
+    """(16, 17, 3, _GRID.size) weights: a panel's G values at its left
+    edge, 15 Kronrod nodes and right edge, on [-1, 1], summed against [j,
+    :, d, k] give derivative d = 0, 1, 2 of their degree-16 interpolant at
+    the point _GRID[k] of the way from point j to point j + 1: from
+    ``_lagrange`` between the two, and from _DIFF at them."""
+    x = np.array([-1.0] + _GK_NODES.tolist() + [1.0])
+    weights = np.zeros((16, x.size, 3, _GRID.size))  # [j, m, d, k]
+    inner = _lagrange(x[:-1, None] + np.diff(x)[:, None] * _GRID[1:-1])
+    weights[..., 1:-1] = np.stack(inner, axis=1).transpose(0, 3, 1, 2)
+    for j in range(16):
+        for k, node in ((0, j), (-1, j + 1)):
+            weights[j, node, 0, k] = 1.0
+            weights[j, :, 1, k] = _DIFF[:, node]
+            weights[j, :, 2, k] = _DIFF[:, x.size + node]
+    return weights
+
+
+_CUT_WEIGHTS = _interpolation()
+# Brackets are cut only when those that need it hold this much of the
+# probability.  Cutting is about 30 array passes when the table is built,
+# some 170 us; what it saves is the fallback of the draws that miss, per
+# quantile call.  In the benchmark's general_g estimates (1000 cycles,
+# about 3000 draws) cutting cost 137 us net on Weibull(1/2), whose
+# brackets to cut hold 0.6%, and 135-141 us on the exponential law of
+# mean 1/2 (9.7%), whose misses all pass the secant step, and saved 92
+# and 304 us on Kumaraswamy(2, 3) (33.5%), whose misses also reach the
+# 32-part search (medians of 4571 interleaved pairs in process).  The
+# break-even lies between 9.7% and 33.5%.
+_CUT_MASS = 0.2
 # A panel is rough, and takes its slopes from parabolas in u rather than
 # from its interpolant in t, when |K15 - G7| of G exceeds this share of
 # G's rise over it, a rise floored at this value: a panel that holds less
@@ -201,9 +257,10 @@ def _floats(values, name: str) -> np.ndarray:
 
 
 def _shown(value) -> str:
-    """repr(value), cut with an ellipsis past 200 characters, so that an
-    error on outside input stays short."""
-    text = repr(value)
+    """repr(value) on one line, its runs of white space made one space, cut
+    with an ellipsis past 200 characters, so that an error on outside
+    input stays short (numpy prints a long array over several lines)."""
+    text = " ".join(repr(value).split())
     return text if len(text) <= 200 else text[:200] + "…"
 
 
@@ -329,9 +386,10 @@ def exponential(mean: float) -> ServiceDistribution:
     def quantile(u):
         # -a log1p(-u) in one new array, for the simulator's memory
         x = np.negative(u, dtype=float)
-        if not isinstance(x, np.ndarray):  # a scalar u
-            return -a * np.log1p(x)
-        np.log1p(x, out=x)
+        with np.errstate(divide="ignore"):  # u = 1 maps to inf
+            if not isinstance(x, np.ndarray):  # a scalar u
+                return -a * np.log1p(x)
+            np.log1p(x, out=x)
         x *= -a
         return x
 
@@ -569,7 +627,10 @@ def make_distribution(
     adaptive Gauss-Kronrod engine refines panels seeded at 0, at mean * 2^-k
     for k = 16, ..., 1, at mean * 2^k below the end and at the end, where
     end is ``support_end`` or, for an unbounded support, the first
-    mean * 2^k at which G reaches 1.  The seeds below the mean let a
+    mean * 2^k at which G reaches 1.  That search asks the cdf about 8
+    octaves per call, so it may evaluate G up to 7 octaves past the end
+    it finds, and keeps G only up to that end: the table is the one a
+    search one octave per call builds.  The seeds below the mean let a
     density singular at 0 (t^c with c < 1, Weibull shape < 1) be resolved
     in a few cdf calls rather than one split per call on the way to 0.
     The table keeps G at every node it evaluated and the reverse
@@ -579,24 +640,34 @@ def make_distribution(
       one 15-point Kronrod rule on the rest of t's panel, one array call
       of ``cdf`` for all t (r(t <= 0) is the declared mean);
     * the quantile is the generalized inverse, the smallest t with
-      G(t) >= u, to 1e-14 absolute plus a few ulp.  Its inverse tables are
-      built from the table on its first draw, with no cdf call, so r(t)
-      and ``beta_c`` never build them.  A guide table into the tabulated G
-      values (``np.searchsorted``'s index, found in one lookup and one step
-      for nearly every u) brackets u between two adjacent nodes of one
-      panel, and the quintic Hermite interpolant of the inverse there
-      (Hoermann and Leydold, 2003) gives the first guess.  Its end slopes
-      t' = 1/G' and t'' = -G''/G'^3 come from the derivatives of the
-      panel's degree-16 interpolant through its Kronrod nodes and edges,
-      or, on a panel no polynomial in t follows (a density singular at 0),
-      from parabolas in u through neighbouring nodes.  One Newton step on
-      the quintic's slope refines the guess, and two cdf values check the
-      result q: G(q - tol) < u <= G(q), tol = 1e-14 + 8.9e-16 q.  That is
-      three cdf values for most draws.  A draw that fails takes a secant
-      step from q and is checked once more; only the draws that fail again
-      (G flat at float resolution, kinks, atoms) fall back to cutting
-      their bracket into 32 equal parts per cdf call, each with a round
-      count from its own bracket.  So the quantile is elementwise:
+      G(t) >= u, to 1e-14 absolute plus a few ulp, or to G's own
+      resolution where that is coarser; NaN for a NaN u.  Its inverse
+      tables are built from the table on its first draw, with no cdf
+      call, so r(t) and ``beta_c`` never build them.  A guide table into
+      the tabulated G values (``np.searchsorted``'s index, found in one
+      lookup and one step for nearly every u) brackets u between two
+      adjacent nodes of one panel, and the quintic Hermite interpolant of
+      the inverse there (Hoermann and Leydold, 2003) gives the first
+      guess.  Its end slopes t' = 1/G' and t'' = -G''/G'^3 come from the
+      derivatives of the panel's degree-16 interpolant through its Kronrod
+      nodes and edges, or, on a panel no polynomial in t follows (a density
+      singular at 0), from parabolas in u through neighbouring nodes.  One
+      Newton step on the quintic's slope refines the guess, and two cdf
+      values check the result q: G(q - tol) < u <= G(q), with tol the
+      larger of 1e-14 + 8.9e-16 t at the bracket's left end t and 4 eps g
+      t', G's resolution in t, for g the G at the bracket's right end and
+      t' its least slope dt/du.  A bracket whose quintic the interpolant
+      shows would leave the step more than tol / 2 off is cut into 4 equal
+      parts in t, with knots, slopes and curvatures from the same
+      interpolant, so no cdf call; this is done when such brackets hold
+      20% of the probability or more, where it costs less than the
+      fallback of the draws that would miss (Kumaraswamy(2, 3), 33.5%),
+      and below that those draws are left to the fallback (the
+      exponential law, 9.7%).  So most draws take three cdf values.  A
+      draw that fails takes a secant step from q and is checked once
+      more; only the draws that fail again (kinks, atoms) fall back to
+      cutting their bracket into 32 equal parts per cdf call, each with a
+      round count from its own bracket.  So the quantile is elementwise:
       ``quantile_fn(u)[i]`` is ``quantile_fn(u[i])`` bit for bit, whatever
       else ``u`` holds.
 
@@ -668,9 +739,10 @@ def make_distribution(
         flat = u.ravel()
         i = _guide_search(knots, guide, flat)
         x = hi_tab[i]
+        x[np.isnan(flat)] = np.nan
         k = np.flatnonzero((i > 0) & (i < knots.size - 1))
         if k.size:
-            x[k] = _invert(G, flat[k], *np.take(quintic, i[k] - 1, axis=1))
+            x[k] = _invert(G, flat[k], *np.take(quintic, i[k], axis=1))
         return x.reshape(u.shape)
 
     return ServiceDistribution(
@@ -694,19 +766,32 @@ def _tail_table(G, name: str, support_end: float, moments: tuple):
     dt, k = 1, 2, 3, that are given."""
     times, probs = [], []
 
-    def survival(t):
+    def evaluated(t):
         g = G(t)
         if g.shape != t.shape:
             raise DomainError(f"{name}: cdf must map an array of times to an "
                               f"array of the same shape")
+        return g
+
+    def survival(t):
+        g = evaluated(t)
         times.append(t)
         probs.append(g)
         return 1.0 - g
 
-    breaks = _support_breaks(
-        moments[0], support_end, lambda t: not survival(np.array([t]))[0] > 0.0,
-        f"{name}: G stays below 1",  # G(t) >= 1, or nan, ends the support
-        below=_TABLE_OCTAVES)
+    def past_end(t):
+        # G(t) >= 1, or nan, ends the support.  G is kept up to the first
+        # such t only, so the table holds the nodes a search one point at
+        # a time would have given it.
+        g = evaluated(t)
+        ended = ~(1.0 - g > 0.0)
+        n = int(np.argmax(ended)) + 1 if ended.any() else t.size
+        times.append(t[:n])
+        probs.append(g[:n])
+        return ended
+
+    breaks = _support_breaks(moments[0], support_end, past_end,
+                             f"{name}: G stays below 1", below=_TABLE_OCTAVES)
 
     def nodes():
         """Every time G was evaluated at, sorted, and G there, validated."""
@@ -786,66 +871,157 @@ def _parabolic_slopes(t, g):
 
 
 def _inverse_table(edges, x, g_x, g_edges):
-    """(knots g, guide, bracket right ends, quintic rows) of the generalized
+    """(knots g, guide, t at the knots, quintic rows) of the generalized
     inverse t(u) of the G that ``_tail_table`` tabulated, for
-    ``make_distribution``'s quantile.
+    ``make_distribution``'s quantile.  Building calls no cdf.
 
     The nodes t are those of the converged panels [edges[p], edges[p + 1]]:
     each panel's left edge and 15 Kronrod nodes x[p], then the support
     end, with g their G values (g_x, g_edges) made nondecreasing by a
-    running maximum.  Building calls no cdf.  The first g >= u, g[i],
-    brackets u in (g[i-1], g[i]], with G(t[i-1]) < u <= G(t[i]), and t[i]
-    is the leftmost node where G reaches g[i]; i = 0 (u <= G(0)) and i
-    past the last node have no bracket and the quantile t[i], the support
-    end for the latter.  ``_guide_search`` finds i through the guide; the
-    knots are g followed by a +inf sentinel, past which its step cannot
-    go.
+    running maximum.  Two adjacent nodes of a panel make a bracket.  The
+    first knot >= u, g[i], brackets u in (g[i-1], g[i]], and t[i] is the
+    leftmost node where G reaches g[i]; i = 0 (u <= G(0)) and i past the
+    last knot have no bracket and the quantile t[i], the support end for
+    the latter.  ``_guide_search`` finds i through the guide; the knots
+    are g followed by a +inf sentinel, past which its step cannot go.
 
-    Column i - 1 of the quintic rows holds t[i-1], t[i], g[i-1], g[i] -
-    g[i-1] and the coefficients of t[i-1] + c1 s + ... + c5 s^5, s = (u -
-    g[i-1]) / (g[i] - g[i-1]): the quintic Hermite interpolant of t(u)
-    through the bracket ends with the slopes t' = 1/G' and t'' =
-    -G''/G'^3 there (Hoermann and Leydold, 2003), from ``_panel_slopes``
-    on the panel that holds both ends, or from ``_parabolic_slopes`` on a
-    panel it finds rough (a density singular at 0 or at the end, a kink).
-    Where t' or t'' is not finite at either end (G' <= 0, say), the column
-    is the secant, c1 = t[i] - t[i-1] and c2 = ... = c5 = 0.  (Each row is
-    one of these quantities, so a draw's values are contiguous arrays.)
+    Column i of the quintic rows (column 0 serves no u) holds t[i-1],
+    g[i-1], g[i] - g[i-1], the coefficients of t[i-1] + c1 s + ... + c5
+    s^5, s = (u - g[i-1]) / (g[i] - g[i-1]), the ends lo and hi of the
+    bracket of nodes around it, G(lo) < u <= G(hi), and its check's tol
+    (see _XTOL).  The quintic is the Hermite interpolant of t(u) through
+    t[i-1] and t[i] with the slopes t' = 1/G' and t'' = -G''/G'^3 there
+    (Hoermann and Leydold, 2003), from ``_panel_slopes`` on the panel that
+    holds both ends, or from ``_parabolic_slopes`` on a panel it finds
+    rough (a density singular at 0 or at the end, a kink).  Where t' or
+    t'' is not finite at either end (G' <= 0, say), it is the secant, c1 =
+    t[i] - t[i-1] and c2 = ... = c5 = 0.  When the brackets whose quintic
+    may miss its check (``_cut``) hold _CUT_MASS of the probability or
+    more, each of them becomes 2^_SPLITS equal parts in t whose inner ends
+    take g from the panel's interpolant (``_parts``); the other brackets
+    stay whole.  (Each row is one of these quantities, so a draw's values
+    are contiguous arrays.)
     """
     a, b = edges[:-1], edges[1:]
     g_panel = np.concatenate((g_edges[:-1, None], g_x, g_edges[1:, None]), axis=1)
-    t = np.append(np.concatenate((a[:, None], x), axis=1), b[-1])
-    g = np.maximum.accumulate(np.append(g_panel[:, :-1], g_edges[-1]))
+    t = np.concatenate((np.concatenate((a[:, None], x), axis=1).ravel(), b[-1:]))
+    g = np.concatenate((g_panel[:, :-1].ravel(), g_edges[-1:]))
+    np.maximum.accumulate(g, out=g)
     # node pair (i - 1, i) is points j and j + 1 of panel p, i - 1 = 16 p + j
-    dt, du = np.diff(t).reshape(-1, 16), np.diff(g).reshape(-1, 16)
+    dt, du = t[1:] - t[:-1], g[1:] - g[:-1]
+    # column i serves u in (g[i-1], g[i]]; column 0, which none does, is
+    # left as it comes
+    table = np.empty((11, dt.size + 1))
+    rows = table[:, 1:]
+    rows[:3], rows[8:10] = (t[:-1], g[:-1], du), (t[:-1], t[1:])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # panels 1e-200 or 1e300 wide take G'' past the float range
         g_prime, g_second, rough = _panel_slopes(g_panel, b - a)
         slope = 1.0 / np.fmax(g_prime, 0.0)  # t', inf where G' <= 0
         bend = g_second * slope * slope * slope  # -t''
         if rough.any():
-            rough = np.flatnonzero(rough)
-            slope[rough], bend[rough] = _parabolic_slopes(np.concatenate(
-                (a[rough, None], x[rough], b[rough, None]), axis=1), g_panel[rough])
-        du2 = du * du
-        ends = np.stack((dt, du * slope[:, :-1], du * slope[:, 1:],
-                         du2 * bend[:, :-1], du2 * bend[:, 1:])).reshape(5, -1)
-        # the secant, t' = dt / du and t'' = 0, where one is not finite
-        ends = np.where(np.isfinite(ends.sum(axis=0)), ends, _SECANT_ENDS * ends[0])
-    rows = np.empty((9, t.size - 1))
-    rows[:4] = t[:-1], t[1:], g[:-1], du.ravel()
-    np.einsum("jk,km->jm", _QUINTIC, ends, out=rows[4:])
+            k = np.flatnonzero(rough)
+            slope[k], bend[k] = _parabolic_slopes(np.concatenate(
+                (a[k, None], x[k], b[k, None]), axis=1), g_panel[k])
+        ends = _hermite(dt.reshape(-1, 16), du.reshape(-1, 16), slope, bend)
+        finite = np.isfinite(ends.sum(axis=0))
+        if not finite.all():  # the secant, t' = dt / du and t'' = 0, there
+            k = np.flatnonzero(~finite)
+            ends[:, k] = _SECANT_ENDS * ends[0, k]
+        np.einsum("jk,km->jm", _QUINTIC, ends, out=rows[3:8])
+        # the check's tolerance: at least _ULPS eps g[i] times the least
+        # t' of the bracket, the least of dt and du t' at each end (all dt
+        # on a secant) over du; no u falls where du = 0
+        floor = np.min(ends[:3], axis=0) / du
+        floor *= (_ULPS * sys.float_info.epsilon) * g[1:]
+        np.fmax(_XTOL + _RTOL * t[:-1], np.fmin(floor, sys.float_info.max),
+                out=rows[10])
+        # G's interpolant halfway across each bracket in t
+        g_middle = np.einsum("pk,jk->pj", g_panel, _CUT_WEIGHTS[:, :, 0, _GRID.size // 2])
+        cut = _cut(rows, dt, g_middle.ravel())
+        if rough.any():  # no polynomial in t follows G there
+            cut &= ~np.repeat(rough, 16)
+        if np.dot(du, cut) >= _CUT_MASS:
+            parts = np.where(cut, 1 << _SPLITS, 1)
+            table = table[:, np.repeat(np.arange(cut.size + 1), np.append(1, parts))]
+            rows = table[:, 1:]
+            rows[:8, np.flatnonzero(np.repeat(cut, parts))] = _parts(
+                np.flatnonzero(cut), g_panel, 0.5 * (b - a), t, dt, g)
+    knots = np.concatenate((rows[1], g[-1:], [np.inf]))
+    t_knots = np.concatenate((rows[0], t[-1:], t[-1:]))
     # K buckets, a power of two so that u K is exact: bucket j holds the u
     # with j <= u K < j + 1, and guide[j] is the first knot >= j / K, the
     # count of knots g < j / K, that is of knots with floor(g K) + 1 <= j
     # (0 for j = 0, which also takes every u < 0).  int() truncates, so a
     # g below 0 by rounding counts from j = 1, as it should for j > 0, and
     # one above 1 by rounding in no bucket.
-    buckets = min(1 << (4 * g.size - 1).bit_length(), _GUIDE_MAX)
-    first = (g * buckets).astype(np.intp) + 1
+    buckets = min(1 << (4 * knots.size - 5).bit_length(), _GUIDE_MAX)
+    first = (knots[:-1] * buckets).astype(np.intp) + 1
     guide = np.bincount(first, minlength=buckets + 2)[:buckets].cumsum()
     guide[0] = 0
-    return np.append(g, np.inf), guide, np.append(t, t[-1]), rows
+    return knots, guide, t_knots, table
+
+
+def _hermite(dt, du, slope, bend):
+    """The (5, n) Hermite data, dt and du t' and du^2 (-t'') at each end, of
+    the brackets between adjacent points of each row of t' and -t''
+    values, slope and bend, dt wide in t and du in u."""
+    ends = np.empty((5,) + du.shape)
+    ends[0] = dt
+    np.multiply(du, slope[:, :-1], out=ends[1])
+    np.multiply(du, slope[:, 1:], out=ends[2])
+    du2 = du * du
+    np.multiply(du2, bend[:, :-1], out=ends[3])
+    np.multiply(du2, bend[:, 1:], out=ends[4])
+    return ends.reshape(5, -1)
+
+
+def _cut(rows, dt, g_middle):
+    """Whether the quintic of each bracket of the quintic rows, dt wide, may
+    leave its Newton step further than tol / 2 from t(u), with tol the
+    check's, from G at the bracket's middle in t, g_middle.  The step, on
+    the quintic's slope, from a guess e off lands about e times the slope
+    error off; a quintic Hermite guess is off by about E s^3 (1 - s)^3,
+    with E = 64 e(1/2), so the product is at most 2.25 e(1/2)^2 / dt, and
+    a part 1/2^_SPLITS as wide has it 2^(11 _SPLITS) times smaller.  The
+    step's own curvature error, |G''/G'| e^2 / 2, is far smaller in the
+    tails where this bites (a 50th of it on [2, 4) for the exponential law
+    of mean 1/2)."""
+    s = (g_middle - rows[1]) / rows[2]
+    c1, c2, c3, c4, c5 = rows[3:8]
+    e = s * (c1 + s * (c2 + s * (c3 + s * (c4 + s * c5)))) - 0.5 * dt
+    # NaN, where du = 0, compares false
+    return 4.5 * e * e > dt * rows[10]
+
+
+def _parts(k, g_panel, half, t, dt, g):
+    """Rows 0 - 7 of the quintic rows (t and g at the left end, g's rise and
+    c1 ... c5) of the 2^_SPLITS equal parts in t of each bracket k, in
+    order, from g, G' and G'' at their ends on the panel's interpolant
+    (_CUT_WEIGHTS), with g kept between the bracket's ends and
+    nondecreasing; ``half`` is each panel's half width.  np.einsum adds
+    each value's 17 terms in a fixed order, so a bracket's parts have the
+    same bits whatever else is cut."""
+    p, j = np.divmod(k, 16)
+    v = np.einsum("sk,skdc->dsc", g_panel[p], _CUT_WEIGHTS[j])
+    block = np.empty((8, k.size, 1 << _SPLITS))
+    width = dt[k, None] * (1.0 / (1 << _SPLITS))
+    np.multiply(width, _GRID[:-1] * (1 << _SPLITS), out=block[0])
+    block[0] += t[k, None]
+    g_cut, g_hi = v[0], g[k + 1]
+    g_cut[:, 0], g_cut[:, -1] = g[k], g_hi
+    np.minimum(g_cut, g_hi[:, None], out=g_cut)
+    np.maximum.accumulate(g_cut, axis=1, out=g_cut)
+    block[1] = g_cut[:, :-1]
+    np.subtract(g_cut[:, 1:], g_cut[:, :-1], out=block[2])
+    h = half[p, None]
+    slope = h / np.fmax(v[1], 0.0)  # t', inf where G' <= 0
+    bend = v[2] * slope ** 3 / (h * h)  # -t''
+    # a part with t' or t'' not finite gets a guess clamped to an end of
+    # its bracket, which the check sends to the fallback
+    np.einsum("jk,km->jm", _QUINTIC, _hermite(width, block[2], slope, bend),
+              out=block[3:].reshape(5, -1))
+    return block.reshape(8, -1)
 
 
 def _guide_search(knots, guide, u):
@@ -860,31 +1036,32 @@ def _guide_search(knots, guide, u):
     np.minimum(j, buckets - 1, out=j)
     i = guide[j.astype(np.intp)]
     i += knots[i] < u
-    short = np.flatnonzero(~(knots[i] >= u))  # the +inf sentinel stops the rest
-    if short.size:
+    found = knots[i] >= u  # the +inf sentinel stops all but NaN
+    if not found.all():
+        short = np.flatnonzero(~found)
         i[short] = np.searchsorted(knots[:-1], u[short])
     return i
 
 
-def _invert(G, u, lo, hi, g0, du, c1, c2, c3, c4, c5):
-    """The smallest t with G(t) >= u, for g0 < u <= g0 + du in the bracket
-    [lo, hi] with G(lo) = g0 and G(hi) = g0 + du.
+def _invert(G, u, base, g0, du, c1, c2, c3, c4, c5, lo, hi, tol):
+    """The smallest t with G(t) >= u, for g0 < u <= g0 + du, a part of the
+    bracket [lo, hi] of tabulated nodes, G(lo) < u <= G(hi), whose check
+    has the tolerance tol.
 
-    The quintic lo + c1 s + ... + c5 s^5, s = (u - g0) / du, gives the
+    The quintic base + c1 s + ... + c5 s^5, s = (u - g0) / du, gives the
     first guess x, and a Newton step on the quintic's slope dt/du follows,
     kept inside the bracket.  Its result passes as q = x + tol/2 (at most
-    hi), tol = _XTOL + _RTOL x, when ``_checked`` finds G(q - (_XTOL +
-    _RTOL q)) < u <= G(q).  A draw that fails has its bracket cut at x and
-    at the points checked, and takes a secant step from q, with the G(q)
-    the check computed, through x (none where G is the same at both); the
-    second and last check follows.  Where that fails too (G moves only at
-    float resolution, or has a kink or an atom), G at _PROBES tol from the
-    last step narrows the bracket, and ``_bisect`` ends it.  Every step
-    acts on each element alone, so element i of the result depends on u[i]
-    only.
+    hi) when ``_checked`` finds G(q - tol) < u <= G(q).  A draw that fails
+    has its bracket cut at x and at the points checked, and takes a
+    secant step from q, with the G(q) the check computed, through x (none
+    where G is the same at both); the second and last check follows.
+    Where that fails too (G has a kink or an atom), G at _PROBES times
+    _XTOL + _RTOL x from the last step narrows the bracket, and
+    ``_bisect`` ends it.  Every step acts on each element alone, so
+    element i of the result depends on u[i] only.
     """
     s = (u - g0) / du
-    # Horner's scheme gives the quintic, lo + s b, and its slope in s, d
+    # Horner's scheme gives the quintic, base + s b, and its slope in s, d
     b = c4 + s * c5
     d = b + s * c5
     b = c3 + s * b
@@ -893,26 +1070,26 @@ def _invert(G, u, lo, hi, g0, du, c1, c2, c3, c4, c5):
     d = b + s * d
     b = c1 + s * b
     d = b + s * d
-    x = np.fmin(np.fmax(lo + s * b, lo), hi)
+    x = np.fmin(np.fmax(base + s * b, lo), hi)
     f = G(x) - u
     # a step past the float range, or NaN, is clamped to the bracket
     with np.errstate(over="ignore", invalid="ignore"):
         step = np.fmin(np.fmax(x - f * d / du, lo), hi)
-    q, k, g_left, g_q = _checked(G, u, step, hi)
+    q, k, left, g_left, g_q = _checked(G, u, step, hi, tol)
     if not k.size:
         return q
     u, x, f, lo, hi, g_left, g_q = u[k], x[k], f[k], lo[k], hi[k], g_left[k], g_q[k]
-    step = q[k]
+    step, tol = q[k], tol[k]
     # x and the two points checked are bracket ends
     below = f < 0.0
     lo, hi = np.where(below, x, lo), np.where(below, hi, x)
-    hi = np.where(g_left >= u, np.fmin(hi, step - (_XTOL + _RTOL * step)), hi)
+    hi = np.where(g_left >= u, np.fmin(hi, left[k]), hi)
     lo = np.where(g_q < u, np.fmax(lo, step), lo)
     f_q = g_q - u
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         secant = np.where(f_q != f, f_q * (step - x) / (f_q - f), 0.0)
         step = np.fmin(np.fmax(step - secant, lo), hi)
-    q[k], j, _, _ = _checked(G, u, step, hi)
+    q[k], j, _, _, _ = _checked(G, u, step, hi, tol)
     if not j.size:
         return q
     k, u, x, lo, hi = k[j], u[j], step[j], lo[j], hi[j]
@@ -926,14 +1103,15 @@ def _invert(G, u, lo, hi, g0, du, c1, c2, c3, c4, c5):
     return q
 
 
-def _checked(G, u, x, hi):
-    """(q, the indices of the q that fail, G(q - (_XTOL + _RTOL q)), G(q))
-    for q = x + (_XTOL + _RTOL x) / 2, or hi, where G >= u, if that is
-    less: q fails unless G(q - (_XTOL + _RTOL q)) < u <= G(q)."""
-    q = np.fmin(x + 0.5 * (_XTOL + _RTOL * x), hi)
+def _checked(G, u, x, hi, tol):
+    """(q, the indices of the q that fail, q - tol, G(q - tol), G(q)) for
+    q = x + tol / 2, or hi, where G >= u, if that is less: q fails unless
+    G(q - tol) < u <= G(q)."""
+    q = np.fmin(x + 0.5 * tol, hi)
     n = q.size
-    g = G(np.concatenate((q - (_XTOL + _RTOL * q), q)))
-    return q, np.flatnonzero((g[:n] >= u) | (g[n:] < u)), g[:n], g[n:]
+    pts = np.concatenate((q - tol, q))
+    g = G(pts)
+    return q, np.flatnonzero((g[:n] >= u) | (g[n:] < u)), pts[:n], g[:n], g[n:]
 
 
 def _bisect(G, u, lo, hi):

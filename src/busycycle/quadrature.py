@@ -10,10 +10,14 @@ panels from one call of the integrand, ``_refine`` returns the converged
 panels as a table sorted by position (``_kronrod_nodes`` turns it into
 nodes and weights), and ``_support_breaks`` seeds breakpoints at 0,
 mean * 2^k and the support end, so rescaling time rescales the panels
-with it.  The user-CDF table also asks it for seeds at mean * 2^-k below
-the mean: its first refinement call then spans the octaves near 0, where
-a density singular at 0 puts its error, which splitting one panel per
-call would otherwise reach one call at a time.
+with it.  An unbounded support ends at the first mean * 2^k where the
+caller's test holds; the test is asked about _SEARCH_BATCH octaves per
+call, so that the exponential law's end takes one call and Weibull(1/2)'s
+two, where one octave per call took 7 and 11.  The user-CDF table also
+asks it for seeds at mean * 2^-k below the mean: its first refinement
+call then spans the octaves near 0, where a density singular at 0 puts
+its error, which splitting one panel per call would otherwise reach one
+call at a time.
 """
 
 from __future__ import annotations
@@ -27,6 +31,10 @@ from .errors import AccuracyError, DomainError
 
 # the panel budget of every integral in the package
 _MAX_PANELS = 4096
+# octaves per call of an unbounded support's search for its end: the
+# exponential twin of mean 0.5 ends at its 7th octave, in one call, and
+# Weibull(1/2) of mean 0.5 at its 11th, in two
+_SEARCH_BATCH = 8
 
 # QUADPACK qk15 on [-1, 1]: the Kronrod nodes from the right end inwards,
 # their weights, and the Gauss weights of every second node.
@@ -78,23 +86,29 @@ def _support_breaks(mean: float, end: float, negligible, what: str,
     ``end``.  The seeds below the mean put the first refinement's panels
     on ``below`` octaves near 0, where a density singular at 0 needs
     them.  An unbounded support ends at the first mean * 2^k where
-    ``negligible(t)`` holds; AccuracyError, saying ``what`` stays true,
-    when there is none."""
+    ``negligible``, called on an array of such points and returning a
+    bool for each, holds; AccuracyError, saying ``what`` stays true, when
+    there is none.  The points go to ``negligible`` in batches of
+    _SEARCH_BATCH consecutive octaves, so it may see up to
+    _SEARCH_BATCH - 1 octaves past the end it picks, which is the end a
+    search one point at a time would pick."""
     low = (math.ldexp(mean, -k) for k in range(below, 0, -1))
     breaks = [0.0] + [t for t in low if t < end]
     up = []
     t = mean
     while t < end and len(up) < 200:
         up.append(t)
-        if math.isinf(end) and negligible(t):
-            return breaks + up
         t *= 2.0
-    if math.isinf(end):
-        raise AccuracyError(
-            f"{what} up to t = {up[-1]:.3g}; the support cannot be truncated",
-            best_estimate=math.inf, error_estimate=math.inf,
-        )
-    return breaks + up + [end]
+    if not math.isinf(end):
+        return breaks + up + [end]
+    for start in range(0, len(up), _SEARCH_BATCH):
+        hit = np.flatnonzero(negligible(np.array(up[start:start + _SEARCH_BATCH])))
+        if hit.size:
+            return breaks + up[:start + int(hit[0]) + 1]
+    raise AccuracyError(
+        f"{what} up to t = {up[-1]:.3g}; the support cannot be truncated",
+        best_estimate=math.inf, error_estimate=math.inf,
+    )
 
 
 def integrate_adaptive(f, breakpoints, rel_tol: float):

@@ -12,7 +12,7 @@ keeps its first n cycles.
 
 The path is drawn in chunks of k arrivals: k gaps and k services, the
 arrival times by a cumulative sum, the departures' running maximum by
-``np.maximum.accumulate`` and the cycle starts by one comparison, with no
+``np.fmax.accumulate`` and the cycle starts by one comparison, with no
 Python loop per arrival or per cycle.  A chunk holds the expected arrivals
 of the cycles still needed and a margin, k = min(_CHUNK,
 ceil((m + 2 sqrt(m)) e^rho)) for m cycles (a busy period serves e^rho
@@ -169,16 +169,16 @@ def _cycle_lengths(params: QueueParameters, n_cycles: int, seed: int,
         m = np.asarray(quantile(service_rng.random(out=uniforms[:k])),
                        dtype=float)
         m += a  # the departures, then their running maximum M, in place
+        if np.isnan(m).any():  # which np.fmax would pass over
+            raise DomainError(f"{params.service.name}: the service quantile "
+                              f"returned NaN")
         m[0] = max(m[0], top)
-        np.maximum.accumulate(m, out=m)
+        np.fmax.accumulate(m, out=m)
         new = empty[:k]  # arrival i finds the system empty
         new[0] = a[0] > top
         np.greater(a[1:], m[:-1], out=new[1:])
         top = m[-1]
         del m
-        if math.isnan(top):  # the maximum carries a NaN service to the end
-            raise DomainError(f"{params.service.name}: the service quantile "
-                              f"returned NaN")
         starts = np.flatnonzero(new)
         if run + k > EVENT_CAP:  # a busy period here may pass the cap
             runs = np.diff(starts, prepend=-run) if started else np.diff(starts)

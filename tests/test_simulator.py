@@ -597,8 +597,8 @@ def test_a_busy_period_past_the_cap_raises_before_it_ends(monkeypatch):
 
 
 def test_a_nan_service_is_a_domain_error():
-    # the running maximum carries a NaN departure to the chunk's end, where
-    # it is refused; unchecked, it would hide every later cycle start
+    # a NaN departure is refused before the chunk's running maximum, which
+    # np.fmax would take past it as if the service were not there
     law = bc.exponential(1.0)
     q = law.quantile_fn
     broken = dataclasses.replace(
