@@ -85,14 +85,12 @@ _TABLE_OCTAVES = 16
 # steps of any u in the bracket, so where G rises by a few float steps over
 # tol, tol spans them.  Each draw takes one Newton step from the table's
 # quintic guess and is checked; one that fails takes a secant step from
-# its q and is checked again.  A draw that fails both has G evaluated at
-# _PROBES times _XTOL + _RTOL x on either side of its last step x, and its
-# bracket is then cut into _PARTS equal parts per cdf call, at _CUTS,
-# until it is under half that.
+# its q and is checked again.  A draw that fails both has its bracket, cut
+# at the points both checks evaluated, cut into _PARTS equal parts per cdf
+# call, at _CUTS, until it is under half of _XTOL + _RTOL lo.
 _XTOL = 1e-14
 _RTOL = 4.0 * sys.float_info.epsilon
 _ULPS = 4.0
-_PROBES = np.outer((-1.0, 1.0), 2.0 ** np.arange(-1.0, 24.0)).ravel()
 _PARTS = 32
 _CUTS = np.arange(1.0, _PARTS) / _PARTS
 # The most buckets a quantile's guide table takes; the search is exact
@@ -100,15 +98,17 @@ _CUTS = np.arange(1.0, _PARTS) / _PARTS
 _GUIDE_MAX = 1 << 16
 
 
-def _lagrange(y):
-    """(l, l', l'') at each y of the Lagrange basis l_m of the degree-16
-    interpolant through the 17 points -1, the Kronrod nodes and 1, along a
-    new last axis m.  No y may be a point: l_m is then a product over the
-    other points n, l_m' = l_m S1 and l_m'' = l_m (S1^2 - S2), with S1 and
-    S2 the sums of 1 / (y - x_n) and of its square over n != m."""
+def _lagrange(s):
+    """(l, l', l'') of the Lagrange basis l_m of the degree-16 interpolant
+    through the 17 points -1, the Kronrod nodes and 1, at the y that lie s
+    of the way from each point j < 16 to point j + 1, for each s in (0, 1),
+    along axes [j, s, m].  l_m is a product over the other points n, l_m' =
+    l_m S1 and l_m'' = l_m (S1^2 - S2), with S1 and S2 the sums of 1 / (y -
+    x_n) and of its square over n != m."""
     x = np.array([-1.0] + _GK_NODES.tolist() + [1.0])
+    y = x[:-1, None] + np.diff(x)[:, None] * s
     same = np.eye(x.size, dtype=bool)  # [m, n]: n == m, left out
-    gap = np.where(same, 1.0, (np.asarray(y)[..., None] - x)[..., None, :])
+    gap = np.where(same, 1.0, (y[..., None] - x)[..., None, :])
     basis = np.prod(gap, axis=-1) / np.prod(np.where(same, 1.0, x[:, None] - x), axis=1)
     inv = np.where(same, 0.0, 1.0 / gap)
     s1, s2 = inv.sum(axis=-1), (inv * inv).sum(axis=-1)
@@ -143,31 +143,14 @@ def _differentiation():
 
 _DIFF = _differentiation()
 # A bracket of the quantile's table whose quintic may miss its check is cut
-# into 2^_SPLITS equal parts in t, at the points _GRID of the way across,
-# with knots from its panel's interpolant.
+# into 2^_SPLITS equal parts in t, at the points _GRID of the way across.
+# The outer ends keep the bracket's own nodes; a panel's G values at its
+# left edge, 15 Kronrod nodes and right edge, on [-1, 1], summed against
+# _CUT_WEIGHTS[j, :, d, k] give derivative d = 0, 1, 2 of their degree-16
+# interpolant at the point _GRID[k + 1] of the way from point j to j + 1.
 _SPLITS = 2
 _GRID = np.arange((1 << _SPLITS) + 1) / (1 << _SPLITS)
-
-
-def _interpolation():
-    """(16, 17, 3, _GRID.size) weights: a panel's G values at its left
-    edge, 15 Kronrod nodes and right edge, on [-1, 1], summed against [j,
-    :, d, k] give derivative d = 0, 1, 2 of their degree-16 interpolant at
-    the point _GRID[k] of the way from point j to point j + 1: from
-    ``_lagrange`` between the two, and from _DIFF at them."""
-    x = np.array([-1.0] + _GK_NODES.tolist() + [1.0])
-    weights = np.zeros((16, x.size, 3, _GRID.size))  # [j, m, d, k]
-    inner = _lagrange(x[:-1, None] + np.diff(x)[:, None] * _GRID[1:-1])
-    weights[..., 1:-1] = np.stack(inner, axis=1).transpose(0, 3, 1, 2)
-    for j in range(16):
-        for k, node in ((0, j), (-1, j + 1)):
-            weights[j, node, 0, k] = 1.0
-            weights[j, :, 1, k] = _DIFF[:, node]
-            weights[j, :, 2, k] = _DIFF[:, x.size + node]
-    return weights
-
-
-_CUT_WEIGHTS = _interpolation()
+_CUT_WEIGHTS = np.stack(_lagrange(_GRID[1:-1]), axis=-1).transpose(0, 2, 3, 1).copy()
 # Brackets are cut only when those that need it hold this much of the
 # probability.  Cutting is about 30 array passes when the table is built,
 # some 170 us; what it saves is the fallback of the draws that miss, per
@@ -658,15 +641,18 @@ def make_distribution(
       t', G's resolution in t, for g the G at the bracket's right end and
       t' its least slope dt/du.  A bracket whose quintic the interpolant
       shows would leave the step more than tol / 2 off is cut into 4 equal
-      parts in t, with knots, slopes and curvatures from the same
-      interpolant, so no cdf call; this is done when such brackets hold
-      20% of the probability or more, where it costs less than the
-      fallback of the draws that would miss (Kumaraswamy(2, 3), 33.5%),
-      and below that those draws are left to the fallback (the
-      exponential law, 9.7%).  So most draws take three cdf values.  A
+      parts in t, whose outer ends keep the bracket's nodes with their
+      tabulated G, slopes and curvatures, and whose inner ends take theirs
+      from the same interpolant, so no cdf call; this is done when such
+      brackets hold 20% of the probability or more, where it costs less
+      than the fallback of the draws that would miss (Kumaraswamy(2,
+      3), 33.5%), and below that those draws are left to the fallback
+      (the exponential law, 9.7%).  So most draws take three cdf values.  A
       draw that fails takes a secant step from q and is checked once
-      more; only the draws that fail again (kinks, atoms) fall back to
-      cutting their bracket into 32 equal parts per cdf call, each with a
+      more; each failed check cuts its bracket at the two points it
+      evaluated, and only the draws that fail both (kinks, atoms, a
+      density strongly singular at 0) fall back to cutting what is left
+      of their bracket into 32 equal parts per cdf call, each with a
       round count from its own bracket.  So the quantile is elementwise:
       ``quantile_fn(u)[i]`` is ``quantile_fn(u[i])`` bit for bit, whatever
       else ``u`` holds.
@@ -897,9 +883,10 @@ def _inverse_table(edges, x, g_x, g_edges):
     t'' is not finite at either end (G' <= 0, say), it is the secant, c1 =
     t[i] - t[i-1] and c2 = ... = c5 = 0.  When the brackets whose quintic
     may miss its check (``_cut``) hold _CUT_MASS of the probability or
-    more, each of them becomes 2^_SPLITS equal parts in t whose inner ends
-    take g from the panel's interpolant (``_parts``); the other brackets
-    stay whole.  (Each row is one of these quantities, so a draw's values
+    more, each of them becomes 2^_SPLITS equal parts in t whose outer ends
+    keep the bracket's g, t' and -t'' and whose inner ends take theirs
+    from the panel's interpolant (``_parts``); the other brackets stay
+    whole.  (Each row is one of these quantities, so a draw's values
     are contiguous arrays.)
     """
     a, b = edges[:-1], edges[1:]
@@ -936,8 +923,10 @@ def _inverse_table(edges, x, g_x, g_edges):
         floor *= (_ULPS * sys.float_info.epsilon) * g[1:]
         np.fmax(_XTOL + _RTOL * t[:-1], np.fmin(floor, sys.float_info.max),
                 out=rows[10])
-        # G's interpolant halfway across each bracket in t
-        g_middle = np.einsum("pk,jk->pj", g_panel, _CUT_WEIGHTS[:, :, 0, _GRID.size // 2])
+        # G's interpolant halfway across each bracket in t, the middle one
+        # of its inner cut points
+        middle = _CUT_WEIGHTS[:, :, 0, _GRID.size // 2 - 1]
+        g_middle = np.einsum("pk,jk->pj", g_panel, middle)
         cut = _cut(rows, dt, g_middle.ravel())
         if rough.any():  # no polynomial in t follows G there
             cut &= ~np.repeat(rough, 16)
@@ -946,7 +935,7 @@ def _inverse_table(edges, x, g_x, g_edges):
             table = table[:, np.repeat(np.arange(cut.size + 1), np.append(1, parts))]
             rows = table[:, 1:]
             rows[:8, np.flatnonzero(np.repeat(cut, parts))] = _parts(
-                np.flatnonzero(cut), g_panel, 0.5 * (b - a), t, dt, g)
+                np.flatnonzero(cut), g_panel, 0.5 * (b - a), t, dt, g, slope, bend)
     knots = np.concatenate((rows[1], g[-1:], [np.inf]))
     t_knots = np.concatenate((rows[0], t[-1:], t[-1:]))
     # K buckets, a power of two so that u K is exact: bucket j holds the u
@@ -994,32 +983,37 @@ def _cut(rows, dt, g_middle):
     return 4.5 * e * e > dt * rows[10]
 
 
-def _parts(k, g_panel, half, t, dt, g):
+def _parts(k, g_panel, half, t, dt, g, slope, bend):
     """Rows 0 - 7 of the quintic rows (t and g at the left end, g's rise and
     c1 ... c5) of the 2^_SPLITS equal parts in t of each bracket k, in
-    order, from g, G' and G'' at their ends on the panel's interpolant
-    (_CUT_WEIGHTS), with g kept between the bracket's ends and
-    nondecreasing; ``half`` is each panel's half width.  np.einsum adds
+    order, from g, t' and -t'' at their ends: at the bracket's own ends its
+    nodes' g and the t' and -t'' tabulated there, ``slope`` and ``bend``
+    (per panel and point); at the inner ends those of the panel's
+    interpolant (_CUT_WEIGHTS), with g kept between the bracket's ends and
+    nondecreasing.  ``half`` is each panel's half width.  np.einsum adds
     each value's 17 terms in a fixed order, so a bracket's parts have the
     same bits whatever else is cut."""
     p, j = np.divmod(k, 16)
     v = np.einsum("sk,skdc->dsc", g_panel[p], _CUT_WEIGHTS[j])
+    h = half[p, None]
+    ends = np.empty((3, k.size, _GRID.size))  # g, t', -t'' by bracket and part end
+    ends[:, :, 0] = g[k], slope[p, j], bend[p, j]
+    ends[:, :, -1] = g[k + 1], slope[p, j + 1], bend[p, j + 1]
+    g_cut, t_prime, t_bend = ends
+    g_cut[:, 1:-1] = v[0]
+    np.divide(h, np.fmax(v[1], 0.0), out=t_prime[:, 1:-1])  # inf where G' <= 0
+    t_bend[:, 1:-1] = v[2] * t_prime[:, 1:-1] ** 3 / (h * h)
+    np.minimum(g_cut, g[k + 1, None], out=g_cut)
+    np.maximum.accumulate(g_cut, axis=1, out=g_cut)
     block = np.empty((8, k.size, 1 << _SPLITS))
     width = dt[k, None] * (1.0 / (1 << _SPLITS))
     np.multiply(width, _GRID[:-1] * (1 << _SPLITS), out=block[0])
     block[0] += t[k, None]
-    g_cut, g_hi = v[0], g[k + 1]
-    g_cut[:, 0], g_cut[:, -1] = g[k], g_hi
-    np.minimum(g_cut, g_hi[:, None], out=g_cut)
-    np.maximum.accumulate(g_cut, axis=1, out=g_cut)
     block[1] = g_cut[:, :-1]
     np.subtract(g_cut[:, 1:], g_cut[:, :-1], out=block[2])
-    h = half[p, None]
-    slope = h / np.fmax(v[1], 0.0)  # t', inf where G' <= 0
-    bend = v[2] * slope ** 3 / (h * h)  # -t''
     # a part with t' or t'' not finite gets a guess clamped to an end of
     # its bracket, which the check sends to the fallback
-    np.einsum("jk,km->jm", _QUINTIC, _hermite(width, block[2], slope, bend),
+    np.einsum("jk,km->jm", _QUINTIC, _hermite(width, block[2], t_prime, t_bend),
               out=block[3:].reshape(5, -1))
     return block.reshape(8, -1)
 
@@ -1055,10 +1049,10 @@ def _invert(G, u, base, g0, du, c1, c2, c3, c4, c5, lo, hi, tol):
     has its bracket cut at x and at the points checked, and takes a
     secant step from q, with the G(q) the check computed, through x (none
     where G is the same at both); the second and last check follows.
-    Where that fails too (G has a kink or an atom), G at _PROBES times
-    _XTOL + _RTOL x from the last step narrows the bracket, and
-    ``_bisect`` ends it.  Every step acts on each element alone, so
-    element i of the result depends on u[i] only.
+    Where that fails too (G has a kink or an atom, or a density strongly
+    singular at 0), its bracket is cut at the points the second check
+    evaluated as well, and ``_bisect`` ends it.  Every step acts on each
+    element alone, so element i of the result depends on u[i] only.
     """
     s = (u - g0) / du
     # Horner's scheme gives the quintic, base + s b, and its slope in s, d
@@ -1078,29 +1072,31 @@ def _invert(G, u, base, g0, du, c1, c2, c3, c4, c5, lo, hi, tol):
     q, k, left, g_left, g_q = _checked(G, u, step, hi, tol)
     if not k.size:
         return q
-    u, x, f, lo, hi, g_left, g_q = u[k], x[k], f[k], lo[k], hi[k], g_left[k], g_q[k]
+    u, x, f, lo, hi, g_q = u[k], x[k], f[k], lo[k], hi[k], g_q[k]
     step, tol = q[k], tol[k]
     # x and the two points checked are bracket ends
     below = f < 0.0
-    lo, hi = np.where(below, x, lo), np.where(below, hi, x)
-    hi = np.where(g_left >= u, np.fmin(hi, left[k]), hi)
-    lo = np.where(g_q < u, np.fmax(lo, step), lo)
+    lo, hi = _narrowed(u, np.where(below, x, lo), np.where(below, hi, x),
+                       left[k], g_left[k], step, g_q)
     f_q = g_q - u
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         secant = np.where(f_q != f, f_q * (step - x) / (f_q - f), 0.0)
         step = np.fmin(np.fmax(step - secant, lo), hi)
-    q[k], j, _, _, _ = _checked(G, u, step, hi, tol)
+    q[k], j, left, g_left, g_q = _checked(G, u, step, hi, tol)
     if not j.size:
         return q
-    k, u, x, lo, hi = k[j], u[j], step[j], lo[j], hi[j]
-    tol = _XTOL + _RTOL * x
-    pts = np.fmin(np.fmax(x[:, None] + tol[:, None] * _PROBES, lo[:, None]),
-                  hi[:, None])
-    ge = G(pts.ravel()).reshape(pts.shape) >= u[:, None]
-    lo = np.maximum(lo, np.max(np.where(ge, -np.inf, pts), axis=1))
-    hi = np.minimum(hi, np.min(np.where(ge, pts, np.inf), axis=1))
+    k, u = k[j], u[j]
+    lo, hi = _narrowed(u, lo[j], hi[j], left[j], g_left[j], q[k], g_q[j])
     q[k] = _bisect(G, u, lo, hi)
     return q
+
+
+def _narrowed(u, lo, hi, left, g_left, q, g_q):
+    """The brackets [lo, hi], G(lo) < u <= G(hi), cut at the two points a
+    failed check evaluated: q - tol, ``left``, is the new hi where G there
+    is >= u, and q the new lo where G(q) < u."""
+    return (np.where(g_q < u, np.fmax(lo, q), lo),
+            np.where(g_left >= u, np.fmin(hi, left), hi))
 
 
 def _checked(G, u, x, hi, tol):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 import busycycle as bc
 from busycycle import analytics, distributions, quadrature, simulator
@@ -581,6 +581,54 @@ USER_LAWS = [
     ("weibull_half", _weibull_half_cdf, 0.5, math.inf, False),
     ("kumaraswamy", _kumaraswamy_cdf, 16.0 / 35.0, 1.0, True),
 ]
+
+# the hyperexponential law of scv 5, mean 1 and balanced means, p_i / mu_i
+# = 1/2: phase probabilities p and rates 2 p
+_HYPER_P = 0.5 * (1.0 + math.sqrt(4.0 / 6.0)), 0.5 * (1.0 - math.sqrt(4.0 / 6.0))
+
+
+def _hyperexponential_cdf(t):
+    t = np.maximum(t, 0.0)
+    return -sum(p * np.expm1(-2.0 * p * t) for p in _HYPER_P)
+
+
+def _loglogistic_ends(t):
+    """(r, r^4, t <= 1) for the log-logistic law of shape 4, scale 1, with r
+    = t up to 1 and 1 / t past it, so that no power overflows."""
+    t = np.maximum(t, 0.0)
+    small = t <= 1.0
+    r = np.where(small, t, 1.0 / np.where(small, 1.0, t))
+    return r, r ** 4, small
+
+
+def _loglogistic_cdf(t):
+    # t^4 / (1 + t^4) up to 1, 1 / (1 + t^-4) past it
+    _r, z, small = _loglogistic_ends(t)
+    return np.where(small, z, 1.0) / (1.0 + z)
+
+
+def _loglogistic_density(t):
+    # 4 t^3 / (1 + t^4)^2 up to 1, 4 t^-5 / (1 + t^-4)^2 past it
+    r, z, small = _loglogistic_ends(t)
+    return 4.0 * r ** 3 * np.where(small, 1.0, r * r) / (1.0 + z) ** 2
+
+
+# Laws none of the quantile's constants was tuned on, in the same form.
+# The gamma laws are left out: scipy.special.gammainc(0.5, t) falls at 55
+# of the 199 steps between 200 consecutive floats from t = 1.13, so the
+# exact left-hand assertion fails on 16 of 10 012 gamma 1/2 draws whatever
+# the quantile does; that is the cdf's property, not the quantile's.
+HELD_OUT_LAWS = [
+    ("lognormal_15", lambda t: special.ndtr(np.log(np.maximum(t, 1e-300)) / 1.5),
+     math.exp(1.125), math.inf, True),
+    ("hyperexponential_scv5", _hyperexponential_cdf, 1.0, math.inf, True),
+    ("lomax_45", lambda t: -np.expm1(-4.5 * np.log1p(np.maximum(t, 0.0))),
+     1.0 / 3.5, math.inf, True),
+    ("beta_half", lambda t: (2.0 / math.pi) * np.arcsin(np.sqrt(np.clip(t, 0.0, 1.0))),
+     0.5, 1.0, False),
+    ("loglogistic_4", _loglogistic_cdf, math.pi / (2.0 * math.sqrt(2.0)), math.inf,
+     True),
+]
 # each law's exact density, for the quantile's tolerance in t
 DENSITY = {
     "exponential": lambda t: 2.0 * np.exp(-2.0 * t),
@@ -591,6 +639,13 @@ DENSITY = {
     "kumaraswamy": lambda t: 6.0 * t * (1.0 - np.minimum(t, 1.0) ** 2) ** 2,
     # the left density at the kink t = 1/2, where the flat stretch starts
     "flat_kink": lambda t: np.where((t <= 0.5) | (t > 1.0), 1.0, 0.0),
+    "lognormal_15": lambda t: np.exp(-0.5 * (np.log(np.maximum(t, 1e-300)) / 1.5) ** 2)
+    / (np.maximum(t, 1e-300) * 1.5 * math.sqrt(2.0 * math.pi)),
+    "hyperexponential_scv5": lambda t: sum(2.0 * p * p * np.exp(-2.0 * p * t)
+                                           for p in _HYPER_P),
+    "lomax_45": lambda t: 4.5 * np.exp(-5.5 * np.log1p(t)),
+    "beta_half": lambda t: 1.0 / (math.pi * np.sqrt(t * (1.0 - t))),
+    "loglogistic_4": _loglogistic_density,
 }
 
 
@@ -608,7 +663,8 @@ U_GRID = np.array([0.0, 1e-300, 1e-12, 1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-6,
                    1.0 - 1e-12, 1.0 - 1e-13, np.nextafter(1.0, 0.0), 1.0])
 
 
-@pytest.mark.parametrize("label,cdf,mean,end,bounded_density", USER_LAWS)
+@pytest.mark.parametrize("label,cdf,mean,end,bounded_density",
+                         USER_LAWS + HELD_OUT_LAWS)
 def test_user_quantile_is_the_generalized_inverse(label, cdf, mean, end,
                                                   bounded_density):
     dist = bc.make_distribution(cdf, mean=mean, support_end=end)
@@ -624,7 +680,8 @@ def test_user_quantile_is_the_generalized_inverse(label, cdf, mean, end,
         np.testing.assert_allclose(g, U_GRID, rtol=0.0, atol=1e-13)
 
 
-@pytest.mark.parametrize("label,cdf,mean,end,bounded_density", USER_LAWS)
+@pytest.mark.parametrize("label,cdf,mean,end,bounded_density",
+                         USER_LAWS + HELD_OUT_LAWS)
 def test_user_quantile_is_elementwise(label, cdf, mean, end, bounded_density):
     # one fallback round count per element: an array call gives each
     # element the bits a call on that element alone gives, which the
@@ -647,7 +704,8 @@ def test_user_quantile_past_the_last_tabulated_g_is_the_support_end():
     assert float(dist.quantile_fn(0.0)) == 0.0
 
 
-@pytest.mark.parametrize("label,cdf,mean,end,bounded_density", USER_LAWS)
+@pytest.mark.parametrize("label,cdf,mean,end,bounded_density",
+                         USER_LAWS + HELD_OUT_LAWS)
 def test_user_quantile_draws_pass_a_kolmogorov_test(label, cdf, mean, end,
                                                     bounded_density):
     dist = bc.make_distribution(cdf, mean=mean, support_end=end)
@@ -661,7 +719,8 @@ def _flat_kink_cdf(t):
 
 
 @pytest.mark.parametrize("label,cdf,mean,end,bounded_density",
-                         USER_LAWS + [("flat_kink", _flat_kink_cdf, 0.75, 1.5, True)])
+                         USER_LAWS + [("flat_kink", _flat_kink_cdf, 0.75, 1.5, True)]
+                         + HELD_OUT_LAWS)
 def test_user_quantile_contract_on_random_draws(label, cdf, mean, end,
                                                 bounded_density, monkeypatch):
     dist = bc.make_distribution(cdf, mean=mean, support_end=end)
@@ -720,6 +779,23 @@ def test_user_quantile_evaluates_few_cdf_points_per_draw(label, cdf, mean, end,
     dist.quantile_fn(np.random.default_rng(17).random(4096))
     per_draw = evaluated[0] / 4096
     assert per_draw <= CDF_POINTS_PER_DRAW[label], (label, per_draw)
+
+
+def test_user_quantile_bisects_from_the_bracket_both_checks_left():
+    # power c = 0.1 sends more draws past both checks than any other law
+    # measured: 340 of these 4096.  They cut their bracket at the points
+    # the checks evaluated and bisect what is left, 10.84 cdf values per
+    # draw; 50 probes around the secant step before bisecting took 13.0
+    evaluated = [0]
+
+    def counted(t):
+        evaluated[0] += np.size(t)
+        return np.clip(t, 0.0, 1.0) ** 0.1
+
+    dist = bc.make_distribution(counted, mean=0.1 / 1.1, support_end=1.0)
+    evaluated[0] = 0  # construction's table is not counted
+    dist.quantile_fn(np.random.default_rng(17).random(4096))
+    assert evaluated[0] / 4096 <= 11.0, evaluated[0] / 4096
 
 
 @pytest.mark.parametrize("label,cdf,mean,end,bounded_density", USER_LAWS)
@@ -829,7 +905,8 @@ def test_batched_support_search_keeps_the_one_point_tables(label, cdf, mean, end
         assert ends[0][-1] == math.ldexp(mean, 8)
 
 
-@pytest.mark.parametrize("label,cdf,mean,end,bounded_density", USER_LAWS)
+@pytest.mark.parametrize("label,cdf,mean,end,bounded_density",
+                         USER_LAWS + HELD_OUT_LAWS)
 def test_user_quantile_of_nan_is_nan(label, cdf, mean, end, bounded_density):
     # NaN once drew the support end (32.0 for the exponential law)
     dist = bc.make_distribution(cdf, mean=mean, support_end=end)
