@@ -248,7 +248,9 @@ def build_report(params: QueueParameters, reference: Optional[float] = None,
 
     ``reference`` (typically the computed beta_c) enables the gap ratio.
     Class bounds whose prerequisites (tags, moments, power type) are
-    missing are omitted.
+    missing are omitted.  UnsupportedMomentError, naming the law, when no
+    bound applies at all: without the SCV there is no distribution-free
+    bound, and without a class tag no class bound.
     """
     assume_tags = _tags(assume_tags, "assume_tags")
     lowers = []
@@ -258,8 +260,8 @@ def build_report(params: QueueParameters, reference: Optional[float] = None,
                                 params.service.scv)
         lowers += [("sathe", lo), ("universal", lo)]  # same floor, universal validity
         uppers.append(("sathe", up))
-    except UnsupportedMomentError:
-        pass
+    except UnsupportedMomentError as exc:
+        no_scv = exc
     for rows, bound, kinds in ((lowers, class_lower_bound, LOWER_CLASSES),
                                (uppers, class_upper_bound, UPPER_CLASSES)):
         for kind in kinds:
@@ -267,6 +269,9 @@ def build_report(params: QueueParameters, reference: Optional[float] = None,
                 rows.append((kind, bound(kind, params, assume_tags)))
             except (ClassViolationError, UnsupportedMomentError):
                 pass
+    if not (lowers or uppers):
+        raise UnsupportedMomentError(f"{no_scv}, so no distribution-free bound "
+                                     f"applies, and no class bound holds")
 
     max_lower = max((v for _, v in lowers), default=-math.inf)
     min_upper = min((v for _, v in uppers), default=math.inf)

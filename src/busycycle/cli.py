@@ -34,8 +34,8 @@ import os
 import sys
 
 from . import analytics, bounds, simulator, tables
-from .distributions import QueueParameters, _tags, deterministic, from_spec
-from .errors import BusyCycleError, DomainError
+from .distributions import QueueParameters, _tags, from_spec
+from .errors import BusyCycleError, DomainError, UnsupportedMomentError
 
 __all__ = ["main", "run"]
 
@@ -156,8 +156,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--reps", type=int, default=1)
 
     sp = command("metrics", run_metrics, "analytic busy-cycle mean values")
-    sp.add_argument("--rho", type=float,
-                    help="only --rho 0 is accepted: the idle-only limit")
     sp.add_argument("--strategy", choices=["auto", "closed-form", "quadrature"],
                     default="auto")
     sp.add_argument("--tol-quad", dest="tol_quad", type=float,
@@ -179,25 +177,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _queue_from(args: argparse.Namespace, parser) -> QueueParameters:
-    """The queue of a command; ``metrics --rho 0`` is the idle-only limit."""
-    rho = getattr(args, "rho", None)  # a metrics option
-    if rho is not None and rho != 0.0:
-        parser.error("--rho accepts only 0 (idle-only escape); "
-                     "use --dist for a real service law")
+    """The queue of a command: ``--lambda`` and the law ``--dist`` names;
+    ``{"type":"deterministic","mean":0}`` is the idle-only limit."""
     if args.lam is None:
         parser.error("--lambda is required")
-    if rho is not None:
-        return QueueParameters(args.lam, deterministic(0.0))
     if args.dist is None:
         parser.error("--dist is required for this command")
     try:
-        law = from_spec(args.dist, arrival_rate=args.lam)
-        if law.mean == 0.0:
-            parser.error("deterministic mean 0 is rejected; use `metrics --rho 0` "
-                         "for the idle-only limit")
-        return QueueParameters(args.lam, law)
+        return QueueParameters(args.lam, from_spec(args.dist, arrival_rate=args.lam))
     except DomainError as exc:
         parser.error(str(exc))
+
+
+def _bounded_queue(args: argparse.Namespace, parser) -> QueueParameters:
+    """The queue of ``bounds`` and ``compare``.  A law of mean 0 has no SCV,
+    so no distribution-free bound, and its class bounds are one-sided: it
+    is refused, before any work."""
+    params = _queue_from(args, parser)
+    if params.service.mean == 0.0:
+        raise UnsupportedMomentError(f"{params.service.name} has no SCV, so no "
+                                     f"distribution-free bound applies")
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +244,7 @@ def run_metrics(args: argparse.Namespace, parser) -> int:
 
 
 def run_bounds(args: argparse.Namespace, parser) -> int:
-    params = _queue_from(args, parser)
+    params = _bounded_queue(args, parser)
     reference = None if args.no_reference else analytics.beta_c(params).beta_c
     report = bounds.build_report(params, reference=reference,
                                  assume_tags=args.assume_tags)
@@ -351,7 +351,7 @@ def run_table(args: argparse.Namespace, parser) -> int:
 
 
 def run_compare(args: argparse.Namespace, parser) -> int:
-    params = _queue_from(args, parser)
+    params = _bounded_queue(args, parser)
     m = analytics.beta_c(params)
     if params.traffic_intensity >= HIGH_RHO_WARN:
         print(f"warning: rho = {fmt(params.traffic_intensity)} is high; "

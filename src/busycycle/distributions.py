@@ -318,7 +318,7 @@ class ServiceDistribution:
                 f"{self.name}: second moment unavailable, cannot form SCV"
             )
         if self.mean == 0.0:
-            raise UnsupportedMomentError("SCV undefined for a zero-mean service")
+            raise UnsupportedMomentError(f"{self.name}: SCV undefined for a zero mean")
         mean2 = _power(self.mean, 2, f"{self.name}: mean")
         if self.variance is not None:
             return self.variance / mean2
@@ -392,7 +392,8 @@ def exponential(mean: float) -> ServiceDistribution:
 
 def deterministic(mean: float) -> ServiceDistribution:
     """Unit mass at ``mean``.  mean == 0 gives the idle-only limit in which
-    every service takes no time (rho = 0)."""
+    every service takes no time (rho = 0); on the command line it is
+    ``--dist '{"type":"deterministic","mean":0}'``."""
     a = _number(mean, "deterministic mean", "finite and >= 0")
 
     def cdf(t):

@@ -92,21 +92,17 @@ def _support_breaks(mean: float, end: float, negligible, what: str,
     _SEARCH_BATCH consecutive octaves, so it may see up to
     _SEARCH_BATCH - 1 octaves past the end it picks, which is the end a
     search one point at a time would pick."""
-    low = (math.ldexp(mean, -k) for k in range(below, 0, -1))
-    breaks = [0.0] + [t for t in low if t < end]
-    up = []
-    t = mean
-    while t < end and len(up) < 200:
-        up.append(t)
-        t *= 2.0
+    with np.errstate(over="ignore"):  # octaves past the float range are inf
+        grid = np.ldexp(mean, np.arange(-below, 200))
+    grid = grid[grid < end]
     if not math.isinf(end):
-        return breaks + up + [end]
-    for start in range(0, len(up), _SEARCH_BATCH):
-        hit = np.flatnonzero(negligible(np.array(up[start:start + _SEARCH_BATCH])))
+        return [0.0, *grid.tolist(), end]
+    for start in range(below, grid.size, _SEARCH_BATCH):
+        hit = np.flatnonzero(negligible(grid[start:start + _SEARCH_BATCH]))
         if hit.size:
-            return breaks + up[:start + int(hit[0]) + 1]
+            return [0.0, *grid[:start + int(hit[0]) + 1].tolist()]
     raise AccuracyError(
-        f"{what} up to t = {up[-1]:.3g}; the support cannot be truncated",
+        f"{what} up to t = {grid[-1]:.3g}; the support cannot be truncated",
         best_estimate=math.inf, error_estimate=math.inf,
     )
 

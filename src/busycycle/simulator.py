@@ -283,6 +283,11 @@ def _replication_sums(params: QueueParameters, n_cycles: int, seed: int,
     return results
 
 
+def _moments_overflow(lam: float) -> DomainError:
+    return DomainError(f"lambda = {lam:g}: the simulated cycle moments "
+                       f"E[Z^k], k <= 4, leave the float range")
+
+
 def estimate_beta_c(params: QueueParameters, n_cycles: int, seed: int,
                     replications: int = 1) -> SimulationEstimate:
     """Estimate beta_c = E[Z^2] / (2 E[Z]) from simulated busy cycles.
@@ -298,7 +303,8 @@ def estimate_beta_c(params: QueueParameters, n_cycles: int, seed: int,
     An error in a replication is raised once every thread has stopped, the
     lowest replication's first.  ``n_cycles``, ``seed`` and ``replications``
     must be integers.  DomainError is raised before any draw when the expected
-    number of arrivals exceeds ``EVENT_CAP``.
+    number of arrivals exceeds ``EVENT_CAP``, or when E[I^4] of the idle
+    periods leaves the float range.
     """
     n_cycles = _integer(n_cycles, "n_cycles")
     seed = _integer(seed, "seed")
@@ -318,6 +324,12 @@ def estimate_beta_c(params: QueueParameters, n_cycles: int, seed: int,
         raise DomainError(f"about {events:.3g} arrivals expected "
                           f"(n_cycles * replications * e^rho) exceed the cap "
                           f"of {EVENT_CAP:.0e}")
+    # every cycle holds an idle period I with E[I^4] = 24 / lambda^4, which
+    # the moments below cannot hold once it leaves the float range; in logs,
+    # as lambda^4 underflows first
+    lam = params.arrival_rate
+    if math.log(24.0) - 4.0 * math.log(lam) > math.log(sys.float_info.max):
+        raise _moments_overflow(lam)
 
     total = np.zeros(4)
     per_rep = []
@@ -330,8 +342,7 @@ def estimate_beta_c(params: QueueParameters, n_cycles: int, seed: int,
     m3 = float(total[2]) / n
     m4 = float(total[3]) / n
     if not all(sys.float_info.min <= m < math.inf for m in (m1, m2, m3, m4)):
-        raise DomainError(f"lambda = {params.arrival_rate:g}: the simulated "
-                          f"cycle moments E[Z^k], k <= 4, leave the float range")
+        raise _moments_overflow(lam)
     ratio = m2 / (2.0 * m1)
 
     # delta method on R = m2 / (2 m1):

@@ -1,6 +1,7 @@
 """Bounds: frozen endpoint values, reduction identities, sandwich checks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -316,6 +317,16 @@ def test_build_report_untagged_member_gets_only_distribution_free_rows():
     rep = bc.build_report(p)
     assert [l for l, _ in rep.lower_bounds] == ["sathe", "universal"]
     assert [l for l, _ in rep.upper_bounds] == ["sathe"]
+
+
+def test_build_report_with_no_bound_at_all_is_an_error():
+    # both reports were tightest = (-inf, inf), "consistent"
+    untagged = bc.make_distribution(lambda t: -np.expm1(-np.maximum(t, 0.0)), mean=1.0,
+                                    name="untagged")
+    for dist in (bc.deterministic(0.0), untagged):
+        with pytest.raises(UnsupportedMomentError, match=f"^{re.escape(dist.name)}: "
+                           f".*, so no distribution-free bound applies"):
+            bc.build_report(bc.QueueParameters(2.0, dist))
 
 
 def test_tag_sets_are_read_one_way_everywhere():

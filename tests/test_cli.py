@@ -74,31 +74,44 @@ def test_metrics_special_a_equals_mean_cycle(capsys):
     assert "E[Z]            1.6487213" in out
 
 
+IDLE_ONLY = '{"type":"deterministic","mean":0}'
+
+
 def test_metrics_rho_zero_escape(capsys):
-    code, out, _ = run_cli(capsys, "metrics", "--lambda", "2", "--rho", "0")
+    # the idle-only limit rho = 0 is the zero-mean deterministic law
+    code, out, _ = run_cli(capsys, "metrics", "--lambda", "2", "--dist", IDLE_ONLY)
     assert code == 0
     assert "beta_c          0.5" in out
     assert "E[Z^2]          0.5" in out
 
 
-def test_metrics_rejects_nonzero_rho_escape(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run_cli(capsys, "metrics", "--lambda", "2", "--rho", "0.5")
-    assert exc.value.code == 2
+def test_metrics_has_no_rho_option(capsys):
+    for rho in ("0", "0.5"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "metrics", "--lambda", "2", "--rho", rho)
+        assert exc.value.code == 2
 
 
-def test_metrics_rejects_zero_mean_deterministic(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run_cli(capsys, "metrics", "--lambda", "2",
-                "--dist", '{"type":"deterministic","mean":0}')
-    assert exc.value.code == 2
+def test_zero_mean_law_runs_metrics_and_simulate_but_has_no_bounds(capsys):
+    for command in ("metrics", "simulate"):
+        code, out, _ = run_cli(capsys, command, "--lambda", "2", "--dist", IDLE_ONLY,
+                               *(["--cycles", "1000"] if command == "simulate" else []))
+        assert code == 0 and "rho" in out and not NOT_FINITE.search(out), command
+    # no SCV, so no distribution-free bound: both refuse, with one message
+    errors = set()
+    for command in ("bounds", "compare"):
+        code, out, err = run_cli(capsys, command, "--lambda", "2", "--dist", IDLE_ONLY)
+        assert (code, out) == (2, ""), command
+        errors.add(err)
+    assert errors == {"error: deterministic(mean=0) has no SCV, so no "
+                      "distribution-free bound applies\n"}
 
 
 def test_usage_errors_exit_2(capsys):
     for argv in (
         ["metrics", "--lambda", "2", "--dist", "{not json"],
         ["metrics", "--dist", EXP_HALF],           # missing lambda
-        ["metrics", "--lambda", "2"],              # missing dist and rho
+        ["metrics", "--lambda", "2"],              # missing dist
         ["metrics", "--lambda", "2", "--dist", '{"type":"weibull"}'],
         ["table"],                                  # missing --which
         ["metrics", "--lambda", "2", "--dist", "[1]"],
@@ -134,7 +147,7 @@ def test_usage_errors_exit_2(capsys):
     # typed engine errors: one "error:" line on stderr, nothing on stdout
     for argv in (
         ["metrics", "--lambda", "1", "--dist", '{"type":"exponential","mean":700}'],
-        ["metrics", "--lambda", "1e-200", "--rho", "0"],  # E[Z^2] = 2e400
+        ["metrics", "--lambda", "1e-200", "--dist", IDLE_ONLY],  # E[Z^2] = 2e400
         # rho = 709.5 is in range, but e^rho / lambda overflows every bound
         ["bounds", "--lambda", "0.5", "--dist", '{"type":"exponential","mean":1419}',
          "--no-reference"],
@@ -143,6 +156,9 @@ def test_usage_errors_exit_2(capsys):
          "--strategy", "quadrature"],
         # cycle lengths whose powers leave the float range
         ["simulate", "--lambda", "1e-300", "--dist", '{"type":"uniform01"}',
+         "--cycles", "1000"],
+        # the idle periods' E[I^4] leaves the float range before any draw
+        ["simulate", "--lambda", "1e-306", "--dist", '{"type":"uniform01"}',
          "--cycles", "1000"],
         ["simulate", "--lambda", "1e200", "--dist",
          '{"type":"deterministic","mean":1e-200}', "--cycles", "1000"],
