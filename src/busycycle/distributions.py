@@ -725,9 +725,12 @@ def make_distribution(
         # and u past the last G the empty bracket [end, end]
         flat = u.ravel()
         i = _guide_search(knots, guide, flat)
+        inner = (i > 0) & (i < knots.size - 1)  # false for NaN
+        if flat.size and inner.all():  # no draw to gather or scatter
+            return _invert(G, flat, *np.take(quintic, i, axis=1)).reshape(u.shape)
         x = hi_tab[i]
         x[np.isnan(flat)] = np.nan
-        k = np.flatnonzero((i > 0) & (i < knots.size - 1))
+        k = np.flatnonzero(inner)
         if k.size:
             x[k] = _invert(G, flat[k], *np.take(quintic, i[k], axis=1))
         return x.reshape(u.shape)
@@ -1055,21 +1058,30 @@ def _invert(G, u, base, g0, du, c1, c2, c3, c4, c5, lo, hi, tol):
     evaluated as well, and ``_bisect`` ends it.  Every step acts on each
     element alone, so element i of the result depends on u[i] only.
     """
-    s = (u - g0) / du
-    # Horner's scheme gives the quintic, base + s b, and its slope in s, d
-    b = c4 + s * c5
-    d = b + s * c5
-    b = c3 + s * b
-    d = b + s * d
-    b = c2 + s * b
-    d = b + s * d
-    b = c1 + s * b
-    d = b + s * d
-    x = np.fmin(np.fmax(base + s * b, lo), hi)
+    s = np.subtract(u, g0)
+    s /= du
+    # Horner's scheme gives the quintic, base + s b, and its slope in s, d,
+    # in place in two buffers: b = c4 + s c5 and d = b + s c5, then b = c +
+    # s b and d = b + s d for c = c3, c2, c1, and x = base + s b in b's
+    # buffer; every product is rounded before its sum, as when written out
+    d = np.multiply(s, c5)
+    b = d + c4
+    d += b
+    for c in (c3, c2, c1):
+        np.multiply(s, b, out=b)
+        b += c
+        np.multiply(s, d, out=d)
+        d += b
+    np.multiply(s, b, out=b)
+    b += base
+    x = np.fmin(np.fmax(b, lo, out=b), hi, out=b)
     f = G(x) - u
     # a step past the float range, or NaN, is clamped to the bracket
     with np.errstate(over="ignore", invalid="ignore"):
-        step = np.fmin(np.fmax(x - f * d / du, lo), hi)
+        step = np.multiply(f, d, out=d)
+        step /= du
+        np.subtract(x, step, out=step)
+        np.fmin(np.fmax(step, lo, out=step), hi, out=step)
     q, k, left, g_left, g_q = _checked(G, u, step, hi, tol)
     if not k.size:
         return q

@@ -122,18 +122,23 @@ def _refine(f, breakpoints, rel_tol: float):
     error_estimate, a, b, values), the converged panels [a, b] and their
     Kronrod values as arrays sorted by ``a``.  One call of ``f`` evaluates
     the seed panels, and one the two halves of each split; AccuracyError
-    by the module's failure rule."""
+    by the module's failure rule.  Seed panels that already meet the
+    tolerance are returned as they are, the arrays of that one call, with
+    no heap: the panels, values and sums a heap of them would give."""
     pts = np.array(sorted(set(float(b) for b in breakpoints)))
     if len(pts) < 2:
         raise DomainError("need at least two distinct breakpoints")
 
-    vals, errs = _gauss_kronrod(f, pts[:-1], pts[1:])
-    heap = list(zip((-errs).tolist(), pts[:-1].tolist(), pts[1:].tolist(),
-                    vals.tolist(), errs.tolist()))
-    heapq.heapify(heap)
+    a, b = pts[:-1], pts[1:]
+    vals, errs = _gauss_kronrod(f, a, b)
     total, total_err = float(vals.sum()), float(errs.sum())
+    heap = None  # built at the first split
 
     while total_err > rel_tol * max(abs(total), 1e-300) and total_err > 1e-300:
+        if heap is None:
+            heap = list(zip((-errs).tolist(), a.tolist(), b.tolist(),
+                            vals.tolist(), errs.tolist()))
+            heapq.heapify(heap)
         _, a, b, val, err = heap[0]
         mid = 0.5 * (a + b)
         if len(heap) >= _MAX_PANELS or not a < mid < b:
@@ -151,5 +156,7 @@ def _refine(f, breakpoints, rel_tol: float):
         heapq.heappush(heap, (-le, a, mid, lv, le))
         heapq.heappush(heap, (-re, mid, b, rv, re))
 
+    if heap is None:  # the seed panels converged
+        return total, total_err, a, b, vals
     _, a, b, values, _ = np.array(sorted(heap, key=lambda p: p[1])).T
     return total, total_err, a, b, values

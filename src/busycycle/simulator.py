@@ -206,12 +206,16 @@ def _cycle_lengths(params: QueueParameters, n_cycles: int, seed: int,
 
 
 def _accumulate(params: QueueParameters, n_cycles: int, seed: int,
-                replication: int):
+                replication: int, exponent: int = 0):
     """Pooled power sums Z, Z^2, Z^3, Z^4 for one replication, added one
-    chunk's cycles at a time."""
+    chunk's cycles at a time, of the lengths Z 2^-exponent."""
+    # a float multiply by a power of 2 rounds as np.ldexp does, in under
+    # half its time (4.8 against 11 us on 24 000 cycles)
+    scale = math.ldexp(1.0, -exponent)
     sums = np.zeros(4)
     for z in _cycle_lengths(params, n_cycles, seed, replication):
         with np.errstate(over="ignore"):  # estimate_beta_c checks the range
+            z *= scale
             sums[0] += z.sum()
             z2 = z * z
             sums[1] += z2.sum()
@@ -233,8 +237,9 @@ def _usable_cpus() -> int:
 
 
 def _replication_sums(params: QueueParameters, n_cycles: int, seed: int,
-                      replications: int) -> list:
-    """``_accumulate`` of each replication, in replication order.
+                      replications: int, exponent: int = 0) -> list:
+    """``_accumulate`` of each replication, in replication order, of the
+    lengths Z 2^-exponent.
 
     Replications run on up to _MAX_WORKERS threads, one per usable CPU,
     when each expects at least _THREADED_ARRIVALS arrivals (n_cycles
@@ -260,7 +265,7 @@ def _replication_sums(params: QueueParameters, n_cycles: int, seed: int,
             if r >= replications:
                 return
             try:
-                results[r] = _accumulate(params, n_cycles, seed, r)
+                results[r] = _accumulate(params, n_cycles, seed, r, exponent)
             except BaseException as exc:  # re-raised in replication order
                 results[r] = exc
                 stop.set()
@@ -304,7 +309,9 @@ def estimate_beta_c(params: QueueParameters, n_cycles: int, seed: int,
     lowest replication's first.  ``n_cycles``, ``seed`` and ``replications``
     must be integers.  DomainError is raised before any draw when the expected
     number of arrivals exceeds ``EVENT_CAP``, or when E[I^4] of the idle
-    periods leaves the float range.
+    periods leaves the float range, and after the draws when an estimated
+    E[Z^k], k <= 4, does.  The power sums are pooled in units of the power
+    of 2 nearest the mean cycle length, so they do not overflow first.
     """
     n_cycles = _integer(n_cycles, "n_cycles")
     seed = _integer(seed, "seed")
@@ -331,16 +338,21 @@ def estimate_beta_c(params: QueueParameters, n_cycles: int, seed: int,
     if math.log(24.0) - 4.0 * math.log(lam) > math.log(sys.float_info.max):
         raise _moments_overflow(lam)
 
+    # the sums are of Z 2^-e, 2^e near the mean cycle length e^rho / lambda,
+    # so that the sum of n Z^4 stays in range wherever E[Z^4] does; a power
+    # of 2 scales exactly, away from subnormals
+    e = math.frexp(math.exp(params.traffic_intensity) / lam)[1]
     total = np.zeros(4)
-    per_rep = []
-    for s in _replication_sums(params, n_cycles, seed, replications):
-        per_rep.append(float(s[1] / (2.0 * s[0])))
+    ratios = []
+    for s in _replication_sums(params, n_cycles, seed, replications, e):
+        ratios.append(float(s[1] / (2.0 * s[0])))
         total += s
-
-    m1 = float(total[0]) / n
-    m2 = float(total[1]) / n
-    m3 = float(total[2]) / n
-    m4 = float(total[3]) / n
+    try:
+        per_rep = [math.ldexp(r, e) for r in ratios]
+        m1, m2, m3, m4 = (math.ldexp(float(total[k]) / n, (k + 1) * e)
+                          for k in range(4))
+    except OverflowError:  # math.ldexp past the float range
+        raise _moments_overflow(lam) from None
     if not all(sys.float_info.min <= m < math.inf for m in (m1, m2, m3, m4)):
         raise _moments_overflow(lam)
     ratio = m2 / (2.0 * m1)

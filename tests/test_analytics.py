@@ -24,7 +24,8 @@ from busycycle.errors import (
     UnsupportedClosedFormError,
 )
 from busycycle import quadrature
-from busycycle.quadrature import _G_WEIGHTS, _GK_NODES, _K_WEIGHTS, _refine
+from busycycle.quadrature import (_G_WEIGHTS, _GK_NODES, _K_WEIGHTS, _gauss_kronrod,
+                                  _refine)
 
 
 def _z_second_moment_alt(params):
@@ -335,6 +336,41 @@ def test_refine_keeps_the_error_of_a_panel_too_narrow_to_split():
     width = math.ulp(1.0)
     assert exc.value.best_estimate == pytest.approx(width, rel=1e-15)
     assert exc.value.error_estimate == pytest.approx(1e-16 * width, rel=1e-12)
+
+
+def _counted(f):
+    """``f`` and the list of the array sizes it has been called on."""
+    sizes = []
+
+    def counted(x):
+        sizes.append(x.size)
+        return f(x)
+
+    return counted, sizes
+
+
+def test_refine_returns_seed_panels_that_converge_as_they_are():
+    # GK15 integrates t^2 exactly, so the seed panels meet the tolerance
+    # on their first call and come back with no split
+    f, sizes = _counted(np.square)
+    pts = np.array([0.0, 0.5, 1.0, 3.0])
+    total, total_err, a, b, values = _refine(f, [3.0, 0.0, 1.0, 0.5, 1.0], 1e-12)
+    assert sizes == [15 * 3]
+    assert a.tobytes() == pts[:-1].tobytes() and b.tobytes() == pts[1:].tobytes()
+    seed_values, seed_errs = _gauss_kronrod(np.square, pts[:-1], pts[1:])
+    assert values.tobytes() == seed_values.tobytes()
+    assert total == float(values.sum()) and total_err == float(seed_errs.sum())
+    assert total == pytest.approx(9.0, rel=1e-15)
+
+
+def test_refine_returns_split_panels_sorted_and_contiguous():
+    f, sizes = _counted(np.sqrt)
+    total, total_err, a, b, values = _refine(f, [0.0, 0.25, 1.0], 1e-12)
+    assert len(sizes) > 1 and len(a) > 2
+    assert a[0] == 0.0 and b[-1] == 1.0
+    assert np.all(a < b) and np.array_equal(a[1:], b[:-1])
+    assert total_err <= 1e-12 * total and total == pytest.approx(2.0 / 3.0, rel=1e-10)
+    assert total == pytest.approx(float(values.sum()), rel=1e-14)
 
 
 def test_gauss_kronrod_constants_integrate_polynomials_exactly():

@@ -961,6 +961,29 @@ def test_user_quantile_of_nan_is_nan(label, cdf, mean, end, bounded_density):
     assert math.isnan(float(dist.quantile_fn(math.nan))), label
 
 
+@pytest.mark.parametrize("label,cdf,mean,end,bounded_density",
+                         USER_LAWS + HELD_OUT_LAWS)
+def test_user_quantile_of_interior_draws_has_the_bits_of_the_gathering_path(
+        label, cdf, mean, end, bounded_density, monkeypatch):
+    # draws that all fall between two knots go to _invert without being
+    # gathered and scattered; an appended u = 0, which has no bracket,
+    # sends the same draws through the gathering path
+    dist = bc.make_distribution(cdf, mean=mean, support_end=end)
+    u = np.random.default_rng(17).random(4096)
+    inverted = []
+    invert = distributions._invert
+
+    def spy(G, u, *rows):
+        inverted.append(u.size)
+        return invert(G, u, *rows)
+
+    monkeypatch.setattr(distributions, "_invert", spy)
+    direct = np.asarray(dist.quantile_fn(u))
+    gathered = np.asarray(dist.quantile_fn(np.append(u, 0.0)))[:-1]
+    assert inverted == [u.size, u.size], label  # every draw is interior
+    assert direct.tobytes() == gathered.tobytes(), label
+
+
 def test_exponential_quantile_of_1_is_inf_without_a_warning():
     law = bc.exponential(2.0)
     with warnings.catch_warnings():

@@ -295,6 +295,23 @@ def test_time_average_age_of_lengths_whose_squares_overflow():
         bc.time_average_age([math.inf, 1.0])
 
 
+def test_estimate_at_a_tiny_rate_whose_pooled_fourth_power_sum_overflows():
+    # E[Z^4] = 24 / lambda^4 = 2.4e305 is in range, but 1000 Z^4 pooled
+    # overflowed and the run ended in the moments DomainError; as rho -> 0,
+    # beta_c -> 1 / lambda
+    est = bc.estimate_beta_c(bc.QueueParameters(1e-76, bc.uniform01()), 1000,
+                             seed=3)
+    values = (est.beta_c_hat, est.std_error, est.e_z_hat, est.e_z2_hat,
+              *est.per_replication)
+    assert all(math.isfinite(v) for v in values)
+    assert abs(est.beta_c_hat - 1e76) <= 6.0 * est.std_error
+    # just above the pre-draw refusal, a sampled E[Z^4] past the float
+    # range is still the moments DomainError
+    with pytest.raises(DomainError, match="leave the float range"):
+        bc.estimate_beta_c(bc.QueueParameters(2e-77, bc.uniform01()), 1000,
+                           seed=0)
+
+
 def test_age_excess_symmetry_per_cycle():
     # elapsed-time integral int_0^Z t dt and remaining-time integral
     # int_0^Z (Z - t) dt are both Z^2/2, so the two estimators coincide
@@ -620,10 +637,10 @@ def _threads_of(monkeypatch):
     names = {}
     accumulate = simulator._accumulate
 
-    def spy(params, n_cycles, seed, replication):
+    def spy(params, n_cycles, seed, replication, *scaling):
         names[replication] = threading.current_thread().name
         time.sleep(0.005)  # let a helper thread claim the next replication
-        return accumulate(params, n_cycles, seed, replication)
+        return accumulate(params, n_cycles, seed, replication, *scaling)
 
     monkeypatch.setattr(simulator, "_accumulate", spy)
     return names
@@ -693,12 +710,12 @@ def test_concurrent_errors_match_the_serial_run_and_leave_no_thread(
     # is replication 1's, as when they run one at a time
     accumulate = simulator._accumulate
 
-    def failing(params, n_cycles, seed, replication):
+    def failing(params, n_cycles, seed, replication, *scaling):
         if replication == 1:
             time.sleep(0.05)
         if replication in (1, 2):
             raise RunawayCycleError(f"replication {replication}")
-        return accumulate(params, n_cycles, seed, replication)
+        return accumulate(params, n_cycles, seed, replication, *scaling)
 
     monkeypatch.setattr(simulator, "_accumulate", failing)
     monkeypatch.setattr(simulator, "EVENT_CAP", 10**9)
@@ -771,9 +788,9 @@ def test_each_replication_runs_once_under_thread_switching(monkeypatch):
     runs = []
     accumulate = simulator._accumulate
 
-    def counted(params, n_cycles, seed, replication):
+    def counted(params, n_cycles, seed, replication, *scaling):
         runs.append(replication)
-        return accumulate(params, n_cycles, seed, replication)
+        return accumulate(params, n_cycles, seed, replication, *scaling)
 
     monkeypatch.setattr(simulator, "_accumulate", counted)
     monkeypatch.setattr(simulator, "_usable_cpus", lambda: 1)
