@@ -705,7 +705,7 @@ def make_distribution(
         t = np.asarray(t, dtype=float)
         # np.minimum(np.maximum(...)) gives np.clip's values, NaN included,
         # without its dispatch cost
-        i = np.minimum(np.maximum(np.searchsorted(edges, t, side="right") - 1, 0),
+        i = np.minimum(np.maximum(edges.searchsorted(t, side="right") - 1, 0),
                        last)
         b = edges[i + 1]
         part, _err = _gauss_kronrod(lambda v: 1.0 - G(v),
@@ -727,12 +727,12 @@ def make_distribution(
         i = _guide_search(knots, guide, flat)
         inner = (i > 0) & (i < knots.size - 1)  # false for NaN
         if flat.size and inner.all():  # no draw to gather or scatter
-            return _invert(G, flat, *np.take(quintic, i, axis=1)).reshape(u.shape)
+            return _invert(G, flat, *quintic.take(i, axis=1)).reshape(u.shape)
         x = hi_tab[i]
         x[np.isnan(flat)] = np.nan
         k = np.flatnonzero(inner)
         if k.size:
-            x[k] = _invert(G, flat[k], *np.take(quintic, i[k], axis=1))
+            x[k] = _invert(G, flat[k], *quintic.take(i[k], axis=1))
         return x.reshape(u.shape)
 
     return ServiceDistribution(
@@ -786,13 +786,13 @@ def _tail_table(G, name: str, support_end: float, moments: tuple):
     def nodes():
         """Every time G was evaluated at, sorted, and G there, validated."""
         t_all = np.concatenate(times)
-        order = np.argsort(t_all, kind="stable")
+        order = t_all.argsort(kind="stable")
         t_tab, g_tab = t_all[order], np.concatenate(probs)[order]
         outside = ~((g_tab >= -_G_SLACK) & (g_tab <= 1.0 + _G_SLACK))
         if outside.any():
             bad = float(g_tab[outside][0])
             raise DomainError(f"{name}: cdf returned {bad!r}, outside [0, 1]")
-        falls = np.diff(g_tab) < -_G_SLACK
+        falls = g_tab[1:] - g_tab[:-1] < -_G_SLACK
         if falls.any():
             k = int(np.argmax(falls))
             (t0, t1), (g0, g1) = t_tab[k:k + 2].tolist(), g_tab[k:k + 2].tolist()
@@ -800,30 +800,40 @@ def _tail_table(G, name: str, support_end: float, moments: tuple):
                               f"to {g1!r} at t = {t1!r}")
         return t_tab, g_tab
 
+    first = len(probs)  # the refinement's first cdf call
     try:
         _total, _err, a, b, values = _refine(survival, breaks, _TABLE_TOL)
     except AccuracyError:
         nodes()  # an invalid cdf is the likelier cause
         raise
-    edges = np.append(a, b[-1])
+    calls = len(probs) - first
+    edges = np.concatenate((a, b[-1:]))
     survival(edges)  # G at the edges joins the nodes
     g_edges = probs[-1]
     t_tab, g_tab = nodes()
     # refinement evaluated G at every Kronrod node of the converged panels
     x, w = _kronrod_nodes(a, b)
-    g_x = g_tab[np.searchsorted(t_tab, x)]
+    if calls == 1:
+        # the seed panels converged: that one call's nodes are theirs, in
+        # order, so its values are G at x with no search
+        g_x = probs[first].reshape(x.shape)
+    else:
+        g_x = g_tab[t_tab.searchsorted(x)]
     tail_w = w * (1.0 - g_x)
-    t = np.where(tail_w != 0.0, x, 0.0)  # no inf * 0 where G is 1 at a huge t
     for k, declared in enumerate(moments, 1):
         if declared is None:
             continue
         what = "mean" if k == 1 else f"moment{k}"
-        table = float(np.sum(k * t ** (k - 1) * tail_w))
+        if k == 1:  # k t^(k-1) is exactly 1
+            table = float(tail_w.sum())
+        else:  # no inf * 0 where G is 1 at a huge t
+            t = np.where(tail_w != 0.0, x, 0.0)
+            table = float((k * t ** (k - 1) * tail_w).sum())
         if not abs(table - declared) <= _MEAN_TOL * table:
             raise DomainError(f"{name}: the cdf integrates to a {what} of "
                               f"{table!r}, but {what} = {declared!r} was declared")
-    inside = np.cumsum(values[::-1])[::-1]
-    return edges, np.append(inside[1:], 0.0), x, g_x, g_edges
+    inside = values[::-1].cumsum()[::-1]
+    return edges, np.concatenate((inside[1:], [0.0])), x, g_x, g_edges
 
 
 def _panel_slopes(g, width):
@@ -923,7 +933,7 @@ def _inverse_table(edges, x, g_x, g_edges):
         # the check's tolerance: at least _ULPS eps g[i] times the least
         # t' of the bracket, the least of dt and du t' at each end (all dt
         # on a secant) over du; no u falls where du = 0
-        floor = np.min(ends[:3], axis=0) / du
+        floor = ends[:3].min(axis=0) / du
         floor *= (_ULPS * sys.float_info.epsilon) * g[1:]
         np.fmax(_XTOL + _RTOL * t[:-1], np.fmin(floor, sys.float_info.max),
                 out=rows[10])
@@ -1120,7 +1130,7 @@ def _checked(G, u, x, hi, tol):
     n = q.size
     pts = np.concatenate((q - tol, q))
     g = G(pts)
-    return q, np.flatnonzero((g[:n] >= u) | (g[n:] < u)), pts[:n], g[:n], g[n:]
+    return q, ((g[:n] >= u) | (g[n:] < u)).nonzero()[0], pts[:n], g[:n], g[n:]
 
 
 def _bisect(G, u, lo, hi):

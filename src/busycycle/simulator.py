@@ -24,16 +24,17 @@ the chunk where the later start lies, and the power sums add one chunk's
 cycles at a time.
 
 Randomness comes from the counter-based Philox generator.  Replication r of
-a run seeded with s uses key (s, r), and each kind of draw has its own
-substream of that key: the gaps are the inverse transforms of the
-generator's uniforms from counter 0, and the services those of its
-uniforms from counter 2^128 (``_SERVICES``, word 2 of Philox's 256-bit
-counter set to 1), the stream its ``jumped()`` copy would give.  Arrival
-i takes the i-th value of each kind whatever the chunks.  A result's bits
-are fixed by the key, the two transforms and the chunk rule, which places
-the rebasing and groups the sums; the rounding of a Z from chunk-relative
-times, about 1e-16 of that span, is far below its sampling error.  Results
-are bit-identical across runs and do not depend on execution parallelism.
+a run seeded with s uses key (s, r), set from those two words with no OS
+entropy read, and each kind of draw has its own substream of that key: the
+gaps are the inverse transforms of the generator's uniforms from counter
+0, and the services those of its uniforms from counter 2^128
+(``_SERVICES``, word 2 of Philox's 256-bit counter set to 1), the stream
+its ``jumped()`` copy would give.  Arrival i takes the i-th value of each
+kind whatever the chunks.  A result's bits are fixed by the key, the two
+transforms and the chunk rule, which places the rebasing and groups the
+sums; the rounding of a Z from chunk-relative times, about 1e-16 of that
+span, is far below its sampling error.  Results are bit-identical across
+runs and do not depend on execution parallelism.
 
 A replication holds a few arrays of one chunk's floats, whatever its number
 of cycles.  Replications run concurrently, one thread per usable CPU and at
@@ -57,6 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
+from numpy.random.bit_generator import ISeedSequence
 
 from .distributions import QueueParameters, _floats
 from .errors import DomainError, RunawayCycleError
@@ -118,13 +120,26 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+class _Key(ISeedSequence):
+    """The words (seed, replication) as Philox's seed sequence, which takes
+    them as its key: ``Philox(key=...)`` would also build, from OS entropy,
+    a ``SeedSequence`` that a keyed generator never reads."""
+
+    def __init__(self, seed: int, replication: int):
+        self.words = (seed, replication)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.array(self.words, dtype=dtype)
+
+
 def _rng_for(seed: int, replication: int, counter=None) -> Generator:
     """Counter-based stream: replication r of seed s uses Philox key (s, r),
-    from ``counter`` on (from 0 by default)."""
+    from ``counter`` on (from 0 by default).  Its state is that of
+    ``Philox(key=(s, r), counter=counter)``, built with no OS entropy
+    read."""
     if not (0 <= seed < 2**64):
         raise DomainError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    key = np.array([seed, replication], dtype=np.uint64)
-    return Generator(Philox(key=key, counter=counter))
+    return Generator(Philox(_Key(seed, replication), counter=counter))
 
 
 def _chunk_size(cycles: int, per_cycle: float) -> int:
@@ -179,7 +194,7 @@ def _cycle_lengths(params: QueueParameters, n_cycles: int, seed: int,
         np.greater(a[1:], m[:-1], out=new[1:])
         top = m[-1]
         del m
-        starts = np.flatnonzero(new)
+        starts = new.nonzero()[0]
         if run + k > EVENT_CAP:  # a busy period here may pass the cap
             runs = np.diff(starts, prepend=-run) if started else np.diff(starts)
             if runs[:left].max(initial=0) > EVENT_CAP:
@@ -252,9 +267,9 @@ def _replication_sums(params: QueueParameters, n_cycles: int, seed: int,
     replication it claims, so the error of the lowest replication that
     raised is raised, as a run one at a time would.
     """
-    workers = min(replications, _usable_cpus(), _MAX_WORKERS)
-    if n_cycles * math.exp(params.traffic_intensity) < _THREADED_ARRIVALS:
-        workers = 1
+    workers = 1  # and no affinity call for a run too short for threads
+    if n_cycles * math.exp(params.traffic_intensity) >= _THREADED_ARRIVALS:
+        workers = min(replications, _usable_cpus(), _MAX_WORKERS)
     results = [None] * replications
     claims = itertools.count()
     stop = threading.Event()

@@ -949,6 +949,48 @@ def test_batched_support_search_keeps_the_one_point_tables(label, cdf, mean, end
         assert ends[0][-1] == math.ldexp(mean, 8)
 
 
+def test_tail_table_takes_g_at_its_nodes_as_a_search_of_every_value_would(
+        monkeypatch):
+    # a table whose seed panels converge takes G at its Kronrod nodes from
+    # the refinement's one cdf call, and one that splits searches the
+    # sorted record of every value; both give the search's bits
+    tables, integrand_calls = [], []
+    tail_table, refine = distributions._tail_table, distributions._refine
+
+    def recorded(*args):
+        tables.append(tail_table(*args))
+        return tables[-1]
+
+    def counted(f, *args):
+        def integrand(x):
+            integrand_calls.append(x.size)
+            return f(x)
+        return refine(integrand, *args)
+
+    monkeypatch.setattr(distributions, "_tail_table", recorded)
+    monkeypatch.setattr(distributions, "_refine", counted)
+    converged = set()
+    for label, cdf, mean, end, _bounded in USER_LAWS + HELD_OUT_LAWS:
+        record = []
+
+        def spy(t, cdf=cdf):
+            g = cdf(t)
+            record.append((np.array(t, dtype=float), np.array(g, dtype=float)))
+            return g
+
+        tables.clear()
+        integrand_calls.clear()
+        bc.make_distribution(spy, mean=mean, support_end=end)
+        (_edges, _after, x, g_x, _g_edges), = tables
+        t_all = np.concatenate([t for t, _g in record])
+        g_all = np.concatenate([g for _t, g in record])
+        order = np.argsort(t_all, kind="stable")
+        want = g_all[order][np.searchsorted(t_all[order], x)]
+        assert g_x.tobytes() == want.tobytes(), label
+        converged.add(len(integrand_calls) == 1)
+    assert converged == {True, False}
+
+
 @pytest.mark.parametrize("label,cdf,mean,end,bounded_density",
                          USER_LAWS + HELD_OUT_LAWS)
 def test_user_quantile_of_nan_is_nan(label, cdf, mean, end, bounded_density):

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import os
+import random
 import sys
 import threading
 import time
@@ -96,15 +98,41 @@ def _sums(chunks):
     return sums
 
 
-@pytest.mark.parametrize("seed,replication", [(0, 0), (42, 0), (9, 1),
-                                              (2**64 - 1, 0), (2**64 - 1, 3),
-                                              (12345, 2**63)])
+# (seed, replication) keys at the edges of Philox's two 64-bit key words
+EDGE_KEYS = [(0, 0), (42, 0), (9, 1), (2**64 - 1, 0), (2**64 - 1, 3),
+             (12345, 2**63)]
+
+
+@pytest.mark.parametrize("seed,replication", EDGE_KEYS)
 def test_service_substream_starts_where_jumped_would(seed, replication):
     # the simulator sets the service stream's Philox counter to 2^128; the
     # reference reaches the same place through jumped()
     want = _substreams(seed, replication)[1].random(10_000)
     got = simulator._rng_for(seed, replication, simulator._SERVICES)
     assert np.array_equal(got.random(10_000), want)
+
+
+def _same_state(a, b):
+    """Whether two bit generator state dicts hold equal values, arrays of
+    equal dtype included."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    return type(a) is type(b) and a == b
+
+
+@pytest.mark.parametrize("counter", [None, simulator._SERVICES])
+@pytest.mark.parametrize("seed,replication", EDGE_KEYS)
+def test_keyed_substreams_are_those_of_philox_keyed_directly(seed, replication,
+                                                             counter):
+    # _rng_for builds the key from its two words, not through Philox's key
+    # argument; the generator must be the one that argument gives
+    key = np.array([seed, replication], dtype=np.uint64)
+    want = Generator(Philox(key=key, counter=counter))
+    got = simulator._rng_for(seed, replication, counter)
+    assert _same_state(got.bit_generator.state, want.bit_generator.state)
+    assert got.random(10_000).tobytes() == want.random(10_000).tobytes()
 
 
 def test_single_cycle_is_reproducible_and_pinned():
@@ -672,6 +700,37 @@ def test_concurrent_replications_keep_every_bit(label, make, chunk,
                    for r in range(replications)]
         assert got[2].per_replication == tuple(
             float(s[1] / (2.0 * s[0])) for s in singles)
+
+
+@pytest.mark.parametrize("label,make", [
+    ("exponential", lambda: bc.exponential(0.5)),
+    ("user_exponential", lambda: bc.make_distribution(
+        lambda t: -np.expm1(-np.maximum(t, 0.0) / 0.5), mean=0.5))])
+def test_seeded_estimates_read_no_os_entropy(label, make, monkeypatch):
+    # a keyed Philox reads no entropy, yet Philox(key=...) once gathered
+    # OS entropy for a SeedSequence it never used, two per replication.
+    # numpy's SeedSequence() reaches the OS through secrets.randbits and
+    # random._urandom, spied on here after numpy.random's import has
+    # seeded its legacy RandomState.
+    params = bc.QueueParameters(2.0, make())
+    reads = []
+
+    def urandom(n):
+        reads.append(threading.current_thread().name)
+        return os.urandom(n)
+
+    monkeypatch.setattr(random, "_urandom", urandom)
+    np.random.SeedSequence()
+    assert len(reads) == 1, "the spy misses SeedSequence's entropy"
+    reads.clear()
+    bc.estimate_beta_c(params, 1000, seed=3)
+    assert reads == [], label
+    monkeypatch.setattr(simulator, "_THREADED_ARRIVALS", 0)
+    monkeypatch.setattr(simulator, "_usable_cpus", lambda: 2)
+    names = _threads_of(monkeypatch)
+    bc.estimate_beta_c(params, 1000, seed=3, replications=2)
+    assert set(names.values()) != {threading.main_thread().name}, label
+    assert reads == [], label
 
 
 def test_small_batches_keep_replications_on_the_calling_thread(monkeypatch):
