@@ -8,8 +8,10 @@ alpha - r(t).  A law given only by its CDF (``make_distribution``) takes
 both r(t) and the quantile from one table of 1 - G built at construction,
 with no quadrature call per node and about three cdf values per draw; the
 quantile builds its inverse tables from it on its first draw, with no cdf
-call, and searches them through a guide table.  Values are immutable after
-construction, bar that one-time build, and safe for concurrent reads.
+call, and searches them through a guide table.  The table of 1 - G holds
+read-only copies of what the cdf returned, so a cdf may reuse its output
+buffer.  Values are immutable after construction, bar that one-time build,
+and safe for concurrent reads.
 """
 
 from __future__ import annotations
@@ -505,14 +507,13 @@ def power_function(c: float) -> ServiceDistribution:
         return np.where(t < 0.0, 0.0, np.clip(t, 0.0, 1.0) ** c)
 
     def rtail(t):
-        # alpha - I(t) = u + expm1((c+1) log1p(-u))/(c+1) with u = 1 - t,
-        # evaluated at min(t, 1); exact 0 at t >= 1 and cancellation-free
-        # near the support edge.  At t = 0, log1p(-1) = -inf feeds expm1
-        # and lands exactly on alpha.
-        t = np.asarray(t, dtype=float)
-        u = 1.0 - np.clip(t, 0.0, 1.0)
+        # alpha - I(t) = (c (1 - t) + t expm1(c ln t)) / (c + 1) at t in
+        # [0, 1]: both terms are O(c), so no O(1) terms cancel and a small c
+        # keeps its digits.  Exact 0 at t >= 1; at t = 0, ln 0 = -inf gives
+        # expm1 = -1 and lands exactly on alpha.
+        t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
         with np.errstate(divide="ignore"):
-            return u + np.expm1((c + 1.0) * np.log1p(-u)) / (c + 1.0)
+            return (c * (1.0 - t) + t * np.expm1(c * np.log(t))) / (c + 1.0)
 
     def quantile(u):
         return np.asarray(u, dtype=float) ** (1.0 / c)
@@ -618,7 +619,9 @@ def make_distribution(
     density singular at 0 (t^c with c < 1, Weibull shape < 1) be resolved
     in a few cdf calls rather than one split per call on the way to 0.
     The table keeps G at every node it evaluated and the reverse
-    cumulative sums of the panel integrals.  From it
+    cumulative sums of the panel integrals, in read-only arrays of its
+    own: it copies what the cdf returns, so a cdf may return a buffer it
+    reuses from call to call.  From it
 
     * r(t) = int_t^end [1 - G(v)] dv is the sum of the panels past t plus
       one 15-point Kronrod rule on the rest of t's panel, one array call
@@ -696,30 +699,26 @@ def make_distribution(
                           f"than the table tolerance {_TABLE_TOL:g}; return "
                           f"float64")
 
-    edges, tail_after, *panels = _tail_table(
-        G, name, support_end, (mean, moment2, moment3))
-    last = len(edges) - 2  # index of the last panel
+    table = _tail_table(G, name, support_end, (mean, moment2, moment3))
     tables = None  # the quantile's, built on its first call
 
     def rtail(t):
         t = np.asarray(t, dtype=float)
-        # np.minimum(np.maximum(...)) gives np.clip's values, NaN included,
-        # without its dispatch cost
-        i = np.minimum(np.maximum(edges.searchsorted(t, side="right") - 1, 0),
-                       last)
-        b = edges[i + 1]
+        # t's panel among the left edges: t before the first, or past the
+        # end, is in the first or the last
+        i = np.maximum(table.edges[:-1].searchsorted(t, side="right") - 1, 0)
+        b = table.edges[i + 1]
         part, _err = _gauss_kronrod(lambda v: 1.0 - G(v),
                                     np.minimum(np.maximum(t, 0.0), b), b)
-        return np.where(t <= 0.0, mean, np.maximum(tail_after[i] + part, 0.0))
+        return np.where(t <= 0.0, mean, np.maximum(table.tail_after[i] + part, 0.0))
 
     def quantile(u):
         nonlocal tables
-        built = tables
-        if built is None:
+        if tables is None:
             # a pure function of the tail table: threads that race here
             # build equal tables, and whichever rebind lands last is kept
-            built = tables = _inverse_table(edges, *panels)
-        knots, guide, hi_tab, quintic = built
+            tables = _inverse_table(table)
+        knots, guide, hi_tab, quintic = tables
         u = np.asarray(u, dtype=float)
         # first tabulated G >= u; u <= G(0) gets the empty bracket [0, 0],
         # and u past the last G the empty bracket [end, end]
@@ -749,35 +748,47 @@ def make_distribution(
     )
 
 
-def _tail_table(G, name: str, support_end: float, moments: tuple):
-    """(panel edges, integral of 1 - G past each panel, each panel's 15
-    Kronrod nodes, G at them, G at the edges) for ``make_distribution``,
-    validated against the declared moments E[S^k] = int k t^(k-1) (1 - G)
-    dt, k = 1, 2, 3, that are given."""
+@dataclass(frozen=True, eq=False)
+class _Table:
+    """The table of 1 - G that ``make_distribution`` builds from a user's
+    cdf: the converged panels' edges, the integral of 1 - G past each
+    panel, and, in one row per panel, its 17 points (left edge, 15 Kronrod
+    nodes, right edge) and G at them.  Every array is the table's own and
+    read-only."""
+
+    edges: np.ndarray
+    tail_after: np.ndarray
+    t: np.ndarray
+    g: np.ndarray
+
+    def __post_init__(self):
+        for arr in vars(self).values():
+            arr.setflags(write=False)
+
+
+def _tail_table(G, name: str, support_end: float, moments: tuple) -> _Table:
+    """The ``_Table`` of ``G`` for ``make_distribution``, validated against
+    the declared moments E[S^k] = int k t^(k-1) (1 - G) dt, k = 1, 2, 3,
+    that are given.  It keeps copies of the values G returned, so a cdf
+    may return a buffer it reuses."""
     times, probs = [], []
 
-    def evaluated(t):
+    def survival(t):
         g = G(t)
         if g.shape != t.shape:
             raise DomainError(f"{name}: cdf must map an array of times to an "
                               f"array of the same shape")
-        return g
-
-    def survival(t):
-        g = evaluated(t)
+        probs.append(g.copy())
         times.append(t)
-        probs.append(g)
-        return 1.0 - g
+        return 1.0 - probs[-1]
 
     def past_end(t):
         # G(t) >= 1, or nan, ends the support.  G is kept up to the first
         # such t only, so the table holds the nodes a search one point at
         # a time would have given it.
-        g = evaluated(t)
-        ended = ~(1.0 - g > 0.0)
+        ended = ~(survival(t) > 0.0)
         n = int(np.argmax(ended)) + 1 if ended.any() else t.size
-        times.append(t[:n])
-        probs.append(g[:n])
+        times[-1], probs[-1] = t[:n], probs[-1][:n]
         return ended
 
     breaks = _support_breaks(moments[0], support_end, past_end,
@@ -833,7 +844,9 @@ def _tail_table(G, name: str, support_end: float, moments: tuple):
             raise DomainError(f"{name}: the cdf integrates to a {what} of "
                               f"{table!r}, but {what} = {declared!r} was declared")
     inside = values[::-1].cumsum()[::-1]
-    return edges, np.concatenate((inside[1:], [0.0])), x, g_x, g_edges
+    return _Table(edges, np.concatenate((inside[1:], [0.0])),
+                  np.concatenate((a[:, None], x, b[:, None]), axis=1),
+                  np.concatenate((g_edges[:-1, None], g_x, g_edges[1:, None]), axis=1))
 
 
 def _panel_slopes(g, width):
@@ -870,20 +883,20 @@ def _parabolic_slopes(t, g):
     return slope, curve
 
 
-def _inverse_table(edges, x, g_x, g_edges):
+def _inverse_table(table: _Table):
     """(knots g, guide, t at the knots, quintic rows) of the generalized
     inverse t(u) of the G that ``_tail_table`` tabulated, for
     ``make_distribution``'s quantile.  Building calls no cdf.
 
-    The nodes t are those of the converged panels [edges[p], edges[p + 1]]:
-    each panel's left edge and 15 Kronrod nodes x[p], then the support
-    end, with g their G values (g_x, g_edges) made nondecreasing by a
-    running maximum.  Two adjacent nodes of a panel make a bracket.  The
-    first knot >= u, g[i], brackets u in (g[i-1], g[i]], and t[i] is the
-    leftmost node where G reaches g[i]; i = 0 (u <= G(0)) and i past the
-    last knot have no bracket and the quantile t[i], the support end for
-    the latter.  ``_guide_search`` finds i through the guide; the knots
-    are g followed by a +inf sentinel, past which its step cannot go.
+    The nodes t are those of the table's panels: each panel's left edge
+    and 15 Kronrod nodes, then the support end, with g their G values made
+    nondecreasing by a running maximum.  Two adjacent nodes of a panel
+    make a bracket.  The first knot >= u, g[i], brackets u in (g[i-1],
+    g[i]], and t[i] is the leftmost node where G reaches g[i]; i = 0 (u <=
+    G(0)) and i past the last knot have no bracket and the quantile t[i],
+    the support end for the latter.  ``_guide_search`` finds i through the
+    guide; the knots are g followed by a +inf sentinel, past which its
+    step cannot go.
 
     Column i of the quintic rows (column 0 serves no u) holds t[i-1],
     g[i-1], g[i] - g[i-1], the coefficients of t[i-1] + c1 s + ... + c5
@@ -903,27 +916,25 @@ def _inverse_table(edges, x, g_x, g_edges):
     whole.  (Each row is one of these quantities, so a draw's values
     are contiguous arrays.)
     """
-    a, b = edges[:-1], edges[1:]
-    g_panel = np.concatenate((g_edges[:-1, None], g_x, g_edges[1:, None]), axis=1)
-    t = np.concatenate((np.concatenate((a[:, None], x), axis=1).ravel(), b[-1:]))
-    g = np.concatenate((g_panel[:, :-1].ravel(), g_edges[-1:]))
+    width = table.edges[1:] - table.edges[:-1]
+    t = np.concatenate((table.t[:, :-1].ravel(), table.t[-1, -1:]))
+    g = np.concatenate((table.g[:, :-1].ravel(), table.g[-1, -1:]))
     np.maximum.accumulate(g, out=g)
     # node pair (i - 1, i) is points j and j + 1 of panel p, i - 1 = 16 p + j
     dt, du = t[1:] - t[:-1], g[1:] - g[:-1]
     # column i serves u in (g[i-1], g[i]]; column 0, which none does, is
     # left as it comes
-    table = np.empty((11, dt.size + 1))
-    rows = table[:, 1:]
+    quintic = np.empty((11, dt.size + 1))
+    rows = quintic[:, 1:]
     rows[:3], rows[8:10] = (t[:-1], g[:-1], du), (t[:-1], t[1:])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # panels 1e-200 or 1e300 wide take G'' past the float range
-        g_prime, g_second, rough = _panel_slopes(g_panel, b - a)
+        g_prime, g_second, rough = _panel_slopes(table.g, width)
         slope = 1.0 / np.fmax(g_prime, 0.0)  # t', inf where G' <= 0
         bend = g_second * slope * slope * slope  # -t''
         if rough.any():
             k = np.flatnonzero(rough)
-            slope[k], bend[k] = _parabolic_slopes(np.concatenate(
-                (a[k, None], x[k], b[k, None]), axis=1), g_panel[k])
+            slope[k], bend[k] = _parabolic_slopes(table.t[k], table.g[k])
         ends = _hermite(dt.reshape(-1, 16), du.reshape(-1, 16), slope, bend)
         finite = np.isfinite(ends.sum(axis=0))
         if not finite.all():  # the secant, t' = dt / du and t'' = 0, there
@@ -940,16 +951,16 @@ def _inverse_table(edges, x, g_x, g_edges):
         # G's interpolant halfway across each bracket in t, the middle one
         # of its inner cut points
         middle = _CUT_WEIGHTS[:, :, 0, _GRID.size // 2 - 1]
-        g_middle = np.einsum("pk,jk->pj", g_panel, middle)
+        g_middle = np.einsum("pk,jk->pj", table.g, middle)
         cut = _cut(rows, dt, g_middle.ravel())
         if rough.any():  # no polynomial in t follows G there
             cut &= ~np.repeat(rough, 16)
         if np.dot(du, cut) >= _CUT_MASS:
             parts = np.where(cut, 1 << _SPLITS, 1)
-            table = table[:, np.repeat(np.arange(cut.size + 1), np.append(1, parts))]
-            rows = table[:, 1:]
+            quintic = quintic[:, np.repeat(np.arange(cut.size + 1), np.append(1, parts))]
+            rows = quintic[:, 1:]
             rows[:8, np.flatnonzero(np.repeat(cut, parts))] = _parts(
-                np.flatnonzero(cut), g_panel, 0.5 * (b - a), t, dt, g, slope, bend)
+                np.flatnonzero(cut), table.g, 0.5 * width, t, dt, g, slope, bend)
     knots = np.concatenate((rows[1], g[-1:], [np.inf]))
     t_knots = np.concatenate((rows[0], t[-1:], t[-1:]))
     # K buckets, a power of two so that u K is exact: bucket j holds the u
@@ -962,7 +973,7 @@ def _inverse_table(edges, x, g_x, g_edges):
     first = (knots[:-1] * buckets).astype(np.intp) + 1
     guide = np.bincount(first, minlength=buckets + 2)[:buckets].cumsum()
     guide[0] = 0
-    return knots, guide, t_knots, table
+    return knots, guide, t_knots, quintic
 
 
 def _hermite(dt, du, slope, bend):

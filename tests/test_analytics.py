@@ -230,6 +230,19 @@ def test_power_series_past_rho_six_answers_or_refuses_cleanly():
         assert 0.0 < err <= 1e-10 * beta, (lam, c)
 
 
+@pytest.mark.parametrize("lam,c", [(1e20, 1e-18), (1e14, 1e-12), (1.0, 1e-6)])
+def test_power_quadrature_agrees_with_the_series_at_small_c(lam, c):
+    # the residual tail once cancelled at small c: quadrature gave beta = 0
+    # with estimate 0 at (1e20, 1e-18), a 4096-panel AccuracyError at
+    # (1e14, 1e-12), and a miss of 2472 times the summed estimates at
+    # (1, 1e-6)
+    params = bc.QueueParameters(lam, bc.power_function(c))
+    quad = bc.beta_c(params, "quadrature")
+    series = bc.beta_c(params, "closed-form")
+    assert (quad.method, series.method) == ("quadrature", "series")
+    assert abs(quad.beta - series.beta) <= quad.error_estimate + series.error_estimate
+
+
 def test_power_series_domain_errors():
     with pytest.raises(DomainError):
         bc.power_double_series(0.0, 1.0)

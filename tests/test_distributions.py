@@ -1,5 +1,6 @@
 """Distribution catalog: analytic invariants against numeric oracles."""
 
+import dataclasses
 import json
 import math
 import re
@@ -139,6 +140,29 @@ def test_power_scv_is_formed_without_cancellation(c):
     assert abs(Fraction(scv) - exact) <= 4 * Fraction(math.ulp(float(exact)))
     # scaling keeps the SCV
     assert bc.scale(bc.power_function(c), 3.0).scv == pytest.approx(scv, rel=1e-15)
+
+
+# the residual tail's t grid: 201 even points, 45 points 1 - 10^-k up to 1 -
+# 1e-12, and 40 log-spaced points down to 1e-300
+POWER_TAIL_GRID = np.concatenate((np.linspace(0.0, 1.0, 201),
+                                  1.0 - 10.0 ** -np.linspace(1.0, 12.0, 45),
+                                  np.logspace(-300.0, -1.0, 40)))
+
+
+@pytest.mark.parametrize("c", [1e-18, 1e-12, 1e-6, 1e-3, 0.1, 0.3, 1.0, 2.5, 10.0,
+                               1e3, 1e6])
+def test_power_residual_tail_keeps_its_digits_at_every_c(c):
+    # r(t) = 1 - t - (1 - t^(c+1)) / (c + 1) is O(c) from O(1) terms; the
+    # form u + expm1((c+1) log1p(-u)) / (c+1), u = 1 - t, was off by 7.7
+    # eps alpha at c = 0.1, 829 at 1e-3 and 2.5e17 (r = 0) at 1e-18
+    r = bc.power_function(c).residual_tail_fn(POWER_TAIL_GRID)
+    # the defining form cancels some 42 digits at t = 1 - 1e-12, c = 1e-18
+    with mpmath.workdps(100):
+        cm = mpmath.mpf(c)
+        worst = max(abs(y - ((1 - x) - (1 - x ** (cm + 1)) / (cm + 1)))
+                    for x, y in zip(map(mpmath.mpf, POWER_TAIL_GRID.tolist()),
+                                    map(mpmath.mpf, r.tolist())))
+    assert worst <= 4 * np.finfo(float).eps * (c / (c + 1.0)), float(worst)
 
 
 def test_scv_consistency_invariant():
@@ -848,19 +872,62 @@ def test_user_panel_slopes_are_the_panels_own(label, cdf, mean, end,
     # a panel's G', G'' and roughness have the same bits computed alone and
     # within the whole table, so the quantile's table does not depend on
     # how many panels it has
-    panels = []
+    tables = []
     build = distributions._inverse_table
     monkeypatch.setattr(distributions, "_inverse_table",
-                        lambda *args: panels.append(args) or build(*args))
+                        lambda table: tables.append(table) or build(table))
     bc.make_distribution(cdf, mean=mean, support_end=end).quantile_fn(0.5)
-    edges, x, g_x, g_edges = panels[0]
-    g = np.concatenate((g_edges[:-1, None], g_x, g_edges[1:, None]), axis=1)
-    width = np.diff(edges)
+    g, width = tables[0].g, np.diff(tables[0].edges)
     whole = distributions._panel_slopes(g, width)
     for p in range(width.size):
         alone = distributions._panel_slopes(g[p:p + 1], width[p:p + 1])
         for part, row in zip(alone, whole):
             assert part[0].tobytes() == row[p].tobytes(), (label, p)
+
+
+def _workspace(cdf, returned):
+    """``cdf`` writing each call's values into one buffer, replaced by a
+    larger one only when a call needs more, and returning a view of it;
+    ``returned`` collects every view."""
+    buffer = np.empty(0)
+
+    def reused(t):
+        nonlocal buffer
+        if buffer.size < t.size:
+            buffer = np.empty(t.size)
+        out = buffer[:t.size].reshape(t.shape)
+        out[...] = cdf(t)
+        returned.append(out)
+        return out
+
+    return reused
+
+
+@pytest.mark.parametrize("cdf,mean,end", [
+    (_exp_cdf, 0.5, math.inf),
+    (lambda t: np.clip(t, 0.0, 1.0) ** 2.5, 2.5 / 3.5, 1.0)])
+def test_user_cdf_may_return_a_buffer_it_reuses(cdf, mean, end, monkeypatch):
+    # the table once kept the arrays the cdf returned, which a later call
+    # overwrote, and refused both twins with "cdf decreases"
+    tables, returned = [], []
+    tail_table = distributions._tail_table
+    monkeypatch.setattr(distributions, "_tail_table",
+                        lambda *args: tables.append(tail_table(*args)) or tables[-1])
+    outputs = []
+    for law in (_workspace(cdf, returned), cdf):
+        dist = bc.make_distribution(law, mean=mean, support_end=end)
+        params = bc.QueueParameters(2.0, dist)
+        estimate = bc.estimate_beta_c(params, 2000, seed=4)
+        outputs.append((
+            dist.residual_tail_fn(np.linspace(0.0, 3.0 * mean, 50)).tobytes(),
+            dist.quantile_fn(np.random.default_rng(23).random(2000)).tobytes(),
+            repr(bc.beta_c(params)),
+            repr((estimate.beta_c_hat, estimate.std_error))))
+    assert outputs[0] == outputs[1]
+    for f in dataclasses.fields(tables[0]):
+        arr = getattr(tables[0], f.name)
+        assert not arr.flags.writeable
+        assert not any(np.shares_memory(arr, out) for out in returned)
 
 
 def test_user_table_is_built_in_few_cdf_calls():
@@ -939,8 +1006,9 @@ def test_batched_support_search_keeps_the_one_point_tables(label, cdf, mean, end
             results.append([bc.beta_quadrature(bc.QueueParameters(lam / mean, dist))
                             for lam in (0.5, 2.0, 8.0)])
     batched, reference = tables
-    for a, b in zip(batched, reference):
-        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), label
+    for f in dataclasses.fields(batched):
+        a, b = getattr(batched, f.name), getattr(reference, f.name)
+        assert a.tobytes() == b.tobytes(), (label, f.name)
     assert ends[:4] == ends[4:], label  # the table's end, then beta's three
     assert results[0] == results[1], label
     if label == "weibull_075":
@@ -981,7 +1049,8 @@ def test_tail_table_takes_g_at_its_nodes_as_a_search_of_every_value_would(
         tables.clear()
         integrand_calls.clear()
         bc.make_distribution(spy, mean=mean, support_end=end)
-        (_edges, _after, x, g_x, _g_edges), = tables
+        table, = tables
+        x, g_x = table.t[:, 1:-1], table.g[:, 1:-1]
         t_all = np.concatenate([t for t, _g in record])
         g_all = np.concatenate([g for _t, g in record])
         order = np.argsort(t_all, kind="stable")
@@ -1057,8 +1126,8 @@ def _spy_on_inverse_table(monkeypatch):
     built = []
     build = distributions._inverse_table
 
-    def spy(*args):
-        built.append(build(*args))
+    def spy(table):
+        built.append(build(table))
         return built[-1]
 
     monkeypatch.setattr(distributions, "_inverse_table", spy)
