@@ -20,9 +20,14 @@ expected to PASS stopped matching), 141 (128 + SIGPIPE) from the
 
 ``_build_parser`` adds the five commands and their options in order, and
 runs once per process, on the first call: building the parser took most
-of a ``metrics`` call, so later calls only parse.  Help and error texts
-are formatted when they are printed, so they follow ``COLUMNS`` and the
-current streams as a fresh parser's would.
+of a ``metrics`` call, so later calls only parse.  A call that starts with
+a command's name is parsed by that command's own parser, which ``_parse``
+reads from the built parser's subparsers action: the top-level pass only
+finds the name, and it cost more than the command's parse.  Help and
+error texts are formatted when they are printed, so they follow
+``COLUMNS`` and the current streams as a fresh parser's would.  JSON
+output goes through the C encoder (``_json_text``), with the bytes of
+``json.dumps(..., indent=2)``.
 """
 
 from __future__ import annotations
@@ -204,9 +209,29 @@ def _bounded_queue(args: argparse.Namespace, parser) -> QueueParameters:
 # command bodies
 # ---------------------------------------------------------------------------
 
+# json.dumps(..., indent=2) lays out a dict of scalars nested ``depth`` deep
+# as a compact dump with these separators, and a compact dump runs the C
+# encoder, which an indent turns off
+_FLAT_JSON = tuple(
+    json.JSONEncoder(separators=(",\n  " + "  " * depth, ": ")).encode
+    for depth in range(2))
+
+
+def _json_text(value, depth: int = 0) -> str:
+    """``json.dumps(value, indent=2)`` of a dict of scalars or a list of
+    them, at ``depth`` levels of nesting."""
+    if isinstance(value, list):
+        items = ",\n  ".join(_json_text(record, 1) for record in value)
+        return f"[\n  {items}\n]" if value else "[]"
+    if not value:
+        return "{}"
+    pad = "  " * depth
+    return "{\n  " + pad + _FLAT_JSON[depth](value)[1:-1] + "\n" + pad + "}"
+
+
 def _emit_pairs(pairs, output_format: str) -> str:
     if output_format == "json":
-        return json.dumps(dict(pairs), indent=2)
+        return _json_text(dict(pairs))
     if output_format == "csv":
         lines = ["key,value"] + [f"{k},{v}" for k, v in pairs]
         return "\n".join(lines)
@@ -323,7 +348,7 @@ def run_table(args: argparse.Namespace, parser) -> int:
         rows = [row for c in cells for row in _cell_text(c)]
         print("\n".join(",".join(row) for row in [_TABLE_FIELDS] + rows))
     elif args.output_format == "json":
-        print(json.dumps([_cell_record(c) for c in cells], indent=2))
+        print(_json_text([_cell_record(c) for c in cells]))
     else:
         kind = "beta_c values" if cells[0].quantity == "beta_c" else "bound gap ratios"
         print(f"table {args.which} ({kind})")
@@ -385,15 +410,38 @@ def run_compare(args: argparse.Namespace, parser) -> int:
     return 0
 
 
+def _parse(parser: argparse.ArgumentParser, argv: list) -> argparse.Namespace:
+    """``parser.parse_args(argv)``, with the pass that finds the command left
+    out when ``argv`` starts with a command's name: that command's own parser
+    reads the rest, as the subparsers action would, and arguments it leaves
+    are the top-level parser's usage error, as in ``parse_args``.  Any other
+    ``argv`` (none, help, an unknown command, an option before the command)
+    takes the full pass."""
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    command = commands.choices.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
+    """Run one command on ``argv`` (the process's arguments by default) and
+    return its exit status; help and usage errors raise ``SystemExit`` as
+    argparse's do.  A call parses with the parser ``_build_parser`` built
+    for the process, through the command's own parser (``_parse``)."""
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(parser, argv)
     if args.config:
         # the config's flags go right after the command name, ahead of the
         # explicit flags, so the explicit ones win
         at = argv.index(args.command) + 1
-        args = parser.parse_args(argv[:at] + args.config + argv[at:])
+        args = _parse(parser, argv[:at] + args.config + argv[at:])
     try:
         return args.handler(args, parser)
     except BusyCycleError as exc:

@@ -5,6 +5,7 @@ import contextlib
 import importlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -413,6 +414,25 @@ def test_table_json_is_machine_readable(capsys):
     assert "replacement" in cell
 
 
+JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                | st.floats(allow_nan=True, allow_infinity=True) | st.text())
+JSON_RECORDS = st.dictionaries(st.text(), JSON_SCALARS, max_size=8)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(value=JSON_RECORDS | st.lists(JSON_RECORDS, max_size=4))
+@example(value={"quote \" back\\slash": "tab\tnl\nnul\x00 é 漢 😀  ",
+                "none": None, "yes": True, "no": False, "int": -10**30,
+                "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+                "-0": -0.0, "tiny": 5e-324})
+@example(value={})
+@example(value=[{}, {"a": 1}, {}])
+def test_json_text_is_json_dumps_with_indent_2(value):
+    # the commands' JSON goes through the C encoder, byte for byte as the
+    # pure-Python one that json.dumps runs with an indent
+    assert busycycle.cli._json_text(value) == json.dumps(value, indent=2)
+
+
 def test_simulate_output_is_deterministic(capsys):
     argv = ["simulate", "--lambda", "2", "--dist", EXP_HALF,
             "--cycles", "20000", "--seed", "99"]
@@ -809,6 +829,8 @@ USAGE_PATHS = [
     ["table", "--which", "4"],
     ["metrics", "--lambda", "2", "--dist", EXP_HALF, "--strategy", "foo"],
     ["bounds", "--lambda", "2", "--dist", EXP_HALF, "extra"],
+    ["metrics", "--lambda", "2", "--dist", EXP_HALF, "--bogus"],
+    ["table", "--which", "1", "--", "--format", "csv"],
     ["metrics", "--lambda", "2", "--dist", "[1]"],   # --dist's JSON check
     # errors that handlers print through the top-level parser
     ["metrics", "--lambda", "2", "--dist", '{"type":"weibull"}'],
@@ -823,12 +845,68 @@ def test_usage_paths_print_what_the_full_parser_prints(monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "100")
     run_captured(argv)  # builds the cached parser, if no earlier test did
     shipped = run_captured(argv)
+    # a fresh parser, through the full top-level pass
     fresh = busycycle.cli._build_parser.__wrapped__
     monkeypatch.setattr(busycycle.cli, "_build_parser", fresh)
+    monkeypatch.setattr(busycycle.cli, "_parse",
+                        argparse.ArgumentParser.parse_args)
     assert run_captured(argv) == shipped
     code, out, err = shipped
     assert "usage: busycycle" in out + err
     assert code == (0 if "-h" in argv else 2)
+
+
+CONFIG = "<config file>"  # the path of a config file a test writes
+VALID_ARGV = [
+    ["metrics", "--lambda", "2", "--dist", EXP_HALF],
+    ["metrics", "--lam", "2", "--dist", EXP_HALF, "--strategy", "quadrature",
+     "--tol-quad", "1e-10", "--format=json"],
+    ["metrics", "--config", CONFIG, "--lambda", "3"],
+    ["bounds", "--lambda", "-1", "--dist", EXP_HALF, "--assume-tags", "NBUE",
+     "--no-reference"],
+    ["bounds", "--config", CONFIG],
+    ["simulate", "--lambda", "3", "--dist", '{"type":"uniform01"}', "--cycles",
+     "2000", "--seed", "7", "--reps", "2", "--format=csv"],
+    ["table", "--which", "2", "--format=json"],
+    ["table", "--format", "csv", "--which=3"],
+    ["compare", "--config", CONFIG, "--cycles", "2000", "--seed", "7"],
+]
+# a "--" is argparse's to read: Python 3.11 leaves one that ends a call
+# unrecognized
+DASHES = [
+    ["metrics", "--lambda", "2", "--dist", EXP_HALF, "--"],
+    ["table", "--", "--which", "1"],
+    ["--", "table", "--which", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_PATHS + VALID_ARGV + DASHES,
+                         ids=lambda argv: " ".join(argv).replace(
+                             EXP_HALF, "EXP_HALF") or "no-argv")
+def test_main_parses_what_the_full_pass_parses(monkeypatch, tmp_path, argv):
+    # the namespace main hands a handler, and what a call prints and
+    # returns, are those of parse_args on the same parser
+    monkeypatch.setenv("COLUMNS", "100")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"lambda": 2, "dist": json.loads(EXP_HALF),
+                                  "format": "json", "cycles": 1000}))
+    valid = argv in VALID_ARGV
+    argv = [str(config) if arg == CONFIG else arg for arg in argv]
+    parsed = []
+    for handler in ("run_metrics", "run_bounds", "run_simulate", "run_table",
+                    "run_compare"):
+        monkeypatch.setattr(busycycle.cli, handler,
+                            lambda args, _parser: parsed.append(args) or 0)
+    parser = busycycle.cli._build_parser.__wrapped__()
+    monkeypatch.setattr(busycycle.cli, "_build_parser", lambda: parser)
+    dispatched = run_captured(argv), parsed[:]
+    parsed.clear()
+    monkeypatch.setattr(busycycle.cli, "_parse",
+                        argparse.ArgumentParser.parse_args)
+    assert (run_captured(argv), parsed) == dispatched
+    if valid:
+        assert dispatched[0] == (0, "", "") and len(parsed) == 1
+        assert parsed[0].command == argv[0]
 
 
 def test_cached_parser_formats_help_at_the_current_width(monkeypatch):

@@ -165,6 +165,43 @@ def test_power_residual_tail_keeps_its_digits_at_every_c(c):
     assert worst <= 4 * np.finfo(float).eps * (c / (c + 1.0)), float(worst)
 
 
+# the other catalog laws at their parameter extremes: mean 1e-8 to 1e6, and
+# lambda 1e-3 to 1e3 at rho from 1e-8 to 700
+CATALOG_TAIL_LAWS = [
+    *(("exponential", (mean,)) for mean in (1e-8, 1.0, 1e6)),
+    *(("deterministic", (mean,)) for mean in (1e-8, 1.0, 1e6)),
+    *((kind, (lam, rho)) for kind in ("special_a", "special_b")
+      for lam in (1e-3, 1.0, 1e3) for rho in (1e-8, 0.5, 5.0, 50.0, 700.0)),
+]
+
+
+@pytest.mark.parametrize("kind,params", CATALOG_TAIL_LAWS, ids=[
+    "-".join([kind, *(f"{p:g}" for p in params)])
+    for kind, params in CATALOG_TAIL_LAWS])
+def test_catalog_residual_tails_keep_their_digits(kind, params):
+    # the power law's bound, 4 eps alpha, on t = 0, 5e-324, 61 log-spaced
+    # points from 1e-300 alpha to alpha and 201 even points to 50 alpha
+    dist = getattr(bc, kind)(*params)
+    alpha = dist.mean
+    t = np.concatenate(([0.0, 5e-324], alpha * np.logspace(-300.0, 0.0, 61),
+                        alpha * np.linspace(0.0, 50.0, 201)))
+    r = dist.residual_tail_fn(t)
+    with mpmath.workdps(60):
+        if kind == "exponential":
+            a = mpmath.mpf(params[0])
+            exact = lambda x: a * mpmath.exp(-x / a)
+        elif kind == "deterministic":
+            a = mpmath.mpf(params[0])
+            exact = lambda x: max(a - x, 0)
+        else:  # log1p((e^rho - 1) e^(-k t)) / lam, k = lam / (1 - e^-rho) for B
+            lam, rho = map(mpmath.mpf, params)
+            k = lam if kind == "special_a" else lam / -mpmath.expm1(-rho)
+            exact = lambda x: mpmath.log1p(mpmath.expm1(rho) * mpmath.exp(-k * x)) / lam
+        worst = max(abs(mpmath.mpf(y) - exact(mpmath.mpf(x)))
+                    for x, y in zip(t.tolist(), r.tolist()))
+    assert worst <= 4 * np.finfo(float).eps * alpha, float(worst)
+
+
 def test_scv_consistency_invariant():
     for _, factory in CATALOG:
         dist = factory()
