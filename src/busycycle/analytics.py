@@ -33,7 +33,6 @@ __all__ = [
     "mean_busy_period",
     "exp_series",
     "power_double_series",
-    "beta_closed_form",
     "beta_quadrature",
     "beta_c",
 ]

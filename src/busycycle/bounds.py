@@ -48,8 +48,6 @@ __all__ = [
     "class_upper_bound",
     "gap_ratio",
     "build_report",
-    "LOWER_CLASSES",
-    "UPPER_CLASSES",
 ]
 
 LOWER_CLASSES = ("m-nwue", "dfr", "imrl", "power", "uniform01")

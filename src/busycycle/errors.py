@@ -1,5 +1,9 @@
 """Exception types shared across the package."""
 
+__all__ = ["BusyCycleError", "DomainError", "ArrivalRateMismatchError",
+           "UnsupportedMomentError", "ClassViolationError",
+           "UnsupportedClosedFormError", "RunawayCycleError", "AccuracyError"]
+
 
 class BusyCycleError(Exception):
     """Base class for all package-specific errors."""

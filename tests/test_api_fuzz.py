@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import busycycle as bc
+from busycycle import errors
 from busycycle.errors import BusyCycleError, DomainError
 
 VALUES = (0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf,
@@ -90,6 +91,16 @@ def test_every_public_numeric_callable_is_fuzzed():
         numeric = {p.name for p in inspect.signature(getattr(bc, name)).parameters.values()
                    if _numeric(p.annotation)}
         assert numeric <= set(FUZZ.get(name, ({}, {}))[1]), (name, numeric)
+
+
+def test_the_package_exports_every_error_class():
+    exported = {name for name in bc.__all__ if isinstance(getattr(bc, name), type)
+                and issubclass(getattr(bc, name), Exception)}
+    defined = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, BusyCycleError)
+               and value.__module__ == errors.__name__}
+    assert "BusyCycleError" in defined
+    assert exported == defined
 
 
 def _check(result, where):

@@ -234,6 +234,13 @@ def test_imrl_requires_third_moment():
     p = bc.QueueParameters(1.0, bc.deterministic(1.0))
     with pytest.raises(UnsupportedMomentError):
         bc.class_lower_bound("IMRL", p, assume_tags={"IMRL"})
+    # mu2 = 2e160: mu2^2 overflows, so the report leaves the IMRL row out
+    huge = bc.QueueParameters(1e-80, bc.exponential(1e80))
+    with pytest.raises(UnsupportedMomentError, match=r"mu2\^2 leaves the float range"):
+        bc.class_lower_bound("imrl", huge)
+    report = bc.build_report(huge)
+    assert [kind for kind, _ in report.lower_bounds] == ["sathe", "universal",
+                                                         "m-nwue", "dfr"]
 
 
 def test_unknown_class_names_rejected():

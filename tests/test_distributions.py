@@ -569,6 +569,11 @@ def test_from_spec_round_trip():
         assert dist.spec["type"] == spec["type"]
     with pytest.raises(DomainError):
         bc.from_spec({"type": "weibull"})
+    # the CLI refuses these before from_spec; a library caller reaches it
+    for spec in ([1], {"mean": 1.0}, "exponential", None):
+        with pytest.raises(DomainError,
+                           match="distribution spec must be a dict with a 'type'"):
+            bc.from_spec(spec)
     with pytest.raises(DomainError):
         bc.from_spec({"type": "special_a", "rho": 1.0})  # needs arrival rate
     with pytest.raises(DomainError):
@@ -1288,7 +1293,7 @@ def test_user_residual_tail_matches_closed_form():
     assert float(dist.residual_tail_fn(-1.0)) == 0.5
 
 
-def test_user_cdf_validation():
+def test_user_cdf_validation(monkeypatch):
     # the unknown-tag check comes first, even for an invalid cdf
     with pytest.raises(DomainError, match="unknown class tags"):
         bc.make_distribution(lambda t: 2.0 * t, mean=1.0, class_tags={"SHINY"})
@@ -1317,6 +1322,11 @@ def test_user_cdf_validation():
     # a defective law never reaches 1: a typed error, not a hang
     with pytest.raises(AccuracyError):
         bc.make_distribution(lambda t: 0.5 * _exp_cdf(t), mean=0.5)
+    # a valid cdf whose table runs out of panels is an AccuracyError, not
+    # a DomainError: the check of its nodes passes and the error is raised again
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 8)
+    with pytest.raises(AccuracyError, match="did not converge within 8 panels"):
+        bc.make_distribution(_weibull_half_cdf, mean=0.5)
 
 
 @pytest.mark.parametrize("label,cdf,mean,end", [

@@ -141,6 +141,14 @@ def test_compute_table_rejects_bad_number():
             tables.compute_table(which)
 
 
+def test_unknown_table_row_is_a_domain_error(monkeypatch):
+    reg = tables.load_registry()
+    reg["table1"]["rows"]["gamma"] = reg["table1"]["rows"]["exponential"]
+    monkeypatch.setattr(tables, "load_registry", lambda: reg)
+    with pytest.raises(DomainError, match="unknown table row 'gamma'"):
+        tables.compute_table(1)
+
+
 def test_table_command_exit_3_when_registry_expectation_flips(monkeypatch, capsys):
     # a cell whose status deviates from the shipped registry must fail CI
     from busycycle.cli import main
