@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import QueueParameters, _check_rho, _number
+from .distributions import QueueParameters, _number
 from .errors import AccuracyError, DomainError, UnsupportedClosedFormError
 from .quadrature import _refine, _support_breaks, integrate_adaptive
 
@@ -32,7 +32,6 @@ __all__ = [
     "mean_cycle",
     "mean_busy_period",
     "exp_series",
-    "power_double_series",
     "beta_quadrature",
     "beta_c",
 ]
@@ -45,8 +44,12 @@ class BusyCycleMetrics:
     """Mean-value bundle for one queue configuration.
 
     ``error_estimate`` is an absolute bound on the numerical error of
-    ``beta``; closed forms carry a few-ulp bound.  ``beta_c`` = beta + 1/lam
-    adds the rounding of that sum, half an ulp of ``beta_c``.
+    ``beta``; closed forms carry a few-ulp bound, with two known misses:
+    ``deterministic`` charges nothing for the rounding of rho = lam * mean,
+    which e^rho amplifies (up to 4.5 times its bound near rho = 24), and
+    ``special_b``'s 4 sinh^2(rho/2)/lam misses by up to 1.05 times.
+    ``beta_c`` = beta + 1/lam rounds 1/lam before the sum, so it lies
+    within ``error_estimate`` plus one ulp of ``beta_c``.
     """
 
     e_z: float
@@ -129,42 +132,16 @@ def _positive_series(rho: float, first: float, a: int, b: int, c: int, d: int):
             return total, 4.0 * term + (n + 2) * eps * total
 
 
-def power_double_series(arrival_rate: float, c: float):
-    """(beta_c, abs error estimate) for the power-function service law.
-
-    The underlying expansion of the cycle integral over the [0, 1] support is
-
-        beta_c = 1/lam + e^rho * sum_{k>=0} (-lam)^k M_k / k!  -  1,
-        M_k = int_0^1 t^k (1 - t^c/(c+1))^k dt,  rho = lam c/(c+1).
-
-    For c = 1 the inner integrals collapse and the expansion regroups into
-    the all-positive series sum_k rho^k/(k! (2k+1)), stable for any rho.
-    For other c the k-sum is summed inside its integral, as
-    int_0^1 e^(-lam h(t)) dt with h(t) = t - t^(c+1)/(c+1), by one adaptive
-    Gauss-Kronrod call (see ``_power_beta_series``).  Nothing alternates,
-    so no traffic intensity is out of reach.
-    The estimate adds one ulp of beta_c for the sum beta + 1/lam.  A rho
-    past log(DBL_MAX), and a subnormal rate, whose 1/lam overflows, are
-    DomainErrors.
-    """
-    lam = _number(arrival_rate, "arrival_rate")
-    c = _number(c, "c")
-    _check_rho(lam * c / (c + 1.0))
-    beta, err = _power_beta_series(lam, c)
-    bc = beta + 1.0 / lam
-    err += math.ulp(bc)
-    if not (math.isfinite(bc) and math.isfinite(err)):  # 1/lam overflowed
-        raise DomainError(f"arrival_rate = {lam:g}: beta_c = beta + 1/lambda "
-                          f"overflows the float range")
-    return bc, err
-
-
 def _power_beta_series(lam: float, c: float):
     """(beta, abs error estimate) for the power member via series.
 
-    For c = 1, beta is the all-positive series of ``_positive_series``,
-    with its estimate.  For c != 1 the k-sum of ``power_double_series`` is
-    summed inside its integral: sum_k (-lam)^k M_k / k! =
+    The cycle integral over the [0, 1] support expands as
+    beta = e^rho sum_{k>=0} (-lam)^k M_k / k! - 1, with
+    M_k = int_0^1 t^k (1 - t^c/(c+1))^k dt and rho = lam c/(c+1).
+    For c = 1 it regroups into the all-positive series
+    sum_{k>=1} rho^k / (k! (2k+1)) of ``_positive_series``, with its
+    estimate.  For c != 1 the k-sum is summed inside its integral:
+    sum_k (-lam)^k M_k / k! =
     int_0^1 e^(-lam h(t)) dt with h(t) = t - t^(c+1)/(c+1), so no term
     alternates.  Its part past k = 0, s = int_0^1 expm1(-lam h(t)) dt, is
     refined to 1e-15 of itself after t = v^2 softens the t^(c+1) kink at
@@ -241,8 +218,6 @@ def beta_closed_form(params: QueueParameters):
     lam = params.arrival_rate
     rho = params.traffic_intensity
     kind = params.service.spec.get("type")
-    if rho == 0.0:
-        return 0.0, "closed-form", 0.0
     if kind == "exponential":  # beta = mean S(rho)
         s, err = exp_series(rho)
         mean = params.service.mean
@@ -259,11 +234,11 @@ def beta_closed_form(params: QueueParameters):
             beta = 0.5 * rho * rho * s / lam
         else:
             beta = (math.expm1(rho) - rho) / lam
-    elif kind == "special_a":
-        beta = math.expm1(rho) / lam
+    elif kind == "special_a":  # the law's own rho, not lam * fl(rho / lam)
+        beta = math.expm1(params.service.spec["rho"]) / lam
     elif kind == "special_b":
         # e^rho + e^-rho - 2 = 4 sinh^2(rho/2), exact at small rho
-        beta = 4.0 * math.sinh(0.5 * rho) ** 2 / lam
+        beta = 4.0 * math.sinh(0.5 * params.service.spec["rho"]) ** 2 / lam
     else:
         raise UnsupportedClosedFormError(
             f"no closed form for {params.service.name}"

@@ -129,6 +129,11 @@ def test_series_error_estimates_cover_mpmath_on_grid():
     assert statistics.median(ratios) <= 1e3
 
 
+def _power_closed_form(lam, c):
+    """``beta_c(..., "closed-form")`` of the power law G(t) = t^c at rate lam."""
+    return bc.beta_c(bc.QueueParameters(lam, bc.power_function(c)), "closed-form")
+
+
 def test_power_series_c1_frozen_grid():
     # beta for uniform service: frozen from the defining integral
     expected = {
@@ -140,17 +145,17 @@ def test_power_series_c1_frozen_grid():
     }
     for rho, beta in expected.items():
         lam = 2.0 * rho
-        assert bc.power_double_series(lam, 1.0)[0] == pytest.approx(
+        assert _power_closed_form(lam, 1.0).beta_c == pytest.approx(
             beta + 1.0 / lam, rel=1e-10
         )
 
 
 def test_power_series_c1_large_rho_stable():
     # all-positive regrouping keeps c=1 usable at high intensity
-    assert bc.power_double_series(20.0, 1.0)[0] == pytest.approx(
+    assert _power_closed_form(20.0, 1.0).beta_c == pytest.approx(
         1167.28046358, rel=1e-9
     )
-    assert bc.power_double_series(100.0, 1.0)[0] == pytest.approx(
+    assert _power_closed_form(100.0, 1.0).beta_c == pytest.approx(
         5.23819176218e19, rel=1e-9
     )
 
@@ -159,7 +164,7 @@ def test_power_series_c1_large_rho_stable():
                                    (2.0, 2.0), (1e-3, 2.0)])
 def test_power_series_general_c_matches_quadrature(lam, c):
     params = bc.QueueParameters(lam, bc.power_function(c))
-    series = bc.power_double_series(lam, c)[0]
+    series = _power_closed_form(lam, c).beta_c
     quad = bc.beta_quadrature(params, tol=1e-11)[0] + 1.0 / lam
     assert series == pytest.approx(quad, rel=1e-8)
 
@@ -192,9 +197,9 @@ def test_power_series_error_estimate_covers_mpmath_on_grid():
     assert not misses
 
 
-def test_power_double_series_estimate_covers_the_returned_beta_c():
-    # beta_c = beta + 1/lam carries the rounding of that sum; at c = 5,
-    # rho = 0.01 it is 180 times beta's own estimate
+def test_power_estimate_plus_an_ulp_covers_the_returned_beta_c():
+    # beta_c = beta + 1/lam carries the rounding of that sum, one ulp of
+    # beta_c; at c = 5, rho = 0.01 it is 180 times beta's own estimate
     misses = []
     with mpmath.workdps(40):
         for c in (0.5, 2.0, 5.0):
@@ -203,15 +208,59 @@ def test_power_double_series_estimate_covers_the_returned_beta_c():
                 cm, lm = mpmath.mpf(c), mpmath.mpf(lam)
                 ref = 1 / lm + mpmath.quad(lambda t: mpmath.expm1(
                     lm * (1 - t - (1 - t ** (cm + 1)) / (cm + 1))), [0, 1])
-                value, err = bc.power_double_series(lam, c)
+                m = _power_closed_form(lam, c)
+                value, err = m.beta_c, m.error_estimate + math.ulp(m.beta_c)
                 if abs(value - ref) > err:
                     misses.append((c, rho, float(abs(value - ref)) / err))
     assert not misses
 
 
+def test_beta_c_lies_within_its_estimate_plus_one_ulp():
+    # 1/lam is rounded before the sum, so half an ulp of beta_c does not
+    # cover it: 14 exponential and 4 uniform01 points miss that rule; the
+    # exponential reference is mean S(rho), S(rho) = rho 2F2(1,1;2,2;rho),
+    # at the float mean, and uniform01's is 1F1(1/2;3/2;rho) - 1 at lam = 2 rho
+    rhos = list(map(float, np.geomspace(1e-8, 40.0, 15)))
+    misses = []
+    with mpmath.workdps(60):
+        points = []
+        for lam in (1e-3, 0.3, 0.7, 3.7, 1e3):
+            for rho in rhos:
+                mean, lm = rho / lam, mpmath.mpf(lam)
+                rm = lm * mean
+                points.append((bc.QueueParameters(lam, bc.exponential(mean)),
+                               mean * rm * mpmath.hyp2f2(1, 1, 2, 2, rm) + 1 / lm))
+        for rho in rhos:
+            lm = mpmath.mpf(2.0 * rho)
+            points.append((bc.QueueParameters(2.0 * rho, bc.uniform01()),
+                           mpmath.hyp1f1(0.5, 1.5, lm / 2) - 1 + 1 / lm))
+        for params, ref in points:
+            m = bc.beta_c(params, "closed-form")
+            if abs(m.beta_c - ref) > m.error_estimate + math.ulp(m.beta_c):
+                misses.append((params.service.name, params.arrival_rate))
+    assert not misses
+
+
+def test_special_a_closed_form_reads_the_laws_own_rho():
+    # beta = expm1(rho) / lam at the rho the law was built with; at
+    # lam * fl(rho / lam) it missed its 4e-16 beta estimate by up to 8.7
+    # times, e^rho amplifying the one rounding
+    misses = []
+    with mpmath.workdps(50):
+        for lam in (0.3, 0.7, 3.7, 0.0017864964070445567):
+            for rho in map(float, np.geomspace(0.5, 40.0, 12)):
+                m = bc.beta_c(bc.QueueParameters(lam, bc.special_a(lam, rho)),
+                              "closed-form")
+                ref = mpmath.expm1(rho) / lam
+                if abs(m.beta - ref) > m.error_estimate:
+                    misses.append((lam, rho, float(abs(m.beta - ref)) / m.error_estimate))
+    assert not misses
+
+
 def test_power_series_general_c_answers_at_high_intensity():
     # rho = 40: the alternating k-sum refused here as cancellation-limited
-    value, err = bc.power_double_series(60.0, 2.0)
+    m = _power_closed_form(60.0, 2.0)
+    value, err = m.beta_c, m.error_estimate + math.ulp(m.beta_c)
     with mpmath.workdps(30):
         ref = 1 / mpmath.mpf(60) + _mp_power_beta(60.0, 2.0)
     assert abs(value - ref) <= err
@@ -245,18 +294,18 @@ def test_power_quadrature_agrees_with_the_series_at_small_c(lam, c):
 
 def test_power_series_domain_errors():
     with pytest.raises(DomainError):
-        bc.power_double_series(0.0, 1.0)
+        _power_closed_form(0.0, 1.0)
     with pytest.raises(DomainError):
-        bc.power_double_series(1.0, -2.0)
+        _power_closed_form(1.0, -2.0)
     # a subnormal rate: 1/lam overflows, and (inf, inf) was returned
     for lam in (5e-324, 1e-310):
-        with pytest.raises(DomainError, match="overflows"):
-            bc.power_double_series(lam, 3.0)
+        with pytest.raises(DomainError, match="overflow"):
+            _power_closed_form(lam, 3.0)
     # rho = lam c / (c + 1) past log(DBL_MAX): float warnings, then a bare
     # OverflowError
     for lam, c in ((1065.0, 2.0), (1e308, 0.5)):
         with pytest.raises(DomainError, match="exceeds log"):
-            bc.power_double_series(lam, c)
+            _power_closed_form(lam, c)
 
 
 def test_a_float32_rate_gives_the_float64_result():

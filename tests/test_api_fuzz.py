@@ -43,8 +43,6 @@ FUZZ = {
                {"strategy": "auto", "quad_tol": 1e-9}),
     "beta_quadrature": (lambda tol: bc.beta_quadrature(QUEUE, tol), {"tol": 1e-9}),
     "exp_series": (bc.exp_series, {"rho": 1.0}),
-    "power_double_series": (bc.power_double_series,
-                            {"arrival_rate": 1.0, "c": 2.0}),
     "sathe_interval": (bc.sathe_interval,
                        {"arrival_rate": 1.0, "mean_service": 1.0, "scv": 1.0}),
     "proposition1": (bc.proposition1, {"rho": 1.0, "scv": 1.0}),

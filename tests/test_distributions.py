@@ -425,8 +425,10 @@ def test_traffic_intensity_past_the_float_range_is_rejected():
     lambda: bc.class_lower_bound(5, bc.QueueParameters(2.0, bc.exponential(0.5))),
     lambda: bc.gap_ratio(math.nan, 1.0, 1.0),
     lambda: bc.proposition1(math.inf, 1.0),
-    lambda: bc.power_double_series(math.inf, 2.0),
-    lambda: bc.power_double_series(1.0, math.inf),
+    lambda: bc.beta_c(bc.QueueParameters(math.inf, bc.power_function(2.0)),
+                      "closed-form"),
+    lambda: bc.beta_c(bc.QueueParameters(1.0, bc.power_function(math.inf)),
+                      "closed-form"),
     lambda: bc.scale(bc.make_distribution(
         lambda t: -np.expm1(-np.maximum(t, 0.0)), mean=1.0), math.inf),
     lambda: bc.beta_c(bc.QueueParameters(1.0, bc.exponential(1.0)), quad_tol=math.nan),
@@ -553,6 +555,13 @@ def test_scale_refuses_a_factor_that_overflows_a_moment(base, factor, what):
     with pytest.raises(DomainError, match=message):
         bc.scale(law, factor)
     assert bc.scale(law, 1e100).mean == 1e100 * law.mean
+
+
+def test_a_law_prints_as_its_name():
+    assert repr(bc.exponential(0.5)) == "ServiceDistribution(exponential(mean=0.5))"
+    user = bc.make_distribution(lambda t: -np.expm1(-np.maximum(t, 0.0)),
+                                mean=1.0, name="probe")
+    assert repr(user) == "ServiceDistribution(probe)"
 
 
 def test_from_spec_round_trip():

@@ -820,6 +820,12 @@ def test_replications_run_on_at_most_two_threads(monkeypatch):
     assert len(set(names.values())) <= simulator._MAX_WORKERS == 2
 
 
+def test_usable_cpus_without_an_affinity_call_is_the_cpu_count(monkeypatch):
+    # platforms such as macOS and Windows have no os.sched_getaffinity
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert simulator._usable_cpus() == (os.cpu_count() or 1)
+
+
 def test_a_replication_works_in_about_four_arrays_of_its_cycles():
     # a replication works in a few arrays of one chunk, so the peak is
     # under the bounds a loop over all its cycles at once would need (about
