@@ -64,6 +64,9 @@ KNOWN_TAGS = frozenset({NBUE, NWUE, DFR, IMRL})
 
 # Largest traffic intensity whose e^rho is a finite float.
 RHO_MAX = math.log(sys.float_info.max)
+# Draws per slice of the logistic quantiles' division (``_divide_by_gap``):
+# its one temporary takes 64 KiB however many draws a call makes.
+_SLICE = 8192
 
 # User-CDF tail table: relative tolerance of its quadrature, the largest
 # relative gap between a tabulated moment and the declared one, and the
@@ -290,6 +293,11 @@ class ServiceDistribution:
     ``residual_tail_fn`` accepts scalars or numpy arrays and is the one tail
     a law defines; the integrated tail is derived as I(t) = mean - r(t).
     ``quantile_fn`` is the generalized inverse of the CDF, also vectorized.
+    A catalog law's quantile creates one new array the size of its draws,
+    with at most small temporaries beside it: the simulator calls it on
+    each chunk's uniforms, and a second such array, freed with the first,
+    lets malloc trim the heap, so that the next chunk faults its pages
+    back in.
     ``variance``, when a law knows it in closed form, spares the SCV the
     cancellation of moment2 - mean^2.
     """
@@ -369,7 +377,7 @@ def exponential(mean: float) -> ServiceDistribution:
         return a * np.exp(-np.asarray(t, dtype=float) / a)
 
     def quantile(u):
-        # -a log1p(-u) in one new array, for the simulator's memory
+        # -a log1p(-u) in one new array (see ServiceDistribution)
         x = np.negative(u, dtype=float)
         with np.errstate(divide="ignore"):  # u = 1 maps to inf
             if not isinstance(x, np.ndarray):  # a scalar u
@@ -445,6 +453,19 @@ def special_b(arrival_rate: float, rho: float) -> ServiceDistribution:
     return _logistic("special_b", arrival_rate, rho)
 
 
+def _divide_by_gap(t, u, d: float) -> None:
+    """t /= d (1 - u) in place, for flat arrays of one size, a slice at a
+    time through one buffer of _SLICE floats, freed on return, before the
+    caller makes its next temporary.  Each slice's -, * and / round as the
+    whole arrays' would."""
+    buf = np.empty(min(t.size, _SLICE))
+    for s in range(0, t.size, _SLICE):
+        den = np.subtract(1.0, u[s:s + _SLICE], out=buf[:min(_SLICE, t.size - s)])
+        if d != 1.0:  # 1.0 (1 - u) is 1 - u, exactly
+            den *= d
+        t[s:s + _SLICE] /= den
+
+
 def _logistic(kind: str, arrival_rate: float, rho: float) -> ServiceDistribution:
     """The two logistic-form members.  Both have mean rho/lam and the
     residual tail r(t) = log1p((e^rho - 1) e^(-k t)) / lam, with k = lam
@@ -458,6 +479,15 @@ def _logistic(kind: str, arrival_rate: float, rho: float) -> ServiceDistribution
     em1 = -math.expm1(-rho)      # 1 - e^-rho, without cancellation
     grow = math.expm1(rho)       # e^rho - 1
     k = lam if atom else lam / em1
+    # the quantile is log(c u / (d (1 - u))) / k for special_a and
+    # log1p(c u / (1 - u)) / k for special_b, with G(0) = em or 0
+    c, d = (em1, em) if atom else (math.exp(rho), 1.0)
+    log = np.log if atom else np.log1p
+    at_zero = em if atom else 0.0
+    # c u / (d (1 - u)) < e^rho 2^53 for u < 1, since 1 - u >= 2^-53, so it
+    # can overflow only when rho passes RHO_MAX - 53 log 2 = RHO_MAX - 36.7
+    may_overflow = rho > RHO_MAX - 37.0
+    log_c_d = math.log(em1) + rho if atom else rho  # log(c / d)
 
     def cdf(t):
         t = np.asarray(t, dtype=float)
@@ -471,12 +501,19 @@ def _logistic(kind: str, arrival_rate: float, rho: float) -> ServiceDistribution
 
     def quantile(u):
         u = np.asarray(u, dtype=float)
+        t = np.multiply(c, u, out=np.empty(u.shape))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if atom:
-                t = np.log(em1 * u / (em * (1.0 - u))) / lam
-            else:
-                t = np.log1p(math.exp(rho) * u / (1.0 - u)) / k
-        return np.where(u <= (em if atom else 0.0), 0.0, t)
+            _divide_by_gap(t.reshape(-1), u.reshape(-1), d)
+            log(t, out=t)
+            t /= k
+            if may_overflow:
+                # where c u / (d (1 - u)) passed the float range, log1p's 1
+                # is below its ulp: log(c / d) + log u - log1p(-u)
+                big = (t == math.inf) & (u < 1.0)
+                v = u[big]
+                t[big] = (log_c_d + np.log(v) - np.log1p(-v)) / k
+        t[u <= at_zero] = 0.0  # as np.where would: a NaN u stays NaN
+        return t
 
     # E[S^2] = -2 Li2(1 - e^rho) / lam^2 for special_a, times (1 - e^-rho)
     # for special_b; the dilogarithm by its power series

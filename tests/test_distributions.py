@@ -297,6 +297,66 @@ def test_special_a_quantile_against_mpmath_near_the_atom():
                     ref, rel=1e-12, abs=0.0), (rho, share)
 
 
+def _whole_array_logistic_quantile(kind, lam, rho, u):
+    """The logistic quantiles as whole-array expressions, one temporary
+    array per operation: the reference for the bits of the in-place form."""
+    atom = kind == "special_a"
+    em, em1 = math.exp(-rho), -math.expm1(-rho)
+    k = lam if atom else lam / em1
+    u = np.asarray(u, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if atom:
+            t = np.log(em1 * u / (em * (1.0 - u))) / lam
+        else:
+            t = np.log1p(math.exp(rho) * u / (1.0 - u)) / k
+    return np.where(u <= (em if atom else 0.0), 0.0, t)
+
+
+@pytest.mark.parametrize("kind", ["special_a", "special_b"])
+@pytest.mark.parametrize("rho", [1e-6, 0.5, 2.1, 13.8, 600.0])
+def test_logistic_quantiles_keep_the_whole_array_bits(kind, rho):
+    # the division runs in slices of 8192 draws: sizes on either side of a
+    # slice's end, and the values at the atom, the ends and outside [0, 1]
+    lam = 1.7
+    dist = getattr(bc, kind)(lam, rho)
+    em = math.exp(-rho)
+    edges = np.array([0.0, 5e-324, em, np.nextafter(em, 1.0), 1.0 - 2.0**-53,
+                      1.0, math.nan, -0.5])
+    rng = np.random.default_rng(41)
+    for u in [edges] + [rng.random(n) for n in (1, 8191, 8192, 8193, (1 << 16) + 5)]:
+        got = dist.quantile_fn(u)
+        ref = _whole_array_logistic_quantile(kind, lam, rho, u)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64)), u.size
+    for x in edges:
+        for u in (float(x), np.array(x)):
+            got = dist.quantile_fn(u)
+            ref = _whole_array_logistic_quantile(kind, lam, rho, u)
+            assert type(got) is type(ref) is np.ndarray and got.shape == ()
+            assert got.view(np.int64) == ref.view(np.int64), x
+
+
+@pytest.mark.parametrize("kind", ["special_a", "special_b"])
+def test_logistic_quantiles_stay_finite_at_high_rho(kind):
+    # c u / (d (1 - u)) overflows near u = 1 once e^rho 2^53 does; the
+    # quantile is then taken in logs, where dropping log1p's 1 is exact
+    lam = 1.0
+    for rho in (680.0, 700.0, 709.0):
+        dist = getattr(bc, kind)(lam, rho)
+        with mpmath.workdps(50):
+            r, e = mpmath.mpf(rho), mpmath.exp(-mpmath.mpf(rho))
+            for u in (0.999, 1.0 - 1e-12, 1.0 - 2.0**-53):
+                m = mpmath.mpf(u)
+                if kind == "special_a":
+                    ref = mpmath.log((1 - e) * m / (e * (1 - m))) / lam
+                else:
+                    ref = mpmath.log1p(mpmath.exp(r) * m / (1 - m)) * (1 - e) / lam
+                q = float(dist.quantile_fn(u))
+                assert math.isfinite(q), (rho, u)
+                assert q == pytest.approx(float(ref), rel=1e-12, abs=0.0), (rho, u)
+        assert float(dist.quantile_fn(1.0)) == math.inf
+
+
 def test_moments_outside_the_float_range_are_domain_errors():
     # lam^2 and mean^3 once overflowed or divided by zero past the range
     for make, args in ((bc.special_a, (1e300, 1.0)), (bc.special_a, (1e-300, 1.0)),

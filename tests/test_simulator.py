@@ -846,6 +846,48 @@ def test_a_replication_works_in_about_four_arrays_of_its_cycles():
         assert peaks[1 << 19] <= peaks[n], (rho, peaks)
 
 
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# each catalog law at rho = 2, as (arrival rate, law)
+_CATALOG_AT_RHO_2 = {
+    "exponential": lambda: (1.0, bc.exponential(2.0)),
+    "deterministic": lambda: (1.0, bc.deterministic(2.0)),
+    "special_a": lambda: (1.0, bc.special_a(1.0, 2.0)),
+    "special_b": lambda: (1.0, bc.special_b(1.0, 2.0)),
+    "power": lambda: (2.8, bc.power_function(2.5)),
+    "uniform01": lambda: (4.0, bc.uniform01()),
+}
+
+
+@pytest.mark.parametrize("law", sorted(_CATALOG_AT_RHO_2))
+def test_a_catalog_quantile_makes_one_array_of_its_draws(law):
+    # a second array the size of the draws, freed with the first, let
+    # malloc trim the heap and the next chunk fault its pages back in
+    n = 1 << 16
+    u = np.random.default_rng(3).random(n)
+    _, dist = _CATALOG_AT_RHO_2[law]()
+    dist.quantile_fn(u)
+    assert _peak_bytes(lambda: dist.quantile_fn(u)) <= 1.25 * 8 * n
+    cycles = 1 << 15  # about 242 000 arrivals, in chunks of _CHUNK
+    peaks = {}
+    for name in ("exponential", law):
+        params = bc.QueueParameters(*_CATALOG_AT_RHO_2[name]())
+        assert simulator._chunk_size(cycles, math.exp(params.traffic_intensity)) \
+            == simulator._CHUNK
+        simulator._accumulate(params, 1000, 8, 0)
+        peaks[name] = _peak_bytes(lambda: simulator._accumulate(params, cycles, 8, 0))
+    chunk = 8 * simulator._CHUNK
+    assert peaks[law] <= peaks["exponential"] + 0.05 * chunk, \
+        {k: v / chunk for k, v in peaks.items()}
+
+
 def test_each_replication_runs_once_under_thread_switching(monkeypatch):
     # more threads than cores and a tiny switch interval: a replication
     # claimed twice or never would move the bits or the count
